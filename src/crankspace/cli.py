@@ -21,139 +21,17 @@ import argparse
 import json
 import re
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import partitions, qseries, search, verify
+from . import partitions, search, verify
 from .cyclotomic import NotDivisible, exact_quotient, phi
 from .laurent import LaurentPoly
 
 _POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
-_THM12_ID = re.compile(r"^thm1\.2-k(\d+)-h(\d+)-ell(\d+)$")
-_COR35_ID = re.compile(r"^cor3\.5-([AB])-k(\d+)-ell(\d+)$")
-
-COR35_DEFAULT_INSTANCES = (("A", 6, 5), ("B", 9, 23), ("B", 11, 5))
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
-
-
-# -- claim registry -------------------------------------------------------------
-
-
-def _run_part1(args) -> list[verify.Report]:
-    ells = [args.ell] if args.ell else [5, 7]
-    return [verify.verify_modified_rank(e, args.n_max if args.n_max is not None else 50)
-            for e in ells]
-
-
-def _run_part2(args) -> list[verify.Report]:
-    return [verify.verify_crank_squared(args.n_max if args.n_max is not None else 99)]
-
-
-def _run_part3(args) -> list[verify.Report]:
-    ells = [args.ell] if args.ell else [5, 7, 11]
-    return [verify.verify_modified_crank(e, args.n_max) for e in ells]
-
-
-def _run_monotonic(args) -> list[verify.Report]:
-    return [verify.verify_rank_monotonic(
-        args.n_max if args.n_max is not None else 200, args.n_lo)]
-
-
-def _run_mod10(args) -> list[verify.Report]:
-    return [verify.verify_crank_mod10(args.n_max if args.n_max is not None else 99)]
-
-
-def _run_constancy(args) -> list[verify.Report]:
-    return [verify.verify_crank_constancy(n_max=args.n_max if args.n_max is not None else 60)]
-
-
-def _run_n22(args) -> list[verify.Report]:
-    return [verify.verify_n22_gap()]
-
-
-def _run_congruences(args) -> list[verify.Report]:
-    n_max = args.n_max if args.n_max is not None else 50
-    return [verify.verify_colored_congruence(case, n_max)
-            for case in verify.enumerate_congruence_cases(12)]
-
-
-def _cor35_case(kind: str, k: int, ell: int) -> verify.CongruenceCase:
-    """Resolve (kind, k, ell) to an admissible case, smallest valid h."""
-    for h in verify.H_VALUES:
-        try:
-            case = verify.CongruenceCase.make(k, h, ell)
-            verify._check_family_hypotheses(kind, case)
-            return case
-        except (verify.InvalidCase, verify.HypothesisViolation):
-            continue
-    raise UsageError(f"no admissible progression for kind={kind}, k={k}, ell={ell}")
-
-
-def _run_quotient_instances(args) -> list[verify.Report]:
-    return [verify.verify_colored_quotients(kind, _cor35_case(kind, k, ell), args.n_max)
-            for kind, k, ell in COR35_DEFAULT_INSTANCES]
-
-
-def _run_family_unimodality(args) -> list[verify.Report]:
-    n_hi = (args.n_max + 1) if args.n_max is not None else 100
-    return [search.check_family_unimodality(3, 12, n_hi, threads=args.threads)]
-
-
-def _run_first_gap(args) -> list[verify.Report]:
-    n_hi = (args.n_max + 1) if args.n_max is not None else 75
-    results = search.exhaustive_search(3, 6, n_hi, threads=args.threads)
-    return [search.check_first_gap_criterion(results)]
-
-
-CLAIMS: list[tuple[str, str, Callable]] = [
-    ("conj1.1-part1", "modified rank: cyclotomic quotient non-negative (ell=5,7)", _run_part1),
-    ("conj1.1-part2", "crank at 5n+4: quotient by squared-argument divisor non-negative", _run_part2),
-    ("conj1.1-part3", "modified crank: cyclotomic quotient non-negative (ell=5,7,11)", _run_part3),
-    ("conj1.3", "rank counts weakly decreasing over the window (onset 39)", _run_monotonic),
-    ("thm2.2", "crank residue classes mod 10 at 5n+4 are 1/5 of the mod-2 classes", _run_mod10),
-    ("lem2.4", "near-top crank counts M(n-k, n) are constant in n", _run_constancy),
-    ("crank-n22-gap", "named regression: constancy gap at progression index 22", _run_n22),
-    ("thm1.2", "colored congruences, all admissible cases with k <= 12", _run_congruences),
-    ("cor3.5", "distinguished-family slices: divisibility and onset positivity", _run_quotient_instances),
-    ("conj1.4", "distinguished families unimodal above onsets 15/24 (k <= 12)", _run_family_unimodality),
-    ("conj4.2", "eventual unimodality iff the top two weights are adjacent (k <= 6)", _run_first_gap),
-]
-
-CLAIM_INDEX = {claim_id: (desc, fn) for claim_id, desc, fn in CLAIMS}
-
-VARIANT_IDS = {
-    "conj1.1-part1-ell5": ("conj1.1-part1", 5),
-    "conj1.1-part1-ell7": ("conj1.1-part1", 7),
-    "conj1.1-part3-ell5": ("conj1.1-part3", 5),
-    "conj1.1-part3-ell7": ("conj1.1-part3", 7),
-    "conj1.1-part3-ell11": ("conj1.1-part3", 11),
-}
-
-
-def resolve_claim(claim_id: str, args) -> list[verify.Report]:
-    if claim_id in CLAIM_INDEX:
-        args.ell = None
-        return CLAIM_INDEX[claim_id][1](args)
-    if claim_id in VARIANT_IDS:
-        group, ell = VARIANT_IDS[claim_id]
-        args.ell = ell
-        return CLAIM_INDEX[group][1](args)
-    match = _THM12_ID.match(claim_id)
-    if match:
-        k, h, ell = map(int, match.groups())
-        try:
-            case = verify.CongruenceCase.make(k, h, ell)
-        except verify.InvalidCase as exc:
-            raise UsageError(str(exc)) from exc
-        return [verify.verify_colored_congruence(
-            case, args.n_max if args.n_max is not None else 50)]
-    match = _COR35_ID.match(claim_id)
-    if match:
-        kind, k, ell = match.group(1), int(match.group(2)), int(match.group(3))
-        return [verify.verify_colored_quotients(kind, _cor35_case(kind, k, ell), args.n_max)]
-    raise UsageError(f"unknown claim id {claim_id!r} (try `verify --list`)")
 
 
 # -- output rendering -----------------------------------------------------------
@@ -271,38 +149,26 @@ def _cmd_quotient(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     if args.list:
-        for claim_id, desc, _ in CLAIMS:
-            out.write(f"{claim_id:18s} {desc}\n")
-        out.write("variants: " + ", ".join(sorted(VARIANT_IDS)) + "\n")
-        out.write("patterns: thm1.2-k<K>-h<H>-ell<L>, cor3.5-<A|B>-k<K>-ell<L>\n")
+        for claim in verify.CLAIMS:
+            out.write(f"{claim.claim_id:18s} {claim.description}\n")
+        out.write("variants: " + ", ".join(sorted(verify.VARIANTS)) + "\n")
+        out.write("patterns: " + ", ".join(c.pattern for c in verify.CLAIMS if c.pattern) + "\n")
         return 0
     if not args.claim:
         raise UsageError("verify needs a claim id or `all` (see `verify --list`)")
-    if args.claim == "all":
-        reports = []
-        for claim_id, _, fn in CLAIMS:
-            args.ell = None
-            reports.extend(fn(args))
-    else:
-        reports = resolve_claim(args.claim, args)
+    reports = verify.run_claims(args.claim, args.n_max, args.n_lo, args.threads)
     _render_reports(reports, args.format, out)
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 
 def _cmd_search(args, out) -> int:
-    if args.preset == "table1":
-        if any(v is not None for v in (args.k_lo, args.k_hi, args.n_hi)):
-            raise UsageError("the table1 preset fixes k 3..6 and bound 75; "
-                             "drop the preset to use custom ranges")
-        k_lo, k_hi, n_hi = 3, 6, 75
-    else:
-        k_lo = 3 if args.k_lo is None else args.k_lo
-        k_hi = 6 if args.k_hi is None else args.k_hi
-        n_hi = 75 if args.n_hi is None else args.n_hi
-    try:
-        results = search.exhaustive_search(k_lo, k_hi, n_hi, threads=args.threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    ranges = {"k_lo": args.k_lo, "k_hi": args.k_hi, "n_hi": args.n_hi}
+    given = {key: value for key, value in ranges.items() if value is not None}
+    if args.preset == "table1" and given:
+        raise UsageError("the table1 preset fixes k 3..6 and bound 75; "
+                         "drop the preset to use custom ranges")
+    # the preset is exhaustive_search's default scan
+    results = search.exhaustive_search(**given, threads=args.threads)
     if args.format == "json":
         json.dump([r.to_json_dict() for r in results], out, indent=2)
         out.write("\n")
@@ -362,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format (default text)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count for search-backed commands "
+                        help="worker count (>= 1) for search-backed commands "
                              "(default: CRANKSPACE_THREADS or CPU count)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -383,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", nargs="?", help="claim id, or `all`")
     p.add_argument("--n-max", type=int, default=None, dest="n_max",
                    help="largest progression index / size index to check (suite default otherwise)")
-    p.add_argument("--n-lo", type=int, default=1, dest="n_lo",
+    p.add_argument("--n-lo", type=int, default=None, dest="n_lo",
                    help="smallest n for the monotonicity scan (default 1)")
     p.add_argument("--list", action="store_true", help="list claim ids and exit")
 
@@ -422,13 +288,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads is not None and args.threads < 1:
+            raise UsageError(f"--threads must be >= 1, got {args.threads}")
         return HANDLERS[args.command](args, sys.stdout)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (partitions.BoundExceeded, partitions.InvalidEll, qseries.InvalidK,
-            verify.InvalidCase, verify.HypothesisViolation, NotDivisible,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -146,24 +146,3 @@ def exact_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if any(num):
         raise NotDivisible("nonzero remainder")
     return LaurentPoly(f.lo - g.lo, q)
-
-
-def divides_by_division(f: LaurentPoly, g: LaurentPoly) -> bool:
-    """Exact-division form of the divisibility test (audit route)."""
-    try:
-        exact_quotient(f, g)
-    except NotDivisible:
-        return False
-    return True
-
-
-def check_unimodal_quotient(f: LaurentPoly, ell: int) -> bool:
-    """Check one instance of the symmetric-unimodal quotient law.
-
-    If f is symmetric, unimodal and divisible by Phi_ell, then f / Phi_ell
-    has non-negative coefficients.  Returns True when the implication holds
-    for this f (vacuously true when the hypotheses fail).
-    """
-    if not (f.is_symmetric() and f.is_unimodal() and divides_standard(f, ell)):
-        return True
-    return exact_quotient(f, phi(ell)).is_nonnegative()

@@ -188,14 +188,6 @@ def crank_poly_enumerated(n: int, bound: int = ENUMERATION_BOUND) -> LaurentPoly
     return LaurentPoly.from_coeff_map(acc)
 
 
-def rank_count_enumerated(m: int, n: int, bound: int = ENUMERATION_BOUND) -> int:
-    return rank_poly_enumerated(n, bound).coefficient(m)
-
-
-def crank_count_enumerated(m: int, n: int, bound: int = ENUMERATION_BOUND) -> int:
-    return crank_poly_enumerated(n, bound).coefficient(m)
-
-
 # -- colored counts and progressions --------------------------------------------
 
 

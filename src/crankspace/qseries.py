@@ -27,7 +27,7 @@ LaurentPoly-arithmetic builder and against enumeration.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .laurent import LaurentPoly
 
@@ -63,11 +63,6 @@ class CrankSpec:
     def delta(self) -> int:
         return self.k % 2
 
-    @property
-    def in_search_space(self) -> bool:
-        """Whether the weights are drawn from {1..k} (the search universe)."""
-        return self.a[0] <= self.k
-
     def label(self) -> str:
         return f"C{self.k}({','.join(str(x) for x in self.a)})"
 
@@ -89,24 +84,6 @@ class QSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
-
-    def add(self, other: QSeries) -> QSeries:
-        order = min(self.order, other.order)
-        return QSeries(order, tuple(self.coeffs[n] + other.coeffs[n] for n in range(order + 1)))
-
-    def mul(self, other: QSeries) -> QSeries:
-        """Truncated product; reference arithmetic, quadratic in the order."""
-        order = min(self.order, other.order)
-        out = []
-        for n in range(order + 1):
-            acc = LaurentPoly.zero()
-            for i in range(n + 1):
-                fi = self.coeffs[i]
-                gj = other.coeffs[n - i]
-                if fi and gj:
-                    acc = acc + fi * gj
-            out.append(acc)
-        return QSeries(order, tuple(out))
 
 
 # -- scalar helpers -----------------------------------------------------------
@@ -246,12 +223,13 @@ class _PackedSeries:
         return QSeries(self.order, tuple(self.coeff(m) for m in range(self.order + 1)))
 
 
-def _ck_packed(spec: CrankSpec, order: int) -> _PackedSeries:
-    amp = spec.a[0]
-    bits = _slot_bits(2 * len(spec.a), order)
-    families = tuple(s * aj for aj in spec.a for s in (1, -1))
+def _ck_packed(a: tuple[int, ...], delta: int, order: int) -> _PackedSeries:
+    """Packed colored-crank product; weights (1,) with delta 1 give the crank factor."""
+    amp = a[0]
+    bits = _slot_bits(2 * len(a), order)
+    families = tuple(s * aj for aj in a for s in (1, -1))
     packed = _geometric_packed(families, amp, order, bits)
-    if spec.delta:
+    if delta:
         pos, neg = _pentagonal_passes(packed, amp, order, bits)
         return _PackedSeries(amp, bits, order, tuple(pos), tuple(neg))
     return _PackedSeries(amp, bits, order, tuple(packed), None)
@@ -260,36 +238,18 @@ def _ck_packed(spec: CrankSpec, order: int) -> _PackedSeries:
 # -- public series builders ---------------------------------------------------
 
 
-def crank_factor_series(a: int, order: int) -> QSeries:
-    """The crank factor prod (1-q^n) / ((1-z^a q^n)(1-z^-a q^n)) to `order`.
+def crank_series_corrected(order: int) -> QSeries:
+    """Crank distribution series with the true n = 1 column, to `order`.
 
-    The raw product for a = 1: its q^1 coefficient is z - 1 + z^-1, which is
-    why the corrected crank series exists separately.  a = 0 collapses to the
-    partition generating function.
+    The crank factor prod (1-q^n) / ((1-z q^n)(1-z^-1 q^n)), except that the
+    q^1 coefficient is the constant 1: the only partition of 1 has crank 0
+    by convention, while the raw product says z - 1 + z^-1.
     """
-    if a < 0:
-        raise ValueError("a must be >= 0")
     if order < 0:
         raise ValueError("order must be >= 0")
-    bits = _slot_bits(2, order)
-    packed = _geometric_packed((a, -a), a, order, bits)
-    pos, neg = _pentagonal_passes(packed, a, order, bits)
-    return _PackedSeries(a, bits, order, tuple(pos), tuple(neg)).to_qseries()
-
-
-def crank_series_corrected(order: int) -> QSeries:
-    """Crank distribution series with the true n = 1 column.
-
-    Identical to crank_factor_series(1, order) except that the q^1
-    coefficient is the constant 1: the only partition of 1 has crank 0 by
-    convention, while the raw product says z - 1 + z^-1.
-    """
-    raw = crank_factor_series(1, order)
-    if order < 1:
-        return raw
-    coeffs = list(raw.coeffs)
-    coeffs[1] = LaurentPoly.one()
-    return QSeries(order, tuple(coeffs))
+    raw = _ck_packed((1,), 1, order)
+    return QSeries(order, tuple(LaurentPoly.one() if m == 1 else raw.coeff(m)
+                                for m in range(order + 1)))
 
 
 def rank_series(order: int) -> QSeries:
@@ -328,7 +288,7 @@ def ck_series(spec: CrankSpec, order: int) -> QSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    return _ck_packed(spec, order).to_qseries()
+    return _ck_packed(spec.a, spec.delta, order).to_qseries()
 
 
 def iter_ck_slices(spec: CrankSpec, n_hi: int) -> Iterator[tuple[int, LaurentPoly]]:
@@ -340,7 +300,7 @@ def iter_ck_slices(spec: CrankSpec, n_hi: int) -> Iterator[tuple[int, LaurentPol
     """
     if n_hi < 1:
         raise ValueError("n_hi must be >= 1")
-    packed = _ck_packed(spec, n_hi - 1)
+    packed = _ck_packed(spec.a, spec.delta, n_hi - 1)
     for m in range(n_hi):
         yield m, packed.coeff(m)
 
@@ -353,7 +313,7 @@ def ck_slices_at(spec: CrankSpec, order: int, indices: Iterable[int]) -> dict[in
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    packed = _ck_packed(spec, order)
+    packed = _ck_packed(spec.a, spec.delta, order)
     out = {}
     for m in indices:
         if not 0 <= m <= order:
@@ -370,24 +330,12 @@ def ak_spec(k: int) -> CrankSpec:
     return CrankSpec(k, tuple(range(m + 1, 1, -1)))
 
 
-def bk_spec(k: int, allow_even: bool = False) -> CrankSpec:
+def bk_spec(k: int) -> CrankSpec:
     """The second distinguished family: (m+2, m+1, ..., 6, 5, 3, 2), skipping 4.
 
-    Defined for odd k >= 7.  Even k >= 8 is formally meaningful and available
-    behind allow_even=True, with no claims attached to it.
+    Defined for odd k >= 7.
     """
-    if k % 2 == 1:
-        if k < 7:
-            raise InvalidK(f"odd k must be >= 7, got {k}")
-    elif not (allow_even and k >= 8):
-        raise InvalidK(f"even k requires allow_even=True and k >= 8, got {k}")
-    m = (k + k % 2) // 2
+    if k % 2 == 0 or k < 7:
+        raise InvalidK(f"k must be odd and >= 7, got {k}")
+    m = (k + 1) // 2
     return CrankSpec(k, tuple(range(m + 2, 4, -1)) + (3, 2))
-
-
-def ak_series(k: int, order: int) -> QSeries:
-    return ck_series(ak_spec(k), order)
-
-
-def bk_series(k: int, order: int, allow_even: bool = False) -> QSeries:
-    return ck_series(bk_spec(k, allow_even), order)

@@ -3,9 +3,8 @@
 The search space for a given color count k is every strictly decreasing
 weight tuple drawn from {1..k}; for each tuple the q^n coefficients of its
 product are scanned below a bound and the minimal m with "unimodal for all
-m < n < n_hi" is recorded.  Two conjecture-level summaries sit on top: the
-first-gap criterion (eventual unimodality iff the top two weights are
-adjacent) and the distinguished families' unimodality onsets.
+m < n < n_hi" is recorded.  The claims decided from these scans (the
+first-gap criterion and the distinguished families' onsets) live in verify.
 
 Work parallelizes over weight tuples with a multiprocessing pool; results
 are merged in input order, so the output is byte-identical for any worker
@@ -20,19 +19,10 @@ import io
 import itertools
 import multiprocessing
 import os
-import time
 from typing import Iterable, Iterator, Mapping
 
 from . import qseries
 from .qseries import CrankSpec
-from .verify import (
-    FAMILY_A_ONSET,
-    FAMILY_B_ONSET,
-    Counterexample,
-    Report,
-    _report,
-    _violation,
-)
 
 DEFAULT_SCAN_BOUND = 75
 
@@ -112,11 +102,13 @@ def min_unimodal_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> S
 
 
 def _pool_map(fn, tasks: list, threads: int | None) -> list:
+    """Map fn over tasks in order, on min(threads, len(tasks), CPU count) workers."""
     if threads is None:
         threads = default_thread_count()
-    if threads <= 1 or len(tasks) <= 1:
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with multiprocessing.Pool(min(threads, len(tasks))) as pool:
+    with multiprocessing.Pool(workers) as pool:
         return pool.map(fn, tasks)
 
 
@@ -153,37 +145,8 @@ def results_to_csv(results: Iterable[SearchResult]) -> str:
     return buf.getvalue()
 
 
-def check_first_gap_criterion(results: Iterable[SearchResult]) -> Report:
-    """Eventual unimodality iff the two largest weights are adjacent.
-
-    Tests the equivalence on finished search results, in both directions;
-    any mismatch is a counterexample.  A scan can only falsify the forward
-    direction up to its bound, so the range note records the bounds used.
-    """
-    t0 = time.perf_counter()
-    results = list(results)
-    violations: list[Counterexample] = []
-    for r in results:
-        adjacent = len(r.spec.a) >= 2 and r.spec.a[0] - r.spec.a[1] == 1
-        if r.eventually_unimodal and not adjacent:
-            violations.append(
-                _violation("unimodal-without-adjacent-pair", k=r.spec.k, a=list(r.spec.a),
-                           threshold=r.threshold, n_hi=r.n_hi)
-            )
-        if adjacent and not r.eventually_unimodal:
-            violations.append(
-                _violation("adjacent-pair-not-unimodal", k=r.spec.k, a=list(r.spec.a),
-                           largest_nonunimodal=r.largest_nonunimodal, n_hi=r.n_hi)
-            )
-    ks = sorted({r.spec.k for r in results})
-    bounds = sorted({r.n_hi for r in results})
-    note = f"{len(results)} weight tuples, k in {ks}, scan bounds {bounds}"
-    return _report("conj4.2", note, violations, [], t0)
-
-
-def _family_scan(task: tuple[str, int, int]) -> tuple[str, int, list[int], list[int]]:
-    kind, k, n_hi = task
-    spec = qseries.ak_spec(k) if kind == "A" else qseries.bk_spec(k)
+def _defects_task(task: tuple[CrankSpec, int]) -> tuple[list[int], list[int]]:
+    spec, n_hi = task
     bad, asymmetric = [], []
     for n, f in qseries.iter_ck_slices(spec, n_hi):
         if n < 1:
@@ -192,43 +155,14 @@ def _family_scan(task: tuple[str, int, int]) -> tuple[str, int, list[int], list[
             bad.append(n)
         if not f.is_symmetric():
             asymmetric.append(n)
-    return kind, k, bad, asymmetric
+    return bad, asymmetric
 
 
-def check_family_unimodality(
-    k_lo: int = 3,
-    k_hi: int = 12,
-    n_hi: int = 100,
-    threads: int | None = None,
-) -> Report:
-    """Unimodality of the distinguished families above their onsets.
+def slice_defects(
+    specs: Iterable[CrankSpec], n_hi: int, threads: int | None = None
+) -> list[tuple[list[int], list[int]]]:
+    """Per weight tuple, its non-unimodal and its asymmetric n in 1 <= n < n_hi.
 
-    Kind A is scanned for every k in [k_lo, k_hi] with onset 15; kind B for
-    odd k >= 7 with onset 24.  Non-unimodal slices at or above the onset are
-    violations; below-onset ones are expected for small sizes and are
-    tallied in the range note.  Slices must be symmetric outright.
+    Results follow the order of `specs`, whatever the worker count.
     """
-    if not 3 <= k_lo <= k_hi:
-        raise ValueError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
-    t0 = time.perf_counter()
-    tasks = [("A", k, n_hi) for k in range(k_lo, k_hi + 1)]
-    tasks += [("B", k, n_hi) for k in range(max(k_lo, 7), k_hi + 1) if k % 2]
-    violations: list[Counterexample] = []
-    below_notes: list[str] = []
-    for kind, k, bad, asymmetric in _pool_map(_family_scan, tasks, threads):
-        onset = FAMILY_A_ONSET if kind == "A" else FAMILY_B_ONSET
-        below = [n for n in bad if n < onset]
-        for n in bad:
-            if n >= onset:
-                violations.append(_violation("not-unimodal", kind=kind, k=k, n=n))
-        for n in asymmetric:
-            violations.append(_violation("not-symmetric", kind=kind, k=k, n=n))
-        if below:
-            below_notes.append(f"{kind}{k} at {below}")
-    note = (
-        f"k in [{k_lo}, {k_hi}], 1 <= n < {n_hi}, "
-        f"onsets A >= {FAMILY_A_ONSET}, B >= {FAMILY_B_ONSET} (B for odd k >= 7)"
-    )
-    if below_notes:
-        note += "; below-onset non-unimodal: " + "; ".join(below_notes)
-    return _report("conj1.4", note, violations, [], t0)
+    return _pool_map(_defects_task, [(spec, n_hi) for spec in specs], threads)

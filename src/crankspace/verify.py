@@ -5,6 +5,8 @@ range and returns a Report: pass (clean), fail (a genuine violation of the
 claim), or partial (the claim holds but informative findings outside its
 stated range are attached).  Counterexample payloads carry enough parameters
 to reproduce the violation, plus the offending polynomial where one exists.
+The claim registry at the bottom (CLAIMS, run_claims) names every claim and
+resolves claim ids, their ell variants and their instance patterns.
 
 Divisibility is always decided twice, by the residue-sum criterion and by
 exact long division; a disagreement between the routes is itself reported as
@@ -12,17 +14,18 @@ a violation rather than silently resolved.
 
 Default ranges are sized so each suite completes in well under five minutes
 on one core.  Everything is exact integer arithmetic except the quarantined
-floating-point asymptotic diagnostic at the bottom.
+floating-point asymptotic diagnostic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import time
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from . import partitions, qseries
+from . import partitions, qseries, search
 from .cyclotomic import (
     NotDivisible,
     divides_negated,
@@ -119,14 +122,60 @@ def _dual_quotient(f: LaurentPoly, divisor: LaurentPoly, criterion: bool):
     """Run both divisibility routes; return (divisible, quotient, agree)."""
     try:
         q = exact_quotient(f, divisor)
-        by_division = True
     except NotDivisible:
-        q = None
-        by_division = False
-    return by_division, q, by_division == criterion
+        return False, None, not criterion
+    return True, q, criterion
+
+
+def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
+                  onset: int, quotient_onset: int = 0):
+    """Check (params, size, f) slices against the Phi_ell quotient claim.
+
+    Each f must be divisible by both routes and symmetric, unimodal from size
+    `onset` on, and have a non-negative quotient from size `quotient_onset`
+    on.  Returns (violations, wobbles, negatives), the latter two listing the
+    below-onset sizes that were not unimodal or had a negative quotient.
+    """
+    divisor = phi(ell)
+    violations: list[Counterexample] = []
+    wobbles: list[int] = []
+    negatives: list[int] = []
+    for params, size, f in slices:
+        divisible, q, agree = _dual_quotient(f, divisor, divides_standard(f, ell))
+        if not agree:
+            violations.append(_violation("route-disagreement", f, **params))
+            continue
+        if not divisible:
+            violations.append(_violation("not-divisible", f, **params))
+            continue
+        if not f.is_symmetric():
+            violations.append(_violation("not-symmetric", f, **params))
+        if not f.is_unimodal():
+            if size >= onset:
+                violations.append(_violation("not-unimodal", f, **params | {"size": size}))
+            else:
+                wobbles.append(size)
+        if not q.is_nonnegative():
+            if size >= quotient_onset:
+                violations.append(_violation("negative-quotient", q, **params))
+            else:
+                negatives.append(size)
+    return violations, wobbles, negatives
 
 
 # -- modified rank / crank quotients -------------------------------------------
+
+
+def _modified_quotients(claim: str, poly: Callable[[int, int], LaurentPoly], onset: int,
+                        ell: int, n_max: int) -> Report:
+    t0 = time.perf_counter()
+    beta = partitions.beta(ell)
+    slices = (({"ell": ell, "n": n}, ell * n + beta, poly(ell, n)) for n in range(n_max + 1))
+    violations, wobbles, _ = _check_slices(slices, ell, onset)
+    note = f"ell={ell}, n in [0, {n_max}] (sizes ell*n+{beta})"
+    if wobbles:
+        note += f"; non-unimodal below size {onset} at sizes {wobbles}"
+    return _report(f"{claim}-ell{ell}", note, violations, [], t0)
 
 
 def verify_modified_rank(ell: int, n_max: int = 50) -> Report:
@@ -138,34 +187,8 @@ def verify_modified_rank(ell: int, n_max: int = 50) -> Report:
     expected, so they are tallied in the range note rather than reported
     as counterexamples.
     """
-    t0 = time.perf_counter()
-    violations: list[Counterexample] = []
-    wobbles: list[int] = []
-    beta = partitions.beta(ell)
-    for n in range(n_max + 1):
-        size = ell * n + beta
-        f = partitions.modified_rank_poly(ell, n)
-        crit = divides_standard(f, ell)
-        divisible, q, agree = _dual_quotient(f, phi(ell), crit)
-        if not agree:
-            violations.append(_violation("route-disagreement", f, ell=ell, n=n))
-            continue
-        if not divisible:
-            violations.append(_violation("not-divisible", f, ell=ell, n=n))
-            continue
-        if not q.is_nonnegative():
-            violations.append(_violation("negative-quotient", q, ell=ell, n=n))
-        if not f.is_symmetric():
-            violations.append(_violation("not-symmetric", f, ell=ell, n=n))
-        if not f.is_unimodal():
-            if size >= RANK_MONOTONE_ONSET:
-                violations.append(_violation("not-unimodal", f, ell=ell, n=n, size=size))
-            else:
-                wobbles.append(size)
-    note = f"ell={ell}, n in [0, {n_max}] (sizes ell*n+{beta})"
-    if wobbles:
-        note += f"; non-unimodal below size {RANK_MONOTONE_ONSET} at sizes {wobbles}"
-    return _report(f"conj1.1-part1-ell{ell}", note, violations, [], t0)
+    return _modified_quotients("conj1.1-part1", partitions.modified_rank_poly,
+                               RANK_MONOTONE_ONSET, ell, n_max)
 
 
 def verify_crank_squared(n_max: int = 99) -> Report:
@@ -179,7 +202,6 @@ def verify_crank_squared(n_max: int = 99) -> Report:
     """
     t0 = time.perf_counter()
     violations: list[Counterexample] = []
-    infos: list[Counterexample] = []
     divisor = phi(5, "squared")
     interior_zeros = 0
     for n in range(n_max + 1):
@@ -203,7 +225,7 @@ def verify_crank_squared(n_max: int = 99) -> Report:
         f"sizes 5n+4 <= {5 * n_max + 4}; "
         f"interior zeros in {interior_zeros} of {n_max + 1} quotients"
     )
-    return _report("conj1.1-part2", note, violations, infos, t0)
+    return _report("conj1.1-part2", note, violations, [], t0)
 
 
 def verify_modified_crank(ell: int, n_max: int | None = None) -> Report:
@@ -219,34 +241,8 @@ def verify_modified_crank(ell: int, n_max: int | None = None) -> Report:
     """
     if n_max is None:
         n_max = {5: 99, 7: 70, 11: 44}.get(ell, 40)
-    t0 = time.perf_counter()
-    violations: list[Counterexample] = []
-    wobbles: list[int] = []
-    beta = partitions.beta(ell)
-    for n in range(n_max + 1):
-        size = ell * n + beta
-        f = partitions.modified_crank_poly(ell, n)
-        crit = divides_standard(f, ell)
-        divisible, q, agree = _dual_quotient(f, phi(ell), crit)
-        if not agree:
-            violations.append(_violation("route-disagreement", f, ell=ell, n=n))
-            continue
-        if not divisible:
-            violations.append(_violation("not-divisible", f, ell=ell, n=n))
-            continue
-        if not q.is_nonnegative():
-            violations.append(_violation("negative-quotient", q, ell=ell, n=n))
-        if not f.is_symmetric():
-            violations.append(_violation("not-symmetric", f, ell=ell, n=n))
-        if not f.is_unimodal():
-            if size >= CRANK_UNIMODAL_ONSET:
-                violations.append(_violation("not-unimodal", f, ell=ell, n=n, size=size))
-            else:
-                wobbles.append(size)
-    note = f"ell={ell}, n in [0, {n_max}] (sizes ell*n+{beta})"
-    if wobbles:
-        note += f"; non-unimodal below size {CRANK_UNIMODAL_ONSET} at sizes {wobbles}"
-    return _report(f"conj1.1-part3-ell{ell}", note, violations, [], t0)
+    return _modified_quotients("conj1.1-part3", partitions.modified_crank_poly,
+                               CRANK_UNIMODAL_ONSET, ell, n_max)
 
 
 # -- rank monotonicity and crank columns ----------------------------------------
@@ -427,11 +423,7 @@ def verify_colored_congruence(case: CongruenceCase, n_max: int = 50) -> Report:
 
 
 def _family_spec(kind: str, k: int) -> qseries.CrankSpec:
-    if kind == "A":
-        return qseries.ak_spec(k)
-    if kind == "B":
-        return qseries.bk_spec(k)
-    raise HypothesisViolation(f"kind must be 'A' or 'B', got {kind!r}")
+    return qseries.ak_spec(k) if kind == "A" else qseries.bk_spec(k)
 
 
 def _check_family_hypotheses(kind: str, case: CongruenceCase) -> int:
@@ -469,32 +461,9 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
     t0 = time.perf_counter()
     order = case.ell * n_max + case.delta
     sizes = [case.ell * n + case.delta for n in range(n_max + 1)]
-    slices = qseries.ck_slices_at(spec, order, sizes)
-    violations: list[Counterexample] = []
-    wobbles: list[int] = []
-    negatives: list[int] = []
-    for n, size in enumerate(sizes):
-        f = slices[size]
-        crit = divides_standard(f, case.ell)
-        divisible, q, agree = _dual_quotient(f, phi(case.ell), crit)
-        if not agree:
-            violations.append(_violation("route-disagreement", f, n=n, size=size))
-            continue
-        if not divisible:
-            violations.append(_violation("not-divisible", f, n=n, size=size))
-            continue
-        if not f.is_symmetric():
-            violations.append(_violation("not-symmetric", f, n=n, size=size))
-        if not f.is_unimodal():
-            if size >= onset:
-                violations.append(_violation("not-unimodal", f, n=n, size=size))
-            else:
-                wobbles.append(size)
-        if not q.is_nonnegative():
-            if size >= onset:
-                violations.append(_violation("negative-quotient", q, n=n, size=size))
-            else:
-                negatives.append(size)
+    polys = qseries.ck_slices_at(spec, order, sizes)
+    slices = (({"n": n, "size": size}, size, polys[size]) for n, size in enumerate(sizes))
+    violations, wobbles, negatives = _check_slices(slices, case.ell, onset, onset)
     claim = f"cor3.5-{kind}-k{case.k}-ell{case.ell}"
     note = (
         f"kind={kind}, k={case.k}, ell={case.ell}, delta={case.delta}, "
@@ -505,6 +474,77 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
     if negatives:
         note += f"; negative quotient below onset at sizes {negatives}"
     return _report(claim, note, violations, [], t0)
+
+
+# -- weight-tuple scans ---------------------------------------------------------
+
+
+def check_first_gap_criterion(results: Iterable[search.SearchResult]) -> Report:
+    """Eventual unimodality iff the two largest weights are adjacent.
+
+    Tests the equivalence on finished search results, in both directions;
+    any mismatch is a counterexample.  A scan can only falsify the forward
+    direction up to its bound, so the range note records the bounds used.
+    """
+    t0 = time.perf_counter()
+    results = list(results)
+    violations: list[Counterexample] = []
+    for r in results:
+        adjacent = len(r.spec.a) >= 2 and r.spec.a[0] - r.spec.a[1] == 1
+        if r.eventually_unimodal and not adjacent:
+            violations.append(
+                _violation("unimodal-without-adjacent-pair", k=r.spec.k, a=list(r.spec.a),
+                           threshold=r.threshold, n_hi=r.n_hi)
+            )
+        if adjacent and not r.eventually_unimodal:
+            violations.append(
+                _violation("adjacent-pair-not-unimodal", k=r.spec.k, a=list(r.spec.a),
+                           largest_nonunimodal=r.largest_nonunimodal, n_hi=r.n_hi)
+            )
+    ks = sorted({r.spec.k for r in results})
+    bounds = sorted({r.n_hi for r in results})
+    note = f"{len(results)} weight tuples, k in {ks}, scan bounds {bounds}"
+    return _report("conj4.2", note, violations, [], t0)
+
+
+def check_family_unimodality(
+    k_lo: int = 3,
+    k_hi: int = 12,
+    n_hi: int = 100,
+    threads: int | None = None,
+) -> Report:
+    """Unimodality of the distinguished families above their onsets.
+
+    Kind A is scanned for every k in [k_lo, k_hi] with onset 15; kind B for
+    odd k >= 7 with onset 24.  Non-unimodal slices at or above the onset are
+    violations; below-onset ones are expected for small sizes and are
+    tallied in the range note.  Slices must be symmetric outright.
+    """
+    if not 3 <= k_lo <= k_hi:
+        raise ValueError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
+    t0 = time.perf_counter()
+    families = [("A", k) for k in range(k_lo, k_hi + 1)]
+    families += [("B", k) for k in range(max(k_lo, 7), k_hi + 1) if k % 2]
+    specs = [_family_spec(kind, k) for kind, k in families]
+    violations: list[Counterexample] = []
+    below_notes: list[str] = []
+    for (kind, k), (bad, asymmetric) in zip(families, search.slice_defects(specs, n_hi, threads)):
+        onset = FAMILY_A_ONSET if kind == "A" else FAMILY_B_ONSET
+        below = [n for n in bad if n < onset]
+        for n in bad:
+            if n >= onset:
+                violations.append(_violation("not-unimodal", kind=kind, k=k, n=n))
+        for n in asymmetric:
+            violations.append(_violation("not-symmetric", kind=kind, k=k, n=n))
+        if below:
+            below_notes.append(f"{kind}{k} at {below}")
+    note = (
+        f"k in [{k_lo}, {k_hi}], 1 <= n < {n_hi}, "
+        f"onsets A >= {FAMILY_A_ONSET}, B >= {FAMILY_B_ONSET} (B for odd k >= 7)"
+    )
+    if below_notes:
+        note += "; below-onset non-unimodal: " + "; ".join(below_notes)
+    return _report("conj1.4", note, violations, [], t0)
 
 
 # -- floating-point diagnostic (quarantined) --------------------------------------
@@ -552,3 +592,129 @@ def rank_asymptotic_samples(n: int, m_values: Iterable[int] | None = None) -> li
             AsymptoticSample(n, m, gamma, predicted, actual, rel, abs(m) > window)
         )
     return samples
+
+
+# -- claim registry ----------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Claim:
+    """One registry entry: a claim id, its `verify --list` line and its runner.
+
+    run(instance, n_max, n_lo, threads) checks one instance and returns its
+    Report; None for n_max, n_lo or threads keeps the suite's own default.
+    The bare id runs every instance: the `ells` of a group entry, which also
+    answers to `<id>-ell<L>`, or else `instances`.  A pattern entry answers
+    to every id `parse` turns into an instance.  n_min is the smallest n_max
+    whose range is not empty.
+    """
+
+    claim_id: str
+    description: str
+    run: Callable[..., Report]
+    ells: tuple[int, ...] = ()
+    instances: tuple = (None,)
+    pattern: str = ""
+    parse: Callable[[str], object] | None = None
+    n_min: int = 0
+
+
+def _given(**kwargs) -> dict:
+    """The keyword arguments that are not None, so a suite keeps its default."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
+def _thm12_instance(claim_id: str) -> CongruenceCase | None:
+    match = re.match(r"^thm1\.2-k(\d+)-h(\d+)-ell(\d+)$", claim_id)
+    return match and CongruenceCase.make(*map(int, match.groups()))
+
+
+def _cor35_instance(claim_id: str) -> tuple[str, CongruenceCase] | None:
+    """The (kind, case) a cor3.5 instance id names, with the smallest valid h."""
+    match = re.match(r"^cor3\.5-([AB])-k(\d+)-ell(\d+)$", claim_id)
+    if not match:
+        return None
+    kind, k, ell = match[1], int(match[2]), int(match[3])
+    for h in H_VALUES:
+        try:
+            case = CongruenceCase.make(k, h, ell)
+            _check_family_hypotheses(kind, case)
+            return kind, case
+        except (InvalidCase, HypothesisViolation):
+            continue
+    raise HypothesisViolation(f"no admissible progression for kind={kind}, k={k}, ell={ell}")
+
+
+# Runners name their suites at call time, so a wrapper installed on a module
+# attribute (as a tracer does) sees every call.
+CLAIMS: tuple[Claim, ...] = (
+    Claim("conj1.1-part1", "modified rank: cyclotomic quotient non-negative (ell=5,7)",
+          lambda ell, n_max, n_lo, threads: verify_modified_rank(ell, **_given(n_max=n_max)),
+          ells=(5, 7)),
+    Claim("conj1.1-part2", "crank at 5n+4: quotient by squared-argument divisor non-negative",
+          lambda _, n_max, n_lo, threads: verify_crank_squared(**_given(n_max=n_max))),
+    Claim("conj1.1-part3", "modified crank: cyclotomic quotient non-negative (ell=5,7,11)",
+          lambda ell, n_max, n_lo, threads: verify_modified_crank(ell, n_max), ells=(5, 7, 11)),
+    Claim("conj1.3", "rank counts weakly decreasing over the window (onset 39)",
+          lambda _, n_max, n_lo, threads: verify_rank_monotonic(**_given(n_max=n_max, n_lo=n_lo)),
+          n_min=1),
+    Claim("thm2.2", "crank residue classes mod 10 at 5n+4 are 1/5 of the mod-2 classes",
+          lambda _, n_max, n_lo, threads: verify_crank_mod10(**_given(n_max=n_max))),
+    Claim("lem2.4", "near-top crank counts M(n-k, n) are constant in n",
+          lambda _, n_max, n_lo, threads: verify_crank_constancy(**_given(n_max=n_max)), n_min=2),
+    Claim("crank-n22-gap", "named regression: constancy gap at progression index 22",
+          lambda *_: verify_n22_gap()),
+    Claim("thm1.2", "colored congruences, all admissible cases with k <= 12",
+          lambda case, n_max, n_lo, threads: verify_colored_congruence(case, **_given(n_max=n_max)),
+          instances=tuple(enumerate_congruence_cases(12)),
+          pattern="thm1.2-k<K>-h<H>-ell<L>", parse=_thm12_instance),
+    Claim("cor3.5", "distinguished-family slices: divisibility and onset positivity",
+          lambda instance, n_max, n_lo, threads: verify_colored_quotients(*instance, n_max),
+          instances=tuple(map(_cor35_instance, ("cor3.5-A-k6-ell5", "cor3.5-B-k9-ell23",
+                                                "cor3.5-B-k11-ell5"))),
+          pattern="cor3.5-<A|B>-k<K>-ell<L>", parse=_cor35_instance),
+    Claim("conj1.4", "distinguished families unimodal above onsets 15/24 (k <= 12)",
+          lambda _, n_max, n_lo, threads: check_family_unimodality(
+              threads=threads, **_given(n_hi=None if n_max is None else n_max + 1)),
+          n_min=1),
+    Claim("conj4.2", "eventual unimodality iff the top two weights are adjacent (k <= 6)",
+          lambda _, n_max, n_lo, threads: check_first_gap_criterion(search.exhaustive_search(
+              threads=threads, **_given(n_hi=None if n_max is None else n_max + 1))),
+          n_min=1),
+)
+
+VARIANTS: dict[str, tuple[Claim, tuple[int]]] = {
+    f"{claim.claim_id}-ell{ell}": (claim, (ell,)) for claim in CLAIMS for ell in claim.ells
+}
+
+
+def _resolve(claim_id: str) -> tuple[Claim, tuple]:
+    """The registry entry claim_id names, with the instances it selects."""
+    if claim_id in VARIANTS:
+        return VARIANTS[claim_id]
+    for claim in CLAIMS:
+        if claim_id == claim.claim_id:
+            return claim, claim.ells or claim.instances
+        instance = claim.parse and claim.parse(claim_id)
+        if instance:
+            return claim, (instance,)
+    raise ValueError(f"unknown claim id {claim_id!r} (try `verify --list`)")
+
+
+def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
+               threads: int | None = None) -> list[Report]:
+    """Reports for the claim claim_id names, or for every claim when it is `all`.
+
+    None for n_max, n_lo or threads keeps each suite's own default.  An
+    unknown id, or an n_max below the lowest index a claim checks (its n_min,
+    raised to n_lo when given), raises ValueError before any suite runs.
+    """
+    ids = [claim.claim_id for claim in CLAIMS] if claim_id == "all" else [claim_id]
+    jobs = [_resolve(i) for i in ids]
+    for claim, _ in jobs:
+        lo = claim.n_min if n_lo is None else max(claim.n_min, n_lo)
+        if n_max is not None and n_max < lo:
+            raise ValueError(f"empty range: {claim.claim_id} checks nothing "
+                             f"with n_max={n_max} (needs n_max >= {lo})")
+    return [claim.run(instance, n_max, n_lo, threads)
+            for claim, instances in jobs for instance in instances]

@@ -4,7 +4,8 @@ Naive reference builders recompute the same series the engine produces, but
 with nothing shared: plain LaurentPoly arithmetic, factor-by-factor
 geometric recurrences, and the alternating pentagonal-number expansion.
 They are deliberately slow and obvious; tests compare the fast engine
-against them at small orders.
+against them at small orders.  divides_by_division is the exact-division
+form of the divisibility test, the audit route for the residue-sum criteria.
 
 TABLE1_ROWS freezes the reference threshold table behind the CLI's `search
 table1` preset (39 rows, k = 3..6, scan bound 75) in its exact row order:
@@ -13,7 +14,17 @@ table1` preset (39 rows, k = 3..6, scan bound 75) in its exact row order:
 
 from __future__ import annotations
 
+from crankspace.cyclotomic import NotDivisible, exact_quotient
 from crankspace.laurent import LaurentPoly
+
+
+def divides_by_division(f: LaurentPoly, g: LaurentPoly) -> bool:
+    """Whether g divides f, decided by exact long division."""
+    try:
+        exact_quotient(f, g)
+    except NotDivisible:
+        return False
+    return True
 
 
 def pentagonal_signs(limit: int) -> list[tuple[int, int]]:

@@ -8,6 +8,23 @@ import pytest
 
 from crankspace.cli import main
 
+VERIFY_LIST = """\
+conj1.1-part1      modified rank: cyclotomic quotient non-negative (ell=5,7)
+conj1.1-part2      crank at 5n+4: quotient by squared-argument divisor non-negative
+conj1.1-part3      modified crank: cyclotomic quotient non-negative (ell=5,7,11)
+conj1.3            rank counts weakly decreasing over the window (onset 39)
+thm2.2             crank residue classes mod 10 at 5n+4 are 1/5 of the mod-2 classes
+lem2.4             near-top crank counts M(n-k, n) are constant in n
+crank-n22-gap      named regression: constancy gap at progression index 22
+thm1.2             colored congruences, all admissible cases with k <= 12
+cor3.5             distinguished-family slices: divisibility and onset positivity
+conj1.4            distinguished families unimodal above onsets 15/24 (k <= 12)
+conj4.2            eventual unimodality iff the top two weights are adjacent (k <= 6)
+variants: conj1.1-part1-ell5, conj1.1-part1-ell7, conj1.1-part3-ell11, conj1.1-part3-ell5, \
+conj1.1-part3-ell7
+patterns: thm1.2-k<K>-h<H>-ell<L>, cor3.5-<A|B>-k<K>-ell<L>
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -87,13 +104,23 @@ class TestVerifyCommand:
     def test_list_claims(self, capsys):
         code, out, _ = run(capsys, "verify", "--list")
         assert code == 0
-        ids = [line.split()[0] for line in out.strip().splitlines()]
-        for expected in (
-            "conj1.1-part1", "conj1.1-part2", "conj1.1-part3", "conj1.3",
-            "thm1.2", "thm2.2", "lem2.4", "crank-n22-gap", "cor3.5",
-            "conj1.4", "conj4.2",
-        ):
-            assert expected in ids
+        assert out == VERIFY_LIST
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "conj1.1-part1", "--n-max", "-1"),
+            ("verify", "lem2.4", "--n-max", "-5"),
+            ("verify", "thm1.2-k1-h4-ell5", "--n-max", "-1"),
+            ("--threads", "1", "verify", "conj1.4", "--n-max", "0"),
+            ("verify", "conj1.3", "--n-lo", "39", "--n-max", "38"),
+            ("verify", "all", "--n-max", "1"),
+        ],
+    )
+    def test_empty_range_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "empty range" in err
 
     def test_single_claim_text(self, capsys):
         code, out, _ = run(capsys, "verify", "lem2.4", "--n-max", "20")
@@ -182,6 +209,12 @@ class TestSearchCommand:
     def test_invalid_range_exits_two(self, capsys):
         code, _, err = run(capsys, "search", "--k-lo", "2")
         assert code == 2 and "error" in err.lower() or "k" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_exit_two(self, capsys, threads):
+        code, out, err = run(capsys, "--threads", threads, "search", "--k-lo", "3", "--k-hi", "3")
+        assert code == 2 and out == ""
+        assert "--threads" in err
 
 
 class TestColoredAndAsymptotic:

@@ -14,8 +14,6 @@ from crankspace.cyclotomic import (
     VARIANTS,
     Modulus,
     NotDivisible,
-    check_unimodal_quotient,
-    divides_by_division,
     divides_negated,
     divides_standard,
     exact_quotient,
@@ -23,6 +21,8 @@ from crankspace.cyclotomic import (
     phi,
 )
 from crankspace.laurent import LaurentPoly
+
+from helpers import divides_by_division
 
 PRIMES = (5, 7, 11)
 
@@ -155,19 +155,6 @@ class TestExactQuotient:
 
     def test_zero_dividend(self):
         assert exact_quotient(LaurentPoly.zero(), phi(5)) == LaurentPoly.zero()
-
-
-class TestUnimodalQuotientLaw:
-    def test_holds_on_size_nine_crank_times_phi(self):
-        # symmetric unimodal multiple of the divisor -> nonnegative quotient
-        f = phi(5) * LaurentPoly(-2, (1, 2, 3, 2, 1))
-        shifted = f.shift(-(f.lo + f.hi) // 2)
-        assert shifted.is_symmetric() and shifted.is_unimodal()
-        assert check_unimodal_quotient(shifted, 5)
-
-    def test_vacuous_when_hypotheses_fail(self):
-        assert check_unimodal_quotient(LaurentPoly(0, (1, 2)), 5)  # not symmetric
-        assert check_unimodal_quotient(phi(5) + phi(5), 7)  # not divisible by phi(7)
 
 
 def test_doctests_pass():

@@ -3,21 +3,22 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import pytest
 
+from crankspace import search
 from crankspace.qseries import CrankSpec, iter_ck_slices
 from crankspace.search import (
     DEFAULT_SCAN_BOUND,
     SearchResult,
-    check_family_unimodality,
-    check_first_gap_criterion,
     crank_space,
     default_thread_count,
     exhaustive_search,
     min_unimodal_threshold,
     results_to_csv,
 )
+from crankspace.verify import check_family_unimodality, check_first_gap_criterion
 
 from helpers import TABLE1_ROWS, TABLE1_SCAN_BOUND
 
@@ -44,7 +45,7 @@ class TestCrankSpace:
     def test_specs_are_inside_search_space(self):
         for k in (3, 4, 5, 6):
             for spec in crank_space(k):
-                assert spec.in_search_space
+                assert max(spec.a) <= k
                 assert spec.k == k
 
 
@@ -159,3 +160,25 @@ class TestThreadConfig:
     def test_fallback_is_positive(self, monkeypatch):
         monkeypatch.delenv("CRANKSPACE_THREADS", raising=False)
         assert default_thread_count() >= 1
+
+    def test_pool_size_is_capped_at_cpu_count(self, monkeypatch):
+        requested = []
+
+        class FakePool:
+            def __init__(self, size):
+                requested.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        assert search._pool_map(abs, list(range(-8, 0)), threads=64) == list(range(8, 0, -1))
+        assert search._pool_map(abs, [-1, -2], threads=64) == [1, 2]
+        assert requested == [3, 2]

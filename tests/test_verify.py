@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
+from crankspace import qseries, verify
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import crank_count, rank_count
 from crankspace.verify import (
+    CLAIMS,
     CRANK_UNIMODAL_ONSET,
     H_VALUES,
     RANK_MONOTONE_ONSET,
@@ -18,7 +23,9 @@ from crankspace.verify import (
     InvalidCase,
     Report,
     enumerate_congruence_cases,
+    VARIANTS,
     rank_asymptotic_samples,
+    run_claims,
     verify_colored_congruence,
     verify_colored_quotients,
     verify_crank_constancy,
@@ -191,6 +198,70 @@ class TestSuitesOnSmallRanges:
         rep = verify_colored_quotients("A", case, n_max=6)
         assert rep.status == "pass"
         assert "onset" in rep.range
+
+
+class TestSliceCheckFailures:
+    def test_non_divisible_slice(self, monkeypatch):
+        off = LaurentPoly(-1, (1, 1, 1))  # symmetric and unimodal, span too short for Phi_5
+        monkeypatch.setattr(qseries, "ck_slices_at",
+                            lambda spec, order, sizes: {size: off for size in sizes})
+        rep = verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)
+        assert rep.status == "fail"
+        assert [c.params for c in rep.counterexamples] == [
+            {"kind": "not-divisible", "within_claim": True, "n": n, "size": 5 * n + 4}
+            for n in (0, 1)
+        ]
+        assert rep.counterexamples[0].poly == off
+
+    @pytest.mark.parametrize(
+        "suite,params",
+        [
+            (lambda: verify_modified_rank(5, n_max=1), ("ell",)),
+            (lambda: verify_modified_crank(7, n_max=1), ("ell",)),
+            (lambda: verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1),
+             ("size",)),
+        ],
+        ids=["modified-rank", "modified-crank", "colored-quotients"],
+    )
+    def test_route_disagreement(self, monkeypatch, suite, params):
+        monkeypatch.setattr(verify, "divides_standard", lambda f, ell: False)
+        rep = suite()
+        assert rep.status == "fail"
+        assert [c.params["kind"] for c in rep.counterexamples] == ["route-disagreement"] * 2
+        for n, ce in enumerate(rep.counterexamples):
+            assert ce.params["within_claim"] and ce.params["n"] == n
+            assert set(ce.params) == {"kind", "within_claim", "n", *params}
+
+
+# one instance id per pattern entry, each in its own claim's range
+PATTERN_EXAMPLES = {"thm1.2": "thm1.2-k9-h14-ell23", "cor3.5": "cor3.5-B-k11-ell5"}
+
+
+class TestClaimRegistry:
+    @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.claim_id)
+    def test_bare_id_runs_every_instance(self, claim):
+        reports = run_claims(claim.claim_id, n_max=claim.n_min, threads=1)
+        assert len(reports) == len(claim.ells or claim.instances)
+        assert all(r.claim_id.startswith(claim.claim_id) for r in reports)
+
+    def test_variants_and_pattern_examples_resolve(self):
+        with_pattern = {c.claim_id for c in CLAIMS if c.pattern}
+        assert set(PATTERN_EXAMPLES) == with_pattern
+        for claim_id in [*VARIANTS, *PATTERN_EXAMPLES.values()]:
+            [report] = run_claims(claim_id, n_max=0)
+            assert report.claim_id == claim_id and report.status == "pass"
+
+    def test_readme_claim_table_lists_exactly_the_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("Claim ids:")[1].split("###")[0]
+        listed = re.findall(r"^\| `([^`\[]+)(?:\[[^\]]*\])?` \|", table, re.MULTILINE)
+        assert sorted(listed) == sorted(c.claim_id for c in CLAIMS)
+
+    def test_unknown_id_and_empty_range_raise_before_running(self):
+        with pytest.raises(ValueError, match="unknown claim id"):
+            run_claims("conj1.1-part1-ell11")
+        with pytest.raises(ValueError, match="empty range"):
+            run_claims("lem2.4", n_max=1)
 
 
 class TestAsymptotics:
