@@ -8,11 +8,18 @@ sum_m N(m, n) z^m and sum_m M(m, n) z^m are the objects the divisibility and
 unimodality claims are about.
 
 Two independent computation routes exist on purpose: direct enumeration
-(exponential, bounded, the oracle) and the exact q-series (polynomial-time,
-the default backend for the public counts).  Counts at n = 1 follow the
-corrected crank convention M(0, 1) = 1, M(m, 1) = 0 otherwise; the empty
-partition has no rank or crank, while the n = 0 polynomials are the constant
-1 as a generating-function convention.
+(exponential, bounded, the oracle) and closed formulas over the partition
+numbers p(.) (the route behind the public counts, up to POLY_BOUND):
+
+    N(m, n) = sum_{k>=1} (-1)^(k-1) [p(n - k(3k-1)/2 - k|m|) - p(n - k(3k+1)/2 - k|m|)]
+    M(m, n) = sum_{k>=1} (-1)^(k-1) [p(n - k(k-1)/2 - k|m|) - p(n - k(k+1)/2 - k|m|)]
+
+the rank formula of Atkin and Swinnerton-Dyer (Proc. London Math. Soc.
+1954) and the crank formula of Andrews and Garvan (Bull. AMS 1988), the
+latter for n >= 2.  Counts at n = 1 follow the corrected crank convention
+M(0, 1) = 1, M(m, 1) = 0 otherwise; the empty partition has no rank or
+crank, while the n = 0 polynomials are the constant 1 as a
+generating-function convention.
 """
 
 from __future__ import annotations
@@ -21,11 +28,10 @@ import math
 from typing import Iterator
 
 from . import qseries
-from .cyclotomic import hat_sum
 from .laurent import LaurentPoly
 
 ENUMERATION_BOUND = 60
-SERIES_BOUND = 5000
+POLY_BOUND = 5000
 
 Partition = tuple[int, ...]
 
@@ -101,44 +107,44 @@ def crank_of(parts) -> int:
     return sum(1 for p in lam if p > ones) - ones
 
 
-# -- series-backed counts ------------------------------------------------------
-
-_rank_cache: qseries.QSeries | None = None
-_crank_cache: qseries.QSeries | None = None
+# -- closed-form counts --------------------------------------------------------
 
 
-def _rank_series_to(n: int) -> qseries.QSeries:
-    global _rank_cache
-    if _rank_cache is None or _rank_cache.order < n:
-        order = max(n, 64, 2 * _rank_cache.order if _rank_cache else 0)
-        _rank_cache = qseries.rank_series(order)
-    return _rank_cache
+def _closed_form_poly(n: int, s: int) -> LaurentPoly:
+    """sum_m c(m, n) z^m for n >= 1, by the module docstring's formulas.
+
+    c(m, n) sums over k >= 1 with offsets k(sk-1)/2 and k(sk+1)/2: s = 3
+    gives the rank count N(m, n), s = 1 the crank count M(m, n) for n >= 2.
+    The two p(.) arguments of one k differ by exactly k.
+    """
+    p = qseries.colored_coeffs(1, n)
+    half = []
+    for m in range(n + 1):
+        total, sign, k = 0, 1, 1
+        while (i := n - k * (s * k - 1) // 2 - k * m) >= 0:
+            total += sign * (p[i] - p[i - k] if i >= k else p[i])
+            sign, k = -sign, k + 1
+        half.append(total)
+    return LaurentPoly(-n, half[:0:-1] + half)
 
 
-def _crank_series_to(n: int) -> qseries.QSeries:
-    global _crank_cache
-    if _crank_cache is None or _crank_cache.order < n:
-        order = max(n, 64, 2 * _crank_cache.order if _crank_cache else 0)
-        _crank_cache = qseries.crank_series_corrected(order)
-    return _crank_cache
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > POLY_BOUND:
+        raise BoundExceeded(f"n={n} exceeds the polynomial size bound {POLY_BOUND}")
 
 
 def rank_poly(n: int) -> LaurentPoly:
-    """sum_m N(m, n) z^m, from the series backend."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > SERIES_BOUND:
-        raise BoundExceeded(f"n={n} exceeds series bound {SERIES_BOUND}")
-    return _rank_series_to(n)[n]
+    """sum_m N(m, n) z^m, from the rank formula over p(.)."""
+    _check_size(n)
+    return LaurentPoly.one() if n <= 1 else _closed_form_poly(n, 3)
 
 
 def crank_poly(n: int) -> LaurentPoly:
-    """sum_m M(m, n) z^m with the corrected n = 1 column."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > SERIES_BOUND:
-        raise BoundExceeded(f"n={n} exceeds series bound {SERIES_BOUND}")
-    return _crank_series_to(n)[n]
+    """sum_m M(m, n) z^m with the corrected n = 1 column, from the crank formula over p(.)."""
+    _check_size(n)
+    return LaurentPoly.one() if n <= 1 else _closed_form_poly(n, 1)
 
 
 def rank_count(m: int, n: int) -> int:
@@ -149,16 +155,6 @@ def rank_count(m: int, n: int) -> int:
 def crank_count(m: int, n: int) -> int:
     """M(m, n): partitions of n with crank m, corrected at n = 1."""
     return crank_poly(n).coefficient(m)
-
-
-def rank_residue_count(r: int, t: int, n: int) -> int:
-    """N(r, t; n): partitions of n with rank congruent to r mod t."""
-    return hat_sum(rank_poly(n), r, t)
-
-
-def crank_residue_count(r: int, t: int, n: int) -> int:
-    """M(r, t; n): partitions of n with crank congruent to r mod t."""
-    return hat_sum(crank_poly(n), r, t)
 
 
 # -- enumeration oracle --------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Exact truncated q-series whose coefficients are Laurent polynomials.
+"""The colored-crank kernel: exact truncated q-series with Laurent coefficients.
 
-Everything here is a power series in q truncated at a caller-chosen order,
-with each q-coefficient a LaurentPoly in z tracking a statistic's full
-distribution.  The three families are
-
-* the rank series        sum_{n>=0} q^(n^2) / prod_{j=1..n} (1-z q^j)(1-z^-1 q^j),
-* the crank factor       prod_{n>=1} (1-q^n) / ((1-z^a q^n)(1-z^-a q^n)),
-* colored-crank products C_k(a_1..a_r): (k-d)/2 copies of the a=0 factor times
-  the factors for a_1..a_r, where d = k mod 2 and r = (k+d)/2.
+Everything here is a power series in q truncated at a caller-chosen order.
+The scalar series are the k-colored partition numbers, the coefficients of
+prod_{n>=1} (1-q^n)^(-k) (`colored_coeffs`; k = 1 gives p(n)).  The
+polynomial series are the colored-crank products C_k(a_1..a_r): (k-d)/2
+copies of the a = 0 crank factor prod_{n>=1} (1-q^n) / ((1-z^a q^n)(1-z^-a q^n))
+times the factors for a_1..a_r, where d = k mod 2 and r = (k+d)/2; each
+q-coefficient is a LaurentPoly in z.  Single-size rank and crank polynomials
+are not built here: `partitions` sums the Atkin-Swinnerton-Dyer rank formula
+and the Andrews-Garvan crank formula over p(n).
 
 All construction reduces to multiplying a series by (1 - z^a q^j)^(-1), the
 ascending recurrence coeffs[m] += z^a * coeffs[m-j], plus one sparse pass for
@@ -65,25 +66,6 @@ class CrankSpec:
 
     def label(self) -> str:
         return f"C{self.k}({','.join(str(x) for x in self.a)})"
-
-
-@dataclasses.dataclass(frozen=True)
-class QSeries:
-    """A q-series truncated at `order`, with LaurentPoly coefficients."""
-
-    order: int
-    coeffs: tuple[LaurentPoly, ...]
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("need exactly order + 1 coefficients")
-
-    def __getitem__(self, n: int) -> LaurentPoly:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
 
 
 # -- scalar helpers -----------------------------------------------------------
@@ -212,83 +194,31 @@ def _unpack_coeff(pos: int, neg: int, m: int, amp: int, bits: int) -> LaurentPol
 class _PackedSeries:
     amp: int
     bits: int
-    order: int
     pos: tuple[int, ...]
     neg: tuple[int, ...] | None
 
     def coeff(self, m: int) -> LaurentPoly:
         return _unpack_coeff(self.pos[m], self.neg[m] if self.neg else 0, m, self.amp, self.bits)
 
-    def to_qseries(self) -> QSeries:
-        return QSeries(self.order, tuple(self.coeff(m) for m in range(self.order + 1)))
-
 
 def _ck_packed(a: tuple[int, ...], delta: int, order: int) -> _PackedSeries:
-    """Packed colored-crank product; weights (1,) with delta 1 give the crank factor."""
+    """Packed colored-crank product for weights a and delta copies of prod (1-q^n).
+
+    Weights (1,) with delta 1 give the raw crank factor, whose q^n coefficient
+    for n >= 2 is the crank polynomial that `partitions.crank_poly` computes
+    from the Andrews-Garvan formula instead.
+    """
     amp = a[0]
     bits = _slot_bits(2 * len(a), order)
     families = tuple(s * aj for aj in a for s in (1, -1))
     packed = _geometric_packed(families, amp, order, bits)
     if delta:
         pos, neg = _pentagonal_passes(packed, amp, order, bits)
-        return _PackedSeries(amp, bits, order, tuple(pos), tuple(neg))
-    return _PackedSeries(amp, bits, order, tuple(packed), None)
+        return _PackedSeries(amp, bits, tuple(pos), tuple(neg))
+    return _PackedSeries(amp, bits, tuple(packed), None)
 
 
-# -- public series builders ---------------------------------------------------
-
-
-def crank_series_corrected(order: int) -> QSeries:
-    """Crank distribution series with the true n = 1 column, to `order`.
-
-    The crank factor prod (1-q^n) / ((1-z q^n)(1-z^-1 q^n)), except that the
-    q^1 coefficient is the constant 1: the only partition of 1 has crank 0
-    by convention, while the raw product says z - 1 + z^-1.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    raw = _ck_packed((1,), 1, order)
-    return QSeries(order, tuple(LaurentPoly.one() if m == 1 else raw.coeff(m)
-                                for m in range(order + 1)))
-
-
-def rank_series(order: int) -> QSeries:
-    """The rank distribution series to `order`.
-
-    sum over n >= 0 of q^(n^2) / prod_{j=1..n} (1-z q^j)(1-z^-1 q^j); the
-    q^n coefficient is the rank polynomial of n, all coefficients
-    non-negative.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    bits = _slot_bits(2, order)
-    den = [0] * (order + 1)
-    den[0] = 1
-    acc = [0] * (order + 1)
-    acc[0] = 1
-    n = 1
-    while n * n <= order:
-        for a in (1, -1):
-            sh = bits * (a + n)
-            for m in range(n, order + 1):
-                den[m] += den[m - n] << sh
-        nn = n * n
-        sh = bits * nn
-        for m in range(nn, order + 1):
-            acc[m] += den[m - nn] << sh
-        n += 1
-    return _PackedSeries(1, bits, order, tuple(acc), None).to_qseries()
-
-
-def ck_series(spec: CrankSpec, order: int) -> QSeries:
-    """The colored-crank product for `spec`, truncated at `order`.
-
-    Specializing z = 1 in the q^n coefficient recovers the k-colored
-    partition count.  No correction is applied at n = 1.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return _ck_packed(spec.a, spec.delta, order).to_qseries()
+# -- public slice access ------------------------------------------------------
 
 
 def iter_ck_slices(spec: CrankSpec, n_hi: int) -> Iterator[tuple[int, LaurentPoly]]:

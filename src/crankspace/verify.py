@@ -331,7 +331,7 @@ def verify_n22_gap() -> Report:
     """Named regression: the crank constancy gap at progression index 22.
 
     For ell in {5, 7, 11} and N = ell*22 + beta(ell), checks
-    M(N-ell-1, N) - M(N-ell, N) - 1 >= 0, recomputed from the series.
+    M(N-ell-1, N) - M(N-ell, N) - 1 >= 0, recomputed from the crank formula.
     """
     t0 = time.perf_counter()
     violations: list[Counterexample] = []

@@ -4,8 +4,10 @@ Naive reference builders recompute the same series the engine produces, but
 with nothing shared: plain LaurentPoly arithmetic, factor-by-factor
 geometric recurrences, and the alternating pentagonal-number expansion.
 They are deliberately slow and obvious; tests compare the fast engine
-against them at small orders.  divides_by_division is the exact-division
-form of the divisibility test, the audit route for the residue-sum criteria.
+against them at small orders.  packed_rank_series is the packed-bigint rank
+series, the audit route for the closed-form rank polynomials up to order 300.
+divides_by_division is the exact-division form of the divisibility test, the
+audit route for the residue-sum criteria.
 
 TABLE1_ROWS freezes the reference threshold table behind the CLI's `search
 table1` preset (39 rows, k = 3..6, scan bound 75) in its exact row order:
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from crankspace.cyclotomic import NotDivisible, exact_quotient
 from crankspace.laurent import LaurentPoly
+from crankspace.qseries import _PackedSeries, _slot_bits
 
 
 def divides_by_division(f: LaurentPoly, g: LaurentPoly) -> bool:
@@ -102,6 +105,35 @@ def naive_rank_series(order: int) -> list[LaurentPoly]:
             total[m + j * j] = total[m + j * j] + poly
         j += 1
     return total
+
+
+def packed_rank_series(order: int) -> list[LaurentPoly]:
+    """The rank distribution series to `order`, on the packed kernel.
+
+    sum over n >= 0 of q^(n^2) / prod_{j=1..n} (1-z q^j)(1-z^-1 q^j); the
+    q^n coefficient is the rank polynomial of n, all coefficients
+    non-negative.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    bits = _slot_bits(2, order)
+    den = [0] * (order + 1)
+    den[0] = 1
+    acc = [0] * (order + 1)
+    acc[0] = 1
+    n = 1
+    while n * n <= order:
+        for a in (1, -1):
+            sh = bits * (a + n)
+            for m in range(n, order + 1):
+                den[m] += den[m - n] << sh
+        nn = n * n
+        sh = bits * nn
+        for m in range(nn, order + 1):
+            acc[m] += den[m - nn] << sh
+        n += 1
+    packed = _PackedSeries(1, bits, tuple(acc), None)
+    return [packed.coeff(m) for m in range(order + 1)]
 
 
 # (k, weights, threshold or None) in the published row order, scan bound 75.

@@ -46,8 +46,18 @@ class TestPolyCommand:
     def test_modified_variants_need_ell(self, capsys):
         code, out, _ = run(capsys, "poly", "modified-crank", "--ell", "5", "--n", "0")
         assert code == 0 and "z^" in out
-        code, _, err = run(capsys, "poly", "modified-rank", "--n", "0")
-        assert code == 2 and "ell" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("poly", "modified-rank", "--n", "0"), "ell"),
+            (("poly", "rank", "--n", "5001"), "5000"),
+        ],
+    )
+    def test_bad_request_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_json_uses_decimal_strings(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "poly", "rank", "--n", "3")

@@ -1,4 +1,4 @@
-"""Partition statistics: enumeration oracle vs. generating-function engine."""
+"""Partition statistics: closed-form counts vs. the enumeration oracle and the packed series."""
 
 from __future__ import annotations
 
@@ -7,9 +7,11 @@ import doctest
 import pytest
 
 import crankspace.partitions
+from crankspace.cyclotomic import hat_sum
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import (
     ENUMERATION_BOUND,
+    POLY_BOUND,
     BoundExceeded,
     EmptyPartition,
     InvalidEll,
@@ -19,7 +21,6 @@ from crankspace.partitions import (
     crank_of,
     crank_poly,
     crank_poly_enumerated,
-    crank_residue_count,
     delta,
     enumerate_partitions,
     modified_crank_poly,
@@ -29,8 +30,10 @@ from crankspace.partitions import (
     rank_of,
     rank_poly,
     rank_poly_enumerated,
-    rank_residue_count,
 )
+from crankspace.qseries import _ck_packed
+
+from helpers import packed_rank_series
 
 
 class TestEnumeration:
@@ -144,17 +147,40 @@ class TestCountsAgainstEnumeration:
                         for m in range(-n, n + 1)
                         if m % t == r
                     )
-                    assert rank_residue_count(r, t, n) == want_rank
+                    assert hat_sum(rank_poly(n), r, t) == want_rank
                     want_crank = sum(
                         crank_count(m, n)
                         for m in range(-n, n + 1)
                         if m % t == r
                     )
-                    assert crank_residue_count(r, t, n) == want_crank
+                    assert hat_sum(crank_poly(n), r, t) == want_crank
                 assert (
-                    sum(rank_residue_count(r, t, n) for r in range(t))
+                    sum(hat_sum(rank_poly(n), r, t) for r in range(t))
                     == partition_count(n)
                 )
+
+
+class TestClosedFormAgainstSeries:
+    AUDIT_ORDER = 300
+
+    def test_rank_poly_matches_packed_rank_series(self):
+        series = packed_rank_series(self.AUDIT_ORDER)
+        for n in range(self.AUDIT_ORDER + 1):
+            assert rank_poly(n) == series[n], f"mismatch at n={n}"
+
+    def test_crank_poly_matches_crank_factor_weights(self):
+        raw = _ck_packed((1,), 1, self.AUDIT_ORDER)
+        for n in range(2, self.AUDIT_ORDER + 1):
+            assert crank_poly(n) == raw.coeff(n), f"mismatch at n={n}"
+
+    def test_poly_bound_is_reachable(self):
+        total = partition_count(POLY_BOUND)
+        for builder in (rank_poly, crank_poly):
+            poly = builder(POLY_BOUND)
+            assert poly.is_symmetric()
+            assert poly.value_at_one() == total
+            with pytest.raises(BoundExceeded):
+                builder(POLY_BOUND + 1)
 
 
 class TestColoredCounts:

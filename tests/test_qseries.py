@@ -13,17 +13,19 @@ from crankspace.partitions import colored_count, crank_poly, rank_poly
 from crankspace.qseries import (
     CrankSpec,
     InvalidK,
+    _ck_packed,
     ak_spec,
     bk_spec,
-    ck_series,
     ck_slices_at,
     colored_coeffs,
-    crank_series_corrected,
     iter_ck_slices,
-    rank_series,
 )
 
-from helpers import naive_colored_crank, naive_crank_series, naive_rank_series
+from helpers import naive_colored_crank, naive_crank_series, naive_rank_series, packed_rank_series
+
+
+def slices(spec: CrankSpec, order: int) -> list[LaurentPoly]:
+    return [poly for _, poly in iter_ck_slices(spec, order + 1)]
 
 
 class TestCrankSpec:
@@ -108,37 +110,36 @@ class TestSeriesAgainstNaiveOracle:
     )
     def test_colored_series_matches_oracle(self, spec):
         order = 14
-        series = ck_series(spec, order)
+        series = slices(spec, order)
         naive = naive_colored_crank(spec.a, spec.delta, order)
-        assert series.order == order
+        assert len(series) == order + 1
         for n in range(order + 1):
-            assert series.coeffs[n] == naive[n], f"mismatch at q^{n}"
+            assert series[n] == naive[n], f"mismatch at q^{n}"
 
     def test_rank_series_matches_oracle_and_per_size_poly(self):
         order = 20
-        series = rank_series(order)
+        series = packed_rank_series(order)
         naive = naive_rank_series(order)
         for n in range(order + 1):
-            assert series.coeffs[n] == naive[n]
-            assert series.coeffs[n] == rank_poly(n)
+            assert series[n] == naive[n]
+            assert series[n] == rank_poly(n)
 
     def test_corrected_crank_series(self):
         order = 20
-        series = crank_series_corrected(order)
+        raw = _ck_packed((1,), 1, order)
         naive_raw = naive_crank_series(order)
         # size 1 is the corrected column: constant 1, not z - 1 + 1/z
-        assert series.coeffs[1] == LaurentPoly.one()
-        assert naive_raw[1] == LaurentPoly.from_text("1*z^-1 - 1*z^0 + 1*z^1")
+        assert crank_poly(1) == LaurentPoly.one()
+        assert raw.coeff(1) == naive_raw[1] == LaurentPoly.from_text("1*z^-1 - 1*z^0 + 1*z^1")
         for n in range(order + 1):
+            assert raw.coeff(n) == naive_raw[n]
             if n != 1:
-                assert series.coeffs[n] == naive_raw[n]
-            assert series.coeffs[n] == crank_poly(n)
+                assert raw.coeff(n) == crank_poly(n)
 
     def test_specialization_at_one_counts_colored_partitions(self):
         for spec in (CrankSpec(3, (2, 1)), CrankSpec(5, (5, 4, 3)), ak_spec(6)):
-            series = ck_series(spec, 12)
-            for n in range(13):
-                assert series.coeffs[n].value_at_one() == colored_count(spec.k, n)
+            for n, poly in iter_ck_slices(spec, 13):
+                assert poly.value_at_one() == colored_count(spec.k, n)
 
     def test_colored_coeffs_prefix_property(self):
         long = colored_coeffs(4, 30)
@@ -147,25 +148,23 @@ class TestSeriesAgainstNaiveOracle:
         assert long[0] == 1 and long[1] == 4
 
     def test_every_slice_is_symmetric(self):
-        series = ck_series(CrankSpec(5, (5, 3, 2)), 15)
-        assert all(p.is_symmetric() for p in series.coeffs)
+        assert all(p.is_symmetric() for p in slices(CrankSpec(5, (5, 3, 2)), 15))
 
 
 class TestSliceAccess:
     def test_iter_matches_full_series(self):
         spec = CrankSpec(4, (3, 2))
-        series = ck_series(spec, 10)
         pairs = list(iter_ck_slices(spec, 11))
         assert [n for n, _ in pairs] == list(range(11))
-        assert [p for _, p in pairs] == list(series.coeffs)
+        assert [p for _, p in pairs] == naive_colored_crank(spec.a, spec.delta, 10)
 
     def test_slices_at_picks_requested_indices(self):
         spec = CrankSpec(3, (3, 2))
-        series = ck_series(spec, 20)
+        series = slices(spec, 20)
         got = ck_slices_at(spec, 20, [0, 7, 20])
         assert set(got) == {0, 7, 20}
         for n, poly in got.items():
-            assert poly == series.coeffs[n]
+            assert poly == series[n]
 
     def test_slices_at_rejects_out_of_range(self):
         spec = CrankSpec(3, (2, 1))
