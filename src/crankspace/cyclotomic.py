@@ -65,19 +65,14 @@ def phi(modulus: Modulus | int, variant: str = "standard") -> LaurentPoly:
     return LaurentPoly(0, tuple((-1) ** i for i in range(ell)))
 
 
-def hat_sum(f: LaurentPoly, r: int, m: int) -> int:
-    """Sum of the coefficients of f at exponents congruent to r mod m."""
+def hat_sums(f: LaurentPoly, m: int) -> list[int]:
+    """The coefficient sums of f over its exponent classes mod m, by residue.
+
+    >>> hat_sums(LaurentPoly(-2, (1, 2, 3, 4, 5)), 5)
+    [3, 4, 5, 1, 2]
+    """
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    r %= m
-    total = 0
-    for i, c in enumerate(f.coeffs):
-        if (f.lo + i) % m == r:
-            total += c
-    return total
-
-
-def _hat_sums(f: LaurentPoly, m: int) -> list[int]:
     sums = [0] * m
     for i, c in enumerate(f.coeffs):
         sums[(f.lo + i) % m] += c
@@ -90,7 +85,7 @@ def divides_standard(f: LaurentPoly, ell: int) -> bool:
     Phi_ell | f iff all ell residue-class sums of f mod ell are equal.
     """
     Modulus(ell)
-    sums = _hat_sums(f, ell)
+    sums = hat_sums(f, ell)
     return all(s == sums[ell - 1] for s in sums)
 
 
@@ -101,7 +96,7 @@ def divides_negated(f: LaurentPoly, ell: int) -> bool:
     (-1)^r * (hat(f, r, 2*ell) - hat(f, r + ell, 2*ell)) agree for all r.
     """
     Modulus(ell)
-    sums = _hat_sums(f, 2 * ell)
+    sums = hat_sums(f, 2 * ell)
     target = sums[ell - 1] - sums[2 * ell - 1]
     for r in range(ell - 1):
         d = sums[r] - sums[r + ell]

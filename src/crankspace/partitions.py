@@ -28,6 +28,7 @@ import math
 from typing import Iterator
 
 from . import qseries
+from .cyclotomic import _is_odd_prime
 from .laurent import LaurentPoly
 
 ENUMERATION_BOUND = 60
@@ -207,7 +208,7 @@ def beta(ell: int) -> int:
     >>> [beta(ell) for ell in (5, 7, 11)]
     [4, 5, 6]
     """
-    if ell < 5 or math.gcd(ell, 24) != 1 or any(ell % d == 0 for d in range(2, ell)):
+    if ell < 5 or not _is_odd_prime(ell):
         raise InvalidEll(f"ell must be a prime >= 5, got {ell}")
     return ell - (ell * ell - 1) // 24
 

@@ -11,10 +11,13 @@ are not built here: `partitions` sums the Atkin-Swinnerton-Dyer rank formula
 and the Andrews-Garvan crank formula over p(n).
 
 All construction reduces to multiplying a series by (1 - z^a q^j)^(-1), the
-ascending recurrence coeffs[m] += z^a * coeffs[m-j], plus one sparse pass for
-prod (1-q^n) via the pentagonal-number expansion.  The factors of the a = 0
-copies cancel against the numerators, so the geometric stage is a product of
-pure (1 - z^a q^j)^(-1) factors whose coefficients are all non-negative.
+ascending recurrence coeffs[m] += z^a * coeffs[m-j], plus, for odd k, the
+factor prod (1-q^n) via the pentagonal-number expansion.  The factors of the
+a = 0 copies cancel against the numerators, so the geometric stage is a
+product of pure (1 - z^a q^j)^(-1) factors whose coefficients are all
+non-negative.  It is built once per request; the pentagonal sum is then done
+only for the slices asked for, one at a time, through the single accessor
+`iter_ck_slices(spec, sizes)`.
 
 That non-negativity enables the kernel trick used here: the z-coefficient
 vector of each q-coefficient is packed into a single big integer with a fixed
@@ -128,8 +131,8 @@ def _slot_bits(families_count: int, order: int) -> int:
     bounded by the corresponding coefficient of prod (1-q^n)^(-F) at z = 1
     (a partial product times a series with constant term 1 and non-negative
     coefficients only grows).  14 extra bits absorb the sparse summations
-    (pentagonal passes and outer q-power accumulations sum well under 2^12
-    such terms at any realistic order).
+    (a slice's pentagonal sum adds well under 2^12 such terms at any
+    realistic order).
     """
     bound = colored_coeffs(families_count, order)[order]
     bits = bound.bit_length() + 14
@@ -155,22 +158,6 @@ def _geometric_packed(families: tuple[int, ...], amp: int, order: int, bits: int
     return ints
 
 
-def _pentagonal_passes(packed: list[int], amp: int, order: int, bits: int) -> tuple[list[int], list[int]]:
-    """Multiply a packed series by prod (1-q^n), keeping signs separated.
-
-    Returns (pos, neg) with the true coefficient vector pos[m] - neg[m];
-    both stay non-negative packed integers so slots never borrow.
-    """
-    pos = list(packed)
-    neg = [0] * (order + 1)
-    for g, sgn in _pentagonal_terms(order):
-        sh = bits * (amp * g)
-        dst = pos if sgn > 0 else neg
-        for m in range(g, order + 1):
-            dst[m] += packed[m - g] << sh
-    return pos, neg
-
-
 def _unpack_slots(x: int, nslots: int, bits: int) -> list[int]:
     if x == 0:
         return [0] * nslots
@@ -190,66 +177,53 @@ def _unpack_coeff(pos: int, neg: int, m: int, amp: int, bits: int) -> LaurentPol
     return LaurentPoly(-amp * m, p)
 
 
-@dataclasses.dataclass(frozen=True)
-class _PackedSeries:
-    amp: int
-    bits: int
-    pos: tuple[int, ...]
-    neg: tuple[int, ...] | None
+def _ck_slices(a: tuple[int, ...], delta: int, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
+    """Yield (m, q^m coefficient) of the colored-crank product for each m in sizes.
 
-    def coeff(self, m: int) -> LaurentPoly:
-        return _unpack_coeff(self.pos[m], self.neg[m] if self.neg else 0, m, self.amp, self.bits)
-
-
-def _ck_packed(a: tuple[int, ...], delta: int, order: int) -> _PackedSeries:
-    """Packed colored-crank product for weights a and delta copies of prod (1-q^n).
-
-    Weights (1,) with delta 1 give the raw crank factor, whose q^n coefficient
-    for n >= 2 is the crank polynomial that `partitions.crank_poly` computes
-    from the Andrews-Garvan formula instead.
+    The product has weights a and delta copies of prod (1-q^n).  The packed
+    geometric product is built once, up to max(sizes); each slice then sums
+    its own pentagonal terms (delta = 1 only) into separate non-negative
+    pos/neg packed integers, so slots never borrow.  Weights (1,) with
+    delta 1 give the raw crank factor, whose q^n coefficient for n >= 2 is
+    the crank polynomial that `partitions.crank_poly` computes from the
+    Andrews-Garvan formula instead.
     """
+    sizes = list(sizes)
+    if min(sizes, default=0) < 0:
+        raise ValueError(f"slice sizes must be >= 0, got {min(sizes)}")
+    order = max(sizes, default=0)
     amp = a[0]
     bits = _slot_bits(2 * len(a), order)
     families = tuple(s * aj for aj in a for s in (1, -1))
     packed = _geometric_packed(families, amp, order, bits)
-    if delta:
-        pos, neg = _pentagonal_passes(packed, amp, order, bits)
-        return _PackedSeries(amp, bits, tuple(pos), tuple(neg))
-    return _PackedSeries(amp, bits, tuple(packed), None)
+    terms = _pentagonal_terms(order) if delta else []
+    for m in sizes:
+        pos, neg = packed[m], 0
+        for g, sgn in terms:
+            if g > m:
+                break
+            term = packed[m - g] << (bits * amp * g)
+            if sgn > 0:
+                pos += term
+            else:
+                neg += term
+        yield m, _unpack_coeff(pos, neg, m, amp, bits)
 
 
 # -- public slice access ------------------------------------------------------
 
 
-def iter_ck_slices(spec: CrankSpec, n_hi: int) -> Iterator[tuple[int, LaurentPoly]]:
-    """Yield (n, q^n coefficient of the weight tuple's product) for 0 <= n < n_hi.
+def iter_ck_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
+    """Yield (n, q^n coefficient of the weight tuple's product) for n in sizes.
 
-    The packed store stays resident (O(k * a_1 * n_hi) integers of machine
-    size); slices are unpacked one at a time so the dense polynomials never
-    all coexist.
+    The one slice accessor, for every access pattern: a progression claim
+    asks for every ell-th size, a unimodality scan for every size.  The
+    packed geometric product stays resident (O(k * a_1 * max(sizes))
+    integers of machine size); the pentagonal sum and the unpacking are done
+    per requested slice, so skipped sizes cost nothing and the dense
+    polynomials never all coexist.  Negative sizes raise ValueError.
     """
-    if n_hi < 1:
-        raise ValueError("n_hi must be >= 1")
-    packed = _ck_packed(spec.a, spec.delta, n_hi - 1)
-    for m in range(n_hi):
-        yield m, packed.coeff(m)
-
-
-def ck_slices_at(spec: CrankSpec, order: int, indices: Iterable[int]) -> dict[int, LaurentPoly]:
-    """Unpack only the requested q^n coefficients of the weight tuple's product.
-
-    Useful for progression claims, where only every ell-th slice matters;
-    the skipped coefficients are never materialized as polynomials.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    packed = _ck_packed(spec.a, spec.delta, order)
-    out = {}
-    for m in indices:
-        if not 0 <= m <= order:
-            raise IndexError(f"slice index {m} outside [0, {order}]")
-        out[m] = packed.coeff(m)
-    return out
+    yield from _ck_slices(spec.a, spec.delta, sizes)
 
 
 def ak_spec(k: int) -> CrankSpec:

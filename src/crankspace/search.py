@@ -93,8 +93,8 @@ def min_unimodal_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> S
     if n_hi < 2:
         raise ValueError(f"n_hi must be >= 2, got {n_hi}")
     last_bad = None
-    for n, f in qseries.iter_ck_slices(spec, n_hi):
-        if n >= 1 and not f.is_unimodal():
+    for n, f in qseries.iter_ck_slices(spec, range(1, n_hi)):
+        if not f.is_unimodal():
             last_bad = n
     if last_bad == n_hi - 1:
         return SearchResult(spec, n_hi, None, False, last_bad)
@@ -148,9 +148,7 @@ def results_to_csv(results: Iterable[SearchResult]) -> str:
 def _defects_task(task: tuple[CrankSpec, int]) -> tuple[list[int], list[int]]:
     spec, n_hi = task
     bad, asymmetric = [], []
-    for n, f in qseries.iter_ck_slices(spec, n_hi):
-        if n < 1:
-            continue
+    for n, f in qseries.iter_ck_slices(spec, range(1, n_hi)):
         if not f.is_unimodal():
             bad.append(n)
         if not f.is_symmetric():

@@ -28,9 +28,11 @@ from typing import Callable, Iterable, Mapping
 from . import partitions, qseries, search
 from .cyclotomic import (
     NotDivisible,
+    _is_odd_prime,
     divides_negated,
     divides_standard,
     exact_quotient,
+    hat_sums,
     phi,
 )
 from .laurent import LaurentPoly
@@ -287,11 +289,11 @@ def verify_crank_mod10(n_max: int = 99) -> Report:
     violations: list[Counterexample] = []
     for n in range(n_max + 1):
         N = 5 * n + 4
-        f = partitions.crank_poly(N)
+        sums = hat_sums(partitions.crank_poly(N), 10)
         for j in (0, 1):
-            whole = sum(c for i, c in enumerate(f.coeffs) if (f.lo + i) % 2 == j)
+            whole = sum(sums[j::2])
             for k in range(5):
-                part = sum(c for i, c in enumerate(f.coeffs) if (f.lo + i) % 10 == 2 * k + j)
+                part = sums[2 * k + j]
                 if 5 * part != whole:
                     violations.append(
                         _violation("mod10-imbalance", n=n, size=N, j=j, k=k,
@@ -380,7 +382,7 @@ class CongruenceCase:
             raise InvalidCase(f"k must be >= 1, got {k}")
         if h not in H_VALUES:
             raise InvalidCase(f"h must be in {H_VALUES}, got {h}")
-        if ell < 5 or math.gcd(ell, 24) != 1 or any(ell % d == 0 for d in range(2, ell)):
+        if ell < 5 or not _is_odd_prime(ell):
             raise InvalidCase(f"ell must be a prime >= 5, got {ell}")
         if (k + h) % ell != 0:
             raise InvalidCase(f"k + h = {k + h} is not a multiple of ell = {ell}")
@@ -458,11 +460,12 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
     spec = _family_spec(kind, case.k)
     if n_max is None:
         n_max = (300 - case.delta) // case.ell
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     t0 = time.perf_counter()
-    order = case.ell * n_max + case.delta
     sizes = [case.ell * n + case.delta for n in range(n_max + 1)]
-    polys = qseries.ck_slices_at(spec, order, sizes)
-    slices = (({"n": n, "size": size}, size, polys[size]) for n, size in enumerate(sizes))
+    slices = (({"n": n, "size": size}, size, f)
+              for n, (size, f) in enumerate(qseries.iter_ck_slices(spec, sizes)))
     violations, wobbles, negatives = _check_slices(slices, case.ell, onset, onset)
     claim = f"cor3.5-{kind}-k{case.k}-ell{case.ell}"
     note = (
@@ -580,8 +583,8 @@ def rank_asymptotic_samples(n: int, m_values: Iterable[int] | None = None) -> li
     window = math.sqrt(n) * math.log(n) / (math.pi * math.sqrt(6))
     if m_values is None:
         m_values = range(0, int(window) + 3)
-    pn = float(partitions.partition_count(n))
     f = partitions.rank_poly(n)
+    pn = float(partitions.partition_count(n))
     samples = []
     for m in m_values:
         sech = 1.0 / math.cosh(gamma * m / 2.0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from crankspace.cyclotomic import NotDivisible, exact_quotient
 from crankspace.laurent import LaurentPoly
-from crankspace.qseries import _PackedSeries, _slot_bits
+from crankspace.qseries import _slot_bits, _unpack_coeff
 
 
 def divides_by_division(f: LaurentPoly, g: LaurentPoly) -> bool:
@@ -132,8 +132,7 @@ def packed_rank_series(order: int) -> list[LaurentPoly]:
         for m in range(nn, order + 1):
             acc[m] += den[m - nn] << sh
         n += 1
-    packed = _PackedSeries(1, bits, tuple(acc), None)
-    return [packed.coeff(m) for m in range(order + 1)]
+    return [_unpack_coeff(acc[m], 0, m, 1, bits) for m in range(order + 1)]
 
 
 # (k, weights, threshold or None) in the published row order, scan bound 75.

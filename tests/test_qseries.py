@@ -13,10 +13,9 @@ from crankspace.partitions import colored_count, crank_poly, rank_poly
 from crankspace.qseries import (
     CrankSpec,
     InvalidK,
-    _ck_packed,
+    _ck_slices,
     ak_spec,
     bk_spec,
-    ck_slices_at,
     colored_coeffs,
     iter_ck_slices,
 )
@@ -25,7 +24,7 @@ from helpers import naive_colored_crank, naive_crank_series, naive_rank_series, 
 
 
 def slices(spec: CrankSpec, order: int) -> list[LaurentPoly]:
-    return [poly for _, poly in iter_ck_slices(spec, order + 1)]
+    return [poly for _, poly in iter_ck_slices(spec, range(order + 1))]
 
 
 class TestCrankSpec:
@@ -126,19 +125,19 @@ class TestSeriesAgainstNaiveOracle:
 
     def test_corrected_crank_series(self):
         order = 20
-        raw = _ck_packed((1,), 1, order)
+        raw = dict(_ck_slices((1,), 1, range(order + 1)))
         naive_raw = naive_crank_series(order)
         # size 1 is the corrected column: constant 1, not z - 1 + 1/z
         assert crank_poly(1) == LaurentPoly.one()
-        assert raw.coeff(1) == naive_raw[1] == LaurentPoly.from_text("1*z^-1 - 1*z^0 + 1*z^1")
+        assert raw[1] == naive_raw[1] == LaurentPoly.from_text("1*z^-1 - 1*z^0 + 1*z^1")
         for n in range(order + 1):
-            assert raw.coeff(n) == naive_raw[n]
+            assert raw[n] == naive_raw[n]
             if n != 1:
-                assert raw.coeff(n) == crank_poly(n)
+                assert raw[n] == crank_poly(n)
 
     def test_specialization_at_one_counts_colored_partitions(self):
         for spec in (CrankSpec(3, (2, 1)), CrankSpec(5, (5, 4, 3)), ak_spec(6)):
-            for n, poly in iter_ck_slices(spec, 13):
+            for n, poly in iter_ck_slices(spec, range(13)):
                 assert poly.value_at_one() == colored_count(spec.k, n)
 
     def test_colored_coeffs_prefix_property(self):
@@ -154,24 +153,23 @@ class TestSeriesAgainstNaiveOracle:
 class TestSliceAccess:
     def test_iter_matches_full_series(self):
         spec = CrankSpec(4, (3, 2))
-        pairs = list(iter_ck_slices(spec, 11))
+        pairs = list(iter_ck_slices(spec, range(11)))
         assert [n for n, _ in pairs] == list(range(11))
         assert [p for _, p in pairs] == naive_colored_crank(spec.a, spec.delta, 10)
 
     def test_slices_at_picks_requested_indices(self):
         spec = CrankSpec(3, (3, 2))
         series = slices(spec, 20)
-        got = ck_slices_at(spec, 20, [0, 7, 20])
-        assert set(got) == {0, 7, 20}
-        for n, poly in got.items():
+        got = list(iter_ck_slices(spec, [20, 0, 7]))
+        assert [n for n, _ in got] == [20, 0, 7]
+        for n, poly in got:
             assert poly == series[n]
 
     def test_slices_at_rejects_out_of_range(self):
         spec = CrankSpec(3, (2, 1))
-        with pytest.raises(IndexError):
-            ck_slices_at(spec, 10, [11])
-        with pytest.raises(IndexError):
-            ck_slices_at(spec, 10, [-1])
+        with pytest.raises(ValueError):
+            list(iter_ck_slices(spec, [3, -1]))
+        assert list(iter_ck_slices(spec, [])) == []
 
 
 def test_public_annotations_resolve():

@@ -63,7 +63,7 @@ class TestThresholdScan:
 
     def test_threshold_invariant(self):
         res = min_unimodal_threshold(CrankSpec(3, (2, 1)), 40)
-        slices = dict(iter_ck_slices(res.spec, 40))
+        slices = dict(iter_ck_slices(res.spec, range(40)))
         m = res.threshold
         assert m == 0 or not slices[m].is_unimodal()
         for n in range(m + 1, 40):
@@ -72,7 +72,7 @@ class TestThresholdScan:
     def test_zero_threshold_means_unimodal_from_the_start(self):
         res = min_unimodal_threshold(CrankSpec(4, (2, 1)), 30)
         assert res.threshold == 1
-        slices = dict(iter_ck_slices(res.spec, 30))
+        slices = dict(iter_ck_slices(res.spec, range(30)))
         assert all(slices[n].is_unimodal() for n in range(2, 30))
 
     def test_larger_bound_never_lowers_the_threshold(self):

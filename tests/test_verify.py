@@ -9,7 +9,7 @@ import pytest
 
 from crankspace import qseries, verify
 from crankspace.laurent import LaurentPoly
-from crankspace.partitions import crank_count, rank_count
+from crankspace.partitions import POLY_BOUND, BoundExceeded, crank_count, rank_count
 from crankspace.verify import (
     CLAIMS,
     CRANK_UNIMODAL_ONSET,
@@ -198,13 +198,15 @@ class TestSuitesOnSmallRanges:
         rep = verify_colored_quotients("A", case, n_max=6)
         assert rep.status == "pass"
         assert "onset" in rep.range
+        with pytest.raises(ValueError, match="n_max"):
+            verify_colored_quotients("A", case, n_max=-1)
 
 
 class TestSliceCheckFailures:
     def test_non_divisible_slice(self, monkeypatch):
         off = LaurentPoly(-1, (1, 1, 1))  # symmetric and unimodal, span too short for Phi_5
-        monkeypatch.setattr(qseries, "ck_slices_at",
-                            lambda spec, order, sizes: {size: off for size in sizes})
+        monkeypatch.setattr(qseries, "iter_ck_slices",
+                            lambda spec, sizes: ((size, off) for size in sizes))
         rep = verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)
         assert rep.status == "fail"
         assert [c.params for c in rep.counterexamples] == [
@@ -284,6 +286,13 @@ class TestAsymptotics:
         by_m = {s.m: s for s in samples}
         assert not by_m[0].out_of_range
         assert by_m[40].out_of_range
+
+    def test_size_bound_is_checked_before_the_partition_table(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qseries, "colored_coeffs", lambda *args: calls.append(args))
+        with pytest.raises(BoundExceeded):
+            rank_asymptotic_samples(POLY_BOUND + 1)
+        assert calls == []
 
     def test_prediction_is_positive_and_symmetric_in_m(self):
         plus, minus = rank_asymptotic_samples(60, m_values=[3, -3])
