@@ -190,12 +190,7 @@ class LaurentPoly:
 
     def is_symmetric(self) -> bool:
         """True iff the coefficient of z^m equals that of z^-m for all m."""
-        if self.is_zero():
-            return True
-        if self.lo != -self.hi:
-            return False
-        cs = self.coeffs
-        return all(cs[i] == cs[len(cs) - 1 - i] for i in range(len(cs) // 2 + 1))
+        return self.is_zero() or (self.lo == -self.hi and self.coeffs == self.coeffs[::-1])
 
     def is_unimodal(self) -> bool:
         """True iff the coefficient sequence rises then falls.

@@ -2,9 +2,9 @@
 
 The search space for a given color count k is every strictly decreasing
 weight tuple drawn from {1..k}; for each tuple the q^n coefficients of its
-product are scanned below a bound and the minimal m with "unimodal for all
-m < n < n_hi" is recorded.  The claims decided from these scans (the
-first-gap criterion and the distinguished families' onsets) live in verify.
+product are scanned below a bound, and the minimal m with "unimodal for all
+m < n < n_hi" follows from the last non-unimodal n.  The claims decided from
+these scans (the first-gap criterion and the families' onsets) live in verify.
 
 Work parallelizes over weight tuples with a multiprocessing pool; results
 are merged in input order, so the output is byte-identical for any worker
@@ -40,21 +40,26 @@ def default_thread_count() -> int:
 
 @dataclasses.dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one weight tuple's unimodality scan below n_hi.
+    """What one weight tuple's unimodality scan below n_hi found.
 
-    threshold is the minimal m such that every slice with m < n < n_hi is
-    unimodal (0 when all of them are), or None when the top slice itself is
-    non-unimodal and no window remains.  eventually_unimodal mirrors that:
-    the verdict only speaks for the scanned bound, which is why n_hi is
-    carried along.  largest_nonunimodal is the largest non-unimodal n seen,
-    None if every scanned slice was unimodal.
+    largest_nonunimodal is the largest scanned n (1 <= n < n_hi) whose slice
+    is not unimodal, or None.  The verdicts derive from it: threshold is the
+    minimal m such that every slice with m < n < n_hi is unimodal (0 when all
+    are), or None when the top slice is not, so eventually_unimodal is False.
+    Both speak only for the scanned bound, which is why n_hi is carried along.
     """
 
     spec: CrankSpec
     n_hi: int
-    threshold: int | None
-    eventually_unimodal: bool
     largest_nonunimodal: int | None
+
+    @property
+    def eventually_unimodal(self) -> bool:
+        return self.largest_nonunimodal != self.n_hi - 1
+
+    @property
+    def threshold(self) -> int | None:
+        return (self.largest_nonunimodal or 0) if self.eventually_unimodal else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,13 +73,12 @@ class SearchResult:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> SearchResult:
-        return cls(
-            CrankSpec(data["k"], tuple(data["a"])),
-            data["n_hi"],
-            data["threshold"],
-            data["eventually_unimodal"],
-            data["largest_nonunimodal"],
-        )
+        """Read a result back; raise ValueError if its verdicts disagree with its scan."""
+        result = cls(CrankSpec(data["k"], tuple(data["a"])), data["n_hi"],
+                     data["largest_nonunimodal"])
+        if any(data[key] != getattr(result, key) for key in ("threshold", "eventually_unimodal")):
+            raise ValueError(f"verdicts disagree with largest_nonunimodal in {dict(data)}")
+        return result
 
 
 def crank_space(k: int) -> Iterator[CrankSpec]:
@@ -90,15 +94,8 @@ def crank_space(k: int) -> Iterator[CrankSpec]:
 
 def min_unimodal_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchResult:
     """Scan slices 1 <= n < n_hi and locate the last non-unimodal one."""
-    if n_hi < 2:
-        raise ValueError(f"n_hi must be >= 2, got {n_hi}")
-    last_bad = None
-    for n, f in qseries.iter_ck_slices(spec, range(1, n_hi)):
-        if not f.is_unimodal():
-            last_bad = n
-    if last_bad == n_hi - 1:
-        return SearchResult(spec, n_hi, None, False, last_bad)
-    return SearchResult(spec, n_hi, last_bad or 0, True, last_bad)
+    [(bad, _)] = slice_defects([spec], n_hi, threads=1)
+    return SearchResult(spec, n_hi, bad[-1] if bad else None)
 
 
 def _pool_map(fn, tasks: list, threads: int | None) -> list:
@@ -110,11 +107,6 @@ def _pool_map(fn, tasks: list, threads: int | None) -> list:
         return [fn(t) for t in tasks]
     with multiprocessing.Pool(workers) as pool:
         return pool.map(fn, tasks)
-
-
-def _threshold_task(task: tuple[CrankSpec, int]) -> SearchResult:
-    spec, n_hi = task
-    return min_unimodal_threshold(spec, n_hi)
 
 
 def exhaustive_search(
@@ -131,7 +123,8 @@ def exhaustive_search(
     if not 3 <= k_lo <= k_hi:
         raise ValueError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     specs = [spec for k in range(k_lo, k_hi + 1) for spec in crank_space(k)]
-    return _pool_map(_threshold_task, [(spec, n_hi) for spec in specs], threads)
+    return [SearchResult(spec, n_hi, bad[-1] if bad else None)
+            for spec, (bad, _) in zip(specs, slice_defects(specs, n_hi, threads))]
 
 
 def results_to_csv(results: Iterable[SearchResult]) -> str:
@@ -161,6 +154,10 @@ def slice_defects(
 ) -> list[tuple[list[int], list[int]]]:
     """Per weight tuple, its non-unimodal and its asymmetric n in 1 <= n < n_hi.
 
-    Results follow the order of `specs`, whatever the worker count.
+    The one slice scan: the thresholds of exhaustive_search and
+    min_unimodal_threshold are read from its non-unimodal lists.  Results
+    follow the order of `specs`, whatever the worker count.
     """
+    if n_hi < 2:
+        raise ValueError(f"n_hi must be >= 2, got {n_hi}")
     return _pool_map(_defects_task, [(spec, n_hi) for spec in specs], threads)

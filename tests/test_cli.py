@@ -52,6 +52,8 @@ class TestPolyCommand:
         [
             (("poly", "modified-rank", "--n", "0"), "ell"),
             (("poly", "rank", "--n", "5001"), "5000"),
+            (("asymptotic", "--n", "100", "--m", "100000"), "m=100000"),  # cosh overflows
+            (("asymptotic", "--n", "100", "--m", "8000"), "m=8000"),  # sech^2 underflows to 0
         ],
     )
     def test_bad_request_exits_two(self, capsys, argv, message):
@@ -159,7 +161,10 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "bogus-claim")
         assert code == 2 and "unknown claim" in err
 
-    @pytest.mark.parametrize("claim", ["cor3.5-A-k6-ell1000000007", "thm1.2-k1-h4-ell1000000007"])
+    @pytest.mark.parametrize("claim", [
+        "cor3.5-A-k6-ell1000000007", "thm1.2-k1-h4-ell1000000007",
+        "cor3.5-A-k6-ell1000000016000000063", "thm1.2-k1-h4-ell1000000016000000063",
+    ])
     def test_large_prime_instance_exits_two(self, capsys, claim):
         code, out, err = run(capsys, "verify", claim)
         assert code == 2 and out == ""

@@ -17,6 +17,7 @@ from crankspace.search import (
     exhaustive_search,
     min_unimodal_threshold,
     results_to_csv,
+    slice_defects,
 )
 from crankspace.verify import check_family_unimodality, check_first_gap_criterion
 
@@ -92,6 +93,8 @@ class TestThresholdScan:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             min_unimodal_threshold(CrankSpec(3, (2, 1)), 1)
+        with pytest.raises(ValueError, match="n_hi"):
+            slice_defects([CrankSpec(3, (2, 1))], 1)
 
     def test_default_bound(self):
         assert DEFAULT_SCAN_BOUND == TABLE1_SCAN_BOUND == 75
@@ -130,6 +133,13 @@ class TestExhaustiveSearch:
             assert SearchResult.from_json_dict(data) == res
             assert data["k"] == 3 and isinstance(data["a"], list)
 
+    def test_result_json_rejects_verdicts_that_disagree(self):
+        data = min_unimodal_threshold(CrankSpec(3, (2, 1)), 20).to_json_dict()
+        assert (data["threshold"], data["largest_nonunimodal"]) == (7, 7)
+        for change in ({"threshold": 8}, {"threshold": None}, {"eventually_unimodal": False}):
+            with pytest.raises(ValueError, match="disagree"):
+                SearchResult.from_json_dict(data | change)
+
 
 class TestCriteria:
     def test_first_gap_criterion_on_small_slice(self):
@@ -145,6 +155,11 @@ class TestCriteria:
     def test_family_scan_includes_second_family_for_odd_k(self):
         rep = check_family_unimodality(7, 7, n_hi=30)
         assert rep.status == "pass"
+
+    @pytest.mark.parametrize("n_hi", [1, -5])
+    def test_family_scan_of_no_slices_raises(self, n_hi):
+        with pytest.raises(ValueError, match="n_hi"):
+            check_family_unimodality(3, 4, n_hi=n_hi)
 
 
 class TestThreadConfig:

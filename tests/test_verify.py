@@ -15,7 +15,6 @@ from crankspace.verify import (
     CRANK_UNIMODAL_ONSET,
     H_VALUES,
     RANK_MONOTONE_ONSET,
-    STATUSES,
     AsymptoticSample,
     CongruenceCase,
     Counterexample,
@@ -38,37 +37,38 @@ from crankspace.verify import (
 )
 
 
+VIOLATION = Counterexample({"kind": "congruence", "within_claim": True, "n": 1})
+INFO = Counterexample({"kind": "rank-increase", "within_claim": False, "n": 2})
+
+
 class TestReportContract:
-    def test_statuses_are_closed(self):
-        assert STATUSES == ("pass", "fail", "partial")
+    def test_status_follows_counterexamples(self):
+        assert Report("c", "n <= 3", [], 0.0).status == "pass"
+        assert Report("c", "n <= 3", [INFO], 0.0).status == "partial"
+        assert Report("c", "n <= 3", [VIOLATION, INFO], 0.0).status == "fail"
+        assert Report("c", "n <= 3", [INFO, VIOLATION], 0.0).status == "fail"
 
-    def test_pass_must_have_no_counterexamples(self):
-        with pytest.raises(ValueError):
-            Report("c", "n <= 3", "pass", [Counterexample({"n": 1})], 0.0)
-
-    def test_fail_and_partial_need_counterexamples(self):
-        for status in ("fail", "partial"):
-            with pytest.raises(ValueError):
-                Report("c", "n <= 3", status, [], 0.0)
-
-    def test_unknown_status_rejected(self):
-        with pytest.raises(ValueError):
-            Report("c", "n <= 3", "maybe", [], 0.0)
+    def test_from_json_rejects_a_status_that_disagrees(self):
+        data = Report("c", "n <= 3", [VIOLATION], 0.0).to_json_dict()
+        assert Report.from_json_dict(data).status == "fail"
+        for status in ("pass", "partial", "maybe"):
+            with pytest.raises(ValueError, match="disagrees"):
+                Report.from_json_dict(data | {"status": status})
 
     def test_json_roundtrip_with_poly(self):
         ce = Counterexample(
             params={"n": 9, "kind": "not-unimodal", "within_claim": False},
             poly=LaurentPoly(-1, (1, 2, 1)),
         )
-        rep = Report("c1", "n <= 9", "partial", [ce], 1.25)
+        rep = Report("c1", "n <= 9", [ce], 1.25)
         data = rep.to_json_dict()
         back = Report.from_json_dict(data)
-        assert back == rep
+        assert back == rep and data["status"] == back.status == "partial"
         assert data["counterexamples"][0]["poly"]["coeffs"] == ["1", "2", "1"]
 
     def test_json_roundtrip_without_poly(self):
-        ce = Counterexample(params={"m": 2})
-        rep = Report("c2", "all", "fail", [ce], 0.5)
+        ce = Counterexample(params={"m": 2, "within_claim": True})
+        rep = Report("c2", "all", [ce], 0.5)
         assert Report.from_json_dict(rep.to_json_dict()) == rep
 
     def test_elapsed_recorded(self):
@@ -102,7 +102,7 @@ class TestCongruenceCases:
             (2, 4, 5, "multiple"),           # 6 is not a multiple of 5
             (1, 5, 6, "must be in"),         # 5 is not an admissible h
             (0, 4, 5, "k must be"),
-            (1, 4, 10, "prime"),
+            (6, 4, 10, "prime"),             # 10 divides 6 + 4 but is not prime
             (4, 6, 5, "residue clause"),     # 5 is 1 mod 4, clause needs 3 mod 4
         ],
     )
@@ -186,6 +186,14 @@ class TestSuitesOnSmallRanges:
         # the constants behind it: full columns at the tail
         assert crank_count(10, 10) == 1   # k = 0: only the single-row partition
         assert crank_count(9, 10) == 0    # k = 1: that gap is always empty
+
+    def test_constancy_builds_each_crank_polynomial_once(self, monkeypatch):
+        built = []
+        crank_poly = verify.partitions.crank_poly
+        monkeypatch.setattr(verify.partitions, "crank_poly",
+                            lambda n: built.append(n) or crank_poly(n))
+        assert verify_crank_constancy(k_max=6, n_max=40).status == "pass"
+        assert sorted(built) == list(range(2, 41))
 
     def test_colored_congruence_case(self):
         case = CongruenceCase.make(1, 4, 5)
