@@ -42,11 +42,22 @@ INFO = Counterexample({"kind": "rank-increase", "within_claim": False, "n": 2})
 
 
 class TestReportContract:
-    def test_status_follows_counterexamples(self):
+    def test_pass_must_have_no_counterexamples(self):
         assert Report("c", "n <= 3", [], 0.0).status == "pass"
+        for found in ([INFO], [VIOLATION], [INFO, VIOLATION]):
+            assert Report("c", "n <= 3", found, 0.0).status != "pass"
+        data = Report("c", "n <= 3", [INFO], 0.0).to_json_dict()
+        with pytest.raises(ValueError, match="disagrees"):
+            Report.from_json_dict(data | {"status": "pass"})
+
+    def test_fail_and_partial_need_counterexamples(self):
         assert Report("c", "n <= 3", [INFO], 0.0).status == "partial"
         assert Report("c", "n <= 3", [VIOLATION, INFO], 0.0).status == "fail"
         assert Report("c", "n <= 3", [INFO, VIOLATION], 0.0).status == "fail"
+        data = Report("c", "n <= 3", [], 0.0).to_json_dict()
+        for status in ("fail", "partial"):
+            with pytest.raises(ValueError, match="disagrees"):
+                Report.from_json_dict(data | {"status": status})
 
     def test_from_json_rejects_a_status_that_disagrees(self):
         data = Report("c", "n <= 3", [VIOLATION], 0.0).to_json_dict()
