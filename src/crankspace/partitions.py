@@ -33,6 +33,12 @@ from .laurent import LaurentPoly
 
 ENUMERATION_BOUND = 60
 POLY_BOUND = 5000
+# p_k(n) builds one table of n + 1 entries for every k' <= k, each entry a sum
+# of about sqrt(n) pentagonal terms, and keeps them cached.  The bounds keep
+# the costliest admitted request near one second and 50 MB: k = 1000 at
+# n = 294, or k = 1 at n = 29240.
+COLORED_K_BOUND = 1000
+COLORED_WORK_BOUND = 5_000_000
 
 Partition = tuple[int, ...]
 
@@ -195,10 +201,22 @@ def partition_count(n: int) -> int:
     return qseries.colored_coeffs(1, n)[n]
 
 
-def colored_count(k: int, n: int) -> int:
-    """p_k(n): partitions of n into parts of k colors (series-based)."""
+def _check_colored(k: int, n: int) -> None:
     if n < 0:
         raise ValueError("n must be >= 0")
+    if k > COLORED_K_BOUND or k * n * math.isqrt(n) > COLORED_WORK_BOUND:
+        raise BoundExceeded(
+            f"p_{k}({n}) exceeds the colored-count bound: k <= {COLORED_K_BOUND} "
+            f"and k * n * isqrt(n) <= {COLORED_WORK_BOUND}"
+        )
+
+
+def colored_count(k: int, n: int) -> int:
+    """p_k(n): partitions of n into parts of k colors (series-based).
+
+    Raises BoundExceeded past COLORED_K_BOUND or COLORED_WORK_BOUND.
+    """
+    _check_colored(k, n)
     return qseries.colored_coeffs(k, n)[n]
 
 

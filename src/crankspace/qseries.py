@@ -22,16 +22,23 @@ only for the slices asked for, one at a time, through the single accessor
 That non-negativity enables the kernel trick used here: the z-coefficient
 vector of each q-coefficient is packed into a single big integer with a fixed
 slot width, so the inner recurrence is one bigint shift-add per (factor,
-coefficient) pair and runs at C speed.  Slot widths are sized from the exact
-coefficient bound prod (1-q^n)^(-F) evaluated at z = 1, so no slot can ever
-overflow into its neighbor; tests cross-check the kernel against a naive
-LaurentPoly-arithmetic builder and against enumeration.
+coefficient) pair and runs at C speed.  The negative families are multiplied
+in first and the positive ones in ascending order, which keeps the integers
+short while they grow.  Slot widths are exact: at z = 1 the geometric stage
+is prod (1-q^n)^(-F), so every packed integer's slots sum to a total read off
+`colored_coeffs`, and a slot as wide as the largest total cannot overflow.
+Every decoded slice is checked against its total at run time (a carry
+between slots changes the sum), and a mismatch raises SlotOverflow.  Slots
+of 64 bits or fewer are widened to 64 and decoded at C speed.  Tests
+cross-check the kernel against a naive LaurentPoly-arithmetic builder and
+against enumeration.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator
+import sys
+from typing import Iterable, Iterator, Sequence
 
 from .laurent import LaurentPoly
 
@@ -124,19 +131,16 @@ def colored_coeffs(k: int, order: int) -> tuple[int, ...]:
 # -- packed kernel ------------------------------------------------------------
 
 
-def _slot_bits(families_count: int, order: int) -> int:
-    """Slot width (bits, multiple of 8) that no intermediate value can reach.
+class SlotOverflow(ArithmeticError):
+    """A packed slot held a value wider than its slot: the width was too small.
 
-    Every intermediate coefficient of the all-nonnegative geometric product is
-    bounded by the corresponding coefficient of prod (1-q^n)^(-F) at z = 1
-    (a partial product times a series with constant term 1 and non-negative
-    coefficients only grows).  14 extra bits absorb the sparse summations
-    (a slice's pentagonal sum adds well under 2^12 such terms at any
-    realistic order).
+    An internal fault, never a usage error, so it is not a ValueError.
     """
-    bound = colored_coeffs(families_count, order)[order]
-    bits = bound.bit_length() + 14
-    return ((bits + 7) // 8) * 8
+
+
+def _slot_width(largest: int) -> int:
+    """Slot bits (a multiple of 8, at least 64) that hold every value <= largest."""
+    return max(64, (largest.bit_length() + 7) // 8 * 8)
 
 
 def _geometric_packed(families: tuple[int, ...], amp: int, order: int, bits: int) -> list[int]:
@@ -144,7 +148,10 @@ def _geometric_packed(families: tuple[int, ...], amp: int, order: int, bits: int
 
     Entry m encodes the q^m coefficient: slot i (width `bits`) holds the
     coefficient of z^(i - amp*m).  Requires |a| <= amp for every family so
-    slot indices stay in range; amp = 0 is the scalar case.
+    slot indices stay in range; amp = 0 is the scalar case.  The product does
+    not depend on the family order, but the cost does: an integer is only as
+    long as its top non-zero slot, so passing the negative families first
+    and the positive ones in ascending order keeps the integers short.
     """
     ints = [0] * (order + 1)
     ints[0] = 1
@@ -158,56 +165,89 @@ def _geometric_packed(families: tuple[int, ...], amp: int, order: int, bits: int
     return ints
 
 
-def _unpack_slots(x: int, nslots: int, bits: int) -> list[int]:
-    if x == 0:
-        return [0] * nslots
+def _pentagonal_split(series: Sequence[int], m: int, terms: list[tuple[int, int]],
+                      shift: int) -> tuple[int, int]:
+    """The q^m coefficient of series * prod (1-q^n), as (positive, negative) parts.
+
+    Entry m - g of the series enters shifted left by shift * g bits, which
+    re-centres a packed entry (shift = slot bits * amplitude); shift 0 sums
+    plain integers.
+    """
+    pos, neg = series[m], 0
+    for g, sgn in terms:
+        if g > m:
+            break
+        term = series[m - g] << (shift * g)
+        if sgn > 0:
+            pos += term
+        else:
+            neg += term
+    return pos, neg
+
+
+def _unpack_slots(x: int, nslots: int, bits: int, total: int) -> list[int]:
+    """The nslots slots of x, certified to sum to the exact total.
+
+    x is sum_i v_i * 2^(bits*i) for non-negative slot values v_i.  A value
+    that does not fit its slot carries into the next one, which lowers the
+    sum of the decoded slots by 2^bits - 1; so the decoded sum equals the
+    total exactly when nothing overflowed.  Otherwise, or when x does not fit
+    nslots slots at all, SlotOverflow is raised.  64-bit slots decode at C
+    speed through a machine-word view (little-endian hosts); wider ones slot
+    by slot.
+    """
     nbytes = bits // 8
-    raw = x.to_bytes(nslots * nbytes, "little")
-    return [
-        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(nslots)
-    ]
-
-
-def _unpack_coeff(pos: int, neg: int, m: int, amp: int, bits: int) -> LaurentPoly:
-    nslots = 2 * amp * m + 1
-    p = _unpack_slots(pos, nslots, bits)
-    if neg:
-        q = _unpack_slots(neg, nslots, bits)
-        p = [a - b for a, b in zip(p, q)]
-    return LaurentPoly(-amp * m, p)
+    try:
+        raw = x.to_bytes(nslots * nbytes, "little")
+    except OverflowError:
+        raise SlotOverflow(f"a packed value overflows {nslots} slots of {bits} bits") from None
+    if bits == 64 and sys.byteorder == "little":
+        slots = memoryview(raw).cast("Q").tolist()
+    else:
+        slots = [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
+                 for i in range(nslots)]
+    if sum(slots) != total:
+        raise SlotOverflow(f"{bits}-bit slots sum to {sum(slots)}, not to {total}")
+    return slots
 
 
 def _ck_slices(a: tuple[int, ...], delta: int, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
     """Yield (m, q^m coefficient) of the colored-crank product for each m in sizes.
 
     The product has weights a and delta copies of prod (1-q^n).  The packed
-    geometric product is built once, up to max(sizes); each slice then sums
-    its own pentagonal terms (delta = 1 only) into separate non-negative
-    pos/neg packed integers, so slots never borrow.  Weights (1,) with
-    delta 1 give the raw crank factor, whose q^n coefficient for n >= 2 is
-    the crank polynomial that `partitions.crank_poly` computes from the
-    Andrews-Garvan formula instead.
+    geometric product is built once, up to max(sizes), with the families in
+    the order -a_1..-a_r, +a_r..+a_1 (see `_geometric_packed`).  Each slice
+    then sums its own pentagonal terms (delta = 1 only) into separate
+    non-negative pos/neg packed integers, so slots never borrow.
+
+    Slot widths are exact: at z = 1 the geometric product is
+    prod (1-q^n)^(-F), F = 2r, so the slots of a slice's pos part sum to
+    p_F(m) plus its positive p_F(m - g) terms and those of its neg part to
+    its negative ones.  No slot exceeds its integer's total, so slots as wide
+    as the largest requested total cannot overflow; `_unpack_slots` checks
+    each decoded part against its total at run time all the same.  Weights
+    (1,) with delta 1 give the raw crank factor, whose q^n coefficient for
+    n >= 2 is the crank polynomial that `partitions.crank_poly` computes from
+    the Andrews-Garvan formula instead.
     """
     sizes = list(sizes)
     if min(sizes, default=0) < 0:
         raise ValueError(f"slice sizes must be >= 0, got {min(sizes)}")
     order = max(sizes, default=0)
     amp = a[0]
-    bits = _slot_bits(2 * len(a), order)
-    families = tuple(s * aj for aj in a for s in (1, -1))
-    packed = _geometric_packed(families, amp, order, bits)
     terms = _pentagonal_terms(order) if delta else []
-    for m in sizes:
-        pos, neg = packed[m], 0
-        for g, sgn in terms:
-            if g > m:
-                break
-            term = packed[m - g] << (bits * amp * g)
-            if sgn > 0:
-                pos += term
-            else:
-                neg += term
-        yield m, _unpack_coeff(pos, neg, m, amp, bits)
+    colored = colored_coeffs(2 * len(a), order)
+    totals = [_pentagonal_split(colored, m, terms, 0) for m in sizes]
+    bits = _slot_width(max((t for pair in totals for t in pair), default=0))
+    families = tuple(-aj for aj in a) + a[::-1]
+    packed = _geometric_packed(families, amp, order, bits)
+    for m, (pos_total, neg_total) in zip(sizes, totals):
+        pos, neg = _pentagonal_split(packed, m, terms, bits * amp)
+        nslots = 2 * amp * m + 1
+        coeffs = _unpack_slots(pos, nslots, bits, pos_total)
+        if neg_total:
+            coeffs = [x - y for x, y in zip(coeffs, _unpack_slots(neg, nslots, bits, neg_total))]
+        yield m, LaurentPoly(-amp * m, coeffs)
 
 
 # -- public slice access ------------------------------------------------------

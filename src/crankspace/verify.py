@@ -412,7 +412,13 @@ def enumerate_congruence_cases(k_max: int) -> list[CongruenceCase]:
 
 
 def verify_colored_congruence(case: CongruenceCase, n_max: int = 50) -> Report:
-    """ell | p_k(ell*n + delta) for the given admissible case."""
+    """ell | p_k(ell*n + delta) for the given admissible case.
+
+    The largest size is checked against the colored-count bounds before any
+    count is computed.
+    """
+    if n_max >= 0:
+        partitions._check_colored(case.k, case.ell * n_max + case.delta)
     t0 = time.perf_counter()
     violations: list[Counterexample] = []
     for n in range(n_max + 1):
@@ -715,7 +721,8 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
                threads: int | None = None) -> list[Report]:
     """Reports for the claim claim_id names, or for every claim when it is `all`.
 
-    None for n_max, n_lo or threads keeps each suite's own default.  An
+    Each report's elapsed_s is the wall time of its whole runner call.  None
+    for n_max, n_lo or threads keeps each suite's own default.  An
     unknown id, or an n_max below the lowest index a claim checks (its n_min,
     raised to n_lo when given), raises ValueError before any suite runs.
     """
@@ -726,5 +733,12 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
         if n_max is not None and n_max < lo:
             raise ValueError(f"empty range: {claim.claim_id} checks nothing "
                              f"with n_max={n_max} (needs n_max >= {lo})")
-    return [claim.run(instance, n_max, n_lo, threads)
-            for claim, instances in jobs for instance in instances]
+    reports = []
+    for claim, instances in jobs:
+        for instance in instances:
+            # timed here: a runner may work before its suite's own timer
+            # starts (conj4.2 runs the whole scan first)
+            t0 = time.perf_counter()
+            report = claim.run(instance, n_max, n_lo, threads)
+            reports.append(dataclasses.replace(report, elapsed_s=time.perf_counter() - t0))
+    return reports

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from crankspace.cyclotomic import NotDivisible, exact_quotient
 from crankspace.laurent import LaurentPoly
-from crankspace.qseries import _slot_bits, _unpack_coeff
+from crankspace.qseries import _unpack_slots, colored_coeffs
 
 
 def divides_by_division(f: LaurentPoly, g: LaurentPoly) -> bool:
@@ -112,11 +112,14 @@ def packed_rank_series(order: int) -> list[LaurentPoly]:
 
     sum over n >= 0 of q^(n^2) / prod_{j=1..n} (1-z q^j)(1-z^-1 q^j); the
     q^n coefficient is the rank polynomial of n, all coefficients
-    non-negative.
+    non-negative.  At z = 1 the q^m coefficient sums to p(m), so slots as
+    wide as p(order) cannot overflow, and each decoded slice is checked
+    against p(m).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    bits = _slot_bits(2, order)
+    p = colored_coeffs(1, order)
+    bits = (p[order].bit_length() + 7) // 8 * 8
     den = [0] * (order + 1)
     den[0] = 1
     acc = [0] * (order + 1)
@@ -132,7 +135,8 @@ def packed_rank_series(order: int) -> list[LaurentPoly]:
         for m in range(nn, order + 1):
             acc[m] += den[m - nn] << sh
         n += 1
-    return [_unpack_coeff(acc[m], 0, m, 1, bits) for m in range(order + 1)]
+    return [LaurentPoly(-m, _unpack_slots(acc[m], 2 * m + 1, bits, p[m]))
+            for m in range(order + 1)]
 
 
 # (k, weights, threshold or None) in the published row order, scan bound 75.

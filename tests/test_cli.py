@@ -54,6 +54,10 @@ class TestPolyCommand:
             (("poly", "rank", "--n", "5001"), "5000"),
             (("asymptotic", "--n", "100", "--m", "100000"), "m=100000"),  # cosh overflows
             (("asymptotic", "--n", "100", "--m", "8000"), "m=8000"),  # sech^2 underflows to 0
+            (("colored", "pk", "--k", "1001", "--n", "1"), "colored-count bound"),
+            (("colored", "pk", "--k", "1", "--n", "29241"), "colored-count bound"),
+            (("verify", "thm1.2-k1000000001-h4-ell5"), "colored-count bound"),
+            (("verify", "thm1.2-k996-h4-ell5", "--n-max", "100"), "colored-count bound"),
         ],
     )
     def test_bad_request_exits_two(self, capsys, argv, message):

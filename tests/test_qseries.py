@@ -6,14 +6,20 @@ import inspect
 import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crankspace.qseries
+from crankspace import cli
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import colored_count, crank_poly, rank_poly
 from crankspace.qseries import (
     CrankSpec,
     InvalidK,
+    SlotOverflow,
     _ck_slices,
+    _slot_width,
+    _unpack_slots,
     ak_spec,
     bk_spec,
     colored_coeffs,
@@ -25,6 +31,14 @@ from helpers import naive_colored_crank, naive_crank_series, naive_rank_series, 
 
 def slices(spec: CrankSpec, order: int) -> list[LaurentPoly]:
     return [poly for _, poly in iter_ck_slices(spec, range(order + 1))]
+
+
+# Every valid spec with 3 <= k <= 8 and weights <= 9.
+specs = st.integers(min_value=3, max_value=8).flatmap(
+    lambda k: st.lists(st.integers(min_value=1, max_value=9), min_size=(k + k % 2) // 2,
+                       max_size=(k + k % 2) // 2, unique=True)
+    .map(lambda a: CrankSpec(k, tuple(sorted(a, reverse=True))))
+)
 
 
 class TestCrankSpec:
@@ -148,6 +162,47 @@ class TestSeriesAgainstNaiveOracle:
 
     def test_every_slice_is_symmetric(self):
         assert all(p.is_symmetric() for p in slices(CrankSpec(5, (5, 3, 2)), 15))
+
+
+class TestKernelAgainstOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(specs, st.integers(min_value=0, max_value=12))
+    def test_random_specs_match_oracle(self, spec, order):
+        assert slices(spec, order) == naive_colored_crank(spec.a, spec.delta, order)
+
+    def test_slots_wider_than_64_bits(self, monkeypatch):
+        widths = []
+        monkeypatch.setattr("crankspace.qseries._slot_width",
+                            lambda largest: widths.append(_slot_width(largest)) or widths[-1])
+        spec = CrankSpec(11, (6, 5, 4, 3, 2, 1))
+        assert slices(spec, 49) == naive_colored_crank(spec.a, spec.delta, 49)
+        assert widths == [72]
+
+
+class TestSlotCertificate:
+    @pytest.mark.parametrize("x,nslots,total", [
+        (256, 2, 256),  # slot 0 carries into slot 1
+        (1 << 16, 2, 1 << 16),  # carries out of the top slot
+        (3, 2, 4),  # decodes, but to the wrong total
+    ])
+    def test_decoded_sum_must_match_the_total(self, x, nslots, total):
+        with pytest.raises(SlotOverflow):
+            _unpack_slots(x, nslots, 8, total)
+
+    def test_narrow_slots_raise_instead_of_yielding(self, monkeypatch):
+        monkeypatch.setattr("crankspace.qseries._slot_width", lambda largest: 8)
+        yielded = []
+        with pytest.raises(SlotOverflow):
+            for item in iter_ck_slices(bk_spec(9), [40]):
+                yielded.append(item)
+        assert yielded == []
+
+    def test_overflow_is_not_a_usage_error(self, monkeypatch):
+        assert issubclass(SlotOverflow, ArithmeticError)
+        assert not issubclass(SlotOverflow, ValueError)
+        monkeypatch.setattr("crankspace.qseries._slot_width", lambda largest: 8)
+        with pytest.raises(SlotOverflow):
+            cli.main(["verify", "cor3.5-B-k9-ell23", "--n-max", "2"])
 
 
 class TestSliceAccess:

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import re
+import time
 from pathlib import Path
 
 import pytest
 
-from crankspace import qseries, verify
+from crankspace import partitions, qseries, search, verify
 from crankspace.laurent import LaurentPoly
-from crankspace.partitions import POLY_BOUND, BoundExceeded, crank_count, rank_count
+from crankspace.partitions import (
+    COLORED_K_BOUND,
+    POLY_BOUND,
+    BoundExceeded,
+    crank_count,
+    rank_count,
+)
 from crankspace.verify import (
     CLAIMS,
     CRANK_UNIMODAL_ONSET,
@@ -283,6 +290,38 @@ class TestClaimRegistry:
             run_claims("conj1.1-part1-ell11")
         with pytest.raises(ValueError, match="empty range"):
             run_claims("lem2.4", n_max=1)
+
+    def test_elapsed_covers_the_whole_runner(self, monkeypatch):
+        # conj4.2's runner scans before its suite's own timer starts
+        def slow_scan(**kwargs):
+            time.sleep(0.05)
+            return []
+
+        monkeypatch.setattr(search, "exhaustive_search", slow_scan)
+        [report] = run_claims("conj4.2")
+        assert report.elapsed_s >= 0.05
+
+
+class TestColoredBound:
+    def test_largest_admitted_requests(self):
+        # each costs about a second, so only the check runs here
+        for k, n in ((COLORED_K_BOUND, 294), (1, 29240)):
+            partitions._check_colored(k, n)
+
+    @pytest.mark.parametrize("k,n", [(COLORED_K_BOUND + 1, 0), (COLORED_K_BOUND, 295), (1, 29241)])
+    def test_past_the_bound_raises(self, k, n):
+        with pytest.raises(BoundExceeded, match="colored-count bound"):
+            partitions.colored_count(k, n)
+
+    def test_congruence_checks_its_largest_size_first(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qseries, "colored_coeffs",
+                            lambda k, n: calls.append(n) or [0] * (n + 1))
+        case = CongruenceCase.make(996, 4, 5)
+        verify_colored_congruence(case, n_max=50)  # admitted: its largest size is 254
+        with pytest.raises(BoundExceeded):
+            verify_colored_congruence(case, n_max=100)
+        assert len(calls) == 51
 
 
 class TestAsymptotics:
