@@ -10,9 +10,9 @@ Subcommands:
 
 Output formats: text (default), json, csv.  Exit codes: 0 = computed or all
 claims passed (partial counts as passing: the claim held in its stated
-range), 1 = a checked claim failed, 2 = usage error.  Worker count comes
-from --threads, else the CRANKSPACE_THREADS variable, else the CPU count;
-the worker count never changes output bytes.
+range), 1 = a checked claim failed, 2 = usage error, 3 = internal fault
+(traceback on stderr).  Worker count comes from --threads, else the
+CRANKSPACE_THREADS variable, else the CPU count; it never changes output bytes.
 """
 
 from __future__ import annotations
@@ -294,6 +294,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # here, not at the top, to keep the cold start lean
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

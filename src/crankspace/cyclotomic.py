@@ -11,7 +11,7 @@ mod ell, which is how partition congruences surface at the polynomial level.
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from .laurent import LaurentPoly
 
@@ -33,18 +33,17 @@ def _is_odd_prime(n: int) -> bool:
     return True
 
 
-@dataclasses.dataclass(frozen=True)
-class Modulus:
+class Modulus(NamedTuple("Modulus", [("ell", int), ("variant", str)])):
     """A cyclotomic divisor choice: Phi_ell of z, z^2 or -z."""
 
-    ell: int
-    variant: str = "standard"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_odd_prime(self.ell):
-            raise ValueError(f"ell must be an odd prime, got {self.ell}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+    def __new__(cls, ell: int, variant: str = "standard"):
+        if not _is_odd_prime(ell):
+            raise ValueError(f"ell must be an odd prime, got {ell}")
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        return super().__new__(cls, ell, variant)
 
 
 def phi(modulus: Modulus | int, variant: str = "standard") -> LaurentPoly:

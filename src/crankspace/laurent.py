@@ -12,12 +12,10 @@ Values are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from typing import Iterable, Mapping
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
 class LaurentPoly:
     """A Laurent polynomial sum(coeffs[i] * z^(lo+i)).
 
@@ -33,8 +31,7 @@ class LaurentPoly:
     LaurentPoly('1*z^-1')
     """
 
-    lo: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("lo", "coeffs")
 
     def __init__(self, lo: int = 0, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
@@ -50,6 +47,14 @@ class LaurentPoly:
         else:
             self.lo = lo + start
             self.coeffs = tuple(cs[start:end])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.coeffs) == (other.lo, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.coeffs))
 
     # -- constructors ------------------------------------------------------
 

@@ -36,9 +36,8 @@ against enumeration.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .laurent import LaurentPoly
 
@@ -47,28 +46,27 @@ class InvalidK(ValueError):
     """Raised for colored-crank parameters outside the supported family."""
 
 
-@dataclasses.dataclass(frozen=True)
-class CrankSpec:
+class CrankSpec(NamedTuple("CrankSpec", [("k", int), ("a", tuple[int, ...])])):
     """Parameters (k; a_1 > a_2 > ... > a_r) of one colored-crank product.
 
     k >= 3 counts colors; r = (k + (k mod 2)) / 2 positive strictly
     decreasing weights pick which factors carry z.
     """
 
-    k: int
-    a: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        if self.k < 3:
-            raise InvalidK(f"k must be >= 3, got {self.k}")
-        r = (self.k + self.k % 2) // 2
-        if len(self.a) != r:
-            raise InvalidK(f"k={self.k} needs exactly {r} weights, got {len(self.a)}")
-        if any(x < 1 for x in self.a):
-            raise InvalidK(f"weights must be positive, got {self.a}")
-        if any(self.a[i] <= self.a[i + 1] for i in range(len(self.a) - 1)):
-            raise InvalidK(f"weights must be strictly decreasing, got {self.a}")
+    def __new__(cls, k: int, a: Iterable[int]):
+        a = tuple(int(x) for x in a)
+        if k < 3:
+            raise InvalidK(f"k must be >= 3, got {k}")
+        r = (k + k % 2) // 2
+        if len(a) != r:
+            raise InvalidK(f"k={k} needs exactly {r} weights, got {len(a)}")
+        if any(x < 1 for x in a):
+            raise InvalidK(f"weights must be positive, got {a}")
+        if any(a[i] <= a[i + 1] for i in range(len(a) - 1)):
+            raise InvalidK(f"weights must be strictly decreasing, got {a}")
+        return super().__new__(cls, k, a)
 
     @property
     def delta(self) -> int:

@@ -14,12 +14,10 @@ count.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import itertools
-import multiprocessing
 import os
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import qseries
 from .qseries import CrankSpec
@@ -38,8 +36,7 @@ def default_thread_count() -> int:
     return os.cpu_count() or 1
 
 
-@dataclasses.dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """What one weight tuple's unimodality scan below n_hi found.
 
     largest_nonunimodal is the largest scanned n (1 <= n < n_hi) whose slice
@@ -105,6 +102,7 @@ def _pool_map(fn, tasks: list, threads: int | None) -> list:
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(t) for t in tasks]
+    import multiprocessing  # here, not at the top: its import is a large share of a cold start
     with multiprocessing.Pool(workers) as pool:
         return pool.map(fn, tasks)
 

@@ -19,11 +19,10 @@ floating-point asymptotic diagnostic.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 import time
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import partitions, qseries, search
 from .cyclotomic import (
@@ -50,8 +49,7 @@ class HypothesisViolation(ValueError):
     """Raised when a suite is invoked outside its claim's hypotheses."""
 
 
-@dataclasses.dataclass
-class Counterexample:
+class Counterexample(NamedTuple):
     params: dict
     poly: LaurentPoly | None = None
 
@@ -67,8 +65,7 @@ class Counterexample:
         return cls(dict(data["params"]), LaurentPoly.from_json_dict(poly) if poly else None)
 
 
-@dataclasses.dataclass
-class Report:
+class Report(NamedTuple):
     """What one suite checked (range), what it found, and how long it took.
 
     status is derived from the counterexamples: fail if any lies within the
@@ -364,8 +361,7 @@ def _clause_holds(h: int, ell: int) -> bool:
     return any(h in hs and ell % mod == res for hs, mod, res in _CLAUSES)
 
 
-@dataclasses.dataclass(frozen=True)
-class CongruenceCase:
+class CongruenceCase(NamedTuple):
     """One admissible colored congruence: ell | p_k(ell*n + delta).
 
     Requires k + h = ell * t for a prime ell >= 5 and one of the admissible
@@ -411,14 +407,19 @@ def enumerate_congruence_cases(k_max: int) -> list[CongruenceCase]:
     return cases
 
 
+def _check_largest_size(case: CongruenceCase, n_max: int = 50) -> None:
+    """Raise BoundExceeded if p_k(ell*n_max + delta) is past the colored-count bound."""
+    if n_max >= 0:
+        partitions._check_colored(case.k, case.ell * n_max + case.delta)
+
+
 def verify_colored_congruence(case: CongruenceCase, n_max: int = 50) -> Report:
     """ell | p_k(ell*n + delta) for the given admissible case.
 
     The largest size is checked against the colored-count bounds before any
     count is computed.
     """
-    if n_max >= 0:
-        partitions._check_colored(case.k, case.ell * n_max + case.delta)
+    _check_largest_size(case, n_max)
     t0 = time.perf_counter()
     violations: list[Counterexample] = []
     for n in range(n_max + 1):
@@ -563,8 +564,7 @@ def check_family_unimodality(
 # -- floating-point diagnostic (quarantined) --------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class AsymptoticSample:
+class AsymptoticSample(NamedTuple):
     """One comparison of N(m, n) against its sech^2 large-n approximation."""
 
     n: int
@@ -576,7 +576,7 @@ class AsymptoticSample:
     out_of_range: bool
 
     def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 def rank_asymptotic_samples(n: int, m_values: Iterable[int] | None = None) -> list[AsymptoticSample]:
@@ -613,8 +613,7 @@ def rank_asymptotic_samples(n: int, m_values: Iterable[int] | None = None) -> li
 # -- claim registry ----------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One registry entry: a claim id, its `verify --list` line and its runner.
 
     run(instance, n_max, n_lo, threads) checks one instance and returns its
@@ -622,7 +621,8 @@ class Claim:
     The bare id runs every instance: the `ells` of a group entry, which also
     answers to `<id>-ell<L>`, or else `instances`.  A pattern entry answers
     to every id `parse` turns into an instance.  n_min is the smallest n_max
-    whose range is not empty.
+    whose range is not empty.  check(instance, n_max), if given, raises
+    ValueError where the suite would refuse that instance.
     """
 
     claim_id: str
@@ -633,6 +633,7 @@ class Claim:
     pattern: str = ""
     parse: Callable[[str], object] | None = None
     n_min: int = 0
+    check: Callable[[object, int | None], None] | None = None
 
 
 def _given(**kwargs) -> dict:
@@ -683,7 +684,8 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("thm1.2", "colored congruences, all admissible cases with k <= 12",
           lambda case, n_max, n_lo, threads: verify_colored_congruence(case, **_given(n_max=n_max)),
           instances=tuple(enumerate_congruence_cases(12)),
-          pattern="thm1.2-k<K>-h<H>-ell<L>", parse=_thm12_instance),
+          pattern="thm1.2-k<K>-h<H>-ell<L>", parse=_thm12_instance,
+          check=lambda case, n_max: _check_largest_size(case, **_given(n_max=n_max))),
     Claim("cor3.5", "distinguished-family slices: divisibility and onset positivity",
           lambda instance, n_max, n_lo, threads: verify_colored_quotients(*instance, n_max),
           instances=tuple(map(_cor35_instance, ("cor3.5-A-k6-ell5", "cor3.5-B-k9-ell23",
@@ -723,16 +725,20 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
 
     Each report's elapsed_s is the wall time of its whole runner call.  None
     for n_max, n_lo or threads keeps each suite's own default.  An
-    unknown id, or an n_max below the lowest index a claim checks (its n_min,
-    raised to n_lo when given), raises ValueError before any suite runs.
+    unknown id, an n_max below the lowest index a claim checks (its n_min,
+    raised to n_lo when given) or an instance its check refuses raises
+    ValueError before any suite runs.
     """
     ids = [claim.claim_id for claim in CLAIMS] if claim_id == "all" else [claim_id]
     jobs = [_resolve(i) for i in ids]
-    for claim, _ in jobs:
+    for claim, instances in jobs:
         lo = claim.n_min if n_lo is None else max(claim.n_min, n_lo)
         if n_max is not None and n_max < lo:
             raise ValueError(f"empty range: {claim.claim_id} checks nothing "
                              f"with n_max={n_max} (needs n_max >= {lo})")
+        if claim.check:
+            for instance in instances:
+                claim.check(instance, n_max)
     reports = []
     for claim, instances in jobs:
         for instance in instances:
@@ -740,5 +746,5 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
             # starts (conj4.2 runs the whole scan first)
             t0 = time.perf_counter()
             report = claim.run(instance, n_max, n_lo, threads)
-            reports.append(dataclasses.replace(report, elapsed_s=time.perf_counter() - t0))
+            reports.append(report._replace(elapsed_s=time.perf_counter() - t0))
     return reports

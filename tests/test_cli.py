@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crankspace
+from crankspace import partitions
 from crankspace.cli import main
 
 VERIFY_LIST = """\
@@ -161,6 +167,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "PARTIAL" in out
 
+    @pytest.mark.parametrize("claim", ["thm1.2", "all"])
+    def test_colored_bound_is_refused_before_any_suite(self, capsys, monkeypatch, claim):
+        calls = []
+        monkeypatch.setattr(partitions, "colored_count", lambda k, n: calls.append((k, n)) or 0)
+        code, out, err = run(capsys, "verify", claim, "--n-max", "600")
+        assert code == 2 and out == ""
+        assert "colored-count bound" in err
+        assert calls == []
+
     def test_unknown_claim_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "bogus-claim")
         assert code == 2 and "unknown claim" in err
@@ -275,3 +290,30 @@ class TestArgparseErrors:
         with pytest.raises(SystemExit) as exc:
             main(["poly", "rank"])
         assert exc.value.code == 2
+
+
+class TestInternalFaults:
+    def test_fault_exits_three_with_a_traceback(self, capsys, monkeypatch):
+        def broken(n):
+            raise RuntimeError("broken closed form")
+
+        monkeypatch.setattr(partitions, "rank_poly", broken)
+        code, out, err = run(capsys, "poly", "rank", "--n", "5")
+        assert code == 3 and out == ""
+        assert "Traceback" in err and "RuntimeError: broken closed form" in err
+
+
+def test_cold_commands_import_no_dataclasses_or_pool():
+    script = (
+        "import sys\n"
+        "from crankspace.cli import main\n"
+        "assert main(['poly', 'rank', '--n', '5']) == 0\n"
+        "assert main(['verify', '--list']) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    src = str(Path(crankspace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

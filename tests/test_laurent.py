@@ -60,6 +60,11 @@ class TestConstruction:
         seen = {LaurentPoly.one(), LaurentPoly(0, (1,)), LaurentPoly.zero()}
         assert len(seen) == 2
 
+    def test_equal_only_to_laurent_polys(self):
+        assert LaurentPoly.one() != (0, (1,))
+        assert LaurentPoly.one() != 1
+        assert LaurentPoly(2, (0, 3)) == LaurentPoly(3, (3,))
+
 
 class TestRingLaws:
     @given(polys, polys)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import doctest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crankspace.partitions
 from crankspace.cyclotomic import hat_sums
@@ -127,6 +129,13 @@ class TestCountsAgainstEnumeration:
         for n in range(1, 21):
             assert rank_poly(n) == rank_poly_enumerated(n)
             assert crank_poly(n) == crank_poly_enumerated(n)
+
+    # few draws: enumerating both statistics near n = 50 takes seconds
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(min_value=31, max_value=50))
+    def test_polys_match_enumerated_polys_past_criterion_2(self, n):
+        assert rank_poly(n) == rank_poly_enumerated(n)
+        assert crank_poly(n) == crank_poly_enumerated(n)
 
     def test_poly_totals_are_partition_counts(self):
         for n in range(2, 30):

@@ -197,12 +197,14 @@ class TestSlotCertificate:
                 yielded.append(item)
         assert yielded == []
 
-    def test_overflow_is_not_a_usage_error(self, monkeypatch):
+    def test_overflow_is_not_a_usage_error(self, monkeypatch, capsys):
         assert issubclass(SlotOverflow, ArithmeticError)
         assert not issubclass(SlotOverflow, ValueError)
         monkeypatch.setattr("crankspace.qseries._slot_width", lambda largest: 8)
-        with pytest.raises(SlotOverflow):
-            cli.main(["verify", "cor3.5-B-k9-ell23", "--n-max", "2"])
+        assert cli.main(["verify", "cor3.5-B-k9-ell23", "--n-max", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "SlotOverflow" in captured.err
 
 
 class TestSliceAccess:
