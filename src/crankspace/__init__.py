@@ -20,20 +20,14 @@ from .cyclotomic import (
 from .laurent import LaurentPoly
 from .partitions import (
     BoundExceeded,
-    EmptyPartition,
     InvalidEll,
     beta,
     colored_count,
-    crank_count,
-    crank_of,
     crank_poly,
     delta,
-    enumerate_partitions,
     modified_crank_poly,
     modified_rank_poly,
     partition_count,
-    rank_count,
-    rank_of,
     rank_poly,
 )
 from .qseries import (
@@ -48,7 +42,6 @@ from .search import (
     SearchResult,
     crank_space,
     exhaustive_search,
-    min_unimodal_threshold,
     results_to_csv,
 )
 from .verify import (
@@ -81,7 +74,6 @@ __all__ = [
     "CongruenceCase",
     "Counterexample",
     "CrankSpec",
-    "EmptyPartition",
     "HypothesisViolation",
     "InvalidCase",
     "InvalidEll",
@@ -98,27 +90,21 @@ __all__ = [
     "check_family_unimodality",
     "check_first_gap_criterion",
     "colored_count",
-    "crank_count",
-    "crank_of",
     "crank_poly",
     "crank_space",
     "delta",
     "divides_negated",
     "divides_standard",
     "enumerate_congruence_cases",
-    "enumerate_partitions",
     "exact_quotient",
     "exhaustive_search",
     "hat_sums",
     "iter_ck_slices",
-    "min_unimodal_threshold",
     "modified_crank_poly",
     "modified_rank_poly",
     "partition_count",
     "phi",
     "rank_asymptotic_samples",
-    "rank_count",
-    "rank_of",
     "rank_poly",
     "results_to_csv",
     "verify_colored_congruence",

@@ -28,6 +28,10 @@ from .cyclotomic import NotDivisible, exact_quotient, phi
 from .laurent import LaurentPoly
 
 _POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
+# No polynomial a shorthand builds spans more than 2 * POLY_BOUND + 1 exponents
+# (crank:5000), and Phi_ell divides no nonzero polynomial spanning fewer than
+# ell: `quotient` refuses a larger --ell or a wider literal before any work.
+QUOTIENT_BOUND = 2 * partitions.POLY_BOUND + 1
 
 
 class UsageError(ValueError):
@@ -117,14 +121,22 @@ def _parse_poly_arg(text: str) -> LaurentPoly:
         builder = partitions.modified_rank_poly if kind == "mrank" else partitions.modified_crank_poly
         return builder(first, int(second))
     try:
-        return LaurentPoly.from_text(text)
+        terms = LaurentPoly._parse_terms(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse polynomial {text!r}: {exc}") from exc
+    exponents = [e for e, c in terms.items() if c]
+    if exponents and max(exponents) - min(exponents) >= QUOTIENT_BOUND:
+        raise partitions.BoundExceeded(
+            f"--poly spans {max(exponents) - min(exponents) + 1} exponents, "
+            f"more than the quotient bound {QUOTIENT_BOUND}")
+    return LaurentPoly.from_coeff_map(terms)
 
 
 def _cmd_quotient(args, out) -> int:
     if args.squared and args.negated:
         raise UsageError("--squared and --negated are mutually exclusive")
+    if args.ell > QUOTIENT_BOUND:
+        raise partitions.BoundExceeded(f"--ell {args.ell} exceeds the quotient bound {QUOTIENT_BOUND}")
     variant = "squared" if args.squared else ("negated" if args.negated else "standard")
     f = _parse_poly_arg(args.poly)
     divisor = phi(args.ell, variant)

@@ -105,10 +105,6 @@ class LaurentPoly:
     def coeff_map(self) -> dict[int, int]:
         return {self.lo + i: c for i, c in enumerate(self.coeffs) if c != 0}
 
-    def value_at_one(self) -> int:
-        """Evaluate at z = 1, i.e. the sum of all coefficients."""
-        return sum(self.coeffs)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
@@ -137,9 +133,6 @@ class LaurentPoly:
             other = LaurentPoly(0, (other,))
         return self + (-other)
 
-    def __rsub__(self, other: int) -> LaurentPoly:
-        return LaurentPoly(0, (other,)) - self
-
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
             if other == 0:
@@ -157,18 +150,6 @@ class LaurentPoly:
         return LaurentPoly(self.lo + other.lo, cs)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers are not Laurent polynomials in general")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by z^k."""
@@ -261,11 +242,17 @@ class LaurentPoly:
         >>> LaurentPoly.from_text("1*z^-1 + 2*z^1") == LaurentPoly(-1, (1, 0, 2))
         True
         """
+        return cls.from_coeff_map(cls._parse_terms(text))
+
+    @classmethod
+    def _parse_terms(cls, text: str) -> dict[int, int]:
+        """The summed coefficient of each exponent in polynomial text.
+
+        Builds no dense coefficient list, so a caller can bound the span first.
+        """
         s = text.strip()
         if not s:
             raise ValueError("empty polynomial text")
-        if s == "0":
-            return cls.zero()
         acc: dict[int, int] = {}
         pos = 0
         first = True
@@ -287,7 +274,7 @@ class LaurentPoly:
             acc[e] = acc.get(e, 0) + sign * c
             pos = m.end()
             first = False
-        return cls.from_coeff_map(acc)
+        return acc
 
     def to_json_dict(self) -> dict:
         """JSON form: ``{"lo": int, "coeffs": [decimal strings]}``.

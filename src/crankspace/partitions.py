@@ -7,9 +7,9 @@ count partitions of n with rank resp. crank m; the polynomials
 sum_m N(m, n) z^m and sum_m M(m, n) z^m are the objects the divisibility and
 unimodality claims are about.
 
-Two independent computation routes exist on purpose: direct enumeration
-(exponential, bounded, the oracle) and closed formulas over the partition
-numbers p(.) (the route behind the public counts, up to POLY_BOUND):
+The counts have one production route, closed formulas over the partition
+numbers p(.), up to POLY_BOUND; the tests audit it against direct enumeration
+and a packed rank series:
 
     N(m, n) = sum_{k>=1} (-1)^(k-1) [p(n - k(3k-1)/2 - k|m|) - p(n - k(3k+1)/2 - k|m|)]
     M(m, n) = sum_{k>=1} (-1)^(k-1) [p(n - k(k-1)/2 - k|m|) - p(n - k(k+1)/2 - k|m|)]
@@ -25,13 +25,11 @@ generating-function convention.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 from . import qseries
 from .cyclotomic import _is_odd_prime
 from .laurent import LaurentPoly
 
-ENUMERATION_BOUND = 60
 POLY_BOUND = 5000
 # p_k(n) builds one table of n + 1 entries for every k' <= k, each entry a sum
 # of about sqrt(n) pentagonal terms, and keeps them cached.  The bounds keep
@@ -40,78 +38,13 @@ POLY_BOUND = 5000
 COLORED_K_BOUND = 1000
 COLORED_WORK_BOUND = 5_000_000
 
-Partition = tuple[int, ...]
-
 
 class BoundExceeded(ValueError):
     """Raised when a requested size is beyond the configured safety bound."""
 
 
-class EmptyPartition(ValueError):
-    """Raised when a statistic undefined on the empty partition is requested."""
-
-
 class InvalidEll(ValueError):
     """Raised for progression moduli outside the supported primes."""
-
-
-def _check_partition(parts) -> Partition:
-    lam = tuple(parts)
-    if not lam:
-        raise EmptyPartition("the empty partition has no rank or crank")
-    if any(p < 1 for p in lam):
-        raise ValueError(f"parts must be positive integers, got {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"parts must be non-increasing, got {lam}")
-    return lam
-
-
-def enumerate_partitions(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[Partition]:
-    """All partitions of n in reverse lexicographic order, (n) first.
-
-    >>> list(enumerate_partitions(4))
-    [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > bound:
-        raise BoundExceeded(f"enumeration of n={n} exceeds bound {bound}")
-    if n == 0:
-        yield ()
-        return
-    parts = [n]
-    while True:
-        yield tuple(parts)
-        i = len(parts) - 1
-        ones = 0
-        while i >= 0 and parts[i] == 1:
-            ones += 1
-            i -= 1
-        if i < 0:
-            return
-        parts[i] -= 1
-        rem = ones + 1
-        cap = parts[i]
-        del parts[i + 1 :]
-        while rem > 0:
-            take = min(cap, rem)
-            parts.append(take)
-            rem -= take
-
-
-def rank_of(parts) -> int:
-    """Largest part minus number of parts."""
-    lam = _check_partition(parts)
-    return lam[0] - len(lam)
-
-
-def crank_of(parts) -> int:
-    """Largest part if no 1s occur, else (#parts greater than #1s) - #1s."""
-    lam = _check_partition(parts)
-    ones = sum(1 for p in lam if p == 1)
-    if ones == 0:
-        return lam[0]
-    return sum(1 for p in lam if p > ones) - ones
 
 
 # -- closed-form counts --------------------------------------------------------
@@ -152,43 +85,6 @@ def crank_poly(n: int) -> LaurentPoly:
     """sum_m M(m, n) z^m with the corrected n = 1 column, from the crank formula over p(.)."""
     _check_size(n)
     return LaurentPoly.one() if n <= 1 else _closed_form_poly(n, 1)
-
-
-def rank_count(m: int, n: int) -> int:
-    """N(m, n): partitions of n with rank m; N(0, 0) = 1."""
-    return rank_poly(n).coefficient(m)
-
-
-def crank_count(m: int, n: int) -> int:
-    """M(m, n): partitions of n with crank m, corrected at n = 1."""
-    return crank_poly(n).coefficient(m)
-
-
-# -- enumeration oracle --------------------------------------------------------
-
-
-def rank_poly_enumerated(n: int, bound: int = ENUMERATION_BOUND) -> LaurentPoly:
-    """Rank polynomial by direct enumeration (the oracle route)."""
-    if n == 0:
-        return LaurentPoly.one()
-    acc: dict[int, int] = {}
-    for lam in enumerate_partitions(n, bound):
-        r = rank_of(lam)
-        acc[r] = acc.get(r, 0) + 1
-    return LaurentPoly.from_coeff_map(acc)
-
-
-def crank_poly_enumerated(n: int, bound: int = ENUMERATION_BOUND) -> LaurentPoly:
-    """Crank polynomial by direct enumeration, corrected at n = 1."""
-    if n == 0:
-        return LaurentPoly.one()
-    if n == 1:
-        return LaurentPoly.one()
-    acc: dict[int, int] = {}
-    for lam in enumerate_partitions(n, bound):
-        c = crank_of(lam)
-        acc[c] = acc.get(c, 0) + 1
-    return LaurentPoly.from_coeff_map(acc)
 
 
 # -- colored counts and progressions --------------------------------------------

@@ -72,9 +72,6 @@ class CrankSpec(NamedTuple("CrankSpec", [("k", int), ("a", tuple[int, ...])])):
     def delta(self) -> int:
         return self.k % 2
 
-    def label(self) -> str:
-        return f"C{self.k}({','.join(str(x) for x in self.a)})"
-
 
 # -- scalar helpers -----------------------------------------------------------
 

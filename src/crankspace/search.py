@@ -89,12 +89,6 @@ def crank_space(k: int) -> Iterator[CrankSpec]:
         yield CrankSpec(k, tuple(reversed(combo)))
 
 
-def min_unimodal_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchResult:
-    """Scan slices 1 <= n < n_hi and locate the last non-unimodal one."""
-    [(bad, _)] = slice_defects([spec], n_hi, threads=1)
-    return SearchResult(spec, n_hi, bad[-1] if bad else None)
-
-
 def _pool_map(fn, tasks: list, threads: int | None) -> list:
     """Map fn over tasks in order, on min(threads, len(tasks), CPU count) workers."""
     if threads is None:
@@ -152,9 +146,9 @@ def slice_defects(
 ) -> list[tuple[list[int], list[int]]]:
     """Per weight tuple, its non-unimodal and its asymmetric n in 1 <= n < n_hi.
 
-    The one slice scan: the thresholds of exhaustive_search and
-    min_unimodal_threshold are read from its non-unimodal lists.  Results
-    follow the order of `specs`, whatever the worker count.
+    The one slice scan: exhaustive_search reads its thresholds from the
+    non-unimodal lists.  Results follow the order of `specs`, whatever the
+    worker count.
     """
     if n_hi < 2:
         raise ValueError(f"n_hi must be >= 2, got {n_hi}")

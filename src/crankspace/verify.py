@@ -622,7 +622,8 @@ class Claim(NamedTuple):
     answers to `<id>-ell<L>`, or else `instances`.  A pattern entry answers
     to every id `parse` turns into an instance.  n_min is the smallest n_max
     whose range is not empty.  check(instance, n_max), if given, raises
-    ValueError where the suite would refuse that instance.
+    ValueError where the suite would refuse that instance.  takes_n_lo marks
+    the entries whose suite reads n_lo; the others refuse one.
     """
 
     claim_id: str
@@ -634,6 +635,7 @@ class Claim(NamedTuple):
     parse: Callable[[str], object] | None = None
     n_min: int = 0
     check: Callable[[object, int | None], None] | None = None
+    takes_n_lo: bool = False
 
 
 def _given(**kwargs) -> dict:
@@ -674,7 +676,7 @@ CLAIMS: tuple[Claim, ...] = (
           lambda ell, n_max, n_lo, threads: verify_modified_crank(ell, n_max), ells=(5, 7, 11)),
     Claim("conj1.3", "rank counts weakly decreasing over the window (onset 39)",
           lambda _, n_max, n_lo, threads: verify_rank_monotonic(**_given(n_max=n_max, n_lo=n_lo)),
-          n_min=1),
+          n_min=1, takes_n_lo=True),
     Claim("thm2.2", "crank residue classes mod 10 at 5n+4 are 1/5 of the mod-2 classes",
           lambda _, n_max, n_lo, threads: verify_crank_mod10(**_given(n_max=n_max))),
     Claim("lem2.4", "near-top crank counts M(n-k, n) are constant in n",
@@ -725,13 +727,15 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
 
     Each report's elapsed_s is the wall time of its whole runner call.  None
     for n_max, n_lo or threads keeps each suite's own default.  An
-    unknown id, an n_max below the lowest index a claim checks (its n_min,
-    raised to n_lo when given) or an instance its check refuses raises
-    ValueError before any suite runs.
+    unknown id, an n_lo for a claim that does not take one, an n_max below
+    the lowest index a claim checks (its n_min, raised to n_lo when given)
+    or an instance its check refuses raises ValueError before any suite runs.
     """
     ids = [claim.claim_id for claim in CLAIMS] if claim_id == "all" else [claim_id]
     jobs = [_resolve(i) for i in ids]
     for claim, instances in jobs:
+        if n_lo is not None and not claim.takes_n_lo:
+            raise ValueError(f"{claim.claim_id} does not take n_lo")
         lo = claim.n_min if n_lo is None else max(claim.n_min, n_lo)
         if n_max is not None and n_max < lo:
             raise ValueError(f"empty range: {claim.claim_id} checks nothing "

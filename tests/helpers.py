@@ -4,10 +4,14 @@ Naive reference builders recompute the same series the engine produces, but
 with nothing shared: plain LaurentPoly arithmetic, factor-by-factor
 geometric recurrences, and the alternating pentagonal-number expansion.
 They are deliberately slow and obvious; tests compare the fast engine
-against them at small orders.  packed_rank_series is the packed-bigint rank
+against them at small orders.  The partition-enumeration oracle
+(enumerate_partitions, rank_of, crank_of and the *_poly_enumerated builders)
+is the direct route for rank and crank counts, exponential and bounded by
+ENUMERATION_BOUND.  packed_rank_series is the packed-bigint rank
 series, the audit route for the closed-form rank polynomials up to order 300.
 divides_by_division is the exact-division form of the divisibility test, the
-audit route for the residue-sum criteria.
+audit route for the residue-sum criteria.  scan_threshold is one weight
+tuple's SearchResult, read off the slice scan the search uses.
 
 TABLE1_ROWS freezes the reference threshold table behind the CLI's `search
 table1` preset (39 rows, k = 3..6, scan bound 75) in its exact row order:
@@ -16,9 +20,106 @@ table1` preset (39 rows, k = 3..6, scan bound 75) in its exact row order:
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from crankspace.cyclotomic import NotDivisible, exact_quotient
 from crankspace.laurent import LaurentPoly
-from crankspace.qseries import _unpack_slots, colored_coeffs
+from crankspace.partitions import BoundExceeded
+from crankspace.qseries import CrankSpec, _unpack_slots, colored_coeffs
+from crankspace.search import DEFAULT_SCAN_BOUND, SearchResult, slice_defects
+
+ENUMERATION_BOUND = 60
+
+Partition = tuple[int, ...]
+
+
+class EmptyPartition(ValueError):
+    """Raised when a statistic undefined on the empty partition is requested."""
+
+
+def _check_partition(parts) -> Partition:
+    lam = tuple(parts)
+    if not lam:
+        raise EmptyPartition("the empty partition has no rank or crank")
+    if any(p < 1 for p in lam):
+        raise ValueError(f"parts must be positive integers, got {lam}")
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError(f"parts must be non-increasing, got {lam}")
+    return lam
+
+
+def enumerate_partitions(n: int, bound: int = ENUMERATION_BOUND) -> Iterator[Partition]:
+    """All partitions of n in reverse lexicographic order, (n) first."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > bound:
+        raise BoundExceeded(f"enumeration of n={n} exceeds bound {bound}")
+    if n == 0:
+        yield ()
+        return
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        i = len(parts) - 1
+        ones = 0
+        while i >= 0 and parts[i] == 1:
+            ones += 1
+            i -= 1
+        if i < 0:
+            return
+        parts[i] -= 1
+        rem = ones + 1
+        cap = parts[i]
+        del parts[i + 1 :]
+        while rem > 0:
+            take = min(cap, rem)
+            parts.append(take)
+            rem -= take
+
+
+def rank_of(parts) -> int:
+    """Largest part minus number of parts."""
+    lam = _check_partition(parts)
+    return lam[0] - len(lam)
+
+
+def crank_of(parts) -> int:
+    """Largest part if no 1s occur, else (#parts greater than #1s) - #1s."""
+    lam = _check_partition(parts)
+    ones = sum(1 for p in lam if p == 1)
+    if ones == 0:
+        return lam[0]
+    return sum(1 for p in lam if p > ones) - ones
+
+
+def rank_poly_enumerated(n: int, bound: int = ENUMERATION_BOUND) -> LaurentPoly:
+    """Rank polynomial by direct enumeration (the oracle route)."""
+    if n == 0:
+        return LaurentPoly.one()
+    acc: dict[int, int] = {}
+    for lam in enumerate_partitions(n, bound):
+        r = rank_of(lam)
+        acc[r] = acc.get(r, 0) + 1
+    return LaurentPoly.from_coeff_map(acc)
+
+
+def crank_poly_enumerated(n: int, bound: int = ENUMERATION_BOUND) -> LaurentPoly:
+    """Crank polynomial by direct enumeration, corrected at n = 1."""
+    if n == 0:
+        return LaurentPoly.one()
+    if n == 1:
+        return LaurentPoly.one()
+    acc: dict[int, int] = {}
+    for lam in enumerate_partitions(n, bound):
+        c = crank_of(lam)
+        acc[c] = acc.get(c, 0) + 1
+    return LaurentPoly.from_coeff_map(acc)
+
+
+def scan_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchResult:
+    """Scan slices 1 <= n < n_hi of one weight tuple and locate the last non-unimodal one."""
+    [(bad, _)] = slice_defects([spec], n_hi, threads=1)
+    return SearchResult(spec, n_hi, bad[-1] if bad else None)
 
 
 def divides_by_division(f: LaurentPoly, g: LaurentPoly) -> bool:

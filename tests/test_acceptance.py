@@ -19,11 +19,9 @@ from crankspace.laurent import LaurentPoly
 from crankspace.partitions import (
     beta,
     crank_poly,
-    crank_poly_enumerated,
     modified_crank_poly,
     modified_rank_poly,
     rank_poly,
-    rank_poly_enumerated,
 )
 from crankspace.search import exhaustive_search
 from crankspace.verify import (
@@ -41,7 +39,13 @@ from crankspace.verify import (
     verify_rank_monotonic,
 )
 
-from helpers import TABLE1_ROWS, TABLE1_SCAN_BOUND, divides_by_division
+from helpers import (
+    TABLE1_ROWS,
+    TABLE1_SCAN_BOUND,
+    crank_poly_enumerated,
+    divides_by_division,
+    rank_poly_enumerated,
+)
 
 
 def _announce(number: int, ok: bool, detail: str) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import crankspace
-from crankspace import partitions
+from crankspace import cli, partitions
 from crankspace.cli import main
 
 VERIFY_LIST = """\
@@ -121,6 +121,19 @@ class TestQuotientCommand:
         code, _, err = run(capsys, "quotient", "--ell", "5", "--poly", "wat:xx")
         assert code == 2 and "cannot parse" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--ell", "10007", "--poly", "1"),
+        ("--ell", "5", "--poly", "z^10001 + 1"),
+    ])
+    def test_quotient_bound_is_refused_before_the_divisor(self, capsys, monkeypatch, argv):
+        calls = []
+        phi = cli.phi
+        monkeypatch.setattr(cli, "phi", lambda *args: calls.append(args) or phi(*args))
+        code, out, err = run(capsys, "quotient", *argv)
+        assert code == 2 and out == ""
+        assert "quotient bound 10001" in err
+        assert calls == []
+
 
 class TestVerifyCommand:
     def test_list_claims(self, capsys):
@@ -175,6 +188,16 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "colored-count bound" in err
         assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "thm2.2", "--n-lo", "5", "--n-max", "10"),
+        ("verify", "lem2.4", "--n-lo", "50", "--n-max", "20"),
+        ("verify", "all", "--n-lo", "5", "--n-max", "1"),
+    ])
+    def test_n_lo_is_refused_where_no_suite_reads_it(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "does not take n_lo" in err
 
     def test_unknown_claim_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "bogus-claim")

@@ -15,13 +15,12 @@ from crankspace.search import (
     crank_space,
     default_thread_count,
     exhaustive_search,
-    min_unimodal_threshold,
     results_to_csv,
     slice_defects,
 )
 from crankspace.verify import check_family_unimodality, check_first_gap_criterion
 
-from helpers import TABLE1_ROWS, TABLE1_SCAN_BOUND
+from helpers import TABLE1_ROWS, TABLE1_SCAN_BOUND, scan_threshold
 
 
 class TestCrankSpace:
@@ -52,18 +51,18 @@ class TestCrankSpace:
 
 class TestThresholdScan:
     def test_reference_spot_rows(self):
-        assert min_unimodal_threshold(CrankSpec(3, (2, 1))).threshold == 7
-        assert min_unimodal_threshold(CrankSpec(4, (4, 3))).threshold == 23
-        assert min_unimodal_threshold(CrankSpec(6, (6, 5, 3))).threshold == 32
+        assert scan_threshold(CrankSpec(3, (2, 1))).threshold == 7
+        assert scan_threshold(CrankSpec(4, (4, 3))).threshold == 23
+        assert scan_threshold(CrankSpec(6, (6, 5, 3))).threshold == 32
 
     def test_divergent_row(self):
-        res = min_unimodal_threshold(CrankSpec(3, (3, 1)))
+        res = scan_threshold(CrankSpec(3, (3, 1)))
         assert res.threshold is None
         assert not res.eventually_unimodal
         assert res.largest_nonunimodal == res.n_hi - 1 == 74
 
     def test_threshold_invariant(self):
-        res = min_unimodal_threshold(CrankSpec(3, (2, 1)), 40)
+        res = scan_threshold(CrankSpec(3, (2, 1)), 40)
         slices = dict(iter_ck_slices(res.spec, range(40)))
         m = res.threshold
         assert m == 0 or not slices[m].is_unimodal()
@@ -71,28 +70,28 @@ class TestThresholdScan:
             assert slices[n].is_unimodal()
 
     def test_zero_threshold_means_unimodal_from_the_start(self):
-        res = min_unimodal_threshold(CrankSpec(4, (2, 1)), 30)
+        res = scan_threshold(CrankSpec(4, (2, 1)), 30)
         assert res.threshold == 1
         slices = dict(iter_ck_slices(res.spec, range(30)))
         assert all(slices[n].is_unimodal() for n in range(2, 30))
 
     def test_larger_bound_never_lowers_the_threshold(self):
         spec = CrankSpec(3, (2, 1))
-        small = min_unimodal_threshold(spec, 20)
-        large = min_unimodal_threshold(spec, TABLE1_SCAN_BOUND)
+        small = scan_threshold(spec, 20)
+        large = scan_threshold(spec, TABLE1_SCAN_BOUND)
         assert small.threshold == large.threshold == 7
 
     def test_restart_can_flip_divergence_verdict(self):
         spec = CrankSpec(4, (4, 3))
-        short = min_unimodal_threshold(spec, 20)
-        full = min_unimodal_threshold(spec, TABLE1_SCAN_BOUND)
+        short = scan_threshold(spec, 20)
+        full = scan_threshold(spec, TABLE1_SCAN_BOUND)
         assert not short.eventually_unimodal  # still failing at the horizon
         assert full.eventually_unimodal and full.threshold == 23
         assert full.threshold >= short.largest_nonunimodal
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
-            min_unimodal_threshold(CrankSpec(3, (2, 1)), 1)
+            scan_threshold(CrankSpec(3, (2, 1)), 1)
         with pytest.raises(ValueError, match="n_hi"):
             slice_defects([CrankSpec(3, (2, 1))], 1)
 
@@ -134,7 +133,7 @@ class TestExhaustiveSearch:
             assert data["k"] == 3 and isinstance(data["a"], list)
 
     def test_result_json_rejects_verdicts_that_disagree(self):
-        data = min_unimodal_threshold(CrankSpec(3, (2, 1)), 20).to_json_dict()
+        data = scan_threshold(CrankSpec(3, (2, 1)), 20).to_json_dict()
         assert (data["threshold"], data["largest_nonunimodal"]) == (7, 7)
         for change in ({"threshold": 8}, {"threshold": None}, {"eventually_unimodal": False}):
             with pytest.raises(ValueError, match="disagree"):

@@ -14,8 +14,8 @@ from crankspace.partitions import (
     COLORED_K_BOUND,
     POLY_BOUND,
     BoundExceeded,
-    crank_count,
-    rank_count,
+    crank_poly,
+    rank_poly,
 )
 from crankspace.verify import (
     CLAIMS,
@@ -202,8 +202,8 @@ class TestSuitesOnSmallRanges:
         rep = verify_crank_constancy(k_max=6, n_max=40)
         assert rep.status == "pass"
         # the constants behind it: full columns at the tail
-        assert crank_count(10, 10) == 1   # k = 0: only the single-row partition
-        assert crank_count(9, 10) == 0    # k = 1: that gap is always empty
+        assert crank_poly(10).coefficient(10) == 1   # k = 0: only the single-row partition
+        assert crank_poly(10).coefficient(9) == 0    # k = 1: that gap is always empty
 
     def test_constancy_builds_each_crank_polynomial_once(self, monkeypatch):
         built = []
@@ -330,7 +330,7 @@ class TestAsymptotics:
         assert samples and isinstance(samples[0], AsymptoticSample)
         first = samples[0]
         assert first.n == 100 and first.m == 0
-        assert first.actual == rank_count(0, 100)
+        assert first.actual == rank_poly(100).coefficient(0)
         data = first.to_json_dict()
         assert set(data) >= {"n", "m", "gamma", "predicted", "actual", "rel_error"}
 
