@@ -123,7 +123,7 @@ def exact_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     glen = len(g.coeffs)
     qlen = len(f.coeffs) - glen + 1
     if qlen <= 0:
-        raise NotDivisible(f"span of {f!r} is shorter than span of {g!r}")
+        raise NotDivisible(f"span z^{f.lo}..z^{f.hi} shorter than divisor span z^{g.lo}..z^{g.hi}")
     num = list(f.coeffs)
     glead = g.coeffs[-1]
     q = [0] * qlen

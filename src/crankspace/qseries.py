@@ -22,16 +22,17 @@ only for the slices asked for, one at a time, through the single accessor
 That non-negativity enables the kernel trick used here: the z-coefficient
 vector of each q-coefficient is packed into a single big integer with a fixed
 slot width, so the inner recurrence is one bigint shift-add per (factor,
-coefficient) pair and runs at C speed.  The negative families are multiplied
-in first and the positive ones in ascending order, which keeps the integers
-short while they grow.  Slot widths are exact: at z = 1 the geometric stage
-is prod (1-q^n)^(-F), so every packed integer's slots sum to a total read off
+coefficient) pair and runs at C speed.  Every weight enters as +a and -a, so
+the product is invariant under z -> 1/z: the kernel builds only the z^e,
+e <= 0, half of each slice, with offset-free shifts, and mirrors it (see
+`_ck_slices`).  Slot widths are exact: at z = 1 the geometric stage is
+prod (1-q^n)^(-F), so every slice's coefficients sum to a total read off
 `colored_coeffs`, and a slot as wide as the largest total cannot overflow.
-Every decoded slice is checked against its total at run time (a carry
-between slots changes the sum), and a mismatch raises SlotOverflow.  Slots
-of 64 bits or fewer are widened to 64 and decoded at C speed.  Tests
+Two run-time checks certify every decoded half all the same, one against
+that total and one against the symmetry, and a failure raises SlotOverflow.
+Slots of 64 bits or fewer are widened to 64 and decoded at C speed.  Tests
 cross-check the kernel against a naive LaurentPoly-arithmetic builder and
-against enumeration.
+against a packed kernel that builds both halves of every slice.
 """
 
 from __future__ import annotations
@@ -138,58 +139,35 @@ def _slot_width(largest: int) -> int:
     return max(64, (largest.bit_length() + 7) // 8 * 8)
 
 
-def _geometric_packed(families: tuple[int, ...], amp: int, order: int, bits: int) -> list[int]:
-    """Packed product of (1 - z^a q^n)^(-1) for a in families, n in 1..order.
-
-    Entry m encodes the q^m coefficient: slot i (width `bits`) holds the
-    coefficient of z^(i - amp*m).  Requires |a| <= amp for every family so
-    slot indices stay in range; amp = 0 is the scalar case.  The product does
-    not depend on the family order, but the cost does: an integer is only as
-    long as its top non-zero slot, so passing the negative families first
-    and the positive ones in ascending order keeps the integers short.
-    """
-    ints = [0] * (order + 1)
-    ints[0] = 1
-    for a in families:
-        if abs(a) > amp:
-            raise ValueError("family exponent exceeds the slot amplitude")
-        for n in range(1, order + 1):
-            sh = bits * (a + amp * n)
-            for m in range(n, order + 1):
-                ints[m] += ints[m - n] << sh
-    return ints
-
-
-def _pentagonal_split(series: Sequence[int], m: int, terms: list[tuple[int, int]],
-                      shift: int) -> tuple[int, int]:
+def _pentagonal_split(series: Sequence[int], m: int,
+                      terms: list[tuple[int, int]]) -> tuple[int, int]:
     """The q^m coefficient of series * prod (1-q^n), as (positive, negative) parts.
 
-    Entry m - g of the series enters shifted left by shift * g bits, which
-    re-centres a packed entry (shift = slot bits * amplitude); shift 0 sums
-    plain integers.
+    Multiplying by q^g moves no z-exponent, so the entries are summed as they
+    are: plain integers, or packed ones that share one slot origin.
     """
     pos, neg = series[m], 0
     for g, sgn in terms:
         if g > m:
             break
-        term = series[m - g] << (shift * g)
         if sgn > 0:
-            pos += term
+            pos += series[m - g]
         else:
-            neg += term
+            neg += series[m - g]
     return pos, neg
 
 
-def _unpack_slots(x: int, nslots: int, bits: int, total: int) -> list[int]:
-    """The nslots slots of x, certified to sum to the exact total.
+def _unpack_half(x: int, nslots: int, bits: int, margin: int, total: int) -> list[int]:
+    """Slots margin..nslots-1 of x (z^0, z^-1, ...), certified as one half of a palindrome.
 
-    x is sum_i v_i * 2^(bits*i) for non-negative slot values v_i.  A value
-    that does not fit its slot carries into the next one, which lowers the
-    sum of the decoded slots by 2^bits - 1; so the decoded sum equals the
-    total exactly when nothing overflowed.  Otherwise, or when x does not fit
-    nslots slots at all, SlotOverflow is raised.  64-bit slots decode at C
-    speed through a machine-word view (little-endian hosts); wider ones slot
-    by slot.
+    Slot s of x holds the non-negative coefficient of z^(margin - s) of a
+    polynomial invariant under z -> 1/z.  The margin slots (z^margin..z^1)
+    must equal their mirrors, and twice the returned slots' sum less the
+    z^0 slot must be the total of all coefficients.  A value that outgrows
+    its slot carries into the next one, which breaks one check or both; a
+    failure, or x not fitting nslots >= 2*margin + 1 slots, raises
+    SlotOverflow.  64-bit slots decode at C speed through a machine-word
+    view (little-endian hosts); wider ones slot by slot.
     """
     nbytes = bits // 8
     try:
@@ -201,48 +179,68 @@ def _unpack_slots(x: int, nslots: int, bits: int, total: int) -> list[int]:
     else:
         slots = [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
                  for i in range(nslots)]
-    if sum(slots) != total:
-        raise SlotOverflow(f"{bits}-bit slots sum to {sum(slots)}, not to {total}")
-    return slots
+    half = slots[margin:]
+    if slots[margin - 1 :: -1] != half[1 : margin + 1]:
+        raise SlotOverflow(f"{bits}-bit margin slots differ from their mirrors")
+    if 2 * sum(half) - half[0] != total:
+        raise SlotOverflow(f"{bits}-bit slots sum to {2 * sum(half) - half[0]}, not to {total}")
+    return half
 
 
 def _ck_slices(a: tuple[int, ...], delta: int, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
     """Yield (m, q^m coefficient) of the colored-crank product for each m in sizes.
 
-    The product has weights a and delta copies of prod (1-q^n).  The packed
-    geometric product is built once, up to max(sizes), with the families in
-    the order -a_1..-a_r, +a_r..+a_1 (see `_geometric_packed`).  Each slice
-    then sums its own pentagonal terms (delta = 1 only) into separate
-    non-negative pos/neg packed integers, so slots never borrow.
+    The product has weights a and delta copies of prod (1-q^n).  Each weight
+    enters as (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every slice is a
+    palindrome: only its z^e, e <= 0, half is built, then mirrored.  The
+    geometric product is packed once, up to max(sizes), with slot s of
+    entry m holding the coefficient of z^(c - s), c = a_1.  The negative
+    families go in first (a_r..a_1) as ints[m] += ints[m-n] << bits*a, then
+    the positive ones (a_r..a_1) as ints[m] += ints[m-n] >> bits*a.  A
+    positive factor only raises exponents, so the right shift drops exactly
+    the terms above z^c, none of which could come back down, and no entry
+    is longer than c + a_1*m + 1 slots.  The entries share one origin, so
+    each slice sums its own pentagonal terms (delta = 1 only) unshifted into
+    separate non-negative pos/neg packed integers, and slots never borrow.
 
     Slot widths are exact: at z = 1 the geometric product is
-    prod (1-q^n)^(-F), F = 2r, so the slots of a slice's pos part sum to
-    p_F(m) plus its positive p_F(m - g) terms and those of its neg part to
-    its negative ones.  No slot exceeds its integer's total, so slots as wide
-    as the largest requested total cannot overflow; `_unpack_slots` checks
-    each decoded part against its total at run time all the same.  Weights
-    (1,) with delta 1 give the raw crank factor, whose q^n coefficient for
-    n >= 2 is the crank polynomial that `partitions.crank_poly` computes from
-    the Andrews-Garvan formula instead.
+    prod (1-q^n)^(-F), F = 2r, so the coefficients of a slice's pos part sum
+    to p_F(m) plus its positive p_F(m - g) terms and those of its neg part to
+    its negative ones; no coefficient exceeds its part's total.
+    `_unpack_half` checks each decoded part all the same: twice its half
+    less z^0 must give the total, and the margin z^1..z^c must mirror
+    z^-1..z^-c.  Weights (1,) with delta 1 give the raw crank factor, whose
+    q^n coefficient for n >= 2 is the crank polynomial that
+    `partitions.crank_poly` computes from the Andrews-Garvan formula instead.
     """
     sizes = list(sizes)
     if min(sizes, default=0) < 0:
         raise ValueError(f"slice sizes must be >= 0, got {min(sizes)}")
     order = max(sizes, default=0)
-    amp = a[0]
+    c = a[0]
     terms = _pentagonal_terms(order) if delta else []
     colored = colored_coeffs(2 * len(a), order)
-    totals = [_pentagonal_split(colored, m, terms, 0) for m in sizes]
+    totals = [_pentagonal_split(colored, m, terms) for m in sizes]
     bits = _slot_width(max((t for pair in totals for t in pair), default=0))
-    families = tuple(-aj for aj in a) + a[::-1]
-    packed = _geometric_packed(families, amp, order, bits)
+    ints = [0] * (order + 1)
+    ints[0] = 1 << (bits * c)
+    for aj in reversed(a):
+        sh = bits * aj
+        for n in range(1, order + 1):
+            for m in range(n, order + 1):
+                ints[m] += ints[m - n] << sh
+    for aj in reversed(a):
+        sh = bits * aj
+        for n in range(1, order + 1):
+            for m in range(n, order + 1):
+                ints[m] += ints[m - n] >> sh
     for m, (pos_total, neg_total) in zip(sizes, totals):
-        pos, neg = _pentagonal_split(packed, m, terms, bits * amp)
-        nslots = 2 * amp * m + 1
-        coeffs = _unpack_slots(pos, nslots, bits, pos_total)
+        pos, neg = _pentagonal_split(ints, m, terms)
+        nslots = c * (1 + max(m, 1)) + 1  # the mirrors of the margin, even at m = 0
+        half = _unpack_half(pos, nslots, bits, c, pos_total)
         if neg_total:
-            coeffs = [x - y for x, y in zip(coeffs, _unpack_slots(neg, nslots, bits, neg_total))]
-        yield m, LaurentPoly(-amp * m, coeffs)
+            half = [x - y for x, y in zip(half, _unpack_half(neg, nslots, bits, c, neg_total))]
+        yield m, LaurentPoly(1 - len(half), half[:0:-1] + half)
 
 
 # -- public slice access ------------------------------------------------------

@@ -16,13 +16,20 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import os
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import qseries
+from .partitions import BoundExceeded
 from .qseries import CrankSpec
 
 DEFAULT_SCAN_BOUND = 75
+# The largest scan `crankspace search` starts, in estimated slot operations:
+# C(k, r) weight tuples per k, each about r*N^2 shift-adds over integers of at
+# most a_1*N <= k*N slots, N = n_hi.  10^10 is a minute or so on one core of a
+# 2-core VM (1.3e8 to 2.5e8 per second, measured); `search table1` is 2.4e8.
+SCAN_WORK_BOUND = 10**10
 
 
 def default_thread_count() -> int:
@@ -117,6 +124,19 @@ def exhaustive_search(
     specs = [spec for k in range(k_lo, k_hi + 1) for spec in crank_space(k)]
     return [SearchResult(spec, n_hi, bad[-1] if bad else None)
             for spec, (bad, _) in zip(specs, slice_defects(specs, n_hi, threads))]
+
+
+def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND) -> None:
+    """Raise BoundExceeded if exhaustive_search(k_lo, k_hi, n_hi) would pass SCAN_WORK_BOUND."""
+    work = 0
+    for k in range(max(k_lo, 3), k_hi + 1):
+        r = (k + k % 2) // 2
+        # C(k, r) > 2^(k/2): any larger k is over the bound, its C(k, r) not worth computing
+        big = k > 2 * SCAN_WORK_BOUND.bit_length()
+        work += SCAN_WORK_BOUND + 1 if big else math.comb(k, r) * r * k * max(n_hi, 1) ** 3
+        if work > SCAN_WORK_BOUND:
+            raise BoundExceeded(f"search over k {k_lo}..{k_hi} below n_hi {n_hi} exceeds "
+                                f"the scan work bound {SCAN_WORK_BOUND} slot operations")
 
 
 def results_to_csv(results: Iterable[SearchResult]) -> str:

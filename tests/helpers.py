@@ -9,6 +9,9 @@ against them at small orders.  The partition-enumeration oracle
 is the direct route for rank and crank counts, exponential and bounded by
 ENUMERATION_BOUND.  packed_rank_series is the packed-bigint rank
 series, the audit route for the closed-form rank polynomials up to order 300.
+full_spectrum_slices builds the colored-crank slices on a packed kernel that
+computes both halves of every slice, the audit route for the half-spectrum
+kernel and for the z -> 1/z symmetry it relies on.
 divides_by_division is the exact-division form of the divisibility test, the
 audit route for the residue-sum criteria.  scan_threshold is one weight
 tuple's SearchResult, read off the slice scan the search uses.
@@ -20,12 +23,13 @@ table1` preset (39 rows, k = 3..6, scan bound 75) in its exact row order:
 
 from __future__ import annotations
 
-from typing import Iterator
+import sys
+from typing import Iterator, Sequence
 
 from crankspace.cyclotomic import NotDivisible, exact_quotient
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import BoundExceeded
-from crankspace.qseries import CrankSpec, _unpack_slots, colored_coeffs
+from crankspace.qseries import CrankSpec, SlotOverflow, _slot_width, colored_coeffs
 from crankspace.search import DEFAULT_SCAN_BOUND, SearchResult, slice_defects
 
 ENUMERATION_BOUND = 60
@@ -238,6 +242,100 @@ def packed_rank_series(order: int) -> list[LaurentPoly]:
         n += 1
     return [LaurentPoly(-m, _unpack_slots(acc[m], 2 * m + 1, bits, p[m]))
             for m in range(order + 1)]
+
+
+def _geometric_packed(families: tuple[int, ...], amp: int, order: int, bits: int) -> list[int]:
+    """Packed product of (1 - z^a q^n)^(-1) for a in families, n in 1..order.
+
+    Entry m encodes the q^m coefficient: slot i (width `bits`) holds the
+    coefficient of z^(i - amp*m).  Requires |a| <= amp for every family so
+    slot indices stay in range; amp = 0 is the scalar case.  The product does
+    not depend on the family order, but the cost does: an integer is only as
+    long as its top non-zero slot, so passing the negative families first
+    and the positive ones in ascending order keeps the integers short.
+    """
+    ints = [0] * (order + 1)
+    ints[0] = 1
+    for a in families:
+        if abs(a) > amp:
+            raise ValueError("family exponent exceeds the slot amplitude")
+        for n in range(1, order + 1):
+            sh = bits * (a + amp * n)
+            for m in range(n, order + 1):
+                ints[m] += ints[m - n] << sh
+    return ints
+
+
+def _pentagonal_split(series: Sequence[int], m: int, terms: list[tuple[int, int]],
+                      shift: int) -> tuple[int, int]:
+    """The q^m coefficient of series * prod (1-q^n), as (positive, negative) parts.
+
+    Entry m - g of the series enters shifted left by shift * g bits, which
+    re-centres a packed entry (shift = slot bits * amplitude); shift 0 sums
+    plain integers.
+    """
+    pos, neg = series[m], 0
+    for g, sgn in terms:
+        if g > m:
+            break
+        term = series[m - g] << (shift * g)
+        if sgn > 0:
+            pos += term
+        else:
+            neg += term
+    return pos, neg
+
+
+def _unpack_slots(x: int, nslots: int, bits: int, total: int) -> list[int]:
+    """The nslots slots of x, certified to sum to the exact total.
+
+    x is sum_i v_i * 2^(bits*i) for non-negative slot values v_i.  A value
+    that does not fit its slot carries into the next one, which lowers the
+    sum of the decoded slots by 2^bits - 1; so the decoded sum equals the
+    total exactly when nothing overflowed.  Otherwise, or when x does not fit
+    nslots slots at all, SlotOverflow is raised.  64-bit slots decode at C
+    speed through a machine-word view (little-endian hosts); wider ones slot
+    by slot.
+    """
+    nbytes = bits // 8
+    try:
+        raw = x.to_bytes(nslots * nbytes, "little")
+    except OverflowError:
+        raise SlotOverflow(f"a packed value overflows {nslots} slots of {bits} bits") from None
+    if bits == 64 and sys.byteorder == "little":
+        slots = memoryview(raw).cast("Q").tolist()
+    else:
+        slots = [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
+                 for i in range(nslots)]
+    if sum(slots) != total:
+        raise SlotOverflow(f"{bits}-bit slots sum to {sum(slots)}, not to {total}")
+    return slots
+
+
+def full_spectrum_slices(a: tuple[int, ...], delta: int, order: int) -> list[LaurentPoly]:
+    """Slices 0..order of the colored-crank product, both halves built in full.
+
+    The packed geometric product runs with the families -a_1..-a_r,
+    +a_r..+a_1 and slot i of entry m holding the coefficient of
+    z^(i - a_1*m), so every slice is read off all 2*a_1*m + 1 of its slots
+    and no symmetry is assumed.  Each decoded part is checked against its
+    exact total.
+    """
+    amp = a[0]
+    terms = pentagonal_signs(order) if delta else []
+    colored = colored_coeffs(2 * len(a), order)
+    totals = [_pentagonal_split(colored, m, terms, 0) for m in range(order + 1)]
+    bits = _slot_width(max(t for pair in totals for t in pair))
+    packed = _geometric_packed(tuple(-aj for aj in a) + a[::-1], amp, order, bits)
+    out = []
+    for m, (pos_total, neg_total) in enumerate(totals):
+        pos, neg = _pentagonal_split(packed, m, terms, bits * amp)
+        nslots = 2 * amp * m + 1
+        coeffs = _unpack_slots(pos, nslots, bits, pos_total)
+        if neg_total:
+            coeffs = [x - y for x, y in zip(coeffs, _unpack_slots(neg, nslots, bits, neg_total))]
+        out.append(LaurentPoly(-amp * m, coeffs))
+    return out
 
 
 # (k, weights, threshold or None) in the published row order, scan bound 75.

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import crankspace
-from crankspace import cli, partitions
+from crankspace import cli, partitions, search
 from crankspace.cli import main
 
 VERIFY_LIST = """\
@@ -116,6 +116,12 @@ class TestQuotientCommand:
         assert code == 0
         assert data["divisible"] is True
         assert data["quotient"] == {"lo": -4, "coeffs": ["1"]}
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_short_dividend_reports_spans_not_polynomials(self, capsys, fmt):
+        code, out, _ = run(capsys, "--format", fmt, "quotient", "--ell", "9973", "--poly", "1")
+        assert code == 0 and len(out.encode()) < 300
+        assert "z^0..z^0" in out and "z^0..z^9972" in out
 
     def test_bad_shorthand_exits_two(self, capsys):
         code, _, err = run(capsys, "quotient", "--ell", "5", "--poly", "wat:xx")
@@ -272,6 +278,18 @@ class TestSearchCommand:
     def test_invalid_range_exits_two(self, capsys):
         code, _, err = run(capsys, "search", "--k-lo", "2")
         assert code == 2 and "error" in err.lower()
+
+    @pytest.mark.parametrize("argv", [
+        ("--k-hi", "30"),
+        ("--n-hi", "100000"),
+    ])
+    def test_scan_bound_is_refused_before_any_slice(self, capsys, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(search, "slice_defects", lambda *args: calls.append(args) or [])
+        code, out, err = run(capsys, "search", *argv)
+        assert code == 2 and out == ""
+        assert "scan work bound" in err
+        assert calls == []
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_exit_two(self, capsys, threads):

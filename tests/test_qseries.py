@@ -19,14 +19,21 @@ from crankspace.qseries import (
     SlotOverflow,
     _ck_slices,
     _slot_width,
-    _unpack_slots,
+    _unpack_half,
     ak_spec,
     bk_spec,
     colored_coeffs,
     iter_ck_slices,
 )
+from crankspace.search import crank_space
 
-from helpers import naive_colored_crank, naive_crank_series, naive_rank_series, packed_rank_series
+from helpers import (
+    full_spectrum_slices,
+    naive_colored_crank,
+    naive_crank_series,
+    naive_rank_series,
+    packed_rank_series,
+)
 
 
 def slices(spec: CrankSpec, order: int) -> list[LaurentPoly]:
@@ -178,15 +185,46 @@ class TestKernelAgainstOracle:
         assert widths == [72]
 
 
+def pack(slots: list[int], bits: int = 8) -> int:
+    """Slot values (any size: an oversized one carries) as one packed integer."""
+    return sum(v << (bits * i) for i, v in enumerate(slots))
+
+
 class TestSlotCertificate:
-    @pytest.mark.parametrize("x,nslots,total", [
-        (256, 2, 256),  # slot 0 carries into slot 1
-        (1 << 16, 2, 1 << 16),  # carries out of the top slot
-        (3, 2, 4),  # decodes, but to the wrong total
-    ])
-    def test_decoded_sum_must_match_the_total(self, x, nslots, total):
+    # 8-bit slots, margin 1: slot s holds the coefficient of z^(1 - s)
+    @pytest.mark.parametrize("slots,nslots,total", [
+        ([1, 2, 1, 256, 0], 5, 516),  # z^-2 carries into z^-3
+        ([0, 0, 0, 0, 1], 4, 1),  # carries out of the top slot
+        ([1, 2, 1], 3, 5),  # decodes, but to the wrong total
+    ], ids=["carry-in-half", "carry-out-of-top", "wrong-total"])
+    def test_decoded_sum_must_match_the_total(self, slots, nslots, total):
         with pytest.raises(SlotOverflow):
-            _unpack_slots(x, nslots, 8, total)
+            _unpack_half(pack(slots), nslots, 8, 1, total)
+
+    def test_half_is_read_from_the_centre_outward(self):
+        assert _unpack_half(pack([1, 5, 1, 3]), 4, 8, 1, 13) == [5, 1, 3]
+        assert _unpack_half(pack([1, 5, 1, 3], 64), 4, 64, 1, 13) == [5, 1, 3]
+
+    def test_margin_must_mirror(self):
+        # the sum is right (2 * (5 + 1) - 5 == 7); only the mirror check sees it
+        with pytest.raises(SlotOverflow, match="mirror"):
+            _unpack_half(pack([2, 5, 1]), 3, 8, 1, 7)
+
+    @pytest.mark.parametrize("slots,total", [
+        ([256, 3, 256, 0], 515),  # z^1 carries into the centre; the margin mirrors
+        ([1, 256, 1, 0], 258),  # the centre carries out into z^-1
+    ], ids=["into-centre", "out-of-centre"])
+    def test_carry_at_the_centre(self, slots, total):
+        with pytest.raises(SlotOverflow):
+            _unpack_half(pack(slots), 4, 8, 1, total)
+
+    @pytest.mark.parametrize("spec", [CrankSpec(3, (2, 1)), CrankSpec(4, (4, 3)), bk_spec(9)],
+                             ids=lambda s: f"C{s.k}({','.join(map(str, s.a))})")
+    def test_slices_inside_the_margin(self, spec):
+        # the margin's mirrors lie past slice 0's own span and end with slice 1's
+        got = dict(iter_ck_slices(spec, [1, 0]))
+        naive = naive_colored_crank(spec.a, spec.delta, 1)
+        assert got == {0: LaurentPoly.one(), 1: naive[1]}
 
     def test_narrow_slots_raise_instead_of_yielding(self, monkeypatch):
         monkeypatch.setattr("crankspace.qseries._slot_width", lambda largest: 8)
@@ -204,6 +242,22 @@ class TestSlotCertificate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" in captured.err and "SlotOverflow" in captured.err
+
+
+# Every weight tuple with k <= 8 and the two families as far as conj1.4 and cor3.5 go.
+AUDIT_SPECS = sorted({spec for k in range(3, 9) for spec in crank_space(k)}
+                     | {ak_spec(k) for k in range(3, 13)} | {bk_spec(k) for k in range(7, 14, 2)})
+
+
+class TestFullSpectrumAudit:
+    ORDER = 40
+
+    @pytest.mark.parametrize("k", sorted({spec.k for spec in AUDIT_SPECS}))
+    def test_half_spectrum_matches_full_spectrum(self, k):
+        for spec in (s for s in AUDIT_SPECS if s.k == k):
+            full = full_spectrum_slices(spec.a, spec.delta, self.ORDER)
+            assert all(poly.is_symmetric() for poly in full), spec
+            assert slices(spec, self.ORDER) == full, spec
 
 
 class TestSliceAccess:

@@ -8,10 +8,12 @@ import multiprocessing
 import pytest
 
 from crankspace import search
+from crankspace.partitions import BoundExceeded
 from crankspace.qseries import CrankSpec, iter_ck_slices
 from crankspace.search import (
     DEFAULT_SCAN_BOUND,
     SearchResult,
+    check_scan_work,
     crank_space,
     default_thread_count,
     exhaustive_search,
@@ -112,6 +114,20 @@ class TestExhaustiveSearch:
             exhaustive_search(2, 6)
         with pytest.raises(ValueError):
             exhaustive_search(5, 4)
+
+    @pytest.mark.parametrize("ranges", [
+        {}, {"k_lo": 3, "k_hi": 4, "n_hi": 40}, {"k_lo": 7, "k_hi": 8, "n_hi": 60},
+        {"k_lo": 5, "k_hi": 4},
+    ])
+    def test_scan_bound_admits_the_documented_scans(self, ranges):
+        check_scan_work(**ranges)
+
+    @pytest.mark.parametrize("ranges", [
+        {"k_hi": 30}, {"n_hi": 100000}, {"k_lo": 10**9, "k_hi": 10**9}, {"k_lo": 3, "k_hi": 10**18},
+    ])
+    def test_scan_bound_refuses_large_scans(self, ranges):
+        with pytest.raises(BoundExceeded, match="scan work bound"):
+            check_scan_work(**ranges)
 
     def test_worker_count_does_not_change_results(self):
         serial = exhaustive_search(3, 4, n_hi=40, threads=1)
