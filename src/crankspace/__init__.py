@@ -9,7 +9,6 @@ scope, and an exhaustive threshold search over colored-crank weight tuples.
 """
 
 from .cyclotomic import (
-    Modulus,
     NotDivisible,
     divides_negated,
     divides_standard,
@@ -79,7 +78,6 @@ __all__ = [
     "InvalidEll",
     "InvalidK",
     "LaurentPoly",
-    "Modulus",
     "NotDivisible",
     "Report",
     "SearchResult",

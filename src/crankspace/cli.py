@@ -11,8 +11,8 @@ Subcommands:
 Output formats: text (default), json, csv.  Exit codes: 0 = computed or all
 claims passed (partial counts as passing: the claim held in its stated
 range), 1 = a checked claim failed, 2 = usage error, 3 = internal fault
-(traceback on stderr).  Worker count comes from --threads, else the
-CRANKSPACE_THREADS variable, else the CPU count; it never changes output bytes.
+(traceback on stderr).  Worker count comes from --threads, else the CPU
+count; it never changes output bytes.
 """
 
 from __future__ import annotations
@@ -191,8 +191,6 @@ def _cmd_search(args, out) -> int:
 
 
 def _cmd_colored(args, out) -> int:
-    if args.what != "pk":
-        raise UsageError(f"unknown colored computation {args.what!r}")
     if args.k < 1 or args.n < 0:
         raise UsageError("colored pk needs --k >= 1 and --n >= 0")
     value = partitions.colored_count(args.k, args.n)
@@ -241,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format (default text)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (>= 1) for search-backed commands "
-                             "(default: CRANKSPACE_THREADS or CPU count)")
+                        help="worker count (>= 1) for search-backed commands (default: CPU count)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="print a rank/crank polynomial")

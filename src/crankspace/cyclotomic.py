@@ -11,8 +11,6 @@ mod ell, which is how partition congruences surface at the polynomial level.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .laurent import LaurentPoly
 
 VARIANTS = ("standard", "squared", "negated")
@@ -33,20 +31,15 @@ def _is_odd_prime(n: int) -> bool:
     return True
 
 
-class Modulus(NamedTuple("Modulus", [("ell", int), ("variant", str)])):
-    """A cyclotomic divisor choice: Phi_ell of z, z^2 or -z."""
-
-    __slots__ = ()
-
-    def __new__(cls, ell: int, variant: str = "standard"):
-        if not _is_odd_prime(ell):
-            raise ValueError(f"ell must be an odd prime, got {ell}")
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        return super().__new__(cls, ell, variant)
+def _check_modulus(ell: int, variant: str = "standard") -> None:
+    """Refuse a cyclotomic divisor choice other than Phi_ell of z, z^2 or -z, ell an odd prime."""
+    if not _is_odd_prime(ell):
+        raise ValueError(f"ell must be an odd prime, got {ell}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def phi(modulus: Modulus | int, variant: str = "standard") -> LaurentPoly:
+def phi(ell: int, variant: str = "standard") -> LaurentPoly:
     """The chosen cyclotomic polynomial as a LaurentPoly.
 
     >>> str(phi(3))
@@ -54,12 +47,10 @@ def phi(modulus: Modulus | int, variant: str = "standard") -> LaurentPoly:
     >>> str(phi(3, "negated"))
     '1*z^0 - 1*z^1 + 1*z^2'
     """
-    if isinstance(modulus, int):
-        modulus = Modulus(modulus, variant)
-    ell = modulus.ell
-    if modulus.variant == "standard":
+    _check_modulus(ell, variant)
+    if variant == "standard":
         return LaurentPoly(0, (1,) * ell)
-    if modulus.variant == "squared":
+    if variant == "squared":
         return LaurentPoly(0, (1,) * ell).substitute_power(2)
     return LaurentPoly(0, tuple((-1) ** i for i in range(ell)))
 
@@ -83,7 +74,7 @@ def divides_standard(f: LaurentPoly, ell: int) -> bool:
 
     Phi_ell | f iff all ell residue-class sums of f mod ell are equal.
     """
-    Modulus(ell)
+    _check_modulus(ell)
     sums = hat_sums(f, ell)
     return all(s == sums[ell - 1] for s in sums)
 
@@ -94,7 +85,7 @@ def divides_negated(f: LaurentPoly, ell: int) -> bool:
     Phi_ell(-z) | f iff the alternating differences
     (-1)^r * (hat(f, r, 2*ell) - hat(f, r + ell, 2*ell)) agree for all r.
     """
-    Modulus(ell)
+    _check_modulus(ell)
     sums = hat_sums(f, 2 * ell)
     target = sums[ell - 1] - sums[2 * ell - 1]
     for r in range(ell - 1):

@@ -261,8 +261,6 @@ def iter_ck_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int,
 
 def ak_spec(k: int) -> CrankSpec:
     """The first distinguished family: weights (m+1, m, ..., 3, 2), m = (k+d)/2."""
-    if k < 3:
-        raise InvalidK(f"k must be >= 3, got {k}")
     m = (k + k % 2) // 2
     return CrankSpec(k, tuple(range(m + 1, 1, -1)))
 

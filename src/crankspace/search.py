@@ -32,17 +32,6 @@ DEFAULT_SCAN_BOUND = 75
 SCAN_WORK_BOUND = 10**10
 
 
-def default_thread_count() -> int:
-    """Worker count: the CRANKSPACE_THREADS variable, else the CPU count."""
-    env = os.environ.get("CRANKSPACE_THREADS", "")
-    if env.strip():
-        count = int(env)
-        if count < 1:
-            raise ValueError(f"CRANKSPACE_THREADS must be >= 1, got {env!r}")
-        return count
-    return os.cpu_count() or 1
-
-
 class SearchResult(NamedTuple):
     """What one weight tuple's unimodality scan below n_hi found.
 
@@ -97,10 +86,9 @@ def crank_space(k: int) -> Iterator[CrankSpec]:
 
 
 def _pool_map(fn, tasks: list, threads: int | None) -> list:
-    """Map fn over tasks in order, on min(threads, len(tasks), CPU count) workers."""
-    if threads is None:
-        threads = default_thread_count()
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    """Map fn over tasks in order, on min(threads, len(tasks), CPU count) workers (None: all CPUs)."""
+    cpus = os.cpu_count() or 1
+    workers = min(cpus if threads is None else threads, len(tasks), cpus)
     if workers <= 1:
         return [fn(t) for t in tasks]
     import multiprocessing  # here, not at the top: its import is a large share of a cold start
@@ -123,7 +111,7 @@ def exhaustive_search(
         raise ValueError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     specs = [spec for k in range(k_lo, k_hi + 1) for spec in crank_space(k)]
     return [SearchResult(spec, n_hi, bad[-1] if bad else None)
-            for spec, (bad, _) in zip(specs, slice_defects(specs, n_hi, threads))]
+            for spec, bad in zip(specs, slice_defects(specs, n_hi, threads))]
 
 
 def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND) -> None:
@@ -150,25 +138,18 @@ def results_to_csv(results: Iterable[SearchResult]) -> str:
     return buf.getvalue()
 
 
-def _defects_task(task: tuple[CrankSpec, int]) -> tuple[list[int], list[int]]:
+def _defects_task(task: tuple[CrankSpec, int]) -> list[int]:
     spec, n_hi = task
-    bad, asymmetric = [], []
-    for n, f in qseries.iter_ck_slices(spec, range(1, n_hi)):
-        if not f.is_unimodal():
-            bad.append(n)
-        if not f.is_symmetric():
-            asymmetric.append(n)
-    return bad, asymmetric
+    return [n for n, f in qseries.iter_ck_slices(spec, range(1, n_hi)) if not f.is_unimodal()]
 
 
-def slice_defects(
-    specs: Iterable[CrankSpec], n_hi: int, threads: int | None = None
-) -> list[tuple[list[int], list[int]]]:
-    """Per weight tuple, its non-unimodal and its asymmetric n in 1 <= n < n_hi.
+def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = None) -> list[list[int]]:
+    """Per weight tuple, its non-unimodal n in 1 <= n < n_hi.
 
-    The one slice scan: exhaustive_search reads its thresholds from the
-    non-unimodal lists.  Results follow the order of `specs`, whatever the
-    worker count.
+    The one slice scan: exhaustive_search reads its thresholds from these
+    lists, check_family_unimodality its defects.  Slices need no symmetry
+    check: the kernel builds each one as a mirrored half.
+    Results follow the order of `specs`, whatever the worker count.
     """
     if n_hi < 2:
         raise ValueError(f"n_hi must be >= 2, got {n_hi}")

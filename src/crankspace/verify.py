@@ -532,7 +532,7 @@ def check_family_unimodality(
     Kind A is scanned for every k in [k_lo, k_hi] with onset 15; kind B for
     odd k >= 7 with onset 24.  Non-unimodal slices at or above the onset are
     violations; below-onset ones are expected for small sizes and are
-    tallied in the range note.  Slices must be symmetric outright.
+    tallied in the range note.
     """
     if not 3 <= k_lo <= k_hi:
         raise ValueError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
@@ -542,14 +542,12 @@ def check_family_unimodality(
     specs = [_family_spec(kind, k) for kind, k in families]
     violations: list[Counterexample] = []
     below_notes: list[str] = []
-    for (kind, k), (bad, asymmetric) in zip(families, search.slice_defects(specs, n_hi, threads)):
+    for (kind, k), bad in zip(families, search.slice_defects(specs, n_hi, threads)):
         onset = FAMILY_A_ONSET if kind == "A" else FAMILY_B_ONSET
         below = [n for n in bad if n < onset]
         for n in bad:
             if n >= onset:
                 violations.append(_violation("not-unimodal", kind=kind, k=k, n=n))
-        for n in asymmetric:
-            violations.append(_violation("not-symmetric", kind=kind, k=k, n=n))
         if below:
             below_notes.append(f"{kind}{k} at {below}")
     note = (

@@ -122,7 +122,7 @@ def crank_poly_enumerated(n: int, bound: int = ENUMERATION_BOUND) -> LaurentPoly
 
 def scan_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchResult:
     """Scan slices 1 <= n < n_hi of one weight tuple and locate the last non-unimodal one."""
-    [(bad, _)] = slice_defects([spec], n_hi, threads=1)
+    [bad] = slice_defects([spec], n_hi, threads=1)
     return SearchResult(spec, n_hi, bad[-1] if bad else None)
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import crankspace.cyclotomic
 from crankspace.cyclotomic import (
     VARIANTS,
-    Modulus,
     NotDivisible,
     divides_negated,
     divides_standard,
@@ -52,9 +51,6 @@ class TestPhi:
         for ell in PRIMES:
             assert phi(ell, "squared") == phi(ell) * phi(ell, "negated")
 
-    def test_accepts_modulus_object(self):
-        assert phi(Modulus(7, "negated")) == phi(7, "negated")
-
     @pytest.mark.parametrize("bad", [2, 4, 6, 9, 15, -5, 1, 0])
     def test_rejects_non_odd_prime(self, bad):
         with pytest.raises(ValueError):
@@ -65,7 +61,7 @@ class TestPhi:
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
-            Modulus(5, "cubed")
+            phi(5, "cubed")
         assert VARIANTS == ("standard", "squared", "negated")
 
 

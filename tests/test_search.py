@@ -15,7 +15,6 @@ from crankspace.search import (
     SearchResult,
     check_scan_work,
     crank_space,
-    default_thread_count,
     exhaustive_search,
     results_to_csv,
     slice_defects,
@@ -178,19 +177,6 @@ class TestCriteria:
 
 
 class TestThreadConfig:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CRANKSPACE_THREADS", "3")
-        assert default_thread_count() == 3
-
-    def test_env_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("CRANKSPACE_THREADS", "0")
-        with pytest.raises(ValueError):
-            default_thread_count()
-
-    def test_fallback_is_positive(self, monkeypatch):
-        monkeypatch.delenv("CRANKSPACE_THREADS", raising=False)
-        assert default_thread_count() >= 1
-
     def test_pool_size_is_capped_at_cpu_count(self, monkeypatch):
         requested = []
 
@@ -211,4 +197,5 @@ class TestThreadConfig:
         monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
         assert search._pool_map(abs, list(range(-8, 0)), threads=64) == list(range(8, 0, -1))
         assert search._pool_map(abs, [-1, -2], threads=64) == [1, 2]
-        assert requested == [3, 2]
+        assert search._pool_map(abs, list(range(-8, 0)), threads=None) == list(range(8, 0, -1))
+        assert requested == [3, 2, 3]
