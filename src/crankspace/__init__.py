@@ -16,7 +16,7 @@ from .cyclotomic import (
     hat_sums,
     phi,
 )
-from .laurent import LaurentPoly
+from .laurent import CrankspaceError, LaurentPoly
 from .partitions import (
     BoundExceeded,
     InvalidEll,
@@ -73,6 +73,7 @@ __all__ = [
     "CongruenceCase",
     "Counterexample",
     "CrankSpec",
+    "CrankspaceError",
     "HypothesisViolation",
     "InvalidCase",
     "InvalidEll",

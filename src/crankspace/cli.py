@@ -10,9 +10,10 @@ Subcommands:
 
 Output formats: text (default), json, csv.  Exit codes: 0 = computed or all
 claims passed (partial counts as passing: the claim held in its stated
-range), 1 = a checked claim failed, 2 = usage error, 3 = internal fault
-(traceback on stderr).  Worker count comes from --threads, else the CPU
-count; it never changes output bytes.
+range), 1 = a checked claim failed, 2 = usage error (a CrankspaceError),
+3 = internal fault (any other exception, a plain ValueError included;
+traceback on stderr).  Worker count comes from --threads, else the CPU count;
+it never changes output bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from . import partitions, search, verify
 from .cyclotomic import NotDivisible, exact_quotient, phi
-from .laurent import LaurentPoly
+from .laurent import CrankspaceError, LaurentPoly
 
 _POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
 # No polynomial a shorthand builds spans more than 2 * POLY_BOUND + 1 exponents
@@ -34,7 +35,7 @@ _POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
 QUOTIENT_BOUND = 2 * partitions.POLY_BOUND + 1
 
 
-class UsageError(ValueError):
+class UsageError(CrankspaceError):
     pass
 
 
@@ -122,7 +123,7 @@ def _parse_poly_arg(text: str) -> LaurentPoly:
         return builder(first, int(second))
     try:
         terms = LaurentPoly._parse_terms(text)
-    except ValueError as exc:
+    except CrankspaceError as exc:
         raise UsageError(f"cannot parse polynomial {text!r}: {exc}") from exc
     exponents = [e for e, c in terms.items() if c]
     if exponents and max(exponents) - min(exponents) >= QUOTIENT_BOUND:
@@ -301,7 +302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.threads is not None and args.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")
         return HANDLERS[args.command](args, sys.stdout)
-    except ValueError as exc:
+    except CrankspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -11,7 +11,7 @@ mod ell, which is how partition congruences surface at the polynomial level.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly
+from .laurent import CrankspaceError, LaurentPoly
 
 VARIANTS = ("standard", "squared", "negated")
 
@@ -34,9 +34,9 @@ def _is_odd_prime(n: int) -> bool:
 def _check_modulus(ell: int, variant: str = "standard") -> None:
     """Refuse a cyclotomic divisor choice other than Phi_ell of z, z^2 or -z, ell an odd prime."""
     if not _is_odd_prime(ell):
-        raise ValueError(f"ell must be an odd prime, got {ell}")
+        raise CrankspaceError(f"ell must be an odd prime, got {ell}")
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        raise CrankspaceError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 def phi(ell: int, variant: str = "standard") -> LaurentPoly:
@@ -62,7 +62,7 @@ def hat_sums(f: LaurentPoly, m: int) -> list[int]:
     [3, 4, 5, 1, 2]
     """
     if m < 1:
-        raise ValueError("modulus must be >= 1")
+        raise CrankspaceError("modulus must be >= 1")
     sums = [0] * m
     for i, c in enumerate(f.coeffs):
         sums[(f.lo + i) % m] += c

@@ -16,6 +16,14 @@ import re
 from typing import Iterable, Mapping
 
 
+class CrankspaceError(ValueError):
+    """A request the package refuses: bad arguments, or work past a bound.
+
+    Every deliberate refusal in the package raises one of these, so a plain
+    ValueError escaping it is a fault, not a usage error.
+    """
+
+
 class LaurentPoly:
     """A Laurent polynomial sum(coeffs[i] * z^(lo+i)).
 
@@ -164,7 +172,7 @@ class LaurentPoly:
         LaurentPoly('1*z^-2 + 1*z^0 + 1*z^2')
         """
         if t < 1:
-            raise ValueError("substitution power must be >= 1")
+            raise CrankspaceError("substitution power must be >= 1")
         if self.is_zero() or t == 1:
             return self
         cs = [0] * ((len(self.coeffs) - 1) * t + 1)
@@ -252,17 +260,17 @@ class LaurentPoly:
         """
         s = text.strip()
         if not s:
-            raise ValueError("empty polynomial text")
+            raise CrankspaceError("empty polynomial text")
         acc: dict[int, int] = {}
         pos = 0
         first = True
         while pos < len(s):
             m = cls._TERM.match(s, pos)
             if not m or m.end() == pos:
-                raise ValueError(f"cannot parse polynomial text at position {pos}: {s!r}")
+                raise CrankspaceError(f"cannot parse polynomial text at position {pos}: {s!r}")
             sign = -1 if m.group("sign") == "-" else 1
             if not first and m.group("sign") == "":
-                raise ValueError(f"missing sign between terms in {s!r}")
+                raise CrankspaceError(f"missing sign between terms in {s!r}")
             if m.group("coeff") is not None:
                 c, e = int(m.group("coeff")), int(m.group("exp"))
             elif m.group("conly") is not None:

@@ -28,7 +28,7 @@ import math
 
 from . import qseries
 from .cyclotomic import _is_odd_prime
-from .laurent import LaurentPoly
+from .laurent import CrankspaceError, LaurentPoly
 
 POLY_BOUND = 5000
 # p_k(n) builds one table of n + 1 entries for every k' <= k, each entry a sum
@@ -39,11 +39,11 @@ COLORED_K_BOUND = 1000
 COLORED_WORK_BOUND = 5_000_000
 
 
-class BoundExceeded(ValueError):
+class BoundExceeded(CrankspaceError):
     """Raised when a requested size is beyond the configured safety bound."""
 
 
-class InvalidEll(ValueError):
+class InvalidEll(CrankspaceError):
     """Raised for progression moduli outside the supported primes."""
 
 
@@ -70,7 +70,7 @@ def _closed_form_poly(n: int, s: int) -> LaurentPoly:
 
 def _check_size(n: int) -> None:
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise CrankspaceError("n must be >= 0")
     if n > POLY_BOUND:
         raise BoundExceeded(f"n={n} exceeds the polynomial size bound {POLY_BOUND}")
 
@@ -93,13 +93,13 @@ def crank_poly(n: int) -> LaurentPoly:
 def partition_count(n: int) -> int:
     """p(n), exactly."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise CrankspaceError("n must be >= 0")
     return qseries.colored_coeffs(1, n)[n]
 
 
 def _check_colored(k: int, n: int) -> None:
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise CrankspaceError("n must be >= 0")
     if k > COLORED_K_BOUND or k * n * math.isqrt(n) > COLORED_WORK_BOUND:
         raise BoundExceeded(
             f"p_{k}({n}) exceeds the colored-count bound: k <= {COLORED_K_BOUND} "
@@ -145,7 +145,7 @@ def modified_rank_poly(ell: int, n: int) -> LaurentPoly:
     if ell not in (5, 7):
         raise InvalidEll(f"modified rank polynomials are defined for ell in {{5, 7}}, got {ell}")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise CrankspaceError("n must be >= 0")
     N = ell * n + beta(ell)
     f = rank_poly(N)
     for e, c in ((N - 2, 1), (N - 1, -1), (2 - N, 1), (1 - N, -1)):
@@ -162,7 +162,7 @@ def modified_crank_poly(ell: int, n: int) -> LaurentPoly:
     if ell not in (5, 7, 11):
         raise InvalidEll(f"modified crank polynomials are defined for ell in {{5, 7, 11}}, got {ell}")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise CrankspaceError("n must be >= 0")
     N = ell * n + beta(ell)
     f = crank_poly(N)
     for e, c in ((N - ell, 1), (N, -1), (ell - N, 1), (-N, -1)):

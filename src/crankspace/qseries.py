@@ -40,10 +40,10 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .laurent import LaurentPoly
+from .laurent import CrankspaceError, LaurentPoly
 
 
-class InvalidK(ValueError):
+class InvalidK(CrankspaceError):
     """Raised for colored-crank parameters outside the supported family."""
 
 
@@ -102,9 +102,9 @@ def colored_coeffs(k: int, order: int) -> tuple[int, ...]:
     sparse pass per color, with a module-level cache that extends in place.
     """
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise CrankspaceError("k must be >= 0")
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise CrankspaceError("order must be >= 0")
     for kk in range(0, k + 1):
         cur = _COLORED_CACHE.setdefault(kk, [1])
         if len(cur) > order:
@@ -215,7 +215,7 @@ def _ck_slices(a: tuple[int, ...], delta: int, sizes: Iterable[int]) -> Iterator
     """
     sizes = list(sizes)
     if min(sizes, default=0) < 0:
-        raise ValueError(f"slice sizes must be >= 0, got {min(sizes)}")
+        raise CrankspaceError(f"slice sizes must be >= 0, got {min(sizes)}")
     order = max(sizes, default=0)
     c = a[0]
     terms = _pentagonal_terms(order) if delta else []
@@ -254,7 +254,7 @@ def iter_ck_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int,
     packed geometric product stays resident (O(k * a_1 * max(sizes))
     integers of machine size); the pentagonal sum and the unpacking are done
     per requested slice, so skipped sizes cost nothing and the dense
-    polynomials never all coexist.  Negative sizes raise ValueError.
+    polynomials never all coexist.  Negative sizes raise CrankspaceError.
     """
     yield from _ck_slices(spec.a, spec.delta, sizes)
 

@@ -21,14 +21,14 @@ import os
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import qseries
+from .laurent import CrankspaceError
 from .partitions import BoundExceeded
 from .qseries import CrankSpec
 
 DEFAULT_SCAN_BOUND = 75
-# The largest scan `crankspace search` starts, in estimated slot operations:
-# C(k, r) weight tuples per k, each about r*N^2 shift-adds over integers of at
-# most a_1*N <= k*N slots, N = n_hi.  10^10 is a minute or so on one core of a
-# 2-core VM (1.3e8 to 2.5e8 per second, measured); `search table1` is 2.4e8.
+# The largest slice scan the package starts, in estimated slot operations (see
+# _tuple_work).  10^10 is a minute or so on one core of a 2-core VM (1.3e8 to
+# 2.5e8 per second, measured); `search table1` is 2.4e8.
 SCAN_WORK_BOUND = 10**10
 
 
@@ -66,11 +66,11 @@ class SearchResult(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> SearchResult:
-        """Read a result back; raise ValueError if its verdicts disagree with its scan."""
+        """Read a result back; raise CrankspaceError if its verdicts disagree with its scan."""
         result = cls(CrankSpec(data["k"], tuple(data["a"])), data["n_hi"],
                      data["largest_nonunimodal"])
         if any(data[key] != getattr(result, key) for key in ("threshold", "eventually_unimodal")):
-            raise ValueError(f"verdicts disagree with largest_nonunimodal in {dict(data)}")
+            raise CrankspaceError(f"verdicts disagree with largest_nonunimodal in {dict(data)}")
         return result
 
 
@@ -108,23 +108,39 @@ def exhaustive_search(
     crank_space; the order and content do not depend on the worker count.
     """
     if not 3 <= k_lo <= k_hi:
-        raise ValueError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
+        raise CrankspaceError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     specs = [spec for k in range(k_lo, k_hi + 1) for spec in crank_space(k)]
     return [SearchResult(spec, n_hi, bad[-1] if bad else None)
             for spec, bad in zip(specs, slice_defects(specs, n_hi, threads))]
 
 
+def _tuple_work(r: int, a1: int, order: int) -> int:
+    # packing one tuple to q^N: about r*N^2 shift-adds over integers of at most a_1*N slots
+    return r * a1 * max(order, 1) ** 3
+
+
+def _check_work(work: int, request: str) -> None:
+    if work > SCAN_WORK_BOUND:
+        raise BoundExceeded(f"{request} exceeds the scan work bound {SCAN_WORK_BOUND} slot operations")
+
+
+def check_slice_work(specs: Iterable[CrankSpec], order: int, request: str) -> None:
+    """Raise BoundExceeded if packing every spec's product to q^order would pass SCAN_WORK_BOUND."""
+    _check_work(sum(_tuple_work(len(s.a), s.a[0], order) for s in specs), request)
+
+
 def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND) -> None:
-    """Raise BoundExceeded if exhaustive_search(k_lo, k_hi, n_hi) would pass SCAN_WORK_BOUND."""
+    """Raise BoundExceeded if exhaustive_search(k_lo, k_hi, n_hi) would pass SCAN_WORK_BOUND.
+
+    Each k counts C(k, r) weight tuples at a_1 <= k, to order n_hi.
+    """
     work = 0
     for k in range(max(k_lo, 3), k_hi + 1):
         r = (k + k % 2) // 2
         # C(k, r) > 2^(k/2): any larger k is over the bound, its C(k, r) not worth computing
         big = k > 2 * SCAN_WORK_BOUND.bit_length()
-        work += SCAN_WORK_BOUND + 1 if big else math.comb(k, r) * r * k * max(n_hi, 1) ** 3
-        if work > SCAN_WORK_BOUND:
-            raise BoundExceeded(f"search over k {k_lo}..{k_hi} below n_hi {n_hi} exceeds "
-                                f"the scan work bound {SCAN_WORK_BOUND} slot operations")
+        work += SCAN_WORK_BOUND + 1 if big else math.comb(k, r) * _tuple_work(r, k, n_hi)
+        _check_work(work, f"search over k {k_lo}..{k_hi} below n_hi {n_hi}")
 
 
 def results_to_csv(results: Iterable[SearchResult]) -> str:
@@ -152,5 +168,5 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     Results follow the order of `specs`, whatever the worker count.
     """
     if n_hi < 2:
-        raise ValueError(f"n_hi must be >= 2, got {n_hi}")
+        raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
     return _pool_map(_defects_task, [(spec, n_hi) for spec in specs], threads)

@@ -34,18 +34,18 @@ from .cyclotomic import (
     hat_sums,
     phi,
 )
-from .laurent import LaurentPoly
+from .laurent import CrankspaceError, LaurentPoly
 
 RANK_MONOTONE_ONSET = 39
 CRANK_UNIMODAL_ONSET = 44
 FAMILY_A_ONSET = 15
 FAMILY_B_ONSET = 24
 
-class InvalidCase(ValueError):
+class InvalidCase(CrankspaceError):
     """Raised for congruence-case parameters the hypotheses do not admit."""
 
 
-class HypothesisViolation(ValueError):
+class HypothesisViolation(CrankspaceError):
     """Raised when a suite is invoked outside its claim's hypotheses."""
 
 
@@ -94,7 +94,7 @@ class Report(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> Report:
-        """Read a report back; raise ValueError if its status disagrees with its findings."""
+        """Read a report back; raise CrankspaceError if its status disagrees with its findings."""
         report = cls(
             data["claim_id"],
             data["range"],
@@ -102,7 +102,7 @@ class Report(NamedTuple):
             float(data["elapsed_s"]),
         )
         if data["status"] != report.status:
-            raise ValueError(f"status {data['status']!r} disagrees with the counterexamples")
+            raise CrankspaceError(f"status {data['status']!r} disagrees with the counterexamples")
         return report
 
 
@@ -457,6 +457,19 @@ def _check_family_hypotheses(kind: str, case: CongruenceCase) -> int:
     raise HypothesisViolation(f"kind must be 'A' or 'B', got {kind!r}")
 
 
+def _quotient_plan(kind: str, case: CongruenceCase, n_max: int | None):
+    """(onset, spec, sizes) of a cor3.5 instance; refuse a scan past SCAN_WORK_BOUND."""
+    onset = _check_family_hypotheses(kind, case)
+    spec = _family_spec(kind, case.k)
+    if n_max is None:
+        n_max = (300 - case.delta) // case.ell
+    if n_max < 0:
+        raise CrankspaceError(f"n_max must be >= 0, got {n_max}")
+    top = case.ell * n_max + case.delta
+    search.check_slice_work([spec], top, f"a scan of the {kind}-k{case.k} product to size {top}")
+    return onset, spec, range(case.delta, top + 1, case.ell)
+
+
 def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None = None) -> Report:
     """Cyclotomic divisibility of progression slices of a distinguished family.
 
@@ -467,14 +480,8 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
     non-unimodal slices are expected for some small sizes; they are tallied
     in the range note rather than reported as counterexamples.
     """
-    onset = _check_family_hypotheses(kind, case)
-    spec = _family_spec(kind, case.k)
-    if n_max is None:
-        n_max = (300 - case.delta) // case.ell
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    onset, spec, sizes = _quotient_plan(kind, case, n_max)
     t0 = time.perf_counter()
-    sizes = [case.ell * n + case.delta for n in range(n_max + 1)]
     slices = (({"n": n, "size": size}, size, f)
               for n, (size, f) in enumerate(qseries.iter_ck_slices(spec, sizes)))
     violations, wobbles, negatives = _check_slices(slices, case.ell, onset, onset)
@@ -521,6 +528,17 @@ def check_first_gap_criterion(results: Iterable[search.SearchResult]) -> Report:
     return _report("conj4.2", note, violations, [], t0)
 
 
+def _family_plan(k_lo: int = 3, k_hi: int = 12, n_hi: int = 100):
+    """The (kind, k) families a conj1.4 scan checks, and their specs; refuse a scan past the bound."""
+    if not 3 <= k_lo <= k_hi:
+        raise CrankspaceError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
+    families = [("A", k) for k in range(k_lo, k_hi + 1)]
+    families += [("B", k) for k in range(max(k_lo, 7), k_hi + 1) if k % 2]
+    specs = [_family_spec(kind, k) for kind, k in families]
+    search.check_slice_work(specs, n_hi - 1, f"family scan over k {k_lo}..{k_hi} below n_hi {n_hi}")
+    return families, specs
+
+
 def check_family_unimodality(
     k_lo: int = 3,
     k_hi: int = 12,
@@ -534,12 +552,8 @@ def check_family_unimodality(
     violations; below-onset ones are expected for small sizes and are
     tallied in the range note.
     """
-    if not 3 <= k_lo <= k_hi:
-        raise ValueError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
+    families, specs = _family_plan(k_lo, k_hi, n_hi)
     t0 = time.perf_counter()
-    families = [("A", k) for k in range(k_lo, k_hi + 1)]
-    families += [("B", k) for k in range(max(k_lo, 7), k_hi + 1) if k % 2]
-    specs = [_family_spec(kind, k) for kind, k in families]
     violations: list[Counterexample] = []
     below_notes: list[str] = []
     for (kind, k), bad in zip(families, search.slice_defects(specs, n_hi, threads)):
@@ -586,7 +600,7 @@ def rank_asymptotic_samples(n: int, m_values: Iterable[int] | None = None) -> li
     inexact computation.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise CrankspaceError("n must be >= 1")
     gamma = math.pi / math.sqrt(6 * n)
     window = math.sqrt(n) * math.log(n) / (math.pi * math.sqrt(6))
     if m_values is None:
@@ -601,7 +615,7 @@ def rank_asymptotic_samples(n: int, m_values: Iterable[int] | None = None) -> li
             predicted = (gamma / 4.0) * sech * sech * pn
             rel = abs(actual - predicted) / predicted
         except (OverflowError, ZeroDivisionError):
-            raise ValueError(f"m={m} is out of reach at n={n}: the prediction is 0") from None
+            raise CrankspaceError(f"m={m} is out of reach at n={n}: the prediction is 0") from None
         samples.append(
             AsymptoticSample(n, m, gamma, predicted, actual, rel, abs(m) > window)
         )
@@ -620,8 +634,9 @@ class Claim(NamedTuple):
     answers to `<id>-ell<L>`, or else `instances`.  A pattern entry answers
     to every id `parse` turns into an instance.  n_min is the smallest n_max
     whose range is not empty.  check(instance, n_max), if given, raises
-    ValueError where the suite would refuse that instance.  takes_n_lo marks
-    the entries whose suite reads n_lo; the others refuse one.
+    CrankspaceError where the suite would refuse that instance, before any
+    work; every entry that reads n_max has one.  takes_n_lo marks the entries
+    whose suite reads n_lo; the others refuse one.
     """
 
     claim_id: str
@@ -639,6 +654,20 @@ class Claim(NamedTuple):
 def _given(**kwargs) -> dict:
     """The keyword arguments that are not None, so a suite keeps its default."""
     return {key: value for key, value in kwargs.items() if value is not None}
+
+
+def _check_top_size(n_max: int | None, step: int = 1, offset: int = 0) -> None:
+    """Refuse a suite whose largest size, step*n_max + offset, is past POLY_BOUND.
+
+    n_max None keeps the suite's default, which is admitted.
+    """
+    if n_max is not None:
+        partitions._check_size(step * n_max + offset)
+
+
+def _n_hi(n_max: int | None) -> dict:
+    """The scan bound a family or tuple scan takes for n_max: slices n <= n_max."""
+    return _given(n_hi=None if n_max is None else n_max + 1)
 
 
 def _thm12_instance(claim_id: str) -> CongruenceCase | None:
@@ -667,18 +696,22 @@ def _cor35_instance(claim_id: str) -> tuple[str, CongruenceCase] | None:
 CLAIMS: tuple[Claim, ...] = (
     Claim("conj1.1-part1", "modified rank: cyclotomic quotient non-negative (ell=5,7)",
           lambda ell, n_max, n_lo, threads: verify_modified_rank(ell, **_given(n_max=n_max)),
-          ells=(5, 7)),
+          ells=(5, 7), check=lambda ell, n_max: _check_top_size(n_max, ell, partitions.beta(ell))),
     Claim("conj1.1-part2", "crank at 5n+4: quotient by squared-argument divisor non-negative",
-          lambda _, n_max, n_lo, threads: verify_crank_squared(**_given(n_max=n_max))),
+          lambda _, n_max, n_lo, threads: verify_crank_squared(**_given(n_max=n_max)),
+          check=lambda _, n_max: _check_top_size(n_max, 5, 4)),
     Claim("conj1.1-part3", "modified crank: cyclotomic quotient non-negative (ell=5,7,11)",
-          lambda ell, n_max, n_lo, threads: verify_modified_crank(ell, n_max), ells=(5, 7, 11)),
+          lambda ell, n_max, n_lo, threads: verify_modified_crank(ell, n_max), ells=(5, 7, 11),
+          check=lambda ell, n_max: _check_top_size(n_max, ell, partitions.beta(ell))),
     Claim("conj1.3", "rank counts weakly decreasing over the window (onset 39)",
           lambda _, n_max, n_lo, threads: verify_rank_monotonic(**_given(n_max=n_max, n_lo=n_lo)),
-          n_min=1, takes_n_lo=True),
+          n_min=1, check=lambda _, n_max: _check_top_size(n_max), takes_n_lo=True),
     Claim("thm2.2", "crank residue classes mod 10 at 5n+4 are 1/5 of the mod-2 classes",
-          lambda _, n_max, n_lo, threads: verify_crank_mod10(**_given(n_max=n_max))),
+          lambda _, n_max, n_lo, threads: verify_crank_mod10(**_given(n_max=n_max)),
+          check=lambda _, n_max: _check_top_size(n_max, 5, 4)),
     Claim("lem2.4", "near-top crank counts M(n-k, n) are constant in n",
-          lambda _, n_max, n_lo, threads: verify_crank_constancy(**_given(n_max=n_max)), n_min=2),
+          lambda _, n_max, n_lo, threads: verify_crank_constancy(**_given(n_max=n_max)), n_min=2,
+          check=lambda _, n_max: _check_top_size(n_max)),
     Claim("crank-n22-gap", "named regression: constancy gap at progression index 22",
           lambda *_: verify_n22_gap()),
     Claim("thm1.2", "colored congruences, all admissible cases with k <= 12",
@@ -690,15 +723,15 @@ CLAIMS: tuple[Claim, ...] = (
           lambda instance, n_max, n_lo, threads: verify_colored_quotients(*instance, n_max),
           instances=tuple(map(_cor35_instance, ("cor3.5-A-k6-ell5", "cor3.5-B-k9-ell23",
                                                 "cor3.5-B-k11-ell5"))),
-          pattern="cor3.5-<A|B>-k<K>-ell<L>", parse=_cor35_instance),
+          pattern="cor3.5-<A|B>-k<K>-ell<L>", parse=_cor35_instance,
+          check=lambda instance, n_max: _quotient_plan(*instance, n_max)),
     Claim("conj1.4", "distinguished families unimodal above onsets 15/24 (k <= 12)",
-          lambda _, n_max, n_lo, threads: check_family_unimodality(
-              threads=threads, **_given(n_hi=None if n_max is None else n_max + 1)),
-          n_min=1),
+          lambda _, n_max, n_lo, threads: check_family_unimodality(threads=threads, **_n_hi(n_max)),
+          n_min=1, check=lambda _, n_max: _family_plan(**_n_hi(n_max))),
     Claim("conj4.2", "eventual unimodality iff the top two weights are adjacent (k <= 6)",
           lambda _, n_max, n_lo, threads: check_first_gap_criterion(search.exhaustive_search(
-              threads=threads, **_given(n_hi=None if n_max is None else n_max + 1))),
-          n_min=1),
+              threads=threads, **_n_hi(n_max))),
+          n_min=1, check=lambda _, n_max: search.check_scan_work(**_n_hi(n_max))),
 )
 
 VARIANTS: dict[str, tuple[Claim, tuple[int]]] = {
@@ -716,7 +749,7 @@ def _resolve(claim_id: str) -> tuple[Claim, tuple]:
         instance = claim.parse and claim.parse(claim_id)
         if instance:
             return claim, (instance,)
-    raise ValueError(f"unknown claim id {claim_id!r} (try `verify --list`)")
+    raise CrankspaceError(f"unknown claim id {claim_id!r} (try `verify --list`)")
 
 
 def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
@@ -727,20 +760,26 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
     for n_max, n_lo or threads keeps each suite's own default.  An
     unknown id, an n_lo for a claim that does not take one, an n_max below
     the lowest index a claim checks (its n_min, raised to n_lo when given)
-    or an instance its check refuses raises ValueError before any suite runs.
+    or an instance its check refuses raises CrankspaceError before any suite
+    runs; a BoundExceeded names the first refused instance of every claim.
     """
     ids = [claim.claim_id for claim in CLAIMS] if claim_id == "all" else [claim_id]
     jobs = [_resolve(i) for i in ids]
+    refused = []
     for claim, instances in jobs:
         if n_lo is not None and not claim.takes_n_lo:
-            raise ValueError(f"{claim.claim_id} does not take n_lo")
+            raise CrankspaceError(f"{claim.claim_id} does not take n_lo")
         lo = claim.n_min if n_lo is None else max(claim.n_min, n_lo)
         if n_max is not None and n_max < lo:
-            raise ValueError(f"empty range: {claim.claim_id} checks nothing "
-                             f"with n_max={n_max} (needs n_max >= {lo})")
-        if claim.check:
-            for instance in instances:
+            raise CrankspaceError(f"empty range: {claim.claim_id} checks nothing "
+                                  f"with n_max={n_max} (needs n_max >= {lo})")
+        try:
+            for instance in instances if claim.check else ():
                 claim.check(instance, n_max)
+        except partitions.BoundExceeded as exc:
+            refused.append(f"{claim.claim_id}: {exc}")
+    if refused:
+        raise partitions.BoundExceeded("; ".join(refused))
     reports = []
     for claim, instances in jobs:
         for instance in instances:

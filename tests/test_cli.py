@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import crankspace
-from crankspace import cli, partitions, search
+from crankspace import cli, partitions, search, verify
 from crankspace.cli import main
 
 VERIFY_LIST = """\
@@ -342,6 +342,15 @@ class TestInternalFaults:
         code, out, err = run(capsys, "poly", "rank", "--n", "5")
         assert code == 3 and out == ""
         assert "Traceback" in err and "RuntimeError: broken closed form" in err
+
+    def test_stray_value_error_exits_three(self, capsys, monkeypatch):
+        def broken(n_max=99):
+            raise ValueError("a fault inside a suite")
+
+        monkeypatch.setattr(verify, "verify_crank_mod10", broken)
+        code, out, err = run(capsys, "verify", "thm2.2")
+        assert code == 3 and out == ""
+        assert "Traceback" in err and "ValueError: a fault inside a suite" in err
 
 
 def test_cold_commands_import_no_dataclasses_or_pool():

@@ -265,6 +265,10 @@ class TestSliceCheckFailures:
 PATTERN_EXAMPLES = {"thm1.2": "thm1.2-k9-h14-ell23", "cor3.5": "cor3.5-B-k11-ell5"}
 
 
+# The registry entries whose suite takes no n_max.
+IGNORES_N_MAX = {"crank-n22-gap"}
+
+
 class TestClaimRegistry:
     @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.claim_id)
     def test_bare_id_runs_every_instance(self, claim):
@@ -290,6 +294,30 @@ class TestClaimRegistry:
             run_claims("conj1.1-part1-ell11")
         with pytest.raises(ValueError, match="empty range"):
             run_claims("lem2.4", n_max=1)
+
+    @pytest.mark.parametrize("claim_id", [
+        *(c.claim_id for c in CLAIMS if c.claim_id not in IGNORES_N_MAX), "all"])
+    def test_over_bound_n_max_is_refused_before_any_suite(self, monkeypatch, claim_id):
+        calls = []
+        for module, name in ((partitions, "rank_poly"), (partitions, "crank_poly"),
+                             (partitions, "colored_count"), (qseries, "_ck_slices"),
+                             (search, "slice_defects")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(BoundExceeded):
+            run_claims(claim_id, n_max=10**6)
+        assert calls == []
+
+    @pytest.mark.parametrize("claim_id,n_max", [
+        *((c.claim_id, None) for c in CLAIMS),  # the suites' defaults
+        ("cor3.5-A-k6-ell5", 24), ("cor3.5-B-k9-ell23", 5), ("cor3.5-B-k11-ell5", 24),
+        ("conj1.4", 59), ("conj1.1-part2", 50), ("conj1.1-part3", 16), ("thm2.2", 50),
+        ("thm1.2-k9-h14-ell23", 50), ("conj1.3", 200), ("conj1.3", POLY_BOUND),
+    ])
+    def test_defaults_and_documented_requests_are_admitted(self, claim_id, n_max):
+        claim, instances = verify._resolve(claim_id)
+        for instance in instances:
+            if claim.check:
+                claim.check(instance, n_max)
 
     def test_elapsed_covers_the_whole_runner(self, monkeypatch):
         # conj4.2's runner scans before its suite's own timer starts
