@@ -303,6 +303,9 @@ class TestClaimRegistry:
                              (partitions, "colored_count"), (qseries, "_ck_slices"),
                              (search, "slice_defects")):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        # runners too: a suite that refused its own range would still run after earlier claims
+        monkeypatch.setattr(verify, "CLAIMS", tuple(
+            c._replace(run=lambda *args, cid=c.claim_id: calls.append(cid)) for c in CLAIMS))
         with pytest.raises(BoundExceeded):
             run_claims(claim_id, n_max=10**6)
         assert calls == []
