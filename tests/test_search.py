@@ -177,6 +177,16 @@ class TestCriteria:
 
 
 class TestThreadConfig:
+    def test_fallback_is_positive(self, monkeypatch):
+        # threads=None falls back to the CPU count; an unknown count means one
+        # worker, run in-process, never a pool of zero.
+        def no_pool(size):
+            raise AssertionError(f"pool of {size} requested")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert search._pool_map(abs, [-3, -1, -2], threads=None) == [3, 1, 2]
+
     def test_pool_size_is_capped_at_cpu_count(self, monkeypatch):
         requested = []
 
