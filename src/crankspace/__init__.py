@@ -1,8 +1,8 @@
 """Exact integer-partition rank/crank statistics.
 
-Laurent-polynomial arithmetic over exact integers, single-size rank and
-crank polynomials from the Atkin-Swinnerton-Dyer and Andrews-Garvan formulas
-over the partition numbers, a packed q-series kernel for colored-crank
+Exact integer Laurent polynomials, single-size rank and crank polynomials
+from the Atkin-Swinnerton-Dyer and Andrews-Garvan formulas over the
+partition numbers, a packed q-series kernel for colored-crank
 products, cyclotomic divisibility tests with verified quotients,
 verification suites for the divisibility/positivity/unimodality claims in
 scope, and an exhaustive threshold search over colored-crank weight tuples.

@@ -180,8 +180,6 @@ def _cmd_search(args, out) -> int:
     if args.preset == "table1" and given:
         raise UsageError("the table1 preset fixes k 3..6 and bound 75; "
                          "drop the preset to use custom ranges")
-    # the preset is exhaustive_search's default scan
-    search.check_scan_work(**given)
     results = search.exhaustive_search(**given, threads=args.threads)
     if args.format == "json":
         json.dump([r.to_json_dict() for r in results], out, indent=2)

@@ -5,7 +5,8 @@ or crank m) form finitely supported integer sequences indexed by m in Z.  We
 model them as Laurent polynomials in a formal variable z: the coefficient of
 z^m is the count at m.  The representation is dense over the support span,
 which keeps the structural predicates (symmetry, unimodality) and the
-cyclotomic divisibility tests straight index arithmetic.
+cyclotomic divisibility tests straight index arithmetic.  Values are built
+from coefficient lists: no command needs ring arithmetic, so the type has none.
 
 Values are immutable after construction and safe to share across workers.
 """
@@ -35,8 +36,8 @@ class LaurentPoly:
     (-1, 1)
     >>> str(f)
     '1*z^-1 + 2*z^1'
-    >>> f + LaurentPoly.monomial(1, -2)
-    LaurentPoly('1*z^-1')
+    >>> f.shift(1)
+    LaurentPoly('1*z^0 + 2*z^2')
     """
 
     __slots__ = ("lo", "coeffs")
@@ -75,10 +76,6 @@ class LaurentPoly:
         return cls(0, (1,))
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> LaurentPoly:
-        return cls(exponent, (coefficient,))
-
-    @classmethod
     def from_coeff_map(cls, mapping: Mapping[int, int]) -> LaurentPoly:
         nonzero = {e: c for e, c in mapping.items() if c != 0}
         if not nonzero:
@@ -113,51 +110,7 @@ class LaurentPoly:
     def coeff_map(self) -> dict[int, int]:
         return {self.lo + i: c for i, c in enumerate(self.coeffs) if c != 0}
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly(0, (other,))
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        cs = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[self.lo - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[other.lo - lo + i] += c
-        return LaurentPoly(lo, cs)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.lo, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly(0, (other,))
-        return self + (-other)
-
-    def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly.zero()
-            return LaurentPoly(self.lo, tuple(other * c for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly.zero()
-        a, b = self.coeffs, other.coeffs
-        cs = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                cs[i + j] += ai * bj
-        return LaurentPoly(self.lo + other.lo, cs)
-
-    __rmul__ = __mul__
+    # -- transforms ---------------------------------------------------------
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by z^k."""
@@ -241,22 +194,15 @@ class LaurentPoly:
     )
 
     @classmethod
-    def from_text(cls, text: str) -> LaurentPoly:
-        """Parse the textual form produced by str().
-
-        Accepts terms like ``3*z^-2``, ``z^4``, ``z`` and bare integers,
-        joined by explicit signs.
-
-        >>> LaurentPoly.from_text("1*z^-1 + 2*z^1") == LaurentPoly(-1, (1, 0, 2))
-        True
-        """
-        return cls.from_coeff_map(cls._parse_terms(text))
-
-    @classmethod
     def _parse_terms(cls, text: str) -> dict[int, int]:
         """The summed coefficient of each exponent in polynomial text.
 
-        Builds no dense coefficient list, so a caller can bound the span first.
+        Accepts the form str() writes: terms like ``3*z^-2``, ``z^4``, ``z``
+        and bare integers, joined by explicit signs.  Builds no dense
+        coefficient list, so a caller can bound the span first.
+
+        >>> LaurentPoly._parse_terms("1*z^-1 + 2*z^1 - z")
+        {-1: 1, 1: 1}
         """
         s = text.strip()
         if not s:
@@ -291,7 +237,3 @@ class LaurentPoly:
         JSON readers that parse numbers into doubles.
         """
         return {"lo": self.lo, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> LaurentPoly:
-        return cls(int(data["lo"]), tuple(int(c) for c in data["coeffs"]))

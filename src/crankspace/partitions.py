@@ -134,6 +134,18 @@ def delta(k: int, ell: int) -> int:
     return (k * pow(24, -1, ell)) % ell
 
 
+def _edit_span(f: LaurentPoly, N: int, edits: tuple[tuple[int, int], ...]) -> LaurentPoly:
+    """f plus c*z^e for each (e, c) in edits; f's span and every e lie in [-N, N].
+
+    The edits go into a copy of f's coefficients laid out over [-N, N]; the
+    constructor trims the ends they zero.
+    """
+    cs = [0] * (f.lo + N) + list(f.coeffs) + [0] * (N - f.hi)
+    for e, c in edits:
+        cs[e + N] += c
+    return LaurentPoly(-N, cs)
+
+
 def modified_rank_poly(ell: int, n: int) -> LaurentPoly:
     """Rank polynomial at ell*n + beta(ell) with the four boundary terms moved.
 
@@ -147,10 +159,7 @@ def modified_rank_poly(ell: int, n: int) -> LaurentPoly:
     if n < 0:
         raise CrankspaceError("n must be >= 0")
     N = ell * n + beta(ell)
-    f = rank_poly(N)
-    for e, c in ((N - 2, 1), (N - 1, -1), (2 - N, 1), (1 - N, -1)):
-        f = f + LaurentPoly.monomial(e, c)
-    return f
+    return _edit_span(rank_poly(N), N, ((N - 2, 1), (N - 1, -1), (2 - N, 1), (1 - N, -1)))
 
 
 def modified_crank_poly(ell: int, n: int) -> LaurentPoly:
@@ -164,7 +173,4 @@ def modified_crank_poly(ell: int, n: int) -> LaurentPoly:
     if n < 0:
         raise CrankspaceError("n must be >= 0")
     N = ell * n + beta(ell)
-    f = crank_poly(N)
-    for e, c in ((N - ell, 1), (N, -1), (ell - N, 1), (-N, -1)):
-        f = f + LaurentPoly.monomial(e, c)
-    return f
+    return _edit_span(crank_poly(N), N, ((N - ell, 1), (N, -1), (ell - N, 1), (-N, -1)))

@@ -18,7 +18,7 @@ import io
 import itertools
 import math
 import os
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import qseries
 from .laurent import CrankspaceError
@@ -64,15 +64,6 @@ class SearchResult(NamedTuple):
             "largest_nonunimodal": self.largest_nonunimodal,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> SearchResult:
-        """Read a result back; raise CrankspaceError if its verdicts disagree with its scan."""
-        result = cls(CrankSpec(data["k"], tuple(data["a"])), data["n_hi"],
-                     data["largest_nonunimodal"])
-        if any(data[key] != getattr(result, key) for key in ("threshold", "eventually_unimodal")):
-            raise CrankspaceError(f"verdicts disagree with largest_nonunimodal in {dict(data)}")
-        return result
-
 
 def crank_space(k: int) -> Iterator[CrankSpec]:
     """All strictly decreasing weight tuples from {1..k} of the length k needs.
@@ -106,7 +97,9 @@ def exhaustive_search(
 
     Results are ordered by k ascending, then by the tuple order of
     crank_space; the order and content do not depend on the worker count.
+    Raises BoundExceeded, before any scan, past SCAN_WORK_BOUND.
     """
+    check_scan_work(k_lo, k_hi, n_hi)
     if not 3 <= k_lo <= k_hi:
         raise CrankspaceError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     specs = [spec for k in range(k_lo, k_hi + 1) for spec in crank_space(k)]

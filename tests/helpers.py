@@ -1,7 +1,9 @@
 """Shared test oracles.
 
-Naive reference builders recompute the same series the engine produces, but
-with nothing shared: plain LaurentPoly arithmetic, factor-by-factor
+add, sub and mul are the tests' reference ring on LaurentPoly values: the
+package builds every polynomial from a coefficient list and has no ring
+arithmetic.  Naive reference builders recompute the same series the engine
+produces, but with nothing shared: that reference ring, factor-by-factor
 geometric recurrences, and the alternating pentagonal-number expansion.
 They are deliberately slow and obvious; tests compare the fast engine
 against them at small orders.  The partition-enumeration oracle
@@ -15,6 +17,8 @@ kernel and for the z -> 1/z symmetry it relies on.
 divides_by_division is the exact-division form of the divisibility test, the
 audit route for the residue-sum criteria.  scan_threshold is one weight
 tuple's SearchResult, read off the slice scan the search uses.
+poly_from_json reads a polynomial's JSON form back; the package writes JSON
+but reads none.
 
 TABLE1_ROWS freezes the reference threshold table behind the CLI's `search
 table1` preset (39 rows, k = 3..6, scan bound 75) in its exact row order:
@@ -120,6 +124,35 @@ def crank_poly_enumerated(n: int, bound: int = ENUMERATION_BOUND) -> LaurentPoly
     return LaurentPoly.from_coeff_map(acc)
 
 
+def add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f + g."""
+    lo = min(f.lo, g.lo)
+    cs = [0] * (max(f.hi, g.hi) - lo + 1)
+    for p in (f, g):
+        for i, c in enumerate(p.coeffs, p.lo - lo):
+            cs[i] += c
+    return LaurentPoly(lo, cs)
+
+
+def sub(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f - g."""
+    return add(f, LaurentPoly(g.lo, [-c for c in g.coeffs]))
+
+
+def mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f * g, by the schoolbook product."""
+    cs = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            cs[i + j] += a * b
+    return LaurentPoly(f.lo + g.lo, cs)
+
+
+def poly_from_json(data: dict) -> LaurentPoly:
+    """The polynomial a LaurentPoly.to_json_dict form describes."""
+    return LaurentPoly(data["lo"], [int(c) for c in data["coeffs"]])
+
+
 def scan_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchResult:
     """Scan slices 1 <= n < n_hi of one weight tuple and locate the last non-unimodal one."""
     [bad] = slice_defects([spec], n_hi, threads=1)
@@ -154,10 +187,9 @@ def pentagonal_signs(limit: int) -> list[tuple[int, int]]:
 
 def multiply_inverse_factor(coeffs: list[LaurentPoly], a: int, n: int) -> list[LaurentPoly]:
     """Multiply a q-series (list of z-polynomials) by 1 / (1 - z^a q^n)."""
-    mono = LaurentPoly.monomial(a)
     out = list(coeffs)
     for m in range(n, len(out)):
-        out[m] = out[m] + out[m - n] * mono
+        out[m] = add(out[m], out[m - n].shift(a))
     return out
 
 
@@ -169,7 +201,7 @@ def multiply_euler_numerator(coeffs: list[LaurentPoly]) -> list[LaurentPoly]:
         acc = coeffs[m]
         for g, sign in pentagonal_signs(m):
             term = coeffs[m - g]
-            acc = acc + term if sign > 0 else acc - term
+            acc = add(acc, term) if sign > 0 else sub(acc, term)
         out[m] = acc
     return out
 
@@ -207,7 +239,7 @@ def naive_rank_series(order: int) -> list[LaurentPoly]:
             coeffs = multiply_inverse_factor(coeffs, 1, i)
             coeffs = multiply_inverse_factor(coeffs, -1, i)
         for m, poly in enumerate(coeffs):
-            total[m + j * j] = total[m + j * j] + poly
+            total[m + j * j] = add(total[m + j * j], poly)
         j += 1
     return total
 

@@ -163,6 +163,14 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "empty range" in err
 
+    @pytest.mark.parametrize("claim,n_max", [("conj4.2", "30"), ("all", "4")])
+    def test_short_first_gap_scan_is_partial_not_failed(self, capsys, claim, n_max):
+        # a top slice that is not unimodal at the scan bound may still turn unimodal
+        code, out, _ = run(capsys, "--threads", "1", "verify", claim, "--n-max", n_max)
+        assert code == 0
+        assert "conj4.2: PARTIAL" in out and "adjacent-pair-not-unimodal" in out
+        assert "FAIL" not in out
+
     def test_single_claim_text(self, capsys):
         code, out, _ = run(capsys, "verify", "lem2.4", "--n-max", "20")
         assert code == 0

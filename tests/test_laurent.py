@@ -1,4 +1,9 @@
-"""Exact Laurent-polynomial ring: construction, laws, predicates, serialization."""
+"""Exact Laurent polynomials: construction, transforms, predicates, serialization.
+
+TestRingLaws checks the tests' reference ring (helpers.add, sub, mul), which
+the naive oracles are built on, and the package's shift and substitution
+against it.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crankspace.laurent
+from crankspace.cli import _parse_poly_arg
 from crankspace.laurent import LaurentPoly
+
+from helpers import add, mul, poly_from_json, sub
 
 
 def poly_strategy(max_abs=40, max_span=12):
@@ -35,16 +43,16 @@ class TestConstruction:
         assert not LaurentPoly.zero()
 
     def test_monomial(self):
-        m = LaurentPoly.monomial(-4, 3)
+        m = LaurentPoly(-4, (3,))
         assert m.lo == -4 and m.hi == -4 and m.coefficient(-4) == 3
-        assert LaurentPoly.monomial(2, 0) == LaurentPoly.zero()
+        assert LaurentPoly(2, (0,)) == LaurentPoly.zero()
 
     def test_one(self):
-        assert LaurentPoly.one() == LaurentPoly.monomial(0)
+        assert LaurentPoly.one() == LaurentPoly(0, (1,))
         assert bool(LaurentPoly.one())
 
     def test_coefficient_outside_support_is_zero(self):
-        p = LaurentPoly.from_text("1*z^-1 + 2*z^3")
+        p = LaurentPoly(-1, (1, 0, 0, 0, 2))
         assert p.coefficient(0) == 0
         assert p.coefficient(100) == 0
 
@@ -69,52 +77,44 @@ class TestConstruction:
 class TestRingLaws:
     @given(polys, polys)
     def test_addition_commutes(self, f, g):
-        assert f + g == g + f
+        assert add(f, g) == add(g, f)
 
     @given(polys, polys, polys)
     def test_addition_associates(self, f, g, h):
-        assert (f + g) + h == f + (g + h)
+        assert add(add(f, g), h) == add(f, add(g, h))
 
     @given(polys)
     def test_additive_identity_and_inverse(self, f):
-        assert f + LaurentPoly.zero() == f
-        assert f + (-f) == LaurentPoly.zero()
-        assert f - f == LaurentPoly.zero()
+        assert add(f, LaurentPoly.zero()) == f
+        assert sub(f, f) == LaurentPoly.zero()
+        assert add(sub(LaurentPoly.zero(), f), f) == LaurentPoly.zero()
 
     @given(polys, polys)
     def test_multiplication_commutes(self, f, g):
-        assert f * g == g * f
+        assert mul(f, g) == mul(g, f)
 
     @settings(max_examples=60)
     @given(polys, polys, polys)
     def test_multiplication_associates(self, f, g, h):
-        assert (f * g) * h == f * (g * h)
+        assert mul(mul(f, g), h) == mul(f, mul(g, h))
 
     @given(polys, polys, polys)
     def test_distributivity(self, f, g, h):
-        assert f * (g + h) == f * g + f * h
+        assert mul(f, add(g, h)) == add(mul(f, g), mul(f, h))
 
     @given(polys)
     def test_multiplicative_identity_and_annihilator(self, f):
-        assert f * LaurentPoly.one() == f
-        assert f * LaurentPoly.zero() == LaurentPoly.zero()
-
-    @given(polys, st.integers(min_value=-50, max_value=50))
-    def test_int_operands_coerce(self, f, c):
-        scalar = LaurentPoly.monomial(0, c)
-        assert c * f == scalar * f
-        assert f * c == f * scalar
-        assert f + c == f + scalar
-        assert f - c == f - scalar
+        assert mul(f, LaurentPoly.one()) == f
+        assert mul(f, LaurentPoly.zero()) == LaurentPoly.zero()
 
     @given(polys, polys)
     def test_evaluation_at_one_is_multiplicative(self, f, g):
-        assert sum((f * g).coeffs) == sum(f.coeffs) * sum(g.coeffs)
-        assert sum((f + g).coeffs) == sum(f.coeffs) + sum(g.coeffs)
+        assert sum(mul(f, g).coeffs) == sum(f.coeffs) * sum(g.coeffs)
+        assert sum(add(f, g).coeffs) == sum(f.coeffs) + sum(g.coeffs)
 
     @given(polys, st.integers(min_value=-6, max_value=6))
     def test_shift_multiplies_by_monomial(self, f, k):
-        assert f.shift(k) == f * LaurentPoly.monomial(k)
+        assert f.shift(k) == mul(f, LaurentPoly(k, (1,)))
 
     @given(polys, st.integers(min_value=1, max_value=4))
     def test_substitute_power_maps_exponents(self, f, t):
@@ -152,7 +152,7 @@ class TestPredicates:
         assert not LaurentPoly(0, (1, -1)).is_nonnegative()
 
     def test_size_four_crank_poly_is_symmetric_but_not_unimodal(self):
-        p = LaurentPoly.from_text("1*z^-4 + 1*z^-2 + 1*z^0 + 1*z^2 + 1*z^4")
+        p = LaurentPoly(-4, (1, 0, 1, 0, 1, 0, 1, 0, 1))
         assert p.is_symmetric()
         assert not p.is_unimodal()
 
@@ -166,7 +166,7 @@ class TestPredicates:
     @given(polys, polys)
     def test_product_of_symmetric_is_symmetric(self, f, g):
         if f.is_symmetric() and g.is_symmetric():
-            assert (f * g).is_symmetric()
+            assert mul(f, g).is_symmetric()
 
 
 class TestSerialization:
@@ -177,11 +177,12 @@ class TestSerialization:
 
     @given(polys)
     def test_text_roundtrip(self, f):
-        assert LaurentPoly.from_text(str(f)) == f
+        # the text form reads back through the parser of `quotient --poly`
+        assert _parse_poly_arg(str(f)) == f
 
-    def test_from_text_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            LaurentPoly.from_text("z^2 + chaos")
+    def test_parse_rejects_garbage(self):
+        with pytest.raises(ValueError, match="cannot parse"):
+            _parse_poly_arg("z^2 + chaos")
 
     def test_json_dict_uses_decimal_strings(self):
         big = 10 ** 40
@@ -189,12 +190,12 @@ class TestSerialization:
         data = p.to_json_dict()
         assert data["lo"] == -1
         assert data["coeffs"] == [str(big), "0", str(-big)]
-        assert LaurentPoly.from_json_dict(data) == p
+        assert poly_from_json(data) == p
 
     @given(polys)
     def test_json_roundtrip_through_text(self, f):
         blob = json.dumps(f.to_json_dict())
-        assert LaurentPoly.from_json_dict(json.loads(blob)) == f
+        assert poly_from_json(json.loads(blob)) == f
 
     def test_repr_is_evalable_hint(self):
         p = LaurentPoly(0, (1, 2))

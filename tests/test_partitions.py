@@ -29,6 +29,7 @@ from crankspace.qseries import _ck_slices
 from helpers import (
     ENUMERATION_BOUND,
     EmptyPartition,
+    add,
     crank_of,
     crank_poly_enumerated,
     enumerate_partitions,
@@ -238,26 +239,20 @@ class TestModifiedPolynomials:
         for n in range(0, 6):
             size = ell * n + beta(ell)
             base = rank_poly(size)
-            extra = (
-                LaurentPoly.monomial(size - 2)
-                - LaurentPoly.monomial(size - 1)
-                + LaurentPoly.monomial(2 - size)
-                - LaurentPoly.monomial(1 - size)
+            extra = LaurentPoly.from_coeff_map(
+                {size - 2: 1, size - 1: -1, 2 - size: 1, 1 - size: -1}
             )
-            assert modified_rank_poly(ell, n) == base + extra
+            assert modified_rank_poly(ell, n) == add(base, extra)
 
     @pytest.mark.parametrize("ell", [5, 7, 11])
     def test_modified_crank_adds_four_boundary_terms(self, ell):
         for n in range(0, 6):
             size = ell * n + beta(ell)
             base = crank_poly(size)
-            extra = (
-                LaurentPoly.monomial(size - ell)
-                - LaurentPoly.monomial(size)
-                + LaurentPoly.monomial(ell - size)
-                - LaurentPoly.monomial(-size)
+            extra = LaurentPoly.from_coeff_map(
+                {size - ell: 1, size: -1, ell - size: 1, -size: -1}
             )
-            assert modified_crank_poly(ell, n) == base + extra
+            assert modified_crank_poly(ell, n) == add(base, extra)
 
     def test_modified_polys_stay_symmetric_with_same_mass(self):
         for ell in (5, 7, 11):
