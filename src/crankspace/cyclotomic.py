@@ -44,6 +44,8 @@ def phi(ell: int, variant: str = "standard") -> LaurentPoly:
 
     >>> str(phi(3))
     '1*z^0 + 1*z^1 + 1*z^2'
+    >>> str(phi(3, "squared"))
+    '1*z^0 + 1*z^2 + 1*z^4'
     >>> str(phi(3, "negated"))
     '1*z^0 - 1*z^1 + 1*z^2'
     """
@@ -51,7 +53,7 @@ def phi(ell: int, variant: str = "standard") -> LaurentPoly:
     if variant == "standard":
         return LaurentPoly(0, (1,) * ell)
     if variant == "squared":
-        return LaurentPoly(0, (1,) * ell).substitute_power(2)
+        return LaurentPoly(0, (1, 0) * (ell - 1) + (1,))
     return LaurentPoly(0, tuple((-1) ** i for i in range(ell)))
 
 

@@ -118,21 +118,6 @@ class LaurentPoly:
             return self
         return LaurentPoly(self.lo + k, self.coeffs)
 
-    def substitute_power(self, t: int) -> LaurentPoly:
-        """Substitute z -> z^t for an integer t >= 1.
-
-        >>> LaurentPoly(-1, (1, 1, 1)).substitute_power(2)
-        LaurentPoly('1*z^-2 + 1*z^0 + 1*z^2')
-        """
-        if t < 1:
-            raise CrankspaceError("substitution power must be >= 1")
-        if self.is_zero() or t == 1:
-            return self
-        cs = [0] * ((len(self.coeffs) - 1) * t + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[i * t] = c
-        return LaurentPoly(self.lo * t, cs)
-
     # -- predicates ----------------------------------------------------------
 
     def is_symmetric(self) -> bool:

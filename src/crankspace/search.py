@@ -13,8 +13,6 @@ count.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import os
@@ -87,6 +85,12 @@ def _pool_map(fn, tasks: list, threads: int | None) -> list:
         return pool.map(fn, tasks)
 
 
+def check_k_range(k_lo: int, k_hi: int) -> None:
+    """Refuse a range of color counts other than 3 <= k_lo <= k_hi."""
+    if not 3 <= k_lo <= k_hi:
+        raise CrankspaceError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
+
+
 def exhaustive_search(
     k_lo: int = 3,
     k_hi: int = 6,
@@ -100,8 +104,7 @@ def exhaustive_search(
     Raises BoundExceeded, before any scan, past SCAN_WORK_BOUND.
     """
     check_scan_work(k_lo, k_hi, n_hi)
-    if not 3 <= k_lo <= k_hi:
-        raise CrankspaceError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
+    check_k_range(k_lo, k_hi)
     specs = [spec for k in range(k_lo, k_hi + 1) for spec in crank_space(k)]
     return [SearchResult(spec, n_hi, bad[-1] if bad else None)
             for spec, bad in zip(specs, slice_defects(specs, n_hi, threads))]
@@ -138,13 +141,12 @@ def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND
 
 def results_to_csv(results: Iterable[SearchResult]) -> str:
     """Rows (k, a_vector, threshold, n_hi); '-' marks no threshold."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "a_vector", "threshold", "n_hi"])
+    lines = ["k,a_vector,threshold,n_hi\n"]
     for r in results:
-        a = "(" + ",".join(str(a) for a in r.spec.a) + ")"
-        writer.writerow([r.spec.k, a, r.threshold if r.eventually_unimodal else "-", r.n_hi])
-    return buf.getvalue()
+        a = ",".join(map(str, r.spec.a))
+        t = r.threshold if r.eventually_unimodal else "-"
+        lines.append(f'{r.spec.k},"({a})",{t},{r.n_hi}\n')
+    return "".join(lines)
 
 
 def _defects_task(task: tuple[CrankSpec, int]) -> list[int]:

@@ -147,13 +147,24 @@ def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
     return violations, wobbles, negatives
 
 
+def _check_top_size(n_max: int | None, step: int = 1, offset: int = 0) -> None:
+    """Refuse a suite whose largest size, step*n_max + offset, is past POLY_BOUND.
+
+    n_max None keeps the suite's default, which is admitted; a negative
+    largest size is an empty range, which is too.
+    """
+    if n_max is not None:
+        partitions._check_size(max(step * n_max + offset, 0))
+
+
 # -- modified rank / crank quotients -------------------------------------------
 
 
 def _modified_quotients(claim: str, poly: Callable[[int, int], LaurentPoly], onset: int,
                         ell: int, n_max: int) -> Report:
-    t0 = time.perf_counter()
     beta = partitions.beta(ell)
+    _check_top_size(n_max, ell, beta)
+    t0 = time.perf_counter()
     slices = (({"ell": ell, "n": n}, ell * n + beta, poly(ell, n)) for n in range(n_max + 1))
     violations, wobbles, _ = _check_slices(slices, ell, onset)
     note = f"ell={ell}, n in [0, {n_max}] (sizes ell*n+{beta})"
@@ -184,6 +195,7 @@ def verify_crank_squared(n_max: int = 99) -> Report:
     surfaced in the range note (non-negativity, not strict positivity, is
     the claim).
     """
+    _check_top_size(n_max, 5, 4)
     t0 = time.perf_counter()
     violations: list[Counterexample] = []
     divisor = phi(5, "squared")
@@ -241,6 +253,7 @@ def verify_rank_monotonic(n_max: int = 200, n_lo: int = 1) -> Report:
     starts at n >= 39; violations below that onset are reported
     informatively and the largest such n lands in the range note.
     """
+    _check_top_size(n_max)
     t0 = time.perf_counter()
     violations: list[Counterexample] = []
     infos: list[Counterexample] = []
@@ -267,6 +280,7 @@ def verify_crank_mod10(n_max: int = 99) -> Report:
     Claim: five times the count in class 2k + j mod 10 equals the count in
     class j mod 2, for j in {0, 1} and every k in 0..4.
     """
+    _check_top_size(n_max, 5, 4)
     t0 = time.perf_counter()
     violations: list[Counterexample] = []
     for n in range(n_max + 1):
@@ -291,6 +305,7 @@ def verify_crank_constancy(k_max: int = 10, n_max: int = 60) -> Report:
     n >= max(2k, 2), and the extreme columns are M(n-1, n) = 0 and
     M(n, n) = 1 from n = 2 on.
     """
+    _check_top_size(n_max)
     t0 = time.perf_counter()
     violations: list[Counterexample] = []
     polys = {n: partitions.crank_poly(n) for n in range(2, n_max + 1)}
@@ -347,7 +362,7 @@ def _clause_holds(h: int, ell: int) -> bool:
 class CongruenceCase(NamedTuple):
     """One admissible colored congruence: ell | p_k(ell*n + delta).
 
-    Requires k + h = ell * t for a prime ell >= 5 and one of the admissible
+    Requires a prime ell >= 5 dividing k + h, and one of the admissible
     (h, ell) residue clauses: h in {4,8,14} with ell = 2 mod 3, h in {6,10}
     with ell = 3 mod 4, or h = 26 with ell = 11 mod 12.  delta is the unique
     residue with 24*delta = k mod ell.
@@ -356,7 +371,6 @@ class CongruenceCase(NamedTuple):
     k: int
     h: int
     ell: int
-    t: int
     delta: int
 
     @classmethod
@@ -371,7 +385,7 @@ class CongruenceCase(NamedTuple):
             raise InvalidCase(f"ell must be a prime >= 5, got {ell}")
         if not _clause_holds(h, ell):
             raise InvalidCase(f"(h={h}, ell={ell}) fits no admissible residue clause")
-        return cls(k, h, ell, (k + h) // ell, partitions.delta(k, ell))
+        return cls(k, h, ell, partitions.delta(k, ell))
 
 
 def enumerate_congruence_cases(k_max: int) -> list[CongruenceCase]:
@@ -515,8 +529,7 @@ def check_first_gap_criterion(results: Iterable[search.SearchResult]) -> Report:
 
 def _family_plan(k_lo: int = 3, k_hi: int = 12, n_hi: int = 100):
     """The (kind, k) families a conj1.4 scan checks, and their specs; refuse a scan past the bound."""
-    if not 3 <= k_lo <= k_hi:
-        raise CrankspaceError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
+    search.check_k_range(k_lo, k_hi)
     families = [("A", k) for k in range(k_lo, k_hi + 1)]
     families += [("B", k) for k in range(max(k_lo, 7), k_hi + 1) if k % 2]
     specs = [_family_spec(kind, k) for kind, k in families]
@@ -639,15 +652,6 @@ class Claim(NamedTuple):
 def _given(**kwargs) -> dict:
     """The keyword arguments that are not None, so a suite keeps its default."""
     return {key: value for key, value in kwargs.items() if value is not None}
-
-
-def _check_top_size(n_max: int | None, step: int = 1, offset: int = 0) -> None:
-    """Refuse a suite whose largest size, step*n_max + offset, is past POLY_BOUND.
-
-    n_max None keeps the suite's default, which is admitted.
-    """
-    if n_max is not None:
-        partitions._check_size(step * n_max + offset)
 
 
 def _n_hi(n_max: int | None) -> dict:

@@ -116,15 +116,6 @@ class TestRingLaws:
     def test_shift_multiplies_by_monomial(self, f, k):
         assert f.shift(k) == mul(f, LaurentPoly(k, (1,)))
 
-    @given(polys, st.integers(min_value=1, max_value=4))
-    def test_substitute_power_maps_exponents(self, f, t):
-        sub = f.substitute_power(t)
-        assert sub.coeff_map() == {t * e: c for e, c in f.coeff_map().items()}
-
-    def test_substitute_power_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            LaurentPoly.one().substitute_power(0)
-
 
 class TestPredicates:
     def test_symmetric_examples(self):

@@ -4,27 +4,32 @@ from __future__ import annotations
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import crankspace
 from crankspace import cli, verify
 from crankspace.cli import UsageError
+from crankspace.laurent import CrankspaceError
+from crankspace.partitions import BoundExceeded, InvalidEll
+from crankspace.qseries import InvalidK
+from crankspace.verify import HypothesisViolation, InvalidCase
 
 SRC = Path(crankspace.__file__).resolve().parent
 
 
-def test_all_names_resolve_once_in_sorted_order():
-    names = crankspace.__all__
-    assert all(hasattr(crankspace, name) for name in names)
-    assert len(set(names)) == len(names)
-    assert names == sorted(names)
+def test_package_root_binds_only_its_version_and_modules():
+    # one import path per public name: each is imported from the module that defines it
+    stray = [name for name, value in vars(crankspace).items() if not name.startswith("_")
+             and not (isinstance(value, types.ModuleType) and value.__name__ == f"crankspace.{name}")]
+    assert stray == []
+    assert isinstance(crankspace.__version__, str)
 
 
 def test_refusals_share_one_base():
-    assert issubclass(crankspace.CrankspaceError, ValueError)
-    for error in (UsageError, crankspace.BoundExceeded, crankspace.InvalidEll, crankspace.InvalidK,
-                  crankspace.InvalidCase, crankspace.HypothesisViolation):
-        assert issubclass(error, crankspace.CrankspaceError)
+    assert issubclass(CrankspaceError, ValueError)
+    for error in (UsageError, BoundExceeded, InvalidEll, InvalidK, InvalidCase, HypothesisViolation):
+        assert issubclass(error, CrankspaceError)
 
 
 def test_no_plain_value_error_is_raised_on_purpose():

@@ -94,12 +94,12 @@ class TestReportContract:
 class TestCongruenceCases:
     def test_known_case_fields(self):
         c = CongruenceCase.make(1, 4, 5)
-        assert (c.k, c.h, c.ell, c.t, c.delta) == (1, 4, 5, 1, 4)
+        assert (c.k, c.h, c.ell, c.delta) == (1, 4, 5, 4)
 
     def test_offset_is_scaled_inverse_of_24(self):
         for c in enumerate_congruence_cases(12):
             assert (24 * c.delta) % c.ell == c.k % c.ell
-            assert (c.k + c.h) == c.ell * c.t
+            assert (c.k + c.h) % c.ell == 0
 
     def test_enumeration_is_complete_for_small_k(self):
         cases = enumerate_congruence_cases(12)
@@ -327,6 +327,24 @@ class TestClaimRegistry:
         monkeypatch.setattr(search, "exhaustive_search", slow_scan)
         [report] = run_claims("conj4.2")
         assert report.elapsed_s >= 0.05
+
+
+class TestPolyBound:
+    @pytest.mark.parametrize("suite,largest", [
+        (lambda: verify_modified_rank(5, n_max=1000), 5004),
+        (lambda: verify_modified_crank(5, n_max=1000), 5004),
+        (lambda: verify_crank_squared(n_max=1000), 5004),
+        (lambda: verify_crank_mod10(n_max=1000), 5004),
+        (lambda: verify_rank_monotonic(n_max=POLY_BOUND + 1), POLY_BOUND + 1),
+        (lambda: verify_crank_constancy(n_max=POLY_BOUND + 1), POLY_BOUND + 1),
+    ], ids=["conj1.1-part1", "conj1.1-part3", "conj1.1-part2", "thm2.2", "conj1.3", "lem2.4"])
+    def test_suite_refuses_its_largest_size_before_any_polynomial(self, monkeypatch, suite, largest):
+        calls = []
+        for name in ("rank_poly", "crank_poly", "modified_rank_poly", "modified_crank_poly"):
+            monkeypatch.setattr(partitions, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(BoundExceeded, match=f"n={largest} exceeds"):
+            suite()
+        assert calls == []
 
 
 class TestColoredBound:
