@@ -15,9 +15,11 @@ ascending recurrence coeffs[m] += z^a * coeffs[m-j], plus, for odd k, the
 factor prod (1-q^n) via the pentagonal-number expansion.  The factors of the
 a = 0 copies cancel against the numerators, so the geometric stage is a
 product of pure (1 - z^a q^j)^(-1) factors whose coefficients are all
-non-negative.  It is built once per request; the pentagonal sum is then done
-only for the slices asked for, one at a time, through the single accessor
-`iter_ck_slices(spec, sizes)`.
+non-negative.  It depends only on the weights, so it is packed once per
+distinct weight tuple and serves both parities d (a slice scan asks for both
+when k and k+1 share a tuple); the pentagonal sum is then done only for the
+slices and parities asked for, one slice at a time.  `iter_ck_slices(spec,
+sizes)` is the one-parity accessor.
 
 That non-negativity enables the kernel trick used here: the z-coefficient
 vector of each q-coefficient is packed into a single big integer with a fixed
@@ -187,13 +189,16 @@ def _unpack_half(x: int, nslots: int, bits: int, margin: int, total: int) -> lis
     return half
 
 
-def _ck_slices(a: tuple[int, ...], delta: int, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
-    """Yield (m, q^m coefficient) of the colored-crank product for each m in sizes.
+def _ck_slices(a: tuple[int, ...], deltas: Sequence[int],
+               sizes: Iterable[int]) -> Iterator[tuple[int, tuple[LaurentPoly, ...]]]:
+    """Yield (m, q^m coefficients) of the colored-crank products for each m in sizes.
 
-    The product has weights a and delta copies of prod (1-q^n).  Each weight
-    enters as (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every slice is a
-    palindrome: only its z^e, e <= 0, half is built, then mirrored.  The
-    geometric product is packed once, up to max(sizes), with slot s of
+    The products have weights a and, for each delta in deltas, delta copies
+    of prod (1-q^n); each yield holds one coefficient per delta, in the order
+    of deltas.  Each weight enters as (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1),
+    so every slice is a palindrome: only its z^e, e <= 0, half is built,
+    then mirrored.  The geometric product depends on the weights alone, so
+    it is packed once for all deltas, up to max(sizes), with slot s of
     entry m holding the coefficient of z^(c - s), c = a_1.  The negative
     families go in first (a_r..a_1) as ints[m] += ints[m-n] << bits*a, then
     the positive ones (a_r..a_1) as ints[m] += ints[m-n] >> bits*a.  A
@@ -206,7 +211,9 @@ def _ck_slices(a: tuple[int, ...], delta: int, sizes: Iterable[int]) -> Iterator
     Slot widths are exact: at z = 1 the geometric product is
     prod (1-q^n)^(-F), F = 2r, so the coefficients of a slice's pos part sum
     to p_F(m) plus its positive p_F(m - g) terms and those of its neg part to
-    its negative ones; no coefficient exceeds its part's total.
+    its negative ones; no coefficient exceeds its part's total.  The slot is
+    as wide as the largest total over every requested delta, so it is exact
+    for the widest parity and wide enough for the others.
     `_unpack_half` checks each decoded part all the same: twice its half
     less z^0 must give the total, and the margin z^1..z^c must mirror
     z^-1..z^-c.  Weights (1,) with delta 1 give the raw crank factor, whose
@@ -218,10 +225,10 @@ def _ck_slices(a: tuple[int, ...], delta: int, sizes: Iterable[int]) -> Iterator
         raise CrankspaceError(f"slice sizes must be >= 0, got {min(sizes)}")
     order = max(sizes, default=0)
     c = a[0]
-    terms = _pentagonal_terms(order) if delta else []
+    terms = [_pentagonal_terms(order) if d else [] for d in deltas]
     colored = colored_coeffs(2 * len(a), order)
-    totals = [_pentagonal_split(colored, m, terms) for m in sizes]
-    bits = _slot_width(max((t for pair in totals for t in pair), default=0))
+    totals = [[_pentagonal_split(colored, m, t) for t in terms] for m in sizes]
+    bits = _slot_width(max((t for row in totals for pair in row for t in pair), default=0))
     ints = [0] * (order + 1)
     ints[0] = 1 << (bits * c)
     for aj in reversed(a):
@@ -234,13 +241,16 @@ def _ck_slices(a: tuple[int, ...], delta: int, sizes: Iterable[int]) -> Iterator
         for n in range(1, order + 1):
             for m in range(n, order + 1):
                 ints[m] += ints[m - n] >> sh
-    for m, (pos_total, neg_total) in zip(sizes, totals):
-        pos, neg = _pentagonal_split(ints, m, terms)
+    for m, row in zip(sizes, totals):
         nslots = c * (1 + max(m, 1)) + 1  # the mirrors of the margin, even at m = 0
-        half = _unpack_half(pos, nslots, bits, c, pos_total)
-        if neg_total:
-            half = [x - y for x, y in zip(half, _unpack_half(neg, nslots, bits, c, neg_total))]
-        yield m, LaurentPoly(1 - len(half), half[:0:-1] + half)
+        polys = []
+        for t, (pos_total, neg_total) in zip(terms, row):
+            pos, neg = _pentagonal_split(ints, m, t)
+            half = _unpack_half(pos, nslots, bits, c, pos_total)
+            if neg_total:
+                half = [x - y for x, y in zip(half, _unpack_half(neg, nslots, bits, c, neg_total))]
+            polys.append(LaurentPoly(1 - len(half), half[:0:-1] + half))
+        yield m, tuple(polys)
 
 
 # -- public slice access ------------------------------------------------------
@@ -249,14 +259,16 @@ def _ck_slices(a: tuple[int, ...], delta: int, sizes: Iterable[int]) -> Iterator
 def iter_ck_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
     """Yield (n, q^n coefficient of the weight tuple's product) for n in sizes.
 
-    The one slice accessor, for every access pattern: a progression claim
-    asks for every ell-th size, a unimodality scan for every size.  The
-    packed geometric product stays resident (O(k * a_1 * max(sizes))
-    integers of machine size); the pentagonal sum and the unpacking are done
-    per requested slice, so skipped sizes cost nothing and the dense
-    polynomials never all coexist.  Negative sizes raise CrankspaceError.
+    The one-parity slice accessor: a progression claim asks for every
+    ell-th size (slice scans ask `_ck_slices` for both parities of a weight
+    tuple at once).  The packed geometric product stays resident
+    (O(k * a_1 * max(sizes)) integers of machine size); the pentagonal sum
+    and the unpacking are done per requested slice, so skipped sizes cost
+    nothing and the dense polynomials never all coexist.  Negative sizes
+    raise CrankspaceError.
     """
-    yield from _ck_slices(spec.a, spec.delta, sizes)
+    for m, (f,) in _ck_slices(spec.a, (spec.delta,), sizes):
+        yield m, f
 
 
 def ak_spec(k: int) -> CrankSpec:

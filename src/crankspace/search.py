@@ -6,9 +6,11 @@ product are scanned below a bound, and the minimal m with "unimodal for all
 m < n < n_hi" follows from the last non-unimodal n.  The claims decided from
 these scans (the first-gap criterion and the families' onsets) live in verify.
 
-Work parallelizes over weight tuples with a multiprocessing pool; results
-are merged in input order, so the output is byte-identical for any worker
-count.
+Work parallelizes over distinct weight tuples with a multiprocessing pool:
+each task packs one tuple's geometric product once and scans it for every
+parity asked of that tuple (every k = 3 tuple is also a k = 4 tuple, and A_k
+shares its weights with A_(k+1) for odd k).  Results are merged in input
+order, so the output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from .qseries import CrankSpec
 DEFAULT_SCAN_BOUND = 75
 # The largest slice scan the package starts, in estimated slot operations (see
 # _tuple_work).  10^10 is a minute or so on one core of a 2-core VM (1.3e8 to
-# 2.5e8 per second, measured); `search table1` is 2.4e8.
+# 2.5e8 per second, measured); `search table1` is 2.4e8.  The estimate counts
+# every spec, though specs that share a weight tuple share its packed build,
+# so it is an upper bound on the kernel work.
 SCAN_WORK_BOUND = 10**10
 
 
@@ -149,9 +153,14 @@ def results_to_csv(results: Iterable[SearchResult]) -> str:
     return "".join(lines)
 
 
-def _defects_task(task: tuple[CrankSpec, int]) -> list[int]:
-    spec, n_hi = task
-    return [n for n, f in qseries.iter_ck_slices(spec, range(1, n_hi)) if not f.is_unimodal()]
+def _defects_task(task: tuple[tuple[int, ...], tuple[int, ...], int]) -> list[list[int]]:
+    a, deltas, n_hi = task
+    defects: list[list[int]] = [[] for _ in deltas]
+    for n, slices in qseries._ck_slices(a, deltas, range(1, n_hi)):
+        for bad, f in zip(defects, slices):
+            if not f.is_unimodal():
+                bad.append(n)
+    return defects
 
 
 def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = None) -> list[list[int]]:
@@ -159,9 +168,18 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
 
     The one slice scan: exhaustive_search reads its thresholds from these
     lists, check_family_unimodality its defects.  Slices need no symmetry
-    check: the kernel builds each one as a mirrored half.
+    check: the kernel builds each one as a mirrored half.  One task per
+    distinct weight tuple, in order of first appearance, packs its product
+    once for all of its specs' parities.
     Results follow the order of `specs`, whatever the worker count.
     """
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
-    return _pool_map(_defects_task, [(spec, n_hi) for spec in specs], threads)
+    specs = list(specs)
+    parities: dict[tuple[int, ...], dict[int, None]] = {}  # insertion-ordered sets
+    for spec in specs:
+        parities.setdefault(spec.a, {})[spec.delta] = None
+    tasks = [(a, tuple(deltas), n_hi) for a, deltas in parities.items()]
+    found = {a: dict(zip(deltas, bad)) for (a, deltas, _), bad
+             in zip(tasks, _pool_map(_defects_task, tasks, threads))}
+    return [found[spec.a][spec.delta] for spec in specs]

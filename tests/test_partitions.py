@@ -176,7 +176,7 @@ class TestClosedFormAgainstSeries:
             assert rank_poly(n) == series[n], f"mismatch at n={n}"
 
     def test_crank_poly_matches_crank_factor_weights(self):
-        for n, raw in _ck_slices((1,), 1, range(2, self.AUDIT_ORDER + 1)):
+        for n, (raw,) in _ck_slices((1,), (1,), range(2, self.AUDIT_ORDER + 1)):
             assert crank_poly(n) == raw, f"mismatch at n={n}"
 
     def test_poly_bound_is_reachable(self):

@@ -145,7 +145,7 @@ class TestSeriesAgainstNaiveOracle:
 
     def test_corrected_crank_series(self):
         order = 20
-        raw = dict(_ck_slices((1,), 1, range(order + 1)))
+        raw = {n: f for n, (f,) in _ck_slices((1,), (1,), range(order + 1))}
         naive_raw = naive_crank_series(order)
         # size 1 is the corrected column: constant 1, not z - 1 + 1/z
         assert crank_poly(1) == LaurentPoly.one()
@@ -258,6 +258,36 @@ class TestFullSpectrumAudit:
             full = full_spectrum_slices(spec.a, spec.delta, self.ORDER)
             assert all(poly.is_symmetric() for poly in full), spec
             assert slices(spec, self.ORDER) == full, spec
+
+
+def one_parity_builds(a: tuple[int, ...], sizes: range) -> list[tuple[int, tuple[LaurentPoly, ...]]]:
+    """Per size, the odd-k and even-k slices of weights a, from two separate builds."""
+    r = len(a)
+    odd, even = (iter_ck_slices(CrankSpec(k, a), sizes) for k in (2 * r - 1, 2 * r))
+    return [(m, (f0, f1)) for (m, f1), (_, f0) in zip(odd, even)]
+
+
+class TestSharedParityBuild:
+    # every weight tuple of k = 3..6, and the A_(2j-1)/A_(2j) pairs up to A11/A12
+    TUPLES = sorted({spec.a for k in range(3, 7) for spec in crank_space(k)}
+                    | {ak_spec(k).a for k in range(3, 13, 2)})
+
+    @pytest.mark.parametrize("r", sorted({len(a) for a in TUPLES}))
+    def test_shared_build_matches_two_one_parity_builds(self, r):
+        for a in (a for a in self.TUPLES if len(a) == r):
+            assert list(_ck_slices(a, (0, 1), range(40))) == one_parity_builds(a, range(40)), a
+
+    def test_shared_slot_is_the_widest_parity_slot(self, monkeypatch):
+        # at order 83, r = 3: the odd parity's pos totals need 72-bit slots and
+        # the even parity's fit in 64, so the shared build decodes both slot by slot
+        widths = []
+        monkeypatch.setattr("crankspace.qseries._slot_width",
+                            lambda largest: widths.append(_slot_width(largest)) or widths[-1])
+        a, sizes = (3, 2, 1), range(1, 84)
+        shared = list(_ck_slices(a, (0, 1), sizes))
+        assert widths == [72]
+        assert shared == one_parity_builds(a, sizes)
+        assert widths == [72, 72, 64]
 
 
 class TestSliceAccess:

@@ -7,7 +7,7 @@ import multiprocessing
 
 import pytest
 
-from crankspace import search
+from crankspace import qseries, search
 from crankspace.partitions import BoundExceeded
 from crankspace.qseries import CrankSpec, iter_ck_slices
 from crankspace.search import (
@@ -129,10 +129,30 @@ class TestExhaustiveSearch:
             check_scan_work(**ranges)
 
     def test_worker_count_does_not_change_results(self):
-        serial = exhaustive_search(3, 4, n_hi=40, threads=1)
-        pooled = exhaustive_search(3, 4, n_hi=40, threads=2)
+        serial = exhaustive_search(3, 6, n_hi=30, threads=1)
+        pooled = exhaustive_search(3, 6, n_hi=30, threads=2)
         assert serial == pooled
         assert results_to_csv(serial) == results_to_csv(pooled)
+        serial = check_family_unimodality(n_hi=30, threads=1)
+        pooled = check_family_unimodality(n_hi=30, threads=2)
+        assert serial._replace(elapsed_s=0) == pooled._replace(elapsed_s=0)
+
+    @pytest.mark.parametrize("scan,builds", [
+        (lambda: exhaustive_search(3, 6, n_hi=20, threads=1), 26),  # of 39 specs
+        (lambda: check_family_unimodality(3, 12, n_hi=20, threads=1), 8),  # of 13 families
+    ], ids=["table1-tuples", "families"])
+    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, builds):
+        packed = []
+        build = qseries._ck_slices
+        monkeypatch.setattr(qseries, "_ck_slices", lambda a, *args: packed.append(a) or build(a, *args))
+        scan()
+        assert len(packed) == len(set(packed)) == builds
+
+    def test_repeated_and_shared_specs_get_their_own_lists(self):
+        odd, even = CrankSpec(3, (3, 2)), CrankSpec(4, (3, 2))
+        [once] = slice_defects([odd], 30, threads=1)
+        assert slice_defects([odd, even, odd], 30, threads=1) == [
+            once, slice_defects([even], 30, threads=1)[0], once]
 
     def test_csv_shape(self):
         rows = results_to_csv(exhaustive_search(3, 3, n_hi=75)).splitlines()
