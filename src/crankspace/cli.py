@@ -12,7 +12,8 @@ Output formats: text (default), json, csv.  Exit codes: 0 = computed or all
 claims passed (partial counts as passing: the claim held in its stated
 range), 1 = a checked claim failed, 2 = usage error (a CrankspaceError),
 3 = internal fault (any other exception, a plain ValueError included;
-traceback on stderr).  Worker count comes from --threads, else the CPU count;
+traceback on stderr).  Worker count comes from --threads, else the number of
+CPUs this process may run on (its affinity mask where the platform has one);
 it never changes output bytes.
 """
 
@@ -25,7 +26,7 @@ import sys
 from typing import Sequence
 
 from . import partitions, search, verify
-from .cyclotomic import NotDivisible, exact_quotient, phi
+from .cyclotomic import NotDivisible, exact_quotient
 from .laurent import CrankspaceError, LaurentPoly
 
 _POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
@@ -140,9 +141,8 @@ def _cmd_quotient(args, out) -> int:
         raise partitions.BoundExceeded(f"--ell {args.ell} exceeds the quotient bound {QUOTIENT_BOUND}")
     variant = "squared" if args.squared else ("negated" if args.negated else "standard")
     f = _parse_poly_arg(args.poly)
-    divisor = phi(args.ell, variant)
     try:
-        quotient = exact_quotient(f, divisor)
+        quotient = exact_quotient(f, args.ell, variant)
     except NotDivisible as exc:
         if args.format == "json":
             json.dump({"divisible": False, "quotient": None, "reason": str(exc)}, out, indent=2)

@@ -3,13 +3,17 @@
 For an odd prime ell, the cyclotomic polynomial Phi_ell(z) = 1 + z + ... +
 z^(ell-1) and its variants Phi_ell(z^2) and Phi_ell(-z) divide a Laurent
 polynomial f exactly when certain residue-class coefficient sums of f agree.
-Those criteria are linear scans over the span; exact long division is kept as
-an independent audit route, and the two must always agree.  Divisibility by
-Phi_ell means equidistribution of the underlying counts over residue classes
-mod ell, which is how partition congruences surface at the polynomial level.
+Those criteria are linear scans over the span.  `exact_quotient` is the
+independent second route: it divides by the sparse binomial multiple
+1 - eps*z^(s*ell) of Phi_ell(eps*z^s), and the two must always agree.
+Divisibility by Phi_ell means equidistribution of the underlying counts over
+residue classes mod ell, which is how partition congruences surface at the
+polynomial level.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .laurent import CrankspaceError, LaurentPoly
 
@@ -37,24 +41,6 @@ def _check_modulus(ell: int, variant: str = "standard") -> None:
         raise CrankspaceError(f"ell must be an odd prime, got {ell}")
     if variant not in VARIANTS:
         raise CrankspaceError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
-def phi(ell: int, variant: str = "standard") -> LaurentPoly:
-    """The chosen cyclotomic polynomial as a LaurentPoly.
-
-    >>> str(phi(3))
-    '1*z^0 + 1*z^1 + 1*z^2'
-    >>> str(phi(3, "squared"))
-    '1*z^0 + 1*z^2 + 1*z^4'
-    >>> str(phi(3, "negated"))
-    '1*z^0 - 1*z^1 + 1*z^2'
-    """
-    _check_modulus(ell, variant)
-    if variant == "standard":
-        return LaurentPoly(0, (1,) * ell)
-    if variant == "squared":
-        return LaurentPoly(0, (1, 0) * (ell - 1) + (1,))
-    return LaurentPoly(0, tuple((-1) ** i for i in range(ell)))
 
 
 def hat_sums(f: LaurentPoly, m: int) -> list[int]:
@@ -99,37 +85,33 @@ def divides_negated(f: LaurentPoly, ell: int) -> bool:
     return True
 
 
-def exact_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """The Laurent polynomial q with q*g == f, if one exists over Z.
+def exact_quotient(f: LaurentPoly, ell: int, variant: str = "standard") -> LaurentPoly:
+    """The Laurent polynomial q with q * Phi_ell(eps*z^s) == f, if one exists.
 
-    Schoolbook long division from the top exponent; raises NotDivisible when
-    the remainder is nonzero or a leading-coefficient division fails.  This is
-    the audit route for the residue-sum criteria and works for any nonzero g.
+    The divisor is Phi_ell(z), Phi_ell(z^2) or Phi_ell(-z) (s = 1 or 2,
+    eps = 1 or -1).  Its binomial multiple is sparse: since ell is odd,
+    Phi_ell(eps*z^s) * (1 - eps*z^s) = 1 - eps*z^(s*ell), so q is
+    f * (1 - eps*z^s) divided by that binomial, one running sum per residue
+    class mod s*ell.  The division is exact iff the sums leave the top
+    s*ell entries zero; otherwise NotDivisible is raised.  Independent of
+    the residue-sum criteria, which `verify` checks it against.
 
-    >>> exact_quotient(phi(5).shift(-2), phi(5))
+    >>> exact_quotient(LaurentPoly(-2, (1, 1, 1, 1, 1)), 5)
     LaurentPoly('1*z^-2')
     """
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
+    _check_modulus(ell, variant)
     if f.is_zero():
         return LaurentPoly.zero()
-    glen = len(g.coeffs)
-    qlen = len(f.coeffs) - glen + 1
+    s = 2 if variant == "squared" else 1
+    eps = -1 if variant == "negated" else 1
+    period, c = s * ell, f.coeffs
+    qlen = len(c) - period + s
     if qlen <= 0:
-        raise NotDivisible(f"span z^{f.lo}..z^{f.hi} shorter than divisor span z^{g.lo}..z^{g.hi}")
-    num = list(f.coeffs)
-    glead = g.coeffs[-1]
-    q = [0] * qlen
-    for i in range(qlen - 1, -1, -1):
-        c = num[i + glen - 1]
-        if c == 0:
-            continue
-        if c % glead != 0:
-            raise NotDivisible("leading coefficient does not divide exactly")
-        qi = c // glead
-        q[i] = qi
-        for j, gj in enumerate(g.coeffs):
-            num[i + j] -= qi * gj
-    if any(num):
+        raise NotDivisible(f"span z^{f.lo}..z^{f.hi} shorter than divisor span z^0..z^{period - s}")
+    q = [x - eps * y for x, y in zip(c + (0,) * s, (0,) * s + c)]
+    step = None if eps > 0 else (lambda acc, x: x - acc)  # per class: q[i] += eps * q[i - period]
+    for r in range(period):
+        q[r::period] = accumulate(q[r::period], step)
+    if any(q[qlen:]):
         raise NotDivisible("nonzero remainder")
-    return LaurentPoly(f.lo - g.lo, q)
+    return LaurentPoly(f.lo, q[:qlen])

@@ -31,10 +31,12 @@ from .cyclotomic import _is_odd_prime
 from .laurent import CrankspaceError, LaurentPoly
 
 POLY_BOUND = 5000
-# p_k(n) builds one table of n + 1 entries for every k' <= k, each entry a sum
-# of about sqrt(n) pentagonal terms, and keeps them cached.  The bounds keep
-# the costliest admitted request near one second and 50 MB: k = 1000 at
-# n = 294, or k = 1 at n = 29240.
+# p_k(n) builds one table of n + 1 entries for each k' = k, k-3, ... (three
+# colors per pass by Jacobi's identity), each entry a sum of about sqrt(2n)
+# terms, and keeps them cached.  k * n * isqrt(n) counts one table per color,
+# so it is a loose upper bound, about three times the work for large k.  The
+# costliest admitted requests stay near one second and 50 MB: k = 1
+# at n = 29240, and k = 1000 at n = 294.
 COLORED_K_BOUND = 1000
 COLORED_WORK_BOUND = 5_000_000
 

@@ -2,7 +2,8 @@
 
 Everything here is a power series in q truncated at a caller-chosen order.
 The scalar series are the k-colored partition numbers, the coefficients of
-prod_{n>=1} (1-q^n)^(-k) (`colored_coeffs`; k = 1 gives p(n)).  The
+prod_{n>=1} (1-q^n)^(-k) (`colored_coeffs`; k = 1 gives p(n)), built three
+colors per sparse pass by Jacobi's identity for (q)_inf^3.  The
 polynomial series are the colored-crank products C_k(a_1..a_r): (k-d)/2
 copies of the a = 0 crank factor prod_{n>=1} (1-q^n) / ((1-z^a q^n)(1-z^-a q^n))
 times the factors for a_1..a_r, where d = k mod 2 and r = (k+d)/2; each
@@ -39,6 +40,7 @@ against a packed kernel that builds both halves of every slice.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -99,23 +101,33 @@ def _pentagonal_terms(limit: int) -> list[tuple[int, int]]:
 def colored_coeffs(k: int, order: int) -> tuple[int, ...]:
     """Coefficients 0..order of prod_{n>=1} (1-q^n)^(-k), exactly.
 
-    k = 0 gives the constant series 1; k = 1 the partition numbers.  Uses the
-    pentagonal recurrence p_k(n) = p_{k-1}(n) - sum_g sign(g) p_k(n-g), one
-    sparse pass per color, with a module-level cache that extends in place.
+    k = 0 gives the constant series 1; k = 1 the partition numbers.  For
+    k >= 3, p_k = p_(k-3) / (q)_inf^3, and Jacobi's identity
+    (q)_inf^3 = sum_j (-1)^j (2j+1) q^(j(j+1)/2) makes that one sparse pass:
+    p_k(n) = p_(k-3)(n) - sum_t J_t p_k(n-t).  k = 1 and 2 take one
+    pentagonal pass from k - 1 instead.  So only the chain k, k-3, ..., k mod 3
+    and the colors 0..k mod 3 are built, in a module-level cache that
+    extends in place.
     """
     if k < 0:
         raise CrankspaceError("k must be >= 0")
     if order < 0:
         raise CrankspaceError("order must be >= 0")
-    for kk in range(0, k + 1):
+    pentagonal = jacobi = None
+    for kk in [*range(k % 3 + 1), *range(k % 3 + 3, k + 1, 3)]:
         cur = _COLORED_CACHE.setdefault(kk, [1])
         if len(cur) > order:
             continue
         if kk == 0:
             cur.extend([0] * (order + 1 - len(cur)))
             continue
-        prev = _COLORED_CACHE[kk - 1]
-        terms = _pentagonal_terms(order)
+        if kk < 3:
+            pentagonal = pentagonal or _pentagonal_terms(order)
+            prev, terms = _COLORED_CACHE[kk - 1], pentagonal
+        else:
+            jacobi = jacobi or [(j * (j + 1) // 2, (-1) ** j * (2 * j + 1))
+                                for j in range(1, math.isqrt(2 * order) + 1)]
+            prev, terms = _COLORED_CACHE[kk - 3], jacobi
         for n in range(len(cur), order + 1):
             v = prev[n]
             for g, sgn in terms:

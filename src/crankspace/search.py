@@ -79,8 +79,12 @@ def crank_space(k: int) -> Iterator[CrankSpec]:
 
 
 def _pool_map(fn, tasks: list, threads: int | None) -> list:
-    """Map fn over tasks in order, on min(threads, len(tasks), CPU count) workers (None: all CPUs)."""
-    cpus = os.cpu_count() or 1
+    """Map fn over tasks in order, on min(threads, len(tasks), usable CPUs) workers (None: all).
+
+    Usable CPUs are the affinity mask's (so a `taskset` limit counts), else the CPU count.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(cpus if threads is None else threads, len(tasks), cpus)
     if workers <= 1:
         return [fn(t) for t in tasks]

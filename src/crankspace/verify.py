@@ -33,7 +33,6 @@ from .cyclotomic import (
     divides_standard,
     exact_quotient,
     hat_sums,
-    phi,
 )
 from .laurent import CrankspaceError, LaurentPoly
 
@@ -102,10 +101,10 @@ def _info(kind: str, poly: LaurentPoly | None = None, **params) -> Counterexampl
     return Counterexample({"kind": kind, "within_claim": False, **params}, poly)
 
 
-def _dual_quotient(f: LaurentPoly, divisor: LaurentPoly, criterion: bool):
+def _dual_quotient(f: LaurentPoly, ell: int, variant: str, criterion: bool):
     """Run both divisibility routes; return (divisible, quotient, agree)."""
     try:
-        q = exact_quotient(f, divisor)
+        q = exact_quotient(f, ell, variant)
     except NotDivisible:
         return False, None, not criterion
     return True, q, criterion
@@ -120,12 +119,11 @@ def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
     on.  Returns (violations, wobbles, negatives), the latter two listing the
     below-onset sizes that were not unimodal or had a negative quotient.
     """
-    divisor = phi(ell)
     violations: list[Counterexample] = []
     wobbles: list[int] = []
     negatives: list[int] = []
     for params, size, f in slices:
-        divisible, q, agree = _dual_quotient(f, divisor, divides_standard(f, ell))
+        divisible, q, agree = _dual_quotient(f, ell, "standard", divides_standard(f, ell))
         if not agree:
             violations.append(_violation("route-disagreement", f, **params))
             continue
@@ -198,13 +196,12 @@ def verify_crank_squared(n_max: int = 99) -> Report:
     _check_top_size(n_max, 5, 4)
     t0 = time.perf_counter()
     violations: list[Counterexample] = []
-    divisor = phi(5, "squared")
     interior_zeros = 0
     for n in range(n_max + 1):
         N = 5 * n + 4
         f = partitions.crank_poly(N)
         crit = divides_standard(f, 5) and divides_negated(f, 5)
-        divisible, q, agree = _dual_quotient(f, divisor, crit)
+        divisible, q, agree = _dual_quotient(f, 5, "squared", crit)
         if not agree:
             violations.append(_violation("route-disagreement", f, n=n, size=N))
             continue

@@ -14,9 +14,14 @@ series, the audit route for the closed-form rank polynomials up to order 300.
 full_spectrum_slices builds the colored-crank slices on a packed kernel that
 computes both halves of every slice, the audit route for the half-spectrum
 kernel and for the z -> 1/z symmetry it relies on.
-divides_by_division is the exact-division form of the divisibility test, the
-audit route for the residue-sum criteria.  scan_threshold is one weight
-tuple's SearchResult, read off the slice scan the search uses.
+phi builds the three cyclotomic divisors as polynomials, and
+schoolbook_quotient divides by any nonzero polynomial by long division: the
+audit route for `cyclotomic.exact_quotient`, which divides by Phi_ell's
+binomial multiple instead.  divides_by_division is the schoolbook form of the
+divisibility test, the audit route for the residue-sum criteria.
+colored_coeffs_reference builds p_k one color at a time by the pentagonal
+recurrence, the audit route for `qseries.colored_coeffs`.  scan_threshold is
+one weight tuple's SearchResult, read off the slice scan the search uses.
 poly_from_json reads a polynomial's JSON form back; the package writes JSON
 but reads none.
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 import sys
 from typing import Iterator, Sequence
 
-from crankspace.cyclotomic import NotDivisible, exact_quotient
+from crankspace.cyclotomic import NotDivisible, _check_modulus
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import BoundExceeded
 from crankspace.qseries import CrankSpec, SlotOverflow, _slot_width, colored_coeffs
@@ -159,10 +164,53 @@ def scan_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchRes
     return SearchResult(spec, n_hi, bad[-1] if bad else None)
 
 
+def phi(ell: int, variant: str = "standard") -> LaurentPoly:
+    """Phi_ell(z), Phi_ell(z^2) or Phi_ell(-z) as a LaurentPoly."""
+    _check_modulus(ell, variant)
+    if variant == "standard":
+        return LaurentPoly(0, (1,) * ell)
+    if variant == "squared":
+        return LaurentPoly(0, (1, 0) * (ell - 1) + (1,))
+    return LaurentPoly(0, tuple((-1) ** i for i in range(ell)))
+
+
+def schoolbook_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """The Laurent polynomial q with q*g == f, if one exists over Z.
+
+    Schoolbook long division from the top exponent; raises NotDivisible when
+    the remainder is nonzero or a leading-coefficient division fails.  Works
+    for any nonzero g, with the same NotDivisible texts as exact_quotient.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return LaurentPoly.zero()
+    glen = len(g.coeffs)
+    qlen = len(f.coeffs) - glen + 1
+    if qlen <= 0:
+        raise NotDivisible(f"span z^{f.lo}..z^{f.hi} shorter than divisor span z^{g.lo}..z^{g.hi}")
+    num = list(f.coeffs)
+    glead = g.coeffs[-1]
+    q = [0] * qlen
+    for i in range(qlen - 1, -1, -1):
+        c = num[i + glen - 1]
+        if c == 0:
+            continue
+        if c % glead != 0:
+            raise NotDivisible("leading coefficient does not divide exactly")
+        qi = c // glead
+        q[i] = qi
+        for j, gj in enumerate(g.coeffs):
+            num[i + j] -= qi * gj
+    if any(num):
+        raise NotDivisible("nonzero remainder")
+    return LaurentPoly(f.lo - g.lo, q)
+
+
 def divides_by_division(f: LaurentPoly, g: LaurentPoly) -> bool:
-    """Whether g divides f, decided by exact long division."""
+    """Whether g divides f, decided by schoolbook long division."""
     try:
-        exact_quotient(f, g)
+        schoolbook_quotient(f, g)
     except NotDivisible:
         return False
     return True
@@ -183,6 +231,22 @@ def pentagonal_signs(limit: int) -> list[tuple[int, int]]:
         if g2 <= limit:
             out.append((g2, sign))
         j += 1
+
+
+def colored_coeffs_reference(k_max: int, order: int) -> list[list[int]]:
+    """Coefficients 0..order of prod (1-q^n)^(-k) for k = 0..k_max, one color per pass.
+
+    Each pass divides the previous row by (q)_inf through the pentagonal
+    recurrence.
+    """
+    terms = pentagonal_signs(order)
+    rows = [[1] + [0] * order]
+    for _ in range(k_max):
+        prev, cur = rows[-1], []
+        for n in range(order + 1):
+            cur.append(prev[n] - sum(sign * cur[n - g] for g, sign in terms if g <= n))
+        rows.append(cur)
+    return rows
 
 
 def multiply_inverse_factor(coeffs: list[LaurentPoly], a: int, n: int) -> list[LaurentPoly]:

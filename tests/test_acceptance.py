@@ -13,7 +13,6 @@ from crankspace.cyclotomic import (
     divides_negated,
     divides_standard,
     exact_quotient,
-    phi,
 )
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import (
@@ -46,6 +45,7 @@ from helpers import (
     crank_poly_enumerated,
     divides_by_division,
     mul,
+    phi,
     rank_poly_enumerated,
 )
 
@@ -204,7 +204,7 @@ def test_criterion_7_hand_verified_fixed_points():
     )
     oracle_rank = add(rank_poly_enumerated(size), boundary_rank)
     checks.append(oracle_rank == modified_rank_poly(5, 0))
-    checks.append(exact_quotient(oracle_rank, phi(5)) == LaurentPoly(-2, (1,)))
+    checks.append(exact_quotient(oracle_rank, 5) == LaurentPoly(-2, (1,)))
 
     # smallest modified-crank slice
     boundary_crank = LaurentPoly.from_coeff_map(
@@ -212,11 +212,11 @@ def test_criterion_7_hand_verified_fixed_points():
     )
     oracle_crank = add(crank_poly_enumerated(size), boundary_crank)
     checks.append(oracle_crank == modified_crank_poly(5, 0))
-    checks.append(exact_quotient(oracle_crank, phi(5)) == LaurentPoly(-2, (1,)))
+    checks.append(exact_quotient(oracle_crank, 5) == LaurentPoly(-2, (1,)))
 
     # plain size-4 crank polynomial against the squared-argument divisor
     checks.append(
-        exact_quotient(crank_poly_enumerated(4), phi(5, "squared"))
+        exact_quotient(crank_poly_enumerated(4), 5, "squared")
         == LaurentPoly(-4, (1,))
     )
 

@@ -133,8 +133,8 @@ class TestQuotientCommand:
     ])
     def test_quotient_bound_is_refused_before_the_divisor(self, capsys, monkeypatch, argv):
         calls = []
-        phi = cli.phi
-        monkeypatch.setattr(cli, "phi", lambda *args: calls.append(args) or phi(*args))
+        divide = cli.exact_quotient
+        monkeypatch.setattr(cli, "exact_quotient", lambda *args: calls.append(args) or divide(*args))
         code, out, err = run(capsys, "quotient", *argv)
         assert code == 2 and out == ""
         assert "quotient bound 10001" in err

@@ -17,19 +17,26 @@ from crankspace.cyclotomic import (
     divides_standard,
     exact_quotient,
     hat_sums,
-    phi,
 )
-from crankspace.laurent import LaurentPoly
+from crankspace.laurent import CrankspaceError, LaurentPoly
 
-from helpers import add, divides_by_division, mul
+from helpers import add, divides_by_division, mul, phi, schoolbook_quotient
 
 PRIMES = (5, 7, 11)
+AUDIT_PRIMES = (3, 5, 7, 11, 13, 23, 37)
 
 
 def random_poly(rng, span=12, bound=9):
     lo = rng.randrange(-6, 3)
     width = rng.randrange(1, span)
     return LaurentPoly(lo, [rng.randrange(-bound, bound + 1) for _ in range(width)])
+
+
+def quotient_or_reason(divide, f, *divisor):
+    try:
+        return divide(f, *divisor)
+    except NotDivisible as exc:
+        return str(exc)
 
 
 class TestPhi:
@@ -122,11 +129,12 @@ class TestDivisibilityRoutes:
 
 class TestExactQuotient:
     def test_recovers_the_cofactor(self):
-        g = phi(7)
         cof = LaurentPoly(-2, (3, -1, 0, 4))
-        assert exact_quotient(mul(cof, g), g) == cof
+        for variant in VARIANTS:
+            assert exact_quotient(mul(cof, phi(7, variant)), 7, variant) == cof
 
     def test_quotient_times_divisor_reconstructs(self):
+        # the schoolbook oracle on arbitrary nonzero divisors
         rng = random.Random(99)
         for _ in range(200):
             g = random_poly(rng)
@@ -134,23 +142,47 @@ class TestExactQuotient:
                 continue
             cof = random_poly(rng)
             f = mul(cof, g)
-            assert mul(exact_quotient(f, g), g) == f
+            assert mul(schoolbook_quotient(f, g), g) == f
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_schoolbook_on_seeded_corpus(self, variant):
+        rng = random.Random(f"exact-quotient:{variant}")
+        outcomes = set()
+        for ell in AUDIT_PRIMES:
+            g = phi(ell, variant)
+            corpus = [LaurentPoly.zero(), g.shift(-9), LaurentPoly(-4, (1,) * (len(g.coeffs) - 1))]
+            for trial in range(40):
+                f = random_poly(rng, span=3 * len(g.coeffs))
+                corpus.append(mul(f, g) if trial % 2 else f)
+            for f in corpus:
+                expected = quotient_or_reason(schoolbook_quotient, f, g)
+                assert quotient_or_reason(exact_quotient, f, ell, variant) == expected
+                outcomes.add(expected if isinstance(expected, str) else "divisible")
+        assert "divisible" in outcomes and "nonzero remainder" in outcomes
+        assert any(o.startswith("span z^-4..") for o in outcomes)
 
     def test_not_divisible_raises(self):
-        with pytest.raises(NotDivisible):
-            exact_quotient(LaurentPoly(0, (1, 1)), phi(5))
-        with pytest.raises(NotDivisible):
-            exact_quotient(add(phi(5), LaurentPoly.one()), phi(5))
+        with pytest.raises(NotDivisible, match="shorter than divisor span z\\^0..z\\^4"):
+            exact_quotient(LaurentPoly(0, (1, 1)), 5)
+        with pytest.raises(NotDivisible, match="nonzero remainder"):
+            exact_quotient(add(phi(5), LaurentPoly.one()), 5)
+
+    def test_refuses_a_divisor_outside_the_family(self):
+        for ell, variant in ((9, "standard"), (2, "negated"), (5, "cubed")):
+            with pytest.raises(CrankspaceError):
+                exact_quotient(LaurentPoly.zero(), ell, variant)
 
     def test_not_divisible_is_arithmetic_error(self):
         assert issubclass(NotDivisible, ArithmeticError)
 
     def test_zero_divisor_raises_zero_division(self):
+        # only the schoolbook oracle takes an arbitrary divisor
         with pytest.raises(ZeroDivisionError):
-            exact_quotient(LaurentPoly.one(), LaurentPoly.zero())
+            schoolbook_quotient(LaurentPoly.one(), LaurentPoly.zero())
 
     def test_zero_dividend(self):
-        assert exact_quotient(LaurentPoly.zero(), phi(5)) == LaurentPoly.zero()
+        for variant in VARIANTS:
+            assert exact_quotient(LaurentPoly.zero(), 5, variant) == LaurentPoly.zero()
 
 
 def test_doctests_pass():

@@ -28,6 +28,7 @@ from crankspace.qseries import (
 from crankspace.search import crank_space
 
 from helpers import (
+    colored_coeffs_reference,
     full_spectrum_slices,
     naive_colored_crank,
     naive_crank_series,
@@ -165,6 +166,19 @@ class TestSeriesAgainstNaiveOracle:
         short = colored_coeffs(4, 12)
         assert long[:13] == short
         assert long[0] == 1 and long[1] == 4
+
+    def test_colored_coeffs_match_one_color_at_a_time(self):
+        reference = colored_coeffs_reference(15, 400)
+        for k in range(16):
+            assert list(colored_coeffs(k, 400)) == reference[k]
+
+    def test_colored_coeffs_in_any_request_order(self, monkeypatch):
+        monkeypatch.setattr(crankspace.qseries, "_COLORED_CACHE", {})
+        reference = colored_coeffs_reference(13, 400)
+        for k, order in ((12, 50), (3, 400), (12, 400), (13, 200), (2, 30)):
+            assert list(colored_coeffs(k, order)) == reference[k][: order + 1]
+        # only the chains k, k-3, ... (and the colors below k mod 3) are built
+        assert sorted(crankspace.qseries._COLORED_CACHE) == [0, 1, 2, 3, 4, 6, 7, 9, 10, 12, 13]
 
     def test_every_slice_is_symmetric(self):
         assert all(p.is_symmetric() for p in slices(CrankSpec(5, (5, 3, 2)), 15))

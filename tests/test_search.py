@@ -213,15 +213,26 @@ class TestCriteria:
             check_family_unimodality(3, 4, n_hi=n_hi)
 
 
+def no_pool(size):
+    raise AssertionError(f"pool of {size} requested")
+
+
 class TestThreadConfig:
     def test_fallback_is_positive(self, monkeypatch):
-        # threads=None falls back to the CPU count; an unknown count means one
-        # worker, run in-process, never a pool of zero.
-        def no_pool(size):
-            raise AssertionError(f"pool of {size} requested")
-
+        # threads=None falls back to the usable CPUs; with no affinity mask and
+        # an unknown CPU count that means one worker, run in-process, never a
+        # pool of zero.
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert search._pool_map(abs, [-3, -1, -2], threads=None) == [3, 1, 2]
+
+    def test_one_cpu_in_the_affinity_mask_starts_no_pool(self, monkeypatch):
+        # a `taskset -c 0` run: more CPUs exist, but the process may use one
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+        assert search._pool_map(abs, [-3, -1, -2], threads=2) == [3, 1, 2]
         assert search._pool_map(abs, [-3, -1, -2], threads=None) == [3, 1, 2]
 
     def test_pool_size_is_capped_at_cpu_count(self, monkeypatch):
@@ -241,7 +252,8 @@ class TestThreadConfig:
                 return [fn(t) for t in tasks]
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
         assert search._pool_map(abs, list(range(-8, 0)), threads=64) == list(range(8, 0, -1))
         assert search._pool_map(abs, [-1, -2], threads=64) == [1, 2]
         assert search._pool_map(abs, list(range(-8, 0)), threads=None) == list(range(8, 0, -1))
