@@ -100,7 +100,7 @@ def exact_quotient(f: LaurentPoly, ell: int, variant: str = "standard") -> Laure
     LaurentPoly('1*z^-2')
     """
     _check_modulus(ell, variant)
-    if f.is_zero():
+    if not f:
         return LaurentPoly.zero()
     s = 2 if variant == "squared" else 1
     eps = -1 if variant == "negated" else 1

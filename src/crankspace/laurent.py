@@ -94,9 +94,6 @@ class LaurentPoly:
         """Largest exponent in the span (lo - 1 for the zero polynomial)."""
         return self.lo + len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -114,7 +111,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by z^k."""
-        if self.is_zero():
+        if not self:
             return self
         return LaurentPoly(self.lo + k, self.coeffs)
 
@@ -122,7 +119,7 @@ class LaurentPoly:
 
     def is_symmetric(self) -> bool:
         """True iff the coefficient of z^m equals that of z^-m for all m."""
-        return self.is_zero() or (self.lo == -self.hi and self.coeffs == self.coeffs[::-1])
+        return not self or (self.lo == -self.hi and self.coeffs == self.coeffs[::-1])
 
     def is_unimodal(self) -> bool:
         """True iff the coefficient sequence rises then falls.
@@ -151,7 +148,7 @@ class LaurentPoly:
     # -- text and JSON forms --------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
+        if not self:
             return "0"
         parts: list[str] = []
         for i, c in enumerate(self.coeffs):

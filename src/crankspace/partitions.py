@@ -31,12 +31,13 @@ from .cyclotomic import _is_odd_prime
 from .laurent import CrankspaceError, LaurentPoly
 
 POLY_BOUND = 5000
-# p_k(n) builds one table of n + 1 entries for each k' = k, k-3, ... (three
-# colors per pass by Jacobi's identity), each entry a sum of about sqrt(2n)
-# terms, and keeps them cached.  k * n * isqrt(n) counts one table per color,
-# so it is a loose upper bound, about three times the work for large k.  The
-# costliest admitted requests stay near one second and 50 MB: k = 1
-# at n = 29240, and k = 1000 at n = 294.
+# p_k(n) builds one table of n + 1 entries for each pass: one per k' = k,
+# k-3, ... (three colors per pass by Jacobi's identity) and one per color
+# 1..k mod 3 (a pentagonal pass), each entry a sum of about sqrt(2n) terms,
+# and keeps them cached.  The estimate counts those passes, at least one so
+# that k = 0 is bounded too.  The costliest admitted requests stay near one
+# second and 50 MB: k = 1 and 3 at n = 29240, k = 2 and 4 at n = 18495, and
+# k = 1000 at n = 623.
 COLORED_K_BOUND = 1000
 COLORED_WORK_BOUND = 5_000_000
 
@@ -92,20 +93,14 @@ def crank_poly(n: int) -> LaurentPoly:
 # -- colored counts and progressions --------------------------------------------
 
 
-def partition_count(n: int) -> int:
-    """p(n), exactly."""
-    if n < 0:
-        raise CrankspaceError("n must be >= 0")
-    return qseries.colored_coeffs(1, n)[n]
-
-
 def _check_colored(k: int, n: int) -> None:
     if n < 0:
         raise CrankspaceError("n must be >= 0")
-    if k > COLORED_K_BOUND or k * n * math.isqrt(n) > COLORED_WORK_BOUND:
+    passes = max(1, k // 3 + k % 3)
+    if k > COLORED_K_BOUND or passes * n * math.isqrt(n) > COLORED_WORK_BOUND:
         raise BoundExceeded(
             f"p_{k}({n}) exceeds the colored-count bound: k <= {COLORED_K_BOUND} "
-            f"and k * n * isqrt(n) <= {COLORED_WORK_BOUND}"
+            f"and max(1, k // 3 + k % 3) * n * isqrt(n) <= {COLORED_WORK_BOUND}"
         )
 
 

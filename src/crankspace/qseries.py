@@ -19,8 +19,7 @@ product of pure (1 - z^a q^j)^(-1) factors whose coefficients are all
 non-negative.  It depends only on the weights, so it is packed once per
 distinct weight tuple and serves both parities d (a slice scan asks for both
 when k and k+1 share a tuple); the pentagonal sum is then done only for the
-slices and parities asked for, one slice at a time.  `iter_ck_slices(spec,
-sizes)` is the one-parity accessor.
+slices and parities asked for, one slice at a time (`iter_ck_slices`).
 
 That non-negativity enables the kernel trick used here: the z-coefficient
 vector of each q-coefficient is packed into a single big integer with a fixed
@@ -28,7 +27,7 @@ slot width, so the inner recurrence is one bigint shift-add per (factor,
 coefficient) pair and runs at C speed.  Every weight enters as +a and -a, so
 the product is invariant under z -> 1/z: the kernel builds only the z^e,
 e <= 0, half of each slice, with offset-free shifts, and mirrors it (see
-`_ck_slices`).  Slot widths are exact: at z = 1 the geometric stage is
+`iter_ck_slices`).  Slot widths are exact: at z = 1 the geometric stage is
 prod (1-q^n)^(-F), so every slice's coefficients sum to a total read off
 `colored_coeffs`, and a slot as wide as the largest total cannot overflow.
 Two run-time checks certify every decoded half all the same, one against
@@ -201,8 +200,8 @@ def _unpack_half(x: int, nslots: int, bits: int, margin: int, total: int) -> lis
     return half
 
 
-def _ck_slices(a: tuple[int, ...], deltas: Sequence[int],
-               sizes: Iterable[int]) -> Iterator[tuple[int, tuple[LaurentPoly, ...]]]:
+def iter_ck_slices(a: tuple[int, ...], deltas: Sequence[int],
+                   sizes: Iterable[int]) -> Iterator[tuple[int, tuple[LaurentPoly, ...]]]:
     """Yield (m, q^m coefficients) of the colored-crank products for each m in sizes.
 
     The products have weights a and, for each delta in deltas, delta copies
@@ -219,6 +218,10 @@ def _ck_slices(a: tuple[int, ...], deltas: Sequence[int],
     is longer than c + a_1*m + 1 slots.  The entries share one origin, so
     each slice sums its own pentagonal terms (delta = 1 only) unshifted into
     separate non-negative pos/neg packed integers, and slots never borrow.
+    The packed product stays resident while the slices are yielded; the
+    pentagonal sum and the unpacking are done per requested slice, so
+    skipped sizes cost nothing and the dense polynomials never all coexist.
+    Negative sizes raise CrankspaceError.
 
     Slot widths are exact: at z = 1 the geometric product is
     prod (1-q^n)^(-F), F = 2r, so the coefficients of a slice's pos part sum
@@ -263,24 +266,6 @@ def _ck_slices(a: tuple[int, ...], deltas: Sequence[int],
                 half = [x - y for x, y in zip(half, _unpack_half(neg, nslots, bits, c, neg_total))]
             polys.append(LaurentPoly(1 - len(half), half[:0:-1] + half))
         yield m, tuple(polys)
-
-
-# -- public slice access ------------------------------------------------------
-
-
-def iter_ck_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
-    """Yield (n, q^n coefficient of the weight tuple's product) for n in sizes.
-
-    The one-parity slice accessor: a progression claim asks for every
-    ell-th size (slice scans ask `_ck_slices` for both parities of a weight
-    tuple at once).  The packed geometric product stays resident
-    (O(k * a_1 * max(sizes)) integers of machine size); the pentagonal sum
-    and the unpacking are done per requested slice, so skipped sizes cost
-    nothing and the dense polynomials never all coexist.  Negative sizes
-    raise CrankspaceError.
-    """
-    for m, (f,) in _ck_slices(spec.a, (spec.delta,), sizes):
-        yield m, f
 
 
 def ak_spec(k: int) -> CrankSpec:

@@ -93,12 +93,6 @@ def _pool_map(fn, tasks: list, threads: int | None) -> list:
         return pool.map(fn, tasks)
 
 
-def check_k_range(k_lo: int, k_hi: int) -> None:
-    """Refuse a range of color counts other than 3 <= k_lo <= k_hi."""
-    if not 3 <= k_lo <= k_hi:
-        raise CrankspaceError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
-
-
 def exhaustive_search(
     k_lo: int = 3,
     k_hi: int = 6,
@@ -112,7 +106,8 @@ def exhaustive_search(
     Raises BoundExceeded, before any scan, past SCAN_WORK_BOUND.
     """
     check_scan_work(k_lo, k_hi, n_hi)
-    check_k_range(k_lo, k_hi)
+    if not 3 <= k_lo <= k_hi:
+        raise CrankspaceError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     specs = [spec for k in range(k_lo, k_hi + 1) for spec in crank_space(k)]
     return [SearchResult(spec, n_hi, bad[-1] if bad else None)
             for spec, bad in zip(specs, slice_defects(specs, n_hi, threads))]
@@ -160,7 +155,7 @@ def results_to_csv(results: Iterable[SearchResult]) -> str:
 def _defects_task(task: tuple[tuple[int, ...], tuple[int, ...], int]) -> list[list[int]]:
     a, deltas, n_hi = task
     defects: list[list[int]] = [[] for _ in deltas]
-    for n, slices in qseries._ck_slices(a, deltas, range(1, n_hi)):
+    for n, slices in qseries.iter_ck_slices(a, deltas, range(1, n_hi)):
         for bad, f in zip(defects, slices):
             if not f.is_unimodal():
                 bad.append(n)

@@ -40,6 +40,8 @@ RANK_MONOTONE_ONSET = 39
 CRANK_UNIMODAL_ONSET = 44
 FAMILY_A_ONSET = 15
 FAMILY_B_ONSET = 24
+# The (kind, k) families conj1.4 scans: the range its registry line states (k <= 12).
+FAMILIES = tuple([("A", k) for k in range(3, 13)] + [("B", k) for k in range(7, 13, 2)])
 
 class InvalidCase(CrankspaceError):
     """Raised for congruence-case parameters the hypotheses do not admit."""
@@ -477,7 +479,7 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
     onset, spec, sizes = _quotient_plan(kind, case, n_max)
     t0 = time.perf_counter()
     slices = (({"n": n, "size": size}, size, f)
-              for n, (size, f) in enumerate(qseries.iter_ck_slices(spec, sizes)))
+              for n, (size, (f,)) in enumerate(qseries.iter_ck_slices(spec.a, (spec.delta,), sizes)))
     violations, wobbles, negatives = _check_slices(slices, case.ell, onset, onset)
     claim = f"cor3.5-{kind}-k{case.k}-ell{case.ell}"
     note = (
@@ -494,17 +496,19 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
 # -- weight-tuple scans ---------------------------------------------------------
 
 
-def check_first_gap_criterion(results: Iterable[search.SearchResult]) -> Report:
+def check_first_gap_criterion(n_hi: int = search.DEFAULT_SCAN_BOUND,
+                              threads: int | None = None) -> Report:
     """Eventual unimodality iff the two largest weights are adjacent.
 
-    Tests the equivalence on finished search results, in both directions.
-    A scan to a finite bound decides neither direction: a tuple whose top
-    slice is not unimodal may turn unimodal past the bound, and one whose top
-    slice is may fail later.  So every mismatch is informative (status
-    partial), and the range note records the bounds used.
+    Tests the equivalence, in both directions, on `search.exhaustive_search`
+    below n_hi, which it runs inside its own timer.  A scan to a finite
+    bound decides neither direction: a tuple whose top slice is not unimodal
+    may turn unimodal past the bound, and one whose top slice is may fail
+    later.  So every mismatch is informative (status partial), and the range
+    note records the bounds used.
     """
     t0 = time.perf_counter()
-    results = list(results)
+    results = search.exhaustive_search(n_hi=n_hi, threads=threads)
     infos: list[Counterexample] = []
     for r in results:
         adjacent = len(r.spec.a) >= 2 and r.spec.a[0] - r.spec.a[1] == 1
@@ -524,34 +528,26 @@ def check_first_gap_criterion(results: Iterable[search.SearchResult]) -> Report:
     return _report("conj4.2", note, [], infos, t0)
 
 
-def _family_plan(k_lo: int = 3, k_hi: int = 12, n_hi: int = 100):
-    """The (kind, k) families a conj1.4 scan checks, and their specs; refuse a scan past the bound."""
-    search.check_k_range(k_lo, k_hi)
-    families = [("A", k) for k in range(k_lo, k_hi + 1)]
-    families += [("B", k) for k in range(max(k_lo, 7), k_hi + 1) if k % 2]
-    specs = [_family_spec(kind, k) for kind, k in families]
-    search.check_slice_work(specs, n_hi - 1, f"family scan over k {k_lo}..{k_hi} below n_hi {n_hi}")
-    return families, specs
+def _family_plan(n_hi: int = 100) -> list[qseries.CrankSpec]:
+    """The specs of FAMILIES a conj1.4 scan checks; refuse a scan past the bound."""
+    specs = [_family_spec(kind, k) for kind, k in FAMILIES]
+    search.check_slice_work(specs, n_hi - 1, f"family scan over k 3..12 below n_hi {n_hi}")
+    return specs
 
 
-def check_family_unimodality(
-    k_lo: int = 3,
-    k_hi: int = 12,
-    n_hi: int = 100,
-    threads: int | None = None,
-) -> Report:
-    """Unimodality of the distinguished families above their onsets.
+def check_family_unimodality(n_hi: int = 100, threads: int | None = None) -> Report:
+    """Unimodality of the distinguished families FAMILIES above their onsets.
 
-    Kind A is scanned for every k in [k_lo, k_hi] with onset 15; kind B for
-    odd k >= 7 with onset 24.  Non-unimodal slices at or above the onset are
+    Kind A is scanned for every k in [3, 12] with onset 15; kind B for odd
+    k >= 7 with onset 24.  Non-unimodal slices at or above the onset are
     violations; below-onset ones are expected for small sizes and are
     tallied in the range note.
     """
-    families, specs = _family_plan(k_lo, k_hi, n_hi)
+    specs = _family_plan(n_hi)
     t0 = time.perf_counter()
     violations: list[Counterexample] = []
     below_notes: list[str] = []
-    for (kind, k), bad in zip(families, search.slice_defects(specs, n_hi, threads)):
+    for (kind, k), bad in zip(FAMILIES, search.slice_defects(specs, n_hi, threads)):
         onset = FAMILY_A_ONSET if kind == "A" else FAMILY_B_ONSET
         below = [n for n in bad if n < onset]
         for n in bad:
@@ -560,7 +556,7 @@ def check_family_unimodality(
         if below:
             below_notes.append(f"{kind}{k} at {below}")
     note = (
-        f"k in [{k_lo}, {k_hi}], 1 <= n < {n_hi}, "
+        f"k in [3, 12], 1 <= n < {n_hi}, "
         f"onsets A >= {FAMILY_A_ONSET}, B >= {FAMILY_B_ONSET} (B for odd k >= 7)"
     )
     if below_notes:
@@ -601,7 +597,7 @@ def rank_asymptotic_samples(n: int, m_values: Iterable[int] | None = None) -> li
     if m_values is None:
         m_values = range(0, int(window) + 3)
     f = partitions.rank_poly(n)
-    pn = float(partitions.partition_count(n))
+    pn = float(partitions.colored_count(1, n))
     samples = []
     for m in m_values:
         actual = f.coefficient(m)
@@ -715,8 +711,7 @@ CLAIMS: tuple[Claim, ...] = (
           lambda _, n_max, n_lo, threads: check_family_unimodality(threads=threads, **_n_hi(n_max)),
           n_min=1, check=lambda _, n_max: _family_plan(**_n_hi(n_max))),
     Claim("conj4.2", "eventual unimodality iff the top two weights are adjacent (k <= 6)",
-          lambda _, n_max, n_lo, threads: check_first_gap_criterion(search.exhaustive_search(
-              threads=threads, **_n_hi(n_max))),
+          lambda _, n_max, n_lo, threads: check_first_gap_criterion(threads=threads, **_n_hi(n_max)),
           n_min=1, check=lambda _, n_max: search.check_scan_work(**_n_hi(n_max))),
 )
 
@@ -742,8 +737,8 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
                threads: int | None = None) -> list[Report]:
     """Reports for the claim claim_id names, or for every claim when it is `all`.
 
-    Each report's elapsed_s is the wall time of its whole runner call.  None
-    for n_max, n_lo or threads keeps each suite's own default.  An
+    Each report is its suite's, timed by the suite.  None for n_max, n_lo
+    or threads keeps each suite's own default.  An
     unknown id, an n_lo for a claim that does not take one, an n_max below
     the lowest index a claim checks (its n_min, raised to n_lo when given)
     or an instance its check refuses raises CrankspaceError before any suite
@@ -766,12 +761,5 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
             refused.append(f"{claim.claim_id}: {exc}")
     if refused:
         raise partitions.BoundExceeded("; ".join(refused))
-    reports = []
-    for claim, instances in jobs:
-        for instance in instances:
-            # timed here: a runner may work before its suite's own timer
-            # starts (conj4.2 runs the whole scan first)
-            t0 = time.perf_counter()
-            report = claim.run(instance, n_max, n_lo, threads)
-            reports.append(report._replace(elapsed_s=time.perf_counter() - t0))
-    return reports
+    return [claim.run(instance, n_max, n_lo, threads)
+            for claim, instances in jobs for instance in instances]

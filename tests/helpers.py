@@ -20,8 +20,9 @@ audit route for `cyclotomic.exact_quotient`, which divides by Phi_ell's
 binomial multiple instead.  divides_by_division is the schoolbook form of the
 divisibility test, the audit route for the residue-sum criteria.
 colored_coeffs_reference builds p_k one color at a time by the pentagonal
-recurrence, the audit route for `qseries.colored_coeffs`.  scan_threshold is
-one weight tuple's SearchResult, read off the slice scan the search uses.
+recurrence, the audit route for `qseries.colored_coeffs`.  spec_slices is
+the one-parity call of the kernel, one spec's (n, slice) pairs; scan_threshold
+is one weight tuple's SearchResult, read off the slice scan the search uses.
 poly_from_json reads a polynomial's JSON form back; the package writes JSON
 but reads none.
 
@@ -33,12 +34,12 @@ table1` preset (39 rows, k = 3..6, scan bound 75) in its exact row order:
 from __future__ import annotations
 
 import sys
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from crankspace.cyclotomic import NotDivisible, _check_modulus
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import BoundExceeded
-from crankspace.qseries import CrankSpec, SlotOverflow, _slot_width, colored_coeffs
+from crankspace.qseries import CrankSpec, SlotOverflow, _slot_width, colored_coeffs, iter_ck_slices
 from crankspace.search import DEFAULT_SCAN_BOUND, SearchResult, slice_defects
 
 ENUMERATION_BOUND = 60
@@ -158,6 +159,12 @@ def poly_from_json(data: dict) -> LaurentPoly:
     return LaurentPoly(data["lo"], [int(c) for c in data["coeffs"]])
 
 
+def spec_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
+    """(n, q^n coefficient of spec's product) for n in sizes, from the kernel."""
+    for n, (f,) in iter_ck_slices(spec.a, (spec.delta,), sizes):
+        yield n, f
+
+
 def scan_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchResult:
     """Scan slices 1 <= n < n_hi of one weight tuple and locate the last non-unimodal one."""
     [bad] = slice_defects([spec], n_hi, threads=1)
@@ -181,9 +188,9 @@ def schoolbook_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     the remainder is nonzero or a leading-coefficient division fails.  Works
     for any nonzero g, with the same NotDivisible texts as exact_quotient.
     """
-    if g.is_zero():
+    if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
+    if not f:
         return LaurentPoly.zero()
     glen = len(g.coeffs)
     qlen = len(f.coeffs) - glen + 1

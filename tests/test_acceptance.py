@@ -148,7 +148,7 @@ def test_criterion_4_dual_route_divisibility_corpus():
 
 def test_criterion_5_conjecture_scans():
     rank_rep = verify_rank_monotonic(n_max=200, n_lo=39)
-    family_rep = check_family_unimodality(3, 12, n_hi=100)
+    family_rep = check_family_unimodality(n_hi=100)
     ok = rank_rep.status == "pass" and family_rep.status == "pass"
     _announce(
         5,

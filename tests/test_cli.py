@@ -63,7 +63,7 @@ class TestPolyCommand:
             (("colored", "pk", "--k", "1001", "--n", "1"), "colored-count bound"),
             (("colored", "pk", "--k", "1", "--n", "29241"), "colored-count bound"),
             (("verify", "thm1.2-k1000000001-h4-ell5"), "colored-count bound"),
-            (("verify", "thm1.2-k996-h4-ell5", "--n-max", "100"), "colored-count bound"),
+            (("verify", "thm1.2-k996-h4-ell5", "--n-max", "150"), "colored-count bound"),
         ],
     )
     def test_bad_request_exits_two(self, capsys, argv, message):
@@ -198,7 +198,7 @@ class TestVerifyCommand:
     def test_colored_bound_is_refused_before_any_suite(self, capsys, monkeypatch, claim):
         calls = []
         monkeypatch.setattr(partitions, "colored_count", lambda k, n: calls.append((k, n)) or 0)
-        code, out, err = run(capsys, "verify", claim, "--n-max", "600")
+        code, out, err = run(capsys, "verify", claim, "--n-max", "650")
         assert code == 2 and out == ""
         assert "colored-count bound" in err
         assert calls == []

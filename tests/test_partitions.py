@@ -21,10 +21,9 @@ from crankspace.partitions import (
     delta,
     modified_crank_poly,
     modified_rank_poly,
-    partition_count,
     rank_poly,
 )
-from crankspace.qseries import _ck_slices
+from crankspace.qseries import iter_ck_slices
 
 from helpers import (
     ENUMERATION_BOUND,
@@ -51,13 +50,13 @@ class TestEnumeration:
 
     def test_zero_has_the_empty_partition(self):
         assert list(enumerate_partitions(0)) == [()]
-        assert partition_count(0) == 1
+        assert colored_count(1, 0) == 1
 
     def test_counts_match_euler_recurrence(self):
         known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-        assert [partition_count(n) for n in range(11)] == known
+        assert [colored_count(1, n) for n in range(11)] == known
         for n in range(26):
-            assert sum(1 for _ in enumerate_partitions(n)) == partition_count(n)
+            assert sum(1 for _ in enumerate_partitions(n)) == colored_count(1, n)
 
     def test_parts_are_weakly_decreasing_and_sum_to_n(self):
         for n in range(1, 15):
@@ -73,7 +72,7 @@ class TestEnumeration:
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
-            partition_count(-1)
+            colored_count(1, -1)
 
 
 class TestStatistics:
@@ -140,8 +139,8 @@ class TestCountsAgainstEnumeration:
 
     def test_poly_totals_are_partition_counts(self):
         for n in range(2, 30):
-            assert sum(rank_poly(n).coeffs) == partition_count(n)
-            assert sum(crank_poly(n).coeffs) == partition_count(n)
+            assert sum(rank_poly(n).coeffs) == colored_count(1, n)
+            assert sum(crank_poly(n).coeffs) == colored_count(1, n)
 
     def test_rank_poly_symmetric_crank_poly_symmetric(self):
         for n in range(2, 30):
@@ -164,7 +163,7 @@ class TestCountsAgainstEnumeration:
                         if m % t == r
                     )
                     assert hat_sums(crank_poly(n), t)[r] == want_crank
-                assert sum(hat_sums(rank_poly(n), t)) == partition_count(n)
+                assert sum(hat_sums(rank_poly(n), t)) == colored_count(1, n)
 
 
 class TestClosedFormAgainstSeries:
@@ -176,11 +175,11 @@ class TestClosedFormAgainstSeries:
             assert rank_poly(n) == series[n], f"mismatch at n={n}"
 
     def test_crank_poly_matches_crank_factor_weights(self):
-        for n, (raw,) in _ck_slices((1,), (1,), range(2, self.AUDIT_ORDER + 1)):
+        for n, (raw,) in iter_ck_slices((1,), (1,), range(2, self.AUDIT_ORDER + 1)):
             assert crank_poly(n) == raw, f"mismatch at n={n}"
 
     def test_poly_bound_is_reachable(self):
-        total = partition_count(POLY_BOUND)
+        total = colored_count(1, POLY_BOUND)
         for builder in (rank_poly, crank_poly):
             poly = builder(POLY_BOUND)
             assert poly.is_symmetric()
@@ -190,10 +189,6 @@ class TestClosedFormAgainstSeries:
 
 
 class TestColoredCounts:
-    def test_one_color_is_plain_partition_count(self):
-        for n in range(25):
-            assert colored_count(1, n) == partition_count(n)
-
     def test_known_prefixes(self):
         assert [colored_count(2, n) for n in range(11)] == [
             1, 2, 5, 10, 20, 36, 65, 110, 185, 300, 481,

@@ -17,7 +17,6 @@ from crankspace.qseries import (
     CrankSpec,
     InvalidK,
     SlotOverflow,
-    _ck_slices,
     _slot_width,
     _unpack_half,
     ak_spec,
@@ -34,11 +33,12 @@ from helpers import (
     naive_crank_series,
     naive_rank_series,
     packed_rank_series,
+    spec_slices,
 )
 
 
 def slices(spec: CrankSpec, order: int) -> list[LaurentPoly]:
-    return [poly for _, poly in iter_ck_slices(spec, range(order + 1))]
+    return [poly for _, poly in spec_slices(spec, range(order + 1))]
 
 
 # Every valid spec with 3 <= k <= 8 and weights <= 9.
@@ -146,7 +146,7 @@ class TestSeriesAgainstNaiveOracle:
 
     def test_corrected_crank_series(self):
         order = 20
-        raw = {n: f for n, (f,) in _ck_slices((1,), (1,), range(order + 1))}
+        raw = {n: f for n, (f,) in iter_ck_slices((1,), (1,), range(order + 1))}
         naive_raw = naive_crank_series(order)
         # size 1 is the corrected column: constant 1, not z - 1 + 1/z
         assert crank_poly(1) == LaurentPoly.one()
@@ -158,7 +158,7 @@ class TestSeriesAgainstNaiveOracle:
 
     def test_specialization_at_one_counts_colored_partitions(self):
         for spec in (CrankSpec(3, (2, 1)), CrankSpec(5, (5, 4, 3)), ak_spec(6)):
-            for n, poly in iter_ck_slices(spec, range(13)):
+            for n, poly in spec_slices(spec, range(13)):
                 assert sum(poly.coeffs) == colored_count(spec.k, n)
 
     def test_colored_coeffs_prefix_property(self):
@@ -236,7 +236,7 @@ class TestSlotCertificate:
                              ids=lambda s: f"C{s.k}({','.join(map(str, s.a))})")
     def test_slices_inside_the_margin(self, spec):
         # the margin's mirrors lie past slice 0's own span and end with slice 1's
-        got = dict(iter_ck_slices(spec, [1, 0]))
+        got = dict(spec_slices(spec, [1, 0]))
         naive = naive_colored_crank(spec.a, spec.delta, 1)
         assert got == {0: LaurentPoly.one(), 1: naive[1]}
 
@@ -244,7 +244,7 @@ class TestSlotCertificate:
         monkeypatch.setattr("crankspace.qseries._slot_width", lambda largest: 8)
         yielded = []
         with pytest.raises(SlotOverflow):
-            for item in iter_ck_slices(bk_spec(9), [40]):
+            for item in spec_slices(bk_spec(9), [40]):
                 yielded.append(item)
         assert yielded == []
 
@@ -277,7 +277,7 @@ class TestFullSpectrumAudit:
 def one_parity_builds(a: tuple[int, ...], sizes: range) -> list[tuple[int, tuple[LaurentPoly, ...]]]:
     """Per size, the odd-k and even-k slices of weights a, from two separate builds."""
     r = len(a)
-    odd, even = (iter_ck_slices(CrankSpec(k, a), sizes) for k in (2 * r - 1, 2 * r))
+    odd, even = (spec_slices(CrankSpec(k, a), sizes) for k in (2 * r - 1, 2 * r))
     return [(m, (f0, f1)) for (m, f1), (_, f0) in zip(odd, even)]
 
 
@@ -289,7 +289,7 @@ class TestSharedParityBuild:
     @pytest.mark.parametrize("r", sorted({len(a) for a in TUPLES}))
     def test_shared_build_matches_two_one_parity_builds(self, r):
         for a in (a for a in self.TUPLES if len(a) == r):
-            assert list(_ck_slices(a, (0, 1), range(40))) == one_parity_builds(a, range(40)), a
+            assert list(iter_ck_slices(a, (0, 1), range(40))) == one_parity_builds(a, range(40)), a
 
     def test_shared_slot_is_the_widest_parity_slot(self, monkeypatch):
         # at order 83, r = 3: the odd parity's pos totals need 72-bit slots and
@@ -298,7 +298,7 @@ class TestSharedParityBuild:
         monkeypatch.setattr("crankspace.qseries._slot_width",
                             lambda largest: widths.append(_slot_width(largest)) or widths[-1])
         a, sizes = (3, 2, 1), range(1, 84)
-        shared = list(_ck_slices(a, (0, 1), sizes))
+        shared = list(iter_ck_slices(a, (0, 1), sizes))
         assert widths == [72]
         assert shared == one_parity_builds(a, sizes)
         assert widths == [72, 72, 64]
@@ -307,14 +307,14 @@ class TestSharedParityBuild:
 class TestSliceAccess:
     def test_iter_matches_full_series(self):
         spec = CrankSpec(4, (3, 2))
-        pairs = list(iter_ck_slices(spec, range(11)))
+        pairs = list(spec_slices(spec, range(11)))
         assert [n for n, _ in pairs] == list(range(11))
         assert [p for _, p in pairs] == naive_colored_crank(spec.a, spec.delta, 10)
 
     def test_slices_at_picks_requested_indices(self):
         spec = CrankSpec(3, (3, 2))
         series = slices(spec, 20)
-        got = list(iter_ck_slices(spec, [20, 0, 7]))
+        got = list(spec_slices(spec, [20, 0, 7]))
         assert [n for n, _ in got] == [20, 0, 7]
         for n, poly in got:
             assert poly == series[n]
@@ -322,8 +322,8 @@ class TestSliceAccess:
     def test_slices_at_rejects_out_of_range(self):
         spec = CrankSpec(3, (2, 1))
         with pytest.raises(ValueError):
-            list(iter_ck_slices(spec, [3, -1]))
-        assert list(iter_ck_slices(spec, [])) == []
+            list(spec_slices(spec, [3, -1]))
+        assert list(spec_slices(spec, [])) == []
 
 
 def test_public_annotations_resolve():

@@ -9,7 +9,7 @@ import pytest
 
 from crankspace import qseries, search
 from crankspace.partitions import BoundExceeded
-from crankspace.qseries import CrankSpec, iter_ck_slices
+from crankspace.qseries import CrankSpec, bk_spec
 from crankspace.search import (
     DEFAULT_SCAN_BOUND,
     SearchResult,
@@ -21,7 +21,7 @@ from crankspace.search import (
 )
 from crankspace.verify import check_family_unimodality, check_first_gap_criterion
 
-from helpers import TABLE1_ROWS, TABLE1_SCAN_BOUND, scan_threshold
+from helpers import TABLE1_ROWS, TABLE1_SCAN_BOUND, scan_threshold, spec_slices
 
 
 class TestCrankSpace:
@@ -64,7 +64,7 @@ class TestThresholdScan:
 
     def test_threshold_invariant(self):
         res = scan_threshold(CrankSpec(3, (2, 1)), 40)
-        slices = dict(iter_ck_slices(res.spec, range(40)))
+        slices = dict(spec_slices(res.spec, range(40)))
         m = res.threshold
         assert m == 0 or not slices[m].is_unimodal()
         for n in range(m + 1, 40):
@@ -73,7 +73,7 @@ class TestThresholdScan:
     def test_zero_threshold_means_unimodal_from_the_start(self):
         res = scan_threshold(CrankSpec(4, (2, 1)), 30)
         assert res.threshold == 1
-        slices = dict(iter_ck_slices(res.spec, range(30)))
+        slices = dict(spec_slices(res.spec, range(30)))
         assert all(slices[n].is_unimodal() for n in range(2, 30))
 
     def test_larger_bound_never_lowers_the_threshold(self):
@@ -139,12 +139,12 @@ class TestExhaustiveSearch:
 
     @pytest.mark.parametrize("scan,builds", [
         (lambda: exhaustive_search(3, 6, n_hi=20, threads=1), 26),  # of 39 specs
-        (lambda: check_family_unimodality(3, 12, n_hi=20, threads=1), 8),  # of 13 families
+        (lambda: check_family_unimodality(n_hi=20, threads=1), 8),  # of 13 families
     ], ids=["table1-tuples", "families"])
     def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, builds):
         packed = []
-        build = qseries._ck_slices
-        monkeypatch.setattr(qseries, "_ck_slices", lambda a, *args: packed.append(a) or build(a, *args))
+        build = qseries.iter_ck_slices
+        monkeypatch.setattr(qseries, "iter_ck_slices", lambda a, *args: packed.append(a) or build(a, *args))
         scan()
         assert len(packed) == len(set(packed)) == builds
 
@@ -181,36 +181,40 @@ class TestExhaustiveSearch:
 
 
 class TestCriteria:
-    def test_first_gap_criterion_on_small_slice(self):
-        rep = check_first_gap_criterion(exhaustive_search(3, 4, n_hi=75))
+    def test_first_gap_criterion_on_small_slice(self, monkeypatch):
+        monkeypatch.setattr(search, "exhaustive_search",
+                            lambda n_hi, threads: exhaustive_search(3, 4, n_hi, threads))
+        rep = check_first_gap_criterion()
         assert rep.status == "pass"
         assert "k in [3, 4]" in rep.range
 
-    def test_first_gap_mismatches_are_informative_at_a_finite_bound(self):
+    def test_first_gap_mismatches_are_informative_at_a_finite_bound(self, monkeypatch):
         # neither mismatch is decided below n_hi: a tuple may still turn
         # unimodal past it, or fail again past it
-        rep = check_first_gap_criterion([
-            SearchResult(CrankSpec(3, (3, 1)), 20, None),  # unimodal, no adjacent pair
-            SearchResult(CrankSpec(3, (2, 1)), 20, 19),  # adjacent pair, top slice not unimodal
+        monkeypatch.setattr(search, "exhaustive_search", lambda n_hi, threads: [
+            SearchResult(CrankSpec(3, (3, 1)), n_hi, None),  # unimodal, no adjacent pair
+            SearchResult(CrankSpec(3, (2, 1)), n_hi, n_hi - 1),  # adjacent pair, top slice not unimodal
         ])
+        rep = check_first_gap_criterion(n_hi=20)
         assert rep.status == "partial"
         assert [c.params["kind"] for c in rep.counterexamples] == [
             "unimodal-without-adjacent-pair", "adjacent-pair-not-unimodal"]
         assert not any(c.params["within_claim"] for c in rep.counterexamples)
 
-    def test_family_scan_small_range(self):
-        rep = check_family_unimodality(3, 6, n_hi=30)
+    def test_family_scan_small_range(self, monkeypatch):
+        scanned = []
+        scan = search.slice_defects
+        monkeypatch.setattr(search, "slice_defects",
+                            lambda specs, *args: scanned.extend(specs) or scan(specs, *args))
+        rep = check_family_unimodality(n_hi=30)
         assert rep.status == "pass"
         assert "onsets" in rep.range
-
-    def test_family_scan_includes_second_family_for_odd_k(self):
-        rep = check_family_unimodality(7, 7, n_hi=30)
-        assert rep.status == "pass"
+        assert {bk_spec(k) for k in (7, 9, 11)} <= set(scanned)
 
     @pytest.mark.parametrize("n_hi", [1, -5])
     def test_family_scan_of_no_slices_raises(self, n_hi):
         with pytest.raises(ValueError, match="n_hi"):
-            check_family_unimodality(3, 4, n_hi=n_hi)
+            check_family_unimodality(n_hi=n_hi)
 
 
 def no_pool(size):

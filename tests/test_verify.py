@@ -228,7 +228,7 @@ class TestSliceCheckFailures:
     def test_non_divisible_slice(self, monkeypatch):
         off = LaurentPoly(-1, (1, 1, 1))  # symmetric and unimodal, span too short for Phi_5
         monkeypatch.setattr(qseries, "iter_ck_slices",
-                            lambda spec, sizes: ((size, off) for size in sizes))
+                            lambda a, deltas, sizes: ((size, (off,)) for size in sizes))
         rep = verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)
         assert rep.status == "fail"
         assert [c.params for c in rep.counterexamples] == [
@@ -296,7 +296,7 @@ class TestClaimRegistry:
     def test_over_bound_n_max_is_refused_before_any_suite(self, monkeypatch, claim_id):
         calls = []
         for module, name in ((partitions, "rank_poly"), (partitions, "crank_poly"),
-                             (partitions, "colored_count"), (qseries, "_ck_slices"),
+                             (partitions, "colored_count"), (qseries, "iter_ck_slices"),
                              (search, "slice_defects")):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
         # runners too: a suite that refused its own range would still run after earlier claims
@@ -319,7 +319,7 @@ class TestClaimRegistry:
                 claim.check(instance, n_max)
 
     def test_elapsed_covers_the_whole_runner(self, monkeypatch):
-        # conj4.2's runner scans before its suite's own timer starts
+        # conj4.2's suite times its own scan
         def slow_scan(**kwargs):
             time.sleep(0.05)
             return []
@@ -327,6 +327,48 @@ class TestClaimRegistry:
         monkeypatch.setattr(search, "exhaustive_search", slow_scan)
         [report] = run_claims("conj4.2")
         assert report.elapsed_s >= 0.05
+
+    @pytest.mark.parametrize("claim", [c for c in CLAIMS if c.check], ids=lambda c: c.claim_id)
+    def test_check_admits_exactly_what_the_suite_admits(self, monkeypatch, claim):
+        # the registry restates each suite's own admission so that `verify all`
+        # refuses before any suite runs; the two must draw the same line
+        class Reached(Exception):
+            pass
+
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            raise Reached
+
+        for module, name in ((partitions, "rank_poly"), (partitions, "crank_poly"),
+                             (partitions, "modified_rank_poly"), (partitions, "modified_crank_poly"),
+                             (partitions, "colored_count"), (qseries, "iter_ck_slices"),
+                             (search, "slice_defects")):
+            monkeypatch.setattr(module, name, spy)
+
+        def admitted(instance, n_max):
+            try:
+                claim.check(instance, n_max)
+            except BoundExceeded:
+                return False
+            return True
+
+        for instance in claim.ells or claim.instances:
+            lo, hi = claim.n_min, 2 * claim.n_min + 1
+            while admitted(instance, hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:  # admitted at lo, refused at hi
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if admitted(instance, mid) else (lo, mid)
+            with pytest.raises(Reached):
+                claim.run(instance, lo, None, 1)
+            calls.clear()
+            with pytest.raises(BoundExceeded):
+                claim.check(instance, hi)
+            with pytest.raises(BoundExceeded):
+                claim.run(instance, hi, None, 1)
+            assert calls == [], (instance, hi)
 
 
 class TestPolyBound:
@@ -350,13 +392,22 @@ class TestPolyBound:
 class TestColoredBound:
     def test_largest_admitted_requests(self):
         # each costs about a second, so only the check runs here
-        for k, n in ((COLORED_K_BOUND, 294), (1, 29240)):
+        for k, n in ((COLORED_K_BOUND, 623), (1, 29240), (3, 29240), (2, 18495), (4, 18495)):
             partitions._check_colored(k, n)
 
-    @pytest.mark.parametrize("k,n", [(COLORED_K_BOUND + 1, 0), (COLORED_K_BOUND, 295), (1, 29241)])
+    @pytest.mark.parametrize("k,n", [
+        (COLORED_K_BOUND + 1, 0), (COLORED_K_BOUND, 624), (1, 29241), (2, 18496)])
     def test_past_the_bound_raises(self, k, n):
         with pytest.raises(BoundExceeded, match="colored-count bound"):
             partitions.colored_count(k, n)
+
+    def test_zero_colors_are_bounded_too(self, monkeypatch):
+        # p_0 is the constant series 1, but its table still has n + 1 entries
+        calls = []
+        monkeypatch.setattr(qseries, "colored_coeffs", lambda *args: calls.append(args))
+        with pytest.raises(BoundExceeded, match="colored-count bound"):
+            partitions.colored_count(0, 10**6)
+        assert calls == []
 
     def test_congruence_checks_its_largest_size_first(self, monkeypatch):
         calls = []
@@ -365,7 +416,7 @@ class TestColoredBound:
         case = CongruenceCase.make(996, 4, 5)
         verify_colored_congruence(case, n_max=50)  # admitted: its largest size is 254
         with pytest.raises(BoundExceeded):
-            verify_colored_congruence(case, n_max=100)
+            verify_colored_congruence(case, n_max=150)
         assert len(calls) == 51
 
 
