@@ -201,14 +201,18 @@ class TestCriteria:
             "unimodal-without-adjacent-pair", "adjacent-pair-not-unimodal"]
         assert not any(c.params["within_claim"] for c in rep.counterexamples)
 
-    def test_family_scan_small_range(self, monkeypatch):
+    def test_family_scan_small_range(self):
+        rep = check_family_unimodality(n_hi=30)
+        assert rep.status == "pass"
+        assert "onsets" in rep.range
+
+    def test_family_scan_includes_second_family_for_odd_k(self, monkeypatch):
         scanned = []
         scan = search.slice_defects
         monkeypatch.setattr(search, "slice_defects",
                             lambda specs, *args: scanned.extend(specs) or scan(specs, *args))
         rep = check_family_unimodality(n_hi=30)
         assert rep.status == "pass"
-        assert "onsets" in rep.range
         assert {bk_spec(k) for k in (7, 9, 11)} <= set(scanned)
 
     @pytest.mark.parametrize("n_hi", [1, -5])
