@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import partitions, search, verify
 from .cyclotomic import NotDivisible, exact_quotient
-from .laurent import CrankspaceError, LaurentPoly
+from .laurent import CrankspaceError, LaurentPoly, parse_int
 
 _POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
 # No polynomial a shorthand builds spans more than 2 * POLY_BOUND + 1 exponents
@@ -113,7 +113,7 @@ def _cmd_poly(args, out) -> int:
 def _parse_poly_arg(text: str) -> LaurentPoly:
     match = _POLY_SHORTHAND.match(text.strip())
     if match:
-        kind, first, second = match.group(1), int(match.group(2)), match.group(3)
+        kind, first, second = match.group(1), parse_int(match.group(2)), match.group(3)
         if kind in ("rank", "crank"):
             if second is not None:
                 raise UsageError(f"{kind}:N takes a single number, got {text!r}")
@@ -121,7 +121,7 @@ def _parse_poly_arg(text: str) -> LaurentPoly:
         if second is None:
             raise UsageError(f"{kind} shorthand is {kind}:ELL:N, got {text!r}")
         builder = partitions.modified_rank_poly if kind == "mrank" else partitions.modified_crank_poly
-        return builder(first, int(second))
+        return builder(first, parse_int(second))
     try:
         terms = LaurentPoly._parse_terms(text)
     except CrankspaceError as exc:

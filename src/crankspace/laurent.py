@@ -25,6 +25,22 @@ class CrankspaceError(ValueError):
     """
 
 
+# Every integer a request spells out (an instance id's numbers, a `--poly`
+# literal's coefficients and exponents) is parsed by parse_int.  CPython
+# converts at most 4,300 digits either way, and a `quotient` coefficient is a
+# sum of at most QUOTIENT_BOUND differences of the literal's coefficients, so
+# 4,000 digits keep every value the package reads or prints below that limit.
+DIGITS_BOUND = 4000
+
+
+def parse_int(digits: str) -> int:
+    """int(digits), refused with a CrankspaceError past DIGITS_BOUND digits."""
+    width = len(digits.lstrip("-"))
+    if width > DIGITS_BOUND:
+        raise CrankspaceError(f"a {width}-digit number is past the {DIGITS_BOUND}-digit bound")
+    return int(digits)
+
+
 class LaurentPoly:
     """A Laurent polynomial sum(coeffs[i] * z^(lo+i)).
 
@@ -200,11 +216,11 @@ class LaurentPoly:
             if not first and m.group("sign") == "":
                 raise CrankspaceError(f"missing sign between terms in {s!r}")
             if m.group("coeff") is not None:
-                c, e = int(m.group("coeff")), int(m.group("exp"))
+                c, e = parse_int(m.group("coeff")), parse_int(m.group("exp"))
             elif m.group("conly") is not None:
-                c, e = int(m.group("conly")), 0
+                c, e = parse_int(m.group("conly")), 0
             elif m.group("eonly") is not None:
-                c, e = 1, int(m.group("eonly"))
+                c, e = 1, parse_int(m.group("eonly"))
             else:
                 c, e = 1, 1
             acc[e] = acc.get(e, 0) + sign * c

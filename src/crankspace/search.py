@@ -6,11 +6,14 @@ product are scanned below a bound, and the minimal m with "unimodal for all
 m < n < n_hi" follows from the last non-unimodal n.  The claims decided from
 these scans (the first-gap criterion and the families' onsets) live in verify.
 
-Work parallelizes over distinct weight tuples with a multiprocessing pool:
-each task packs one tuple's geometric product once and scans it for every
-parity asked of that tuple (every k = 3 tuple is also a k = 4 tuple, and A_k
-shares its weights with A_(k+1) for odd k).  Results are merged in input
-order, so the output is byte-identical for any worker count.
+Work parallelizes over distinct weight tuples (`_pool_map`): this process is
+one worker and forks the others, which pull tasks off one shared pipe, the
+largest first; where os.fork is missing the scan runs serially.  Each task
+packs one tuple's geometric product once and scans it for every parity asked
+of that tuple (every k = 3 tuple is also a k = 4 tuple, and A_k shares its
+weights with A_(k+1) for odd k).  Results come back keyed by weight tuple and
+are merged in input order, so the output is byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -78,19 +81,97 @@ def crank_space(k: int) -> Iterator[CrankSpec]:
         yield CrankSpec(k, tuple(reversed(combo)))
 
 
+# The task queue is written whole before any worker starts, so writing it must
+# never block: it holds at most one page (4096 bytes, the least a Linux pipe
+# holds) of 4-byte chunk numbers.  Past that many tasks a chunk is a run of
+# consecutive tasks.
+_QUEUE_CHUNKS = 1024
+
+
+def _drain(fn, tasks: list, bounds: list[int], queue: int) -> dict:
+    """{index: result or exception} of the chunks this worker pulls off the queue.
+
+    Chunks come off in index order; the worker stops at its first failing task.
+    """
+    done: dict = {}
+    while token := os.read(queue, 4):
+        chunk = int.from_bytes(token, "little")
+        for i in range(bounds[chunk], bounds[chunk + 1]):
+            try:
+                done[i] = fn(tasks[i])
+            except Exception as exc:  # the caller raises the lowest-index one
+                done[i] = exc
+                return done
+    return done
+
+
 def _pool_map(fn, tasks: list, threads: int | None) -> list:
     """Map fn over tasks in order, on min(threads, len(tasks), usable CPUs) workers (None: all).
 
-    Usable CPUs are the affinity mask's (so a `taskset` limit counts), else the CPU count.
+    Usable CPUs are the affinity mask's (so a `taskset` limit counts), else the
+    CPU count.  This process is one worker and forks the others (none where
+    os.fork is missing; the package starts no threads, so forking is safe).
+    Every worker pulls chunks of task indices off one shared pipe and stops at
+    its first failing task; a child pickles what it did back over a pipe of its
+    own and leaves through os._exit.  The lowest-index failure is raised, so
+    results and errors alike do not depend on the worker count.  A child that
+    exits without its results raises RuntimeError.  Every child is reaped
+    before this returns or raises; one whose results were not read is killed.
     """
+    if not tasks:
+        return []
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(cpus if threads is None else threads, len(tasks), cpus)
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    import multiprocessing  # here, not at the top: its import is a large share of a cold start
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, tasks)
+    if workers > 1 and hasattr(os, "fork"):
+        import pickle  # here, not at the top: a serial command never needs it
+        import signal
+    else:
+        workers = 1
+    chunks = min(len(tasks), _QUEUE_CHUNKS)
+    bounds = [c * len(tasks) // chunks for c in range(chunks + 1)]
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(c.to_bytes(4, "little") for c in range(chunks)))
+    os.close(feed)
+    children: dict = {}  # unreaped child pid -> the read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            source, sink = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(source)
+                os.close(sink)
+                raise
+            if pid == 0:  # the child: its share, its results, then out past every exit hook
+                code = 1
+                try:
+                    os.close(source)
+                    with open(sink, "wb") as pipe:
+                        pickle.dump(_drain(fn, tasks, bounds, queue), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(sink)
+            children[pid] = open(source, "rb")
+        done = _drain(fn, tasks, bounds, queue)
+        for pid in list(children):
+            data = children[pid].read()
+            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if exit_code or not data:
+                raise RuntimeError(f"pool worker {pid} exited with code {exit_code} without its results")
+            done.update(pickle.loads(data))
+    finally:
+        os.close(queue)
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [i for i, value in done.items() if isinstance(value, Exception)]
+    if failed:
+        raise done[min(failed)]
+    return [done[i] for i in range(len(tasks))]
 
 
 def exhaustive_search(
@@ -168,8 +249,9 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     The one slice scan: exhaustive_search reads its thresholds from these
     lists, check_family_unimodality its defects.  Slices need no symmetry
     check: the kernel builds each one as a mirrored half.  One task per
-    distinct weight tuple, in order of first appearance, packs its product
-    once for all of its specs' parities.
+    distinct weight tuple packs its product once for all of its specs'
+    parities; tasks start largest first (by _tuple_work), so no large product
+    is left to run alone at the end.
     Results follow the order of `specs`, whatever the worker count.
     """
     if n_hi < 2:
@@ -178,7 +260,8 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     parities: dict[tuple[int, ...], dict[int, None]] = {}  # insertion-ordered sets
     for spec in specs:
         parities.setdefault(spec.a, {})[spec.delta] = None
-    tasks = [(a, tuple(deltas), n_hi) for a, deltas in parities.items()]
+    tasks = sorted(((a, tuple(deltas), n_hi) for a, deltas in parities.items()), reverse=True,
+                   key=lambda task: _tuple_work(len(task[0]), task[0][0], n_hi - 1))
     found = {a: dict(zip(deltas, bad)) for (a, deltas, _), bad
              in zip(tasks, _pool_map(_defects_task, tasks, threads))}
     return [found[spec.a][spec.delta] for spec in specs]

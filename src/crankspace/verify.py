@@ -34,7 +34,7 @@ from .cyclotomic import (
     exact_quotient,
     hat_sums,
 )
-from .laurent import CrankspaceError, LaurentPoly
+from .laurent import CrankspaceError, LaurentPoly, parse_int
 
 RANK_MONOTONE_ONSET = 39
 CRANK_UNIMODAL_ONSET = 44
@@ -652,9 +652,22 @@ def _n_hi(n_max: int | None) -> dict:
     return _given(n_hi=None if n_max is None else n_max + 1)
 
 
+def _instance_k(digits: str) -> int:
+    """An instance id's k, refused past COLORED_K_BOUND before its ell is tested for primality.
+
+    CongruenceCase.make needs ell | k + h, so ell is then at most k + 26.
+    """
+    k = parse_int(digits)
+    if k > partitions.COLORED_K_BOUND:
+        raise partitions.BoundExceeded(
+            f"k = {k} exceeds the colored-count bound k <= {partitions.COLORED_K_BOUND}")
+    return k
+
+
 def _thm12_instance(claim_id: str) -> CongruenceCase | None:
     match = re.match(r"^thm1\.2-k(\d+)-h(\d+)-ell(\d+)$", claim_id)
-    return match and CongruenceCase.make(*map(int, match.groups()))
+    return match and CongruenceCase.make(_instance_k(match[1]), parse_int(match[2]),
+                                         parse_int(match[3]))
 
 
 def _cor35_instance(claim_id: str) -> tuple[str, CongruenceCase] | None:
@@ -662,7 +675,7 @@ def _cor35_instance(claim_id: str) -> tuple[str, CongruenceCase] | None:
     match = re.match(r"^cor3\.5-([AB])-k(\d+)-ell(\d+)$", claim_id)
     if not match:
         return None
-    kind, k, ell = match[1], int(match[2]), int(match[3])
+    kind, k, ell = match[1], _instance_k(match[2]), parse_int(match[3])
     for h in H_VALUES:
         try:
             case = CongruenceCase.make(k, h, ell)

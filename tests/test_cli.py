@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -255,17 +256,17 @@ class TestSearchCommand:
         assert text_out.splitlines()[0] == "k,a_vector,threshold,n_hi"
         assert text_out.splitlines()[1] == '3,"(2,1)",7,75'
 
-    def test_threads_flag_never_changes_bytes(self, capsys):
-        runs = []
-        for threads in ("1", "2"):
-            code, out, _ = run(
-                capsys,
-                "--threads", threads,
-                "search", "--k-lo", "3", "--k-hi", "4", "--n-hi", "40",
-            )
-            assert code == 0
-            runs.append(out)
-        assert runs[0] == runs[1]
+    def test_threads_flag_never_changes_bytes(self, capsys, monkeypatch):
+        # three usable CPUs, so that --threads 3 forks two children on any host
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        for argv in (("search", "--k-lo", "3", "--k-hi", "4", "--n-hi", "40"),
+                     ("--format", "json", "verify", "conj1.4", "--n-max", "30")):
+            runs = []
+            for threads in ("1", "2", "3"):
+                code, out, _ = run(capsys, "--threads", threads, *argv)
+                assert code == 0
+                runs.append([line for line in out.splitlines() if '"elapsed_s"' not in line])
+            assert runs[0] == runs[1] == runs[2]
 
     def test_preset_rejects_custom_ranges(self, capsys):
         code, _, err = run(capsys, "search", "table1", "--k-lo", "3")
@@ -327,6 +328,45 @@ class TestColoredAndAsymptotic:
         rows = json.loads(out)
         assert code == 0 and rows[0]["n"] == 100
         assert rows[0]["actual"] == 6228740
+
+
+def _quotient_past_the_str_limit() -> str:
+    """A --poly literal whose quotient by Phi_5 has a 4,301-digit coefficient.
+
+    q with q_5j = t_j and q_5j+1 = -t_j, t = 1, 2, .., 11, .., 1 times 10^4299:
+    f = Phi_5 * q has only the coefficients +-10^4299, 4,300 digits each.
+    """
+    t = [min(j + 1, 21 - j) for j in range(21)] + [0]
+    unit = "1" + "0" * 4299
+    return " ".join(f"{'+' if t[j] > t[j - 1] else '-'} {unit}*z^{5 * j}" for j in range(22))
+
+
+BIG = "7" * 5000
+
+
+class TestRequestNumbers:
+    @pytest.mark.parametrize("argv", [
+        ("verify", f"thm1.2-k{BIG}-h4-ell5"),
+        ("verify", f"cor3.5-A-k{BIG}-ell5"),
+        ("quotient", "--ell", "5", "--poly", f"z^{BIG}"),
+        ("quotient", "--ell", "5", "--poly", f"{BIG}*z^1"),
+        ("quotient", "--ell", "5", "--poly", f"rank:{BIG}"),
+        ("quotient", "--ell", "5", "--poly", _quotient_past_the_str_limit()),
+    ], ids=["thm1.2-k", "cor3.5-k", "exponent", "coefficient", "shorthand", "quotient-literal"])
+    def test_a_number_past_the_digit_bound_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "4000-digit bound" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("claim_id", [
+        "thm1.2-k2305843009213693945-h6-ell2305843009213693951",  # ell = 2^61 - 1, k + h = ell
+        "cor3.5-A-k2305843009213693945-ell2305843009213693951",
+    ])
+    def test_k_is_refused_before_ell_is_tested_for_primality(self, capsys, claim_id):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", claim_id)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2 and out == "" and "colored-count bound" in err
 
 
 class TestArgparseErrors:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
-import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
-from crankspace import qseries, search
+from crankspace import cli, qseries, search
+from crankspace.laurent import CrankspaceError
 from crankspace.partitions import BoundExceeded
-from crankspace.qseries import CrankSpec, bk_spec
+from crankspace.qseries import CrankSpec, SlotOverflow, bk_spec
 from crankspace.search import (
     DEFAULT_SCAN_BOUND,
     SearchResult,
@@ -128,14 +132,17 @@ class TestExhaustiveSearch:
         with pytest.raises(BoundExceeded, match="scan work bound"):
             check_scan_work(**ranges)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        three_cpus(monkeypatch)
         serial = exhaustive_search(3, 6, n_hi=30, threads=1)
-        pooled = exhaustive_search(3, 6, n_hi=30, threads=2)
-        assert serial == pooled
-        assert results_to_csv(serial) == results_to_csv(pooled)
+        for threads in (2, 3):
+            pooled = exhaustive_search(3, 6, n_hi=30, threads=threads)
+            assert serial == pooled
+            assert results_to_csv(serial) == results_to_csv(pooled)
         serial = check_family_unimodality(n_hi=30, threads=1)
-        pooled = check_family_unimodality(n_hi=30, threads=2)
-        assert serial._replace(elapsed_s=0) == pooled._replace(elapsed_s=0)
+        for threads in (2, 3):
+            pooled = check_family_unimodality(n_hi=30, threads=threads)
+            assert serial._replace(elapsed_s=0) == pooled._replace(elapsed_s=0)
 
     @pytest.mark.parametrize("scan,builds", [
         (lambda: exhaustive_search(3, 6, n_hi=20, threads=1), 26),  # of 39 specs
@@ -147,6 +154,16 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(qseries, "iter_ck_slices", lambda a, *args: packed.append(a) or build(a, *args))
         scan()
         assert len(packed) == len(set(packed)) == builds
+
+    def test_tasks_start_largest_first(self, monkeypatch):
+        handed = []
+        pool_map = search._pool_map
+        monkeypatch.setattr(search, "_pool_map",
+                            lambda fn, tasks, threads: handed.extend(tasks) or pool_map(fn, tasks, threads))
+        results = exhaustive_search(3, 6, n_hi=20, threads=1)
+        work = [len(a) * a[0] for a, _, _ in handed]  # r * a_1: every task packs to the same order
+        assert work == sorted(work, reverse=True) and work[0] > work[-1]
+        assert [r.spec.a for r in results] == [a for _, a, _ in TABLE1_ROWS]  # still in spec order
 
     def test_repeated_and_shared_specs_get_their_own_lists(self):
         odd, even = CrankSpec(3, (3, 2)), CrankSpec(4, (3, 2))
@@ -221,8 +238,42 @@ class TestCriteria:
             check_family_unimodality(n_hi=n_hi)
 
 
-def no_pool(size):
-    raise AssertionError(f"pool of {size} requested")
+def three_cpus(monkeypatch):
+    """Let the map use three CPUs, so that --threads 3 forks two children on any host."""
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def fork_spy(monkeypatch, forks: list, allowed: bool = True):
+    """Count the map's forks; with allowed False, fail the test at the first one."""
+    real_fork = os.fork
+
+    def spy():
+        if not allowed:
+            raise AssertionError("a worker was forked")
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(search.os, "fork", spy)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in this process if the block runs past `seconds` (children do not inherit it)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestThreadConfig:
@@ -230,39 +281,117 @@ class TestThreadConfig:
         # threads=None falls back to the usable CPUs; with no affinity mask and
         # an unknown CPU count that means one worker, run in-process, never a
         # pool of zero.
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        fork_spy(monkeypatch, [], allowed=False)
         monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(search.os, "cpu_count", lambda: None)
         assert search._pool_map(abs, [-3, -1, -2], threads=None) == [3, 1, 2]
 
     def test_one_cpu_in_the_affinity_mask_starts_no_pool(self, monkeypatch):
         # a `taskset -c 0` run: more CPUs exist, but the process may use one
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        fork_spy(monkeypatch, [], allowed=False)
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
         assert search._pool_map(abs, [-3, -1, -2], threads=2) == [3, 1, 2]
         assert search._pool_map(abs, [-3, -1, -2], threads=None) == [3, 1, 2]
 
+    def test_without_fork_the_map_runs_serially(self, monkeypatch):
+        three_cpus(monkeypatch)
+        monkeypatch.delattr(search.os, "fork")
+        assert search._pool_map(abs, [-3, -1, -2], threads=3) == [3, 1, 2]
+
     def test_pool_size_is_capped_at_cpu_count(self, monkeypatch):
-        requested = []
-
-        class FakePool:
-            def __init__(self, size):
-                requested.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        forks: list = []
+        fork_spy(monkeypatch, forks)
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
-        assert search._pool_map(abs, list(range(-8, 0)), threads=64) == list(range(8, 0, -1))
-        assert search._pool_map(abs, [-1, -2], threads=64) == [1, 2]
-        assert search._pool_map(abs, list(range(-8, 0)), threads=None) == list(range(8, 0, -1))
-        assert requested == [3, 2, 3]
+        counts = []
+        for tasks, threads in ((list(range(-8, 0)), 64), ([-1, -2], 64), (list(range(-8, 0)), None)):
+            before = len(forks)
+            assert search._pool_map(abs, tasks, threads) == [abs(t) for t in tasks]
+            counts.append(1 + len(forks) - before)  # this process is a worker too
+        assert counts == [3, 2, 3]
+        assert_no_children()
+
+
+class Refused(CrankspaceError):
+    pass
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("error,code", [(Refused, 2), (SlotOverflow, 3)])
+    def test_a_task_error_keeps_its_type_and_exit_code(self, monkeypatch, capsys, threads, error, code):
+        three_cpus(monkeypatch)
+        task = search._defects_task
+
+        def failing(t):
+            if t[0] == (4, 3):
+                raise error("raised in a task")
+            return task(t)
+
+        monkeypatch.setattr(search, "_defects_task", failing)
+        with pytest.raises(error, match="raised in a task"):
+            slice_defects(list(crank_space(4)), 20, threads)
+        args = ["--threads", str(threads), "search", "--k-lo", "3", "--k-hi", "4", "--n-hi", "20"]
+        assert cli.main(args) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "raised in a task" in captured.err
+        assert_no_children()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_the_lowest_index_failure_is_raised(self, monkeypatch, threads):
+        three_cpus(monkeypatch)
+
+        def fn(i):
+            if i in (7, 23, 31):
+                raise KeyError(i)
+            time.sleep(0.001)
+            return i
+
+        with pytest.raises(KeyError) as raised:
+            search._pool_map(fn, list(range(40)), threads)
+        assert raised.value.args == (7,)
+        assert_no_children()
+
+    def test_a_child_that_dies_without_results_is_a_fault(self, monkeypatch, capsys):
+        three_cpus(monkeypatch)
+        real_fork = os.fork
+
+        def dying_fork():
+            pid = real_fork()
+            if pid == 0:
+                os._exit(9)
+            return pid
+
+        monkeypatch.setattr(search.os, "fork", dying_fork)
+        with deadline(30):
+            code = cli.main(["--threads", "2", "search", "--k-lo", "3", "--k-hi", "4", "--n-hi", "20"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "RuntimeError" in captured.err and "without its results" in captured.err
+        assert_no_children()
+
+    def test_children_are_reaped_when_this_process_fails(self, monkeypatch):
+        three_cpus(monkeypatch)
+        parent = os.getpid()
+
+        class Interrupted(BaseException):
+            pass
+
+        def fn(i):
+            if os.getpid() == parent:
+                raise Interrupted
+            time.sleep(0.05)  # children are still busy when this process gives up
+            return i
+
+        with deadline(30), pytest.raises(Interrupted):
+            search._pool_map(fn, list(range(200)), 3)
+        assert_no_children()
+
+    def test_handing_out_many_tasks_never_blocks(self, monkeypatch):
+        # one 4-byte token each would be 800 kB, past any pipe's capacity
+        three_cpus(monkeypatch)
+        tasks = list(range(-200_000, 0))
+        with deadline(60):
+            assert search._pool_map(abs, tasks, 3) == [-t for t in tasks]
+        assert_no_children()
