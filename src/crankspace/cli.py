@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import partitions, search, verify
 from .cyclotomic import NotDivisible, exact_quotient
-from .laurent import CrankspaceError, LaurentPoly, parse_int
+from .laurent import CrankspaceError, LaurentPoly, parse_int, quote
 
 _POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
 # No polynomial a shorthand builds spans more than 2 * POLY_BOUND + 1 exponents
@@ -116,16 +116,16 @@ def _parse_poly_arg(text: str) -> LaurentPoly:
         kind, first, second = match.group(1), parse_int(match.group(2)), match.group(3)
         if kind in ("rank", "crank"):
             if second is not None:
-                raise UsageError(f"{kind}:N takes a single number, got {text!r}")
+                raise UsageError(f"{kind}:N takes a single number, got {quote(text)}")
             return partitions.rank_poly(first) if kind == "rank" else partitions.crank_poly(first)
         if second is None:
-            raise UsageError(f"{kind} shorthand is {kind}:ELL:N, got {text!r}")
+            raise UsageError(f"{kind} shorthand is {kind}:ELL:N, got {quote(text)}")
         builder = partitions.modified_rank_poly if kind == "mrank" else partitions.modified_crank_poly
         return builder(first, parse_int(second))
     try:
         terms = LaurentPoly._parse_terms(text)
     except CrankspaceError as exc:
-        raise UsageError(f"cannot parse polynomial {text!r}: {exc}") from exc
+        raise UsageError(f"cannot parse polynomial {quote(text)}: {exc}") from exc
     exponents = [e for e, c in terms.items() if c]
     if exponents and max(exponents) - min(exponents) >= QUOTIENT_BOUND:
         raise partitions.BoundExceeded(

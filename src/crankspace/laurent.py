@@ -31,6 +31,8 @@ class CrankspaceError(ValueError):
 # sum of at most QUOTIENT_BOUND differences of the literal's coefficients, so
 # 4,000 digits keep every value the package reads or prints below that limit.
 DIGITS_BOUND = 4000
+# A refusal quotes at most this many characters of the text it refuses.
+QUOTE_CHARS = 60
 
 
 def parse_int(digits: str) -> int:
@@ -39,6 +41,13 @@ def parse_int(digits: str) -> int:
     if width > DIGITS_BOUND:
         raise CrankspaceError(f"a {width}-digit number is past the {DIGITS_BOUND}-digit bound")
     return int(digits)
+
+
+def quote(text: str) -> str:
+    """repr(text) for an error message; past QUOTE_CHARS, its head and its length."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 class LaurentPoly:
@@ -211,10 +220,10 @@ class LaurentPoly:
         while pos < len(s):
             m = cls._TERM.match(s, pos)
             if not m or m.end() == pos:
-                raise CrankspaceError(f"cannot parse polynomial text at position {pos}: {s!r}")
+                raise CrankspaceError(f"cannot parse polynomial text at position {pos}: {quote(s)}")
             sign = -1 if m.group("sign") == "-" else 1
             if not first and m.group("sign") == "":
-                raise CrankspaceError(f"missing sign between terms in {s!r}")
+                raise CrankspaceError(f"missing sign between terms in {quote(s)}")
             if m.group("coeff") is not None:
                 c, e = parse_int(m.group("coeff")), parse_int(m.group("exp"))
             elif m.group("conly") is not None:

@@ -11,30 +11,38 @@ q-coefficient is a LaurentPoly in z.  Single-size rank and crank polynomials
 are not built here: `partitions` sums the Atkin-Swinnerton-Dyer rank formula
 and the Andrews-Garvan crank formula over p(n).
 
-All construction reduces to multiplying a series by (1 - z^a q^j)^(-1), the
-ascending recurrence coeffs[m] += z^a * coeffs[m-j], plus, for odd k, the
-factor prod (1-q^n) via the pentagonal-number expansion.  The factors of the
-a = 0 copies cancel against the numerators, so the geometric stage is a
-product of pure (1 - z^a q^j)^(-1) factors whose coefficients are all
-non-negative.  It depends only on the weights, so it is packed once per
-distinct weight tuple and serves both parities d (a slice scan asks for both
-when k and k+1 share a tuple); the pentagonal sum is then done only for the
-slices and parities asked for, one slice at a time (`iter_ck_slices`).
+The factors of the a = 0 copies cancel against the numerators, so each
+product is a geometric stage G = prod_a prod_n 1/((1-z^a q^n)(1-z^-a q^n)),
+whose coefficients are all non-negative, times prod (1-q^n) for odd k (the
+pentagonal-number expansion).  G depends only on the weights, so it is built
+once per distinct weight tuple and serves both parities d (a slice scan asks
+for both when k and k+1 share a tuple); the pentagonal sum is then done only
+for the slices and parities asked for, one slice at a time (`iter_ck_slices`).
 
-That non-negativity enables the kernel trick used here: the z-coefficient
-vector of each q-coefficient is packed into a single big integer with a fixed
-slot width, so the inner recurrence is one bigint shift-add per (factor,
-coefficient) pair and runs at C speed.  Every weight enters as +a and -a, so
-the product is invariant under z -> 1/z: the kernel builds only the z^e,
-e <= 0, half of each slice, with offset-free shifts, and mirrors it (see
-`iter_ck_slices`).  Slot widths are exact: at z = 1 the geometric stage is
-prod (1-q^n)^(-F), so every slice's coefficients sum to a total read off
-`colored_coeffs`, and a slot as wide as the largest total cannot overflow.
-Two run-time checks certify every decoded half all the same, one against
-that total and one against the symmetry, and a failure raises SlotOverflow.
-Slots of 64 bits or fewer are widened to 64 and decoded at C speed.  Tests
-cross-check the kernel against a naive LaurentPoly-arithmetic builder and
-against a packed kernel that builds both halves of every slice.
+G is built by division by theta series, not factor by factor.  By the Jacobi
+triple product, (q)_inf prod_n (1-z^a q^n)(1-z^-a q^n) is the sparse series
+sum_{k>=1} (-1)^(k+1) q^(k(k-1)/2) (z^(a(1-k)) + ... + z^(a(k-1))), so
+G = (q)_inf^r / prod_a (that series).  Dividing by one weight's series costs
+O(N^1.5) coefficient operations to order N, where the 2N geometric factors
+it replaces cost about N^2.  Each q-coefficient is handled as one big
+integer, the image of its z-polynomial under z -> 2^bits: ring operations
+commute with that map, so the division runs on integers at C speed, two
+shift-adds per (entry, theta term) pair, and neither the signed
+intermediate values nor slots that overflow on the way change the exact
+result.  Only G's own coefficients are decoded, and they are non-negative
+and bounded: at z = 1, G is prod (1-q^n)^(-2r), so every slice's
+coefficients sum to a total read off `colored_coeffs`, and a slot as wide
+as the largest total holds every one.  So the base-2^bits digits of G's
+images are its coefficients, and a right shift drops exactly the digits
+below any chosen exponent.  Every weight enters as +a and -a, so each slice
+is invariant under z -> 1/z: the kernel keeps only its z^e, e <= 0, half
+(plus a margin) and mirrors it (see `iter_ck_slices`).  Two run-time checks
+certify every decoded half all the same, one against that total and one
+against the symmetry, and a failure raises SlotOverflow.  Slots of 64 bits
+or fewer are widened to 64 and decoded at C speed.  Tests cross-check the
+kernel against a naive LaurentPoly-arithmetic builder, against the
+factor-by-factor shift-add build and against a packed kernel that builds
+both halves of every slice.
 """
 
 from __future__ import annotations
@@ -200,6 +208,60 @@ def _unpack_half(x: int, nslots: int, bits: int, margin: int, total: int) -> lis
     return half
 
 
+def _geometric_half(a: tuple[int, ...], order: int, bits: int) -> list[int]:
+    """Entries 0..order of G, the geometric stage of weights a, packed as halves.
+
+    Slot s (width `bits`) of entry m holds the coefficient of z^(c - s),
+    c = a_1: the z^e, e <= c, part of G's q^m coefficient.  Built from the
+    scalar (q)_inf^r by dividing by one theta series per weight, ascending,
+    through its recurrence E[m] += sum_{k>=2} (-1)^k run_k E[m - k(k-1)/2],
+    run_k = z^(a(1-k)) + ... + z^(a(k-1)), pushed forward from each finished
+    E[j].  During weight a's pass, entry m is the image of z^(a*m) E[m]
+    under z -> 2^bits, a polynomial because E[m] spans z^(-a*m)..z^(a*m), so
+    every shift is a left shift.  run_k E[j] grows by one shift-add per k
+    (adding E[j] + z^a E[j] at the next offset) and lands in its entry by a
+    second, so each (j, k) pair costs two.  The integers are exact images
+    whatever their sign, and whatever slots overflow on the way.  The final
+    entries are G's, whose coefficients are non-negative and smaller than
+    2^bits when bits is the slot width iter_ck_slices picks, so the image's
+    base-2^bits digits are those coefficients: the right shift by c*(m-1)
+    slots drops exactly the terms below z^-c and leaves z^e in slot c + e,
+    which by the z -> 1/z symmetry holds the coefficient of z^(c - s) at
+    s = c + e.  Each entry is converted in place as soon as the last pass
+    has pushed it forward.
+    """
+    ints = [1] + [0] * order
+    pentagonal = _pentagonal_terms(order)
+    for _ in a:  # (q)_inf^r, one pentagonal pass per weight, in place from the top
+        for m in range(order, 0, -1):
+            pos, neg = _pentagonal_split(ints, m, pentagonal)
+            ints[m] = pos - neg
+    origin = 0
+    for aj in reversed(a):
+        sh = bits * aj
+        reframe = bits * (aj - origin)
+        for m in range(1, order + 1):
+            ints[m] <<= reframe * m
+        origin = aj
+        for j in range(order + 1):
+            t = ints[j]
+            pair = t + (t << sh)
+            run = t
+            k, lo, m = 2, 0, j + 1  # m = j + k(k-1)/2, lo = (k-1)(k-2)/2
+            while m <= order:
+                run += pair << (sh * (2 * k - 3))
+                if k & 1:
+                    ints[m] -= run << (sh * lo)
+                else:
+                    ints[m] += run << (sh * lo)
+                lo = m - j
+                m += k
+                k += 1
+            if aj == a[0]:
+                ints[j] = t >> (sh * (j - 1)) if j else t << sh
+    return ints
+
+
 def iter_ck_slices(a: tuple[int, ...], deltas: Sequence[int],
                    sizes: Iterable[int]) -> Iterator[tuple[int, tuple[LaurentPoly, ...]]]:
     """Yield (m, q^m coefficients) of the colored-crank products for each m in sizes.
@@ -208,27 +270,26 @@ def iter_ck_slices(a: tuple[int, ...], deltas: Sequence[int],
     of prod (1-q^n); each yield holds one coefficient per delta, in the order
     of deltas.  Each weight enters as (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1),
     so every slice is a palindrome: only its z^e, e <= 0, half is built,
-    then mirrored.  The geometric product depends on the weights alone, so
-    it is packed once for all deltas, up to max(sizes), with slot s of
-    entry m holding the coefficient of z^(c - s), c = a_1.  The negative
-    families go in first (a_r..a_1) as ints[m] += ints[m-n] << bits*a, then
-    the positive ones (a_r..a_1) as ints[m] += ints[m-n] >> bits*a.  A
-    positive factor only raises exponents, so the right shift drops exactly
-    the terms above z^c, none of which could come back down, and no entry
-    is longer than c + a_1*m + 1 slots.  The entries share one origin, so
-    each slice sums its own pentagonal terms (delta = 1 only) unshifted into
-    separate non-negative pos/neg packed integers, and slots never borrow.
-    The packed product stays resident while the slices are yielded; the
-    pentagonal sum and the unpacking are done per requested slice, so
-    skipped sizes cost nothing and the dense polynomials never all coexist.
-    Negative sizes raise CrankspaceError.
+    then mirrored.  The geometric product G depends on the weights alone, so
+    it is packed once for all deltas, up to max(sizes), by `_geometric_half`:
+    (q)_inf^r divided by one Jacobi theta series per weight, on the images
+    of the z-polynomials under z -> 2^bits, in O(r * N^1.5) shift-adds to
+    order N.  A final right shift, exact because G's coefficients fit their
+    slots, leaves slot s of entry m holding the coefficient of z^(c - s),
+    c = a_1.  The entries share one origin, so each slice sums its own pentagonal terms
+    (delta = 1 only) unshifted into separate non-negative pos/neg packed
+    integers, and slots never borrow.  The packed product stays resident
+    while the slices are yielded; the pentagonal sum and the unpacking are
+    done per requested slice, so skipped sizes cost nothing and the dense
+    polynomials never all coexist.  Negative sizes raise CrankspaceError.
 
-    Slot widths are exact: at z = 1 the geometric product is
-    prod (1-q^n)^(-F), F = 2r, so the coefficients of a slice's pos part sum
-    to p_F(m) plus its positive p_F(m - g) terms and those of its neg part to
-    its negative ones; no coefficient exceeds its part's total.  The slot is
-    as wide as the largest total over every requested delta, so it is exact
-    for the widest parity and wide enough for the others.
+    Slot widths are exact: at z = 1 G is prod (1-q^n)^(-F), F = 2r, so the
+    coefficients of a slice's pos part sum to p_F(m) plus its positive
+    p_F(m - g) terms and those of its neg part to its negative ones; no
+    coefficient exceeds its part's total, and none of G's up to the top
+    requested size exceeds p_F of that size.  The slot is as wide as the
+    largest total over every requested delta, so it is exact for the widest
+    parity and wide enough for the others.
     `_unpack_half` checks each decoded part all the same: twice its half
     less z^0 must give the total, and the margin z^1..z^c must mirror
     z^-1..z^-c.  Weights (1,) with delta 1 give the raw crank factor, whose
@@ -244,18 +305,7 @@ def iter_ck_slices(a: tuple[int, ...], deltas: Sequence[int],
     colored = colored_coeffs(2 * len(a), order)
     totals = [[_pentagonal_split(colored, m, t) for t in terms] for m in sizes]
     bits = _slot_width(max((t for row in totals for pair in row for t in pair), default=0))
-    ints = [0] * (order + 1)
-    ints[0] = 1 << (bits * c)
-    for aj in reversed(a):
-        sh = bits * aj
-        for n in range(1, order + 1):
-            for m in range(n, order + 1):
-                ints[m] += ints[m - n] << sh
-    for aj in reversed(a):
-        sh = bits * aj
-        for n in range(1, order + 1):
-            for m in range(n, order + 1):
-                ints[m] += ints[m - n] >> sh
+    ints = _geometric_half(a, order, bits)
     for m, row in zip(sizes, totals):
         nslots = c * (1 + max(m, 1)) + 1  # the mirrors of the margin, even at m = 0
         polys = []

@@ -30,10 +30,13 @@ from .qseries import CrankSpec
 
 DEFAULT_SCAN_BOUND = 75
 # The largest slice scan the package starts, in estimated slot operations (see
-# _tuple_work).  10^10 is a minute or so on one core of a 2-core VM (1.3e8 to
-# 2.5e8 per second, measured); `search table1` is 2.4e8.  The estimate counts
-# every spec, though specs that share a weight tuple share its packed build,
-# so it is an upper bound on the kernel work.
+# _tuple_work); `search table1` is 2.4e8.  The estimate is the cost of the
+# factor-by-factor build, r*N^2 shift-adds over at most a_1*N slots; the
+# theta-series division takes O(r*N^1.5) shift-adds over at most 2*a_1*N
+# slots, so it is a looser upper bound, kept so that the same requests are
+# admitted and refused.  At the bound, cor3.5-B-k11-ell5 to q^589 (9.8e9)
+# takes 17 s and a 132 MB peak RSS on one core of a 2-core VM.  It also
+# counts every spec, though specs that share a weight tuple share one build.
 SCAN_WORK_BOUND = 10**10
 
 
@@ -195,7 +198,7 @@ def exhaustive_search(
 
 
 def _tuple_work(r: int, a1: int, order: int) -> int:
-    # packing one tuple to q^N: about r*N^2 shift-adds over integers of at most a_1*N slots
+    # the factor-by-factor cost of packing one tuple to q^N, an upper bound on the theta build's
     return r * a1 * max(order, 1) ** 3
 
 

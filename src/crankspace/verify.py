@@ -34,7 +34,7 @@ from .cyclotomic import (
     exact_quotient,
     hat_sums,
 )
-from .laurent import CrankspaceError, LaurentPoly, parse_int
+from .laurent import CrankspaceError, LaurentPoly, parse_int, quote
 
 RANK_MONOTONE_ONSET = 39
 CRANK_UNIMODAL_ONSET = 44
@@ -743,7 +743,7 @@ def _resolve(claim_id: str) -> tuple[Claim, tuple]:
         instance = claim.parse and claim.parse(claim_id)
         if instance:
             return claim, (instance,)
-    raise CrankspaceError(f"unknown claim id {claim_id!r} (try `verify --list`)")
+    raise CrankspaceError(f"unknown claim id {quote(claim_id)} (try `verify --list`)")
 
 
 def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,

@@ -13,7 +13,9 @@ ENUMERATION_BOUND.  packed_rank_series is the packed-bigint rank
 series, the audit route for the closed-form rank polynomials up to order 300.
 full_spectrum_slices builds the colored-crank slices on a packed kernel that
 computes both halves of every slice, the audit route for the half-spectrum
-kernel and for the z -> 1/z symmetry it relies on.
+kernel and for the z -> 1/z symmetry it relies on.  shift_add_half packs the
+kernel's geometric stage factor by factor, N^2 shift-adds per weight, the
+audit route for the theta-series division in `qseries._geometric_half`.
 phi builds the three cyclotomic divisors as polynomials, and
 schoolbook_quotient divides by any nonzero polynomial by long division: the
 audit route for `cyclotomic.exact_quotient`, which divides by Phi_ell's
@@ -366,6 +368,33 @@ def _geometric_packed(families: tuple[int, ...], amp: int, order: int, bits: int
             sh = bits * (a + amp * n)
             for m in range(n, order + 1):
                 ints[m] += ints[m - n] << sh
+    return ints
+
+
+def shift_add_half(a: tuple[int, ...], order: int, bits: int) -> list[int]:
+    """The kernel's packed geometric stage, one geometric factor at a time.
+
+    Slot s of entry m holds the coefficient of z^(c - s), c = a_1, for
+    e <= c.  The negative families go in first (a_r..a_1) as
+    ints[m] += ints[m-n] << bits*a, then the positive ones (a_r..a_1) as
+    ints[m] += ints[m-n] >> bits*a: a positive factor only raises
+    exponents, so the right shift drops exactly the terms above z^c, none of
+    which could come back down.  Every value is non-negative, so the
+    integers equal `_geometric_half`'s whenever no slot overflows.
+    """
+    c = a[0]
+    ints = [0] * (order + 1)
+    ints[0] = 1 << (bits * c)
+    for aj in reversed(a):
+        sh = bits * aj
+        for n in range(1, order + 1):
+            for m in range(n, order + 1):
+                ints[m] += ints[m - n] << sh
+    for aj in reversed(a):
+        sh = bits * aj
+        for n in range(1, order + 1):
+            for m in range(n, order + 1):
+                ints[m] += ints[m - n] >> sh
     return ints
 
 

@@ -369,6 +369,23 @@ class TestRequestNumbers:
         assert code == 2 and out == "" and "colored-count bound" in err
 
 
+class TestRefusalQuotes:
+    @pytest.mark.parametrize("argv", [
+        ("quotient", "--ell", "5", "--poly", "z^" + "9" * 5000),  # past the digit bound
+        ("quotient", "--ell", "5", "--poly", "+".join(["z"] * 1505) + "?"),  # malformed at the end
+        ("verify", "x" * 3000),  # no such claim
+    ], ids=["digits", "malformed", "claim-id"])
+    def test_a_long_text_is_quoted_by_its_head(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.encode()) < 300 and f"... ({len(argv[-1])} characters)" in err
+
+    def test_a_short_literal_is_quoted_whole(self, capsys):
+        code, _, err = run(capsys, "quotient", "--ell", "5", "--poly", "2*z^1 z")
+        assert code == 2
+        assert err == "error: cannot parse polynomial '2*z^1 z': missing sign between terms in '2*z^1 z'\n"
+
+
 class TestArgparseErrors:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import random
 import typing
 
 import pytest
@@ -17,6 +18,7 @@ from crankspace.qseries import (
     CrankSpec,
     InvalidK,
     SlotOverflow,
+    _geometric_half,
     _slot_width,
     _unpack_half,
     ak_spec,
@@ -25,6 +27,7 @@ from crankspace.qseries import (
     iter_ck_slices,
 )
 from crankspace.search import crank_space
+from crankspace.verify import FAMILIES
 
 from helpers import (
     colored_coeffs_reference,
@@ -32,7 +35,9 @@ from helpers import (
     naive_colored_crank,
     naive_crank_series,
     naive_rank_series,
+    TABLE1_ROWS,
     packed_rank_series,
+    shift_add_half,
     spec_slices,
 )
 
@@ -272,6 +277,35 @@ class TestFullSpectrumAudit:
             full = full_spectrum_slices(spec.a, spec.delta, self.ORDER)
             assert all(poly.is_symmetric() for poly in full), spec
             assert slices(spec, self.ORDER) == full, spec
+
+
+def random_tuples(seed: int, orders: range) -> list[tuple[tuple[int, ...], int]]:
+    """One (weights, order) per order: 1..5 distinct weights in 1..12, descending.
+
+    Orders 0 and 1 are the recurrence's edges: no k >= 2 theta term, and one.
+    """
+    rng = random.Random(seed)
+    return [(tuple(sorted(rng.sample(range(1, 13), rng.randint(1, 5)), reverse=True)), order)
+            for order in orders]
+
+
+class TestThetaBuild:
+    """The theta-series division packs the same integers as the shift-add build."""
+
+    CASES = {
+        "table1": [(a, 74) for a in sorted({a for _, a, _ in TABLE1_ROWS})],
+        "conj1.4": [(a, 59) for a in sorted({(ak_spec if kind == "A" else bk_spec)(k).a
+                                             for kind, k in FAMILIES})],
+        "cor3.5": [(ak_spec(6).a, 80), (bk_spec(9).a, 80), (bk_spec(11).a, 80)],
+        "random": random_tuples(17, range(41)),
+    }
+
+    @pytest.mark.parametrize("group", sorted(CASES))
+    def test_matches_the_shift_add_build(self, group):
+        for a, order in self.CASES[group]:
+            # the narrowest slot that holds every geometric coefficient up to the order
+            bits = _slot_width(colored_coeffs(2 * len(a), order)[order])
+            assert _geometric_half(a, order, bits) == shift_add_half(a, order, bits), (a, order)
 
 
 def one_parity_builds(a: tuple[int, ...], sizes: range) -> list[tuple[int, tuple[LaurentPoly, ...]]]:
