@@ -1,7 +1,8 @@
 """Verification suites for the rank/crank divisibility and unimodality claims.
 
-Each suite re-derives one numeric claim from scratch over a caller-chosen
-range and returns a Report: pass (clean), fail (a genuine violation of the
+Each suite re-derives one numeric claim over a caller-chosen range: it
+raises every refusal before any work and returns a Plan, which run_plan runs
+and times into a Report: pass (clean), fail (a genuine violation of the
 claim), or partial (the claim holds but informative findings are attached:
 outside its stated range, or past what a finite scan decides).
 Counterexample payloads carry enough parameters to reproduce the violation,
@@ -10,12 +11,12 @@ The claim registry at the bottom (CLAIMS, run_claims) names every claim and
 resolves claim ids, their ell variants and their instance patterns.
 
 Divisibility is always decided twice, by the residue-sum criterion and by
-exact long division; a disagreement between the routes is itself reported as
-a violation rather than silently resolved.
+exact_quotient's sparse division; a disagreement between the routes is
+itself reported as a violation rather than silently resolved.
 
-Default ranges are sized so each suite completes in well under five minutes
-on one core.  Everything is exact integer arithmetic except the quarantined
-floating-point asymptotic diagnostic.
+Default ranges are sized so that the slowest suite, cor3.5-B-k11-ell5, takes
+about two seconds on one core.  Everything is exact integer arithmetic
+except the quarantined floating-point asymptotic diagnostic.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ RANK_MONOTONE_ONSET = 39
 CRANK_UNIMODAL_ONSET = 44
 FAMILY_A_ONSET = 15
 FAMILY_B_ONSET = 24
+# lem2.4 checks the near-top crank columns M(n - k, n) for every k up to this.
+CONSTANCY_K_MAX = 10
 # The (kind, k) families conj1.4 scans: the range its registry line states (k <= 12).
 FAMILIES = tuple([("A", k) for k in range(3, 13)] + [("B", k) for k in range(7, 13, 2)])
 
@@ -90,9 +93,18 @@ class Report(NamedTuple):
         }
 
 
-def _report(claim_id: str, range_note: str, violations: list[Counterexample],
-            infos: list[Counterexample], t0: float) -> Report:
-    return Report(claim_id, range_note, violations + infos, time.perf_counter() - t0)
+class Plan(NamedTuple):
+    """An admitted request: work() checks it and returns (range note, counterexamples)."""
+
+    claim_id: str
+    work: Callable[[], tuple[str, list[Counterexample]]]
+
+
+def run_plan(plan: Plan) -> Report:
+    """Run an admitted plan's work; its Report, timed over that work alone."""
+    t0 = time.perf_counter()
+    note, found = plan.work()
+    return Report(plan.claim_id, note, found, time.perf_counter() - t0)
 
 
 def _violation(kind: str, poly: LaurentPoly | None = None, **params) -> Counterexample:
@@ -147,33 +159,30 @@ def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
     return violations, wobbles, negatives
 
 
-def _check_top_size(n_max: int | None, step: int = 1, offset: int = 0) -> None:
-    """Refuse a suite whose largest size, step*n_max + offset, is past POLY_BOUND.
-
-    n_max None keeps the suite's default, which is admitted; a negative
-    largest size is an empty range, which is too.
-    """
-    if n_max is not None:
-        partitions._check_size(max(step * n_max + offset, 0))
+def _check_top_size(n_max: int, step: int = 1, offset: int = 0) -> None:
+    """Refuse a largest size step*n_max + offset past POLY_BOUND (a negative one is empty)."""
+    partitions._check_size(max(step * n_max + offset, 0))
 
 
 # -- modified rank / crank quotients -------------------------------------------
 
 
 def _modified_quotients(claim: str, poly: Callable[[int, int], LaurentPoly], onset: int,
-                        ell: int, n_max: int) -> Report:
+                        ell: int, n_max: int) -> Plan:
     beta = partitions.beta(ell)
     _check_top_size(n_max, ell, beta)
-    t0 = time.perf_counter()
-    slices = (({"ell": ell, "n": n}, ell * n + beta, poly(ell, n)) for n in range(n_max + 1))
-    violations, wobbles, _ = _check_slices(slices, ell, onset)
-    note = f"ell={ell}, n in [0, {n_max}] (sizes ell*n+{beta})"
-    if wobbles:
-        note += f"; non-unimodal below size {onset} at sizes {wobbles}"
-    return _report(f"{claim}-ell{ell}", note, violations, [], t0)
+
+    def work():
+        slices = (({"ell": ell, "n": n}, ell * n + beta, poly(ell, n)) for n in range(n_max + 1))
+        violations, wobbles, _ = _check_slices(slices, ell, onset)
+        note = f"ell={ell}, n in [0, {n_max}] (sizes ell*n+{beta})"
+        if wobbles:
+            note += f"; non-unimodal below size {onset} at sizes {wobbles}"
+        return note, violations
+    return Plan(f"{claim}-ell{ell}", work)
 
 
-def verify_modified_rank(ell: int, n_max: int = 50) -> Report:
+def verify_modified_rank(ell: int, n_max: int = 50) -> Plan:
     """Modified rank polynomials on the progression ell*n + beta(ell).
 
     Claim: each is symmetric and divisible by Phi_ell with a non-negative
@@ -186,7 +195,7 @@ def verify_modified_rank(ell: int, n_max: int = 50) -> Report:
                                RANK_MONOTONE_ONSET, ell, n_max)
 
 
-def verify_crank_squared(n_max: int = 99) -> Report:
+def verify_crank_squared(n_max: int = 99) -> Plan:
     """Crank polynomials at 5n + 4 against Phi_5(z^2).
 
     Claim: each is divisible with a non-negative quotient.  The quotient is
@@ -196,34 +205,34 @@ def verify_crank_squared(n_max: int = 99) -> Report:
     the claim).
     """
     _check_top_size(n_max, 5, 4)
-    t0 = time.perf_counter()
-    violations: list[Counterexample] = []
-    interior_zeros = 0
-    for n in range(n_max + 1):
-        N = 5 * n + 4
-        f = partitions.crank_poly(N)
-        crit = divides_standard(f, 5) and divides_negated(f, 5)
-        divisible, q, agree = _dual_quotient(f, 5, "squared", crit)
-        if not agree:
-            violations.append(_violation("route-disagreement", f, n=n, size=N))
-            continue
-        if not divisible:
-            violations.append(_violation("not-divisible", f, n=n, size=N))
-            continue
-        if not q.is_nonnegative():
-            violations.append(_violation("negative-quotient", q, n=n, size=N))
-        if not q.shift(4).is_symmetric():
-            violations.append(_violation("normalized-quotient-asymmetric", q, n=n, size=N))
-        if any(c == 0 for c in q.coeffs):
-            interior_zeros += 1
-    note = (
-        f"sizes 5n+4 <= {5 * n_max + 4}; "
-        f"interior zeros in {interior_zeros} of {n_max + 1} quotients"
-    )
-    return _report("conj1.1-part2", note, violations, [], t0)
+
+    def work():
+        violations: list[Counterexample] = []
+        interior_zeros = 0
+        for n in range(n_max + 1):
+            N = 5 * n + 4
+            f = partitions.crank_poly(N)
+            crit = divides_standard(f, 5) and divides_negated(f, 5)
+            divisible, q, agree = _dual_quotient(f, 5, "squared", crit)
+            if not agree:
+                violations.append(_violation("route-disagreement", f, n=n, size=N))
+                continue
+            if not divisible:
+                violations.append(_violation("not-divisible", f, n=n, size=N))
+                continue
+            if not q.is_nonnegative():
+                violations.append(_violation("negative-quotient", q, n=n, size=N))
+            if not q.shift(4).is_symmetric():
+                violations.append(_violation("normalized-quotient-asymmetric", q, n=n, size=N))
+            if any(c == 0 for c in q.coeffs):
+                interior_zeros += 1
+        note = (f"sizes 5n+4 <= {5 * n_max + 4}; "
+                f"interior zeros in {interior_zeros} of {n_max + 1} quotients")
+        return note, violations
+    return Plan("conj1.1-part2", work)
 
 
-def verify_modified_crank(ell: int, n_max: int | None = None) -> Report:
+def verify_modified_crank(ell: int, n_max: int | None = None) -> Plan:
     """Modified crank polynomials on the progression ell*n + beta(ell).
 
     Claim: each is symmetric and divisible by Phi_ell with a non-negative
@@ -243,7 +252,7 @@ def verify_modified_crank(ell: int, n_max: int | None = None) -> Report:
 # -- rank monotonicity and crank columns ----------------------------------------
 
 
-def verify_rank_monotonic(n_max: int = 200, n_lo: int = 1) -> Report:
+def verify_rank_monotonic(n_max: int = 200, n_lo: int = 1) -> Plan:
     """Weak decrease of rank counts over the window 0 <= m <= n - 2.
 
     Checks N(m, n) >= N(m+1, n) for consecutive pairs inside the window
@@ -252,95 +261,104 @@ def verify_rank_monotonic(n_max: int = 200, n_lo: int = 1) -> Report:
     starts at n >= 39; violations below that onset are reported
     informatively and the largest such n lands in the range note.
     """
+    if n_lo < 0:
+        raise CrankspaceError(f"n_lo must be >= 0, got {n_lo}")
     _check_top_size(n_max)
-    t0 = time.perf_counter()
-    violations: list[Counterexample] = []
-    infos: list[Counterexample] = []
-    worst_below = None
-    for n in range(n_lo, n_max + 1):
-        f = partitions.rank_poly(n)
-        for m in range(0, n - 2):
-            a, b = f.coefficient(m), f.coefficient(m + 1)
-            if a < b:
-                if n >= RANK_MONOTONE_ONSET:
-                    violations.append(_violation("rank-increase", n=n, m=m, lhs=a, rhs=b))
-                else:
-                    infos.append(_info("rank-increase", n=n, m=m, lhs=a, rhs=b))
-                    worst_below = n
-    note = f"n in [{n_lo}, {n_max}], claim onset n >= {RANK_MONOTONE_ONSET}"
-    if worst_below is not None:
-        note += f"; largest below-onset violation at n={worst_below}"
-    return _report("conj1.3", note, violations, infos, t0)
+
+    def work():
+        violations: list[Counterexample] = []
+        infos: list[Counterexample] = []
+        worst_below = None
+        for n in range(n_lo, n_max + 1):
+            f = partitions.rank_poly(n)
+            for m in range(0, n - 2):
+                a, b = f.coefficient(m), f.coefficient(m + 1)
+                if a < b:
+                    if n >= RANK_MONOTONE_ONSET:
+                        violations.append(_violation("rank-increase", n=n, m=m, lhs=a, rhs=b))
+                    else:
+                        infos.append(_info("rank-increase", n=n, m=m, lhs=a, rhs=b))
+                        worst_below = n
+        note = f"n in [{n_lo}, {n_max}], claim onset n >= {RANK_MONOTONE_ONSET}"
+        if worst_below is not None:
+            note += f"; largest below-onset violation at n={worst_below}"
+        return note, violations + infos
+    return Plan("conj1.3", work)
 
 
-def verify_crank_mod10(n_max: int = 99) -> Report:
+def verify_crank_mod10(n_max: int = 99) -> Plan:
     """Crank residue classes mod 10 at sizes 5n + 4.
 
     Claim: five times the count in class 2k + j mod 10 equals the count in
     class j mod 2, for j in {0, 1} and every k in 0..4.
     """
     _check_top_size(n_max, 5, 4)
-    t0 = time.perf_counter()
-    violations: list[Counterexample] = []
-    for n in range(n_max + 1):
-        N = 5 * n + 4
-        sums = hat_sums(partitions.crank_poly(N), 10)
-        for j in (0, 1):
-            whole = sum(sums[j::2])
-            for k in range(5):
-                part = sums[2 * k + j]
-                if 5 * part != whole:
-                    violations.append(
-                        _violation("mod10-imbalance", n=n, size=N, j=j, k=k,
-                                   lhs=5 * part, rhs=whole)
-                    )
-    return _report("thm2.2", f"sizes 5n+4 <= {5 * n_max + 4}", violations, [], t0)
+
+    def work():
+        violations: list[Counterexample] = []
+        for n in range(n_max + 1):
+            N = 5 * n + 4
+            sums = hat_sums(partitions.crank_poly(N), 10)
+            for j in (0, 1):
+                whole = sum(sums[j::2])
+                for k in range(5):
+                    part = sums[2 * k + j]
+                    if 5 * part != whole:
+                        violations.append(
+                            _violation("mod10-imbalance", n=n, size=N, j=j, k=k,
+                                       lhs=5 * part, rhs=whole)
+                        )
+        return f"sizes 5n+4 <= {5 * n_max + 4}", violations
+    return Plan("thm2.2", work)
 
 
-def verify_crank_constancy(k_max: int = 10, n_max: int = 60) -> Report:
+def verify_crank_constancy(n_max: int = 60) -> Plan:
     """Stability of crank counts near the top: M(n-k, n) constant in n.
 
-    Claim: for each fixed k, M(n-k, n) does not depend on n once
-    n >= max(2k, 2), and the extreme columns are M(n-1, n) = 0 and
+    Claim: for each fixed k <= CONSTANCY_K_MAX, M(n-k, n) does not depend on
+    n once n >= max(2k, 2), and the extreme columns are M(n-1, n) = 0 and
     M(n, n) = 1 from n = 2 on.
     """
     _check_top_size(n_max)
-    t0 = time.perf_counter()
-    violations: list[Counterexample] = []
-    polys = {n: partitions.crank_poly(n) for n in range(2, n_max + 1)}
-    for k in range(k_max + 1):
-        start = max(2 * k, 2)
-        if start > n_max:
-            continue
-        values = [polys[n].coefficient(n - k) for n in range(start, n_max + 1)]
-        const = values[0]
-        for i, v in enumerate(values):
-            if v != const:
-                violations.append(
-                    _violation("not-constant", k=k, n=start + i, value=v, expected=const)
-                )
-        if k == 0 and const != 1:
-            violations.append(_violation("top-value", k=0, value=const, expected=1))
-        if k == 1 and const != 0:
-            violations.append(_violation("top-value", k=1, value=const, expected=0))
-    return _report("lem2.4", f"k <= {k_max}, n <= {n_max}", violations, [], t0)
+
+    def work():
+        violations: list[Counterexample] = []
+        polys = {n: partitions.crank_poly(n) for n in range(2, n_max + 1)}
+        for k in range(CONSTANCY_K_MAX + 1):
+            start = max(2 * k, 2)
+            if start > n_max:
+                continue
+            values = [polys[n].coefficient(n - k) for n in range(start, n_max + 1)]
+            const = values[0]
+            for i, v in enumerate(values):
+                if v != const:
+                    violations.append(
+                        _violation("not-constant", k=k, n=start + i, value=v, expected=const)
+                    )
+            if k == 0 and const != 1:
+                violations.append(_violation("top-value", k=0, value=const, expected=1))
+            if k == 1 and const != 0:
+                violations.append(_violation("top-value", k=1, value=const, expected=0))
+        return f"k <= {CONSTANCY_K_MAX}, n <= {n_max}", violations
+    return Plan("lem2.4", work)
 
 
-def verify_n22_gap() -> Report:
+def verify_n22_gap() -> Plan:
     """Named regression: the crank constancy gap at progression index 22.
 
     For ell in {5, 7, 11} and N = ell*22 + beta(ell), checks
     M(N-ell-1, N) - M(N-ell, N) - 1 >= 0, recomputed from the crank formula.
     """
-    t0 = time.perf_counter()
-    violations: list[Counterexample] = []
-    for ell in (5, 7, 11):
-        N = ell * 22 + partitions.beta(ell)
-        f = partitions.crank_poly(N)
-        gap = f.coefficient(N - ell - 1) - f.coefficient(N - ell) - 1
-        if gap < 0:
-            violations.append(_violation("gap-negative", ell=ell, size=N, gap=gap))
-    return _report("crank-n22-gap", "ell in {5,7,11}, n=22", violations, [], t0)
+    def work():
+        violations: list[Counterexample] = []
+        for ell in (5, 7, 11):
+            N = ell * 22 + partitions.beta(ell)
+            f = partitions.crank_poly(N)
+            gap = f.coefficient(N - ell - 1) - f.coefficient(N - ell) - 1
+            if gap < 0:
+                violations.append(_violation("gap-negative", ell=ell, size=N, gap=gap))
+        return "ell in {5,7,11}, n=22", violations
+    return Plan("crank-n22-gap", work)
 
 
 # -- colored congruences and quotients -------------------------------------------
@@ -403,32 +421,28 @@ def enumerate_congruence_cases(k_max: int) -> list[CongruenceCase]:
     return cases
 
 
-def _check_largest_size(case: CongruenceCase, n_max: int = 50) -> None:
-    """Raise BoundExceeded if p_k(ell*n_max + delta) is past the colored-count bound."""
-    if n_max >= 0:
-        partitions._check_colored(case.k, case.ell * n_max + case.delta)
-
-
-def verify_colored_congruence(case: CongruenceCase, n_max: int = 50) -> Report:
+def verify_colored_congruence(case: CongruenceCase, n_max: int = 50) -> Plan:
     """ell | p_k(ell*n + delta) for the given admissible case.
 
     The largest size is checked against the colored-count bounds before any
     count is computed.
     """
-    _check_largest_size(case, n_max)
-    t0 = time.perf_counter()
-    violations: list[Counterexample] = []
-    for n in range(n_max + 1):
-        size = case.ell * n + case.delta
-        value = partitions.colored_count(case.k, size)
-        if value % case.ell:
-            violations.append(
-                _violation("congruence", k=case.k, ell=case.ell, n=n, size=size,
-                           residue=value % case.ell)
-            )
-    claim = f"thm1.2-k{case.k}-h{case.h}-ell{case.ell}"
-    note = f"k={case.k}, h={case.h}, ell={case.ell}, delta={case.delta}, n in [0, {n_max}]"
-    return _report(claim, note, violations, [], t0)
+    if n_max >= 0:
+        partitions._check_colored(case.k, case.ell * n_max + case.delta)
+
+    def work():
+        violations: list[Counterexample] = []
+        for n in range(n_max + 1):
+            size = case.ell * n + case.delta
+            value = partitions.colored_count(case.k, size)
+            if value % case.ell:
+                violations.append(
+                    _violation("congruence", k=case.k, ell=case.ell, n=n, size=size,
+                               residue=value % case.ell)
+                )
+        note = f"k={case.k}, h={case.h}, ell={case.ell}, delta={case.delta}, n in [0, {n_max}]"
+        return note, violations
+    return Plan(f"thm1.2-k{case.k}-h{case.h}-ell{case.ell}", work)
 
 
 def _family_spec(kind: str, k: int) -> qseries.CrankSpec:
@@ -453,8 +467,17 @@ def _check_family_hypotheses(kind: str, case: CongruenceCase) -> int:
     raise HypothesisViolation(f"kind must be 'A' or 'B', got {kind!r}")
 
 
-def _quotient_plan(kind: str, case: CongruenceCase, n_max: int | None):
-    """(onset, spec, sizes) of a cor3.5 instance; refuse a scan past SCAN_WORK_BOUND."""
+def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None = None) -> Plan:
+    """Cyclotomic divisibility of progression slices of a distinguished family.
+
+    Claim: Phi_ell divides the q^(ell*n + delta) coefficient of the kind-A or
+    kind-B product for every n in range (unconditional), and once the size
+    reaches the family's unimodality onset the slice is unimodal and the
+    quotient is non-negative.  Below-onset negative quotients or
+    non-unimodal slices are expected for some small sizes; they are tallied
+    in the range note rather than reported as counterexamples.  Sizes run
+    to 300 by default; a scan past SCAN_WORK_BOUND is refused.
+    """
     onset = _check_family_hypotheses(kind, case)
     spec = _family_spec(kind, case.k)
     if n_max is None:
@@ -463,79 +486,61 @@ def _quotient_plan(kind: str, case: CongruenceCase, n_max: int | None):
         raise CrankspaceError(f"n_max must be >= 0, got {n_max}")
     top = case.ell * n_max + case.delta
     search.check_slice_work([spec], top, f"a scan of the {kind}-k{case.k} product to size {top}")
-    return onset, spec, range(case.delta, top + 1, case.ell)
 
-
-def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None = None) -> Report:
-    """Cyclotomic divisibility of progression slices of a distinguished family.
-
-    Claim: Phi_ell divides the q^(ell*n + delta) coefficient of the kind-A or
-    kind-B product for every n in range (unconditional), and once the size
-    reaches the family's unimodality onset the slice is unimodal and the
-    quotient is non-negative.  Below-onset negative quotients or
-    non-unimodal slices are expected for some small sizes; they are tallied
-    in the range note rather than reported as counterexamples.
-    """
-    onset, spec, sizes = _quotient_plan(kind, case, n_max)
-    t0 = time.perf_counter()
-    slices = (({"n": n, "size": size}, size, f)
-              for n, (size, (f,)) in enumerate(qseries.iter_ck_slices(spec.a, (spec.delta,), sizes)))
-    violations, wobbles, negatives = _check_slices(slices, case.ell, onset, onset)
-    claim = f"cor3.5-{kind}-k{case.k}-ell{case.ell}"
-    note = (
-        f"kind={kind}, k={case.k}, ell={case.ell}, delta={case.delta}, "
-        f"sizes <= {sizes[-1]}, onset {onset}"
-    )
-    if wobbles:
-        note += f"; non-unimodal below onset at sizes {wobbles}"
-    if negatives:
-        note += f"; negative quotient below onset at sizes {negatives}"
-    return _report(claim, note, violations, [], t0)
+    def work():
+        built = qseries.iter_ck_slices(spec.a, (spec.delta,), range(case.delta, top + 1, case.ell))
+        slices = (({"n": n, "size": size}, size, f) for n, (size, (f,)) in enumerate(built))
+        violations, wobbles, negatives = _check_slices(slices, case.ell, onset, onset)
+        note = (f"kind={kind}, k={case.k}, ell={case.ell}, delta={case.delta}, "
+                f"sizes <= {top}, onset {onset}")
+        if wobbles:
+            note += f"; non-unimodal below onset at sizes {wobbles}"
+        if negatives:
+            note += f"; negative quotient below onset at sizes {negatives}"
+        return note, violations
+    return Plan(f"cor3.5-{kind}-k{case.k}-ell{case.ell}", work)
 
 
 # -- weight-tuple scans ---------------------------------------------------------
 
 
 def check_first_gap_criterion(n_hi: int = search.DEFAULT_SCAN_BOUND,
-                              threads: int | None = None) -> Report:
+                              threads: int | None = None) -> Plan:
     """Eventual unimodality iff the two largest weights are adjacent.
 
     Tests the equivalence, in both directions, on `search.exhaustive_search`
-    below n_hi, which it runs inside its own timer.  A scan to a finite
-    bound decides neither direction: a tuple whose top slice is not unimodal
-    may turn unimodal past the bound, and one whose top slice is may fail
-    later.  So every mismatch is informative (status partial), and the range
-    note records the bounds used.
+    below n_hi, which the plan's work runs, so its time is the claim's.  A
+    scan to a finite bound decides neither direction: a tuple whose top
+    slice is not unimodal may turn unimodal past the bound, and one whose top
+    slice is may fail later.  So every mismatch is informative (status
+    partial), and the range note records the bounds used.
     """
-    t0 = time.perf_counter()
-    results = search.exhaustive_search(n_hi=n_hi, threads=threads)
-    infos: list[Counterexample] = []
-    for r in results:
-        adjacent = len(r.spec.a) >= 2 and r.spec.a[0] - r.spec.a[1] == 1
-        if r.eventually_unimodal and not adjacent:
-            infos.append(
-                _info("unimodal-without-adjacent-pair", k=r.spec.k, a=list(r.spec.a),
-                      threshold=r.threshold, n_hi=r.n_hi)
-            )
-        if adjacent and not r.eventually_unimodal:
-            infos.append(
-                _info("adjacent-pair-not-unimodal", k=r.spec.k, a=list(r.spec.a),
-                      largest_nonunimodal=r.largest_nonunimodal, n_hi=r.n_hi)
-            )
-    ks = sorted({r.spec.k for r in results})
-    bounds = sorted({r.n_hi for r in results})
-    note = f"{len(results)} weight tuples, k in {ks}, scan bounds {bounds}"
-    return _report("conj4.2", note, [], infos, t0)
+    if n_hi < 2:
+        raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
+    search.check_scan_work(n_hi=n_hi)
+
+    def work():
+        results = search.exhaustive_search(n_hi=n_hi, threads=threads)
+        infos: list[Counterexample] = []
+        for r in results:
+            adjacent = len(r.spec.a) >= 2 and r.spec.a[0] - r.spec.a[1] == 1
+            if r.eventually_unimodal and not adjacent:
+                infos.append(
+                    _info("unimodal-without-adjacent-pair", k=r.spec.k, a=list(r.spec.a),
+                          threshold=r.threshold, n_hi=r.n_hi)
+                )
+            if adjacent and not r.eventually_unimodal:
+                infos.append(
+                    _info("adjacent-pair-not-unimodal", k=r.spec.k, a=list(r.spec.a),
+                          largest_nonunimodal=r.largest_nonunimodal, n_hi=r.n_hi)
+                )
+        ks = sorted({r.spec.k for r in results})
+        bounds = sorted({r.n_hi for r in results})
+        return f"{len(results)} weight tuples, k in {ks}, scan bounds {bounds}", infos
+    return Plan("conj4.2", work)
 
 
-def _family_plan(n_hi: int = 100) -> list[qseries.CrankSpec]:
-    """The specs of FAMILIES a conj1.4 scan checks; refuse a scan past the bound."""
-    specs = [_family_spec(kind, k) for kind, k in FAMILIES]
-    search.check_slice_work(specs, n_hi - 1, f"family scan over k 3..12 below n_hi {n_hi}")
-    return specs
-
-
-def check_family_unimodality(n_hi: int = 100, threads: int | None = None) -> Report:
+def check_family_unimodality(n_hi: int = 100, threads: int | None = None) -> Plan:
     """Unimodality of the distinguished families FAMILIES above their onsets.
 
     Kind A is scanned for every k in [3, 12] with onset 15; kind B for odd
@@ -543,25 +548,28 @@ def check_family_unimodality(n_hi: int = 100, threads: int | None = None) -> Rep
     violations; below-onset ones are expected for small sizes and are
     tallied in the range note.
     """
-    specs = _family_plan(n_hi)
-    t0 = time.perf_counter()
-    violations: list[Counterexample] = []
-    below_notes: list[str] = []
-    for (kind, k), bad in zip(FAMILIES, search.slice_defects(specs, n_hi, threads)):
-        onset = FAMILY_A_ONSET if kind == "A" else FAMILY_B_ONSET
-        below = [n for n in bad if n < onset]
-        for n in bad:
-            if n >= onset:
-                violations.append(_violation("not-unimodal", kind=kind, k=k, n=n))
-        if below:
-            below_notes.append(f"{kind}{k} at {below}")
-    note = (
-        f"k in [3, 12], 1 <= n < {n_hi}, "
-        f"onsets A >= {FAMILY_A_ONSET}, B >= {FAMILY_B_ONSET} (B for odd k >= 7)"
-    )
-    if below_notes:
-        note += "; below-onset non-unimodal: " + "; ".join(below_notes)
-    return _report("conj1.4", note, violations, [], t0)
+    if n_hi < 2:
+        raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
+    specs = [_family_spec(kind, k) for kind, k in FAMILIES]
+    search.check_slice_work(specs, n_hi - 1, f"family scan over k 3..12 below n_hi {n_hi}")
+
+    def work():
+        violations: list[Counterexample] = []
+        below_notes: list[str] = []
+        for (kind, k), bad in zip(FAMILIES, search.slice_defects(specs, n_hi, threads)):
+            onset = FAMILY_A_ONSET if kind == "A" else FAMILY_B_ONSET
+            below = [n for n in bad if n < onset]
+            for n in bad:
+                if n >= onset:
+                    violations.append(_violation("not-unimodal", kind=kind, k=k, n=n))
+            if below:
+                below_notes.append(f"{kind}{k} at {below}")
+        note = (f"k in [3, 12], 1 <= n < {n_hi}, "
+                f"onsets A >= {FAMILY_A_ONSET}, B >= {FAMILY_B_ONSET} (B for odd k >= 7)")
+        if below_notes:
+            note += "; below-onset non-unimodal: " + "; ".join(below_notes)
+        return note, violations
+    return Plan("conj1.4", work)
 
 
 # -- floating-point diagnostic (quarantined) --------------------------------------
@@ -592,11 +600,11 @@ def rank_asymptotic_samples(n: int, m_values: Iterable[int] | None = None) -> li
     """
     if n < 1:
         raise CrankspaceError("n must be >= 1")
+    f = partitions.rank_poly(n)  # refuses n past POLY_BOUND before any float is formed
     gamma = math.pi / math.sqrt(6 * n)
     window = math.sqrt(n) * math.log(n) / (math.pi * math.sqrt(6))
     if m_values is None:
         m_values = range(0, int(window) + 3)
-    f = partitions.rank_poly(n)
     pn = float(partitions.colored_count(1, n))
     samples = []
     for m in m_values:
@@ -617,28 +625,24 @@ def rank_asymptotic_samples(n: int, m_values: Iterable[int] | None = None) -> li
 
 
 class Claim(NamedTuple):
-    """One registry entry: a claim id, its `verify --list` line and its runner.
+    """One registry entry: a claim id, its `verify --list` line and its planner.
 
-    run(instance, n_max, n_lo, threads) checks one instance and returns its
-    Report; None for n_max, n_lo or threads keeps the suite's own default.
-    The bare id runs every instance: the `ells` of a group entry, which also
-    answers to `<id>-ell<L>`, or else `instances`.  A pattern entry answers
-    to every id `parse` turns into an instance.  n_min is the smallest n_max
-    whose range is not empty.  check(instance, n_max), if given, raises
-    CrankspaceError where the suite would refuse that instance, before any
-    work; every entry that reads n_max has one.  takes_n_lo marks the entries
-    whose suite reads n_lo; the others refuse one.
+    plan(instance, n_max, n_lo, threads) is the suite's call for one instance:
+    its Plan, or the suite's refusal (None keeps a suite default).  The bare
+    id selects every instance: the `ells` of a group entry, which also answers
+    to `<id>-ell<L>`, or else `instances`.  A pattern entry answers to every id
+    `parse` turns into an instance.  n_min is the smallest n_max whose range is
+    not empty; takes_n_lo marks the entries whose suite reads n_lo.
     """
 
     claim_id: str
     description: str
-    run: Callable[..., Report]
+    plan: Callable[..., Plan]
     ells: tuple[int, ...] = ()
     instances: tuple = (None,)
     pattern: str = ""
     parse: Callable[[str], object] | None = None
     n_min: int = 0
-    check: Callable[[object, int | None], None] | None = None
     takes_n_lo: bool = False
 
 
@@ -686,46 +690,40 @@ def _cor35_instance(claim_id: str) -> tuple[str, CongruenceCase] | None:
     raise HypothesisViolation(f"no admissible progression for kind={kind}, k={k}, ell={ell}")
 
 
-# Runners name their suites at call time, so a wrapper installed on a module
+# Planners name their suites at call time, so a wrapper installed on a module
 # attribute (as a tracer does) sees every call.
 CLAIMS: tuple[Claim, ...] = (
     Claim("conj1.1-part1", "modified rank: cyclotomic quotient non-negative (ell=5,7)",
           lambda ell, n_max, n_lo, threads: verify_modified_rank(ell, **_given(n_max=n_max)),
-          ells=(5, 7), check=lambda ell, n_max: _check_top_size(n_max, ell, partitions.beta(ell))),
+          ells=(5, 7)),
     Claim("conj1.1-part2", "crank at 5n+4: quotient by squared-argument divisor non-negative",
-          lambda _, n_max, n_lo, threads: verify_crank_squared(**_given(n_max=n_max)),
-          check=lambda _, n_max: _check_top_size(n_max, 5, 4)),
+          lambda _, n_max, n_lo, threads: verify_crank_squared(**_given(n_max=n_max))),
     Claim("conj1.1-part3", "modified crank: cyclotomic quotient non-negative (ell=5,7,11)",
-          lambda ell, n_max, n_lo, threads: verify_modified_crank(ell, n_max), ells=(5, 7, 11),
-          check=lambda ell, n_max: _check_top_size(n_max, ell, partitions.beta(ell))),
+          lambda ell, n_max, n_lo, threads: verify_modified_crank(ell, n_max), ells=(5, 7, 11)),
     Claim("conj1.3", "rank counts weakly decreasing over the window (onset 39)",
           lambda _, n_max, n_lo, threads: verify_rank_monotonic(**_given(n_max=n_max, n_lo=n_lo)),
-          n_min=1, check=lambda _, n_max: _check_top_size(n_max), takes_n_lo=True),
+          n_min=1, takes_n_lo=True),
     Claim("thm2.2", "crank residue classes mod 10 at 5n+4 are 1/5 of the mod-2 classes",
-          lambda _, n_max, n_lo, threads: verify_crank_mod10(**_given(n_max=n_max)),
-          check=lambda _, n_max: _check_top_size(n_max, 5, 4)),
+          lambda _, n_max, n_lo, threads: verify_crank_mod10(**_given(n_max=n_max))),
     Claim("lem2.4", "near-top crank counts M(n-k, n) are constant in n",
-          lambda _, n_max, n_lo, threads: verify_crank_constancy(**_given(n_max=n_max)), n_min=2,
-          check=lambda _, n_max: _check_top_size(n_max)),
+          lambda _, n_max, n_lo, threads: verify_crank_constancy(**_given(n_max=n_max)), n_min=2),
     Claim("crank-n22-gap", "named regression: constancy gap at progression index 22",
           lambda *_: verify_n22_gap()),
     Claim("thm1.2", "colored congruences, all admissible cases with k <= 12",
           lambda case, n_max, n_lo, threads: verify_colored_congruence(case, **_given(n_max=n_max)),
           instances=tuple(enumerate_congruence_cases(12)),
-          pattern="thm1.2-k<K>-h<H>-ell<L>", parse=_thm12_instance,
-          check=lambda case, n_max: _check_largest_size(case, **_given(n_max=n_max))),
+          pattern="thm1.2-k<K>-h<H>-ell<L>", parse=_thm12_instance),
     Claim("cor3.5", "distinguished-family slices: divisibility and onset positivity",
           lambda instance, n_max, n_lo, threads: verify_colored_quotients(*instance, n_max),
           instances=tuple(map(_cor35_instance, ("cor3.5-A-k6-ell5", "cor3.5-B-k9-ell23",
                                                 "cor3.5-B-k11-ell5"))),
-          pattern="cor3.5-<A|B>-k<K>-ell<L>", parse=_cor35_instance,
-          check=lambda instance, n_max: _quotient_plan(*instance, n_max)),
+          pattern="cor3.5-<A|B>-k<K>-ell<L>", parse=_cor35_instance),
     Claim("conj1.4", "distinguished families unimodal above onsets 15/24 (k <= 12)",
           lambda _, n_max, n_lo, threads: check_family_unimodality(threads=threads, **_n_hi(n_max)),
-          n_min=1, check=lambda _, n_max: _family_plan(**_n_hi(n_max))),
+          n_min=1),
     Claim("conj4.2", "eventual unimodality iff the top two weights are adjacent (k <= 6)",
           lambda _, n_max, n_lo, threads: check_first_gap_criterion(threads=threads, **_n_hi(n_max)),
-          n_min=1, check=lambda _, n_max: search.check_scan_work(**_n_hi(n_max))),
+          n_min=1),
 )
 
 VARIANTS: dict[str, tuple[Claim, tuple[int]]] = {
@@ -750,17 +748,18 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
                threads: int | None = None) -> list[Report]:
     """Reports for the claim claim_id names, or for every claim when it is `all`.
 
-    Each report is its suite's, timed by the suite.  None for n_max, n_lo
-    or threads keeps each suite's own default.  An
-    unknown id, an n_lo for a claim that does not take one, an n_max below
-    the lowest index a claim checks (its n_min, raised to n_lo when given)
-    or an instance its check refuses raises CrankspaceError before any suite
-    runs; a BoundExceeded names the first refused instance of every claim.
+    Every selected instance is planned before any plan runs, so each refusal
+    comes before any work: an unknown id, an n_lo for a claim that does not
+    take one, an n_max below the lowest index a claim checks (its n_min,
+    raised to n_lo when given) or an instance its suite refuses raises
+    CrankspaceError, and a BoundExceeded names the first refused instance of
+    every claim.  None for n_max, n_lo or threads keeps each suite's own
+    default.
     """
     ids = [claim.claim_id for claim in CLAIMS] if claim_id == "all" else [claim_id]
-    jobs = [_resolve(i) for i in ids]
+    plans: list[Plan] = []
     refused = []
-    for claim, instances in jobs:
+    for claim, instances in map(_resolve, ids):
         if n_lo is not None and not claim.takes_n_lo:
             raise CrankspaceError(f"{claim.claim_id} does not take n_lo")
         lo = claim.n_min if n_lo is None else max(claim.n_min, n_lo)
@@ -768,11 +767,9 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
             raise CrankspaceError(f"empty range: {claim.claim_id} checks nothing "
                                   f"with n_max={n_max} (needs n_max >= {lo})")
         try:
-            for instance in instances if claim.check else ():
-                claim.check(instance, n_max)
+            plans += [claim.plan(instance, n_max, n_lo, threads) for instance in instances]
         except partitions.BoundExceeded as exc:
             refused.append(f"{claim.claim_id}: {exc}")
     if refused:
         raise partitions.BoundExceeded("; ".join(refused))
-    return [claim.run(instance, n_max, n_lo, threads)
-            for claim, instances in jobs for instance in instances]
+    return [run_plan(plan) for plan in plans]

@@ -29,6 +29,7 @@ from crankspace.verify import (
     InvalidCase,
     check_family_unimodality,
     enumerate_congruence_cases,
+    run_plan,
     verify_colored_congruence,
     verify_colored_quotients,
     verify_crank_constancy,
@@ -93,15 +94,16 @@ def test_criterion_2_series_equal_enumeration():
 
 
 def test_criterion_3_proven_theorem_suites():
-    reports = [verify_crank_squared(n_max=99)]          # sizes 5n+4 <= 499
+    plans = [verify_crank_squared(n_max=99)]            # sizes 5n+4 <= 499
     for ell, n_max in ((5, 99), (7, 70), (11, 44)):     # sizes ell*n+beta <= 500
-        reports.append(verify_modified_crank(ell, n_max=n_max))
-    reports.append(verify_crank_mod10(n_max=99))
-    reports.append(verify_crank_constancy(k_max=10, n_max=60))
+        plans.append(verify_modified_crank(ell, n_max=n_max))
+    plans.append(verify_crank_mod10(n_max=99))
+    plans.append(verify_crank_constancy(n_max=60))
     cases = enumerate_congruence_cases(12)
     assert len(cases) == 24
     for case in cases:
-        reports.append(verify_colored_congruence(case, n_max=50))
+        plans.append(verify_colored_congruence(case, n_max=50))
+    reports = [run_plan(plan) for plan in plans]
     failing = [r.claim_id for r in reports if r.status != "pass"]
     ok = not failing
     _announce(
@@ -147,8 +149,8 @@ def test_criterion_4_dual_route_divisibility_corpus():
 
 
 def test_criterion_5_conjecture_scans():
-    rank_rep = verify_rank_monotonic(n_max=200, n_lo=39)
-    family_rep = check_family_unimodality(n_hi=100)
+    rank_rep = run_plan(verify_rank_monotonic(n_max=200, n_lo=39))
+    family_rep = run_plan(check_family_unimodality(n_hi=100))
     ok = rank_rep.status == "pass" and family_rep.status == "pass"
     _announce(
         5,
@@ -180,7 +182,7 @@ def test_criterion_6_colored_quotient_divisibility():
         ("B", CongruenceCase.make(9, 14, 23)),
         ("B", CongruenceCase.make(11, 14, 5)),
     )
-    reports = [verify_colored_quotients(kind, case) for kind, case in instances]
+    reports = [run_plan(verify_colored_quotients(kind, case)) for kind, case in instances]
     statuses = {r.claim_id: r.status for r in reports}
     ok = seven_impossible and all(s == "pass" for s in statuses.values())
     _announce(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +16,9 @@ import pytest
 
 import crankspace
 from crankspace import cli, partitions, search, verify
-from crankspace.cli import main
+from crankspace.cli import QUOTIENT_BOUND, main
+from crankspace.laurent import DIGITS_BOUND
+from crankspace.partitions import COLORED_K_BOUND, POLY_BOUND
 
 VERIFY_LIST = """\
 conj1.1-part1      modified rank: cyclotomic quotient non-negative (ell=5,7)
@@ -65,6 +70,7 @@ class TestPolyCommand:
             (("colored", "pk", "--k", "1", "--n", "29241"), "colored-count bound"),
             (("verify", "thm1.2-k1000000001-h4-ell5"), "colored-count bound"),
             (("verify", "thm1.2-k996-h4-ell5", "--n-max", "150"), "colored-count bound"),
+            (("verify", "conj1.3", "--n-lo", "-5", "--n-max", "3"), "n_lo"),
         ],
     )
     def test_bad_request_exits_two(self, capsys, argv, message):
@@ -396,6 +402,115 @@ class TestArgparseErrors:
         with pytest.raises(SystemExit) as exc:
             main(["poly", "rank"])
         assert exc.value.code == 2
+
+
+M61 = str(2**61 - 1)
+# 0, -1, 2^61 - 1, numbers at and one past DIGITS_BOUND digits, and a 5,000-digit one
+EDGES = ["0", "-1", M61, "9" * DIGITS_BOUND, "9" * (DIGITS_BOUND + 1), BIG]
+
+
+class TestArgvFuzz:
+    """Seeded argv lists drawn from the parser's grammar, run in-process at --threads 1.
+
+    Each option's value comes from the edge values plus that option's bounds
+    and one past them.  A request is admitted only where it is cheap:
+    `verify` always gets --n-max (0..2 or an edge) and `search` --n-hi, so
+    the time budget measures refusals, not work.
+    """
+
+    POOLS = {
+        "n": EDGES + ["1", "2", "100", str(POLY_BOUND), str(POLY_BOUND + 1)],
+        "ell": EDGES + ["5", "7", "11", "13", str(QUOTIENT_BOUND), str(QUOTIENT_BOUND + 1)],
+        "k": EDGES + ["1", "3", "12", str(COLORED_K_BOUND), str(COLORED_K_BOUND + 1)],
+        "m": EDGES + ["3", "8000", "100000"],
+        "n_max": EDGES + ["1", "2", "1000000"],
+        "n_lo": EDGES + ["1", "2"],
+        "k_lo": EDGES + ["3", "4", "7"],
+        "k_hi": EDGES + ["3", "6", "7", str(COLORED_K_BOUND)],
+        "n_hi": EDGES + ["1", "2", "3", "1000000"],
+    }
+    ALWAYS = {"n_max", "n_hi"}
+    ID_NUMBERS = EDGES + ["1", "5", "6", "9", "11", "14", "23",
+                          str(COLORED_K_BOUND), str(COLORED_K_BOUND + 1)]
+
+    def claim_id(self, rng: random.Random) -> str:
+        known = [c.claim_id for c in verify.CLAIMS] + sorted(verify.VARIANTS) + [
+            "thm1.2-k9-h14-ell23", "cor3.5-B-k11-ell5"]
+        number = lambda _=None: rng.choice(self.ID_NUMBERS)
+        return rng.choice([
+            lambda: "all",
+            lambda: rng.choice(known),
+            lambda: f"thm1.2-k{number()}-h{number()}-ell{number()}",
+            lambda: f"cor3.5-{rng.choice('ABC')}-k{number()}-ell{number()}",
+            lambda: re.sub(r"\d+", number, rng.choice(known)),  # every number mangled
+        ])()
+
+    def poly(self, rng: random.Random) -> str:
+        n = lambda: rng.choice(self.POOLS["n"])
+        ell = lambda: rng.choice(self.POOLS["ell"])
+        return rng.choice([
+            lambda: f"{rng.choice(['rank', 'crank'])}:{n()}",
+            lambda: f"{rng.choice(['mrank', 'mcrank'])}:{ell()}:{n()}",
+            lambda: f"rank:{n()}:{n()}",
+            lambda: f"z^{n()} + 1",
+            lambda: f"z^-{n()}",
+            lambda: f"{n()}*z^1",
+            lambda: f"z^{QUOTIENT_BOUND - 1} + 1",
+            lambda: f"z^{QUOTIENT_BOUND} + 1",
+            lambda: rng.choice(["", "1", "z + 1", "z^0 + z^1 + z^2 + z^3 + z^4", "2*z^1 z"]),
+            _quotient_past_the_str_limit,
+        ])()
+
+    def value(self, rng: random.Random, action: argparse.Action) -> list[str]:
+        if action.nargs == 0:  # a flag
+            return []
+        if action.choices:
+            return [rng.choice([*action.choices, "nope"])]
+        if action.dest == "claim":
+            return [self.claim_id(rng)]
+        if action.dest == "poly":
+            return [self.poly(rng)]
+        if action.dest == "n_max":
+            return [rng.choice(["0", "1", "2", rng.choice(self.POOLS["n_max"])])]
+        return [rng.choice(self.POOLS[action.dest])]
+
+    def argv(self, rng: random.Random, commands: dict) -> list[str]:
+        argv = ["--threads", "1"]
+        if rng.random() < 0.3:
+            argv += ["--format", rng.choice(["text", "json", "csv"])]
+        command = rng.choice(sorted(commands))
+        argv.append(command)
+        for action in commands[command]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            needed = action.required or (not action.option_strings and action.nargs is None)
+            if action.dest in self.ALWAYS or rng.random() < (0.95 if needed else 0.5):
+                argv += [*action.option_strings[:1], *self.value(rng, action)]
+        if rng.random() < 0.03:
+            argv.append("--no-such-option")
+        return argv
+
+    def test_every_request_exits_cleanly_and_in_time(self, capsys):
+        rng = random.Random(2026)
+        [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        faults, codes = [], []
+        start = time.perf_counter()
+        for _ in range(300):
+            argv = self.argv(rng, sub.choices)
+            t0 = time.perf_counter()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own refusals
+                code = exc.code
+            took = time.perf_counter() - t0
+            out, _ = capsys.readouterr()
+            codes.append(code)
+            if code not in (0, 1, 2) or (code == 2 and out) or took >= 2.0:
+                shown = [a if len(a) <= 40 else f"<{len(a)} characters>" for a in argv]
+                faults.append((shown, code, round(took, 2)))
+        assert faults == []
+        assert time.perf_counter() - start < 5.0
+        assert {0, 2} <= set(codes)
 
 
 class TestInternalFaults:

@@ -23,7 +23,7 @@ from crankspace.search import (
     results_to_csv,
     slice_defects,
 )
-from crankspace.verify import check_family_unimodality, check_first_gap_criterion
+from crankspace.verify import check_family_unimodality, check_first_gap_criterion, run_plan
 
 from helpers import TABLE1_ROWS, TABLE1_SCAN_BOUND, scan_threshold, spec_slices
 
@@ -139,14 +139,14 @@ class TestExhaustiveSearch:
             pooled = exhaustive_search(3, 6, n_hi=30, threads=threads)
             assert serial == pooled
             assert results_to_csv(serial) == results_to_csv(pooled)
-        serial = check_family_unimodality(n_hi=30, threads=1)
+        serial = run_plan(check_family_unimodality(n_hi=30, threads=1))
         for threads in (2, 3):
-            pooled = check_family_unimodality(n_hi=30, threads=threads)
+            pooled = run_plan(check_family_unimodality(n_hi=30, threads=threads))
             assert serial._replace(elapsed_s=0) == pooled._replace(elapsed_s=0)
 
     @pytest.mark.parametrize("scan,builds", [
         (lambda: exhaustive_search(3, 6, n_hi=20, threads=1), 26),  # of 39 specs
-        (lambda: check_family_unimodality(n_hi=20, threads=1), 8),  # of 13 families
+        (lambda: run_plan(check_family_unimodality(n_hi=20, threads=1)), 8),  # of 13 families
     ], ids=["table1-tuples", "families"])
     def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, builds):
         packed = []
@@ -201,7 +201,7 @@ class TestCriteria:
     def test_first_gap_criterion_on_small_slice(self, monkeypatch):
         monkeypatch.setattr(search, "exhaustive_search",
                             lambda n_hi, threads: exhaustive_search(3, 4, n_hi, threads))
-        rep = check_first_gap_criterion()
+        rep = run_plan(check_first_gap_criterion())
         assert rep.status == "pass"
         assert "k in [3, 4]" in rep.range
 
@@ -212,14 +212,14 @@ class TestCriteria:
             SearchResult(CrankSpec(3, (3, 1)), n_hi, None),  # unimodal, no adjacent pair
             SearchResult(CrankSpec(3, (2, 1)), n_hi, n_hi - 1),  # adjacent pair, top slice not unimodal
         ])
-        rep = check_first_gap_criterion(n_hi=20)
+        rep = run_plan(check_first_gap_criterion(n_hi=20))
         assert rep.status == "partial"
         assert [c.params["kind"] for c in rep.counterexamples] == [
             "unimodal-without-adjacent-pair", "adjacent-pair-not-unimodal"]
         assert not any(c.params["within_claim"] for c in rep.counterexamples)
 
     def test_family_scan_small_range(self):
-        rep = check_family_unimodality(n_hi=30)
+        rep = run_plan(check_family_unimodality(n_hi=30))
         assert rep.status == "pass"
         assert "onsets" in rep.range
 
@@ -228,7 +228,7 @@ class TestCriteria:
         scan = search.slice_defects
         monkeypatch.setattr(search, "slice_defects",
                             lambda specs, *args: scanned.extend(specs) or scan(specs, *args))
-        rep = check_family_unimodality(n_hi=30)
+        rep = run_plan(check_family_unimodality(n_hi=30))
         assert rep.status == "pass"
         assert {bk_spec(k) for k in (7, 9, 11)} <= set(scanned)
 
@@ -236,6 +236,11 @@ class TestCriteria:
     def test_family_scan_of_no_slices_raises(self, n_hi):
         with pytest.raises(ValueError, match="n_hi"):
             check_family_unimodality(n_hi=n_hi)
+
+    @pytest.mark.parametrize("n_hi", [1, -5])
+    def test_first_gap_scan_of_no_slices_raises(self, n_hi):
+        with pytest.raises(ValueError, match="n_hi"):
+            check_first_gap_criterion(n_hi=n_hi)
 
 
 def three_cpus(monkeypatch):

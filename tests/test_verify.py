@@ -19,6 +19,7 @@ from crankspace.partitions import (
 )
 from crankspace.verify import (
     CLAIMS,
+    CONSTANCY_K_MAX,
     CRANK_UNIMODAL_ONSET,
     H_VALUES,
     RANK_MONOTONE_ONSET,
@@ -32,6 +33,7 @@ from crankspace.verify import (
     VARIANTS,
     rank_asymptotic_samples,
     run_claims,
+    run_plan,
     verify_colored_congruence,
     verify_colored_quotients,
     verify_crank_constancy,
@@ -86,7 +88,7 @@ class TestReportContract:
         assert _read_report(data) == rep and data["status"] == "fail"
 
     def test_elapsed_recorded(self):
-        rep = verify_n22_gap()
+        rep = run_plan(verify_n22_gap())
         assert rep.elapsed_s >= 0.0
         assert rep.status == "pass"
 
@@ -164,27 +166,27 @@ class TestFamilyHypotheses:
 
 class TestSuitesOnSmallRanges:
     def test_modified_rank_passes_and_notes_small_wobbles(self):
-        rep = verify_modified_rank(5, n_max=8)
+        rep = run_plan(verify_modified_rank(5, n_max=8))
         assert rep.status == "pass"
         assert "below size 39" in rep.range
         assert str(RANK_MONOTONE_ONSET) in rep.range
 
     def test_modified_crank_passes_and_notes_small_wobbles(self):
-        rep = verify_modified_crank(5, n_max=10)
+        rep = run_plan(verify_modified_crank(5, n_max=10))
         assert rep.status == "pass"
         assert str(CRANK_UNIMODAL_ONSET) in rep.range
 
     def test_crank_squared_quotients(self):
-        rep = verify_crank_squared(n_max=30)
+        rep = run_plan(verify_crank_squared(n_max=30))
         assert rep.status == "pass"
         assert "interior zeros" in rep.range
 
     def test_rank_monotonic_above_onset_passes(self):
-        rep = verify_rank_monotonic(n_max=80, n_lo=RANK_MONOTONE_ONSET)
+        rep = run_plan(verify_rank_monotonic(n_max=80, n_lo=RANK_MONOTONE_ONSET))
         assert rep.status == "pass"
 
     def test_rank_monotonic_from_one_is_partial_with_info_rows(self):
-        rep = verify_rank_monotonic(n_max=40)
+        rep = run_plan(verify_rank_monotonic(n_max=40))
         assert rep.status == "partial"
         assert rep.counterexamples
         assert all(not ce.params["within_claim"] for ce in rep.counterexamples)
@@ -192,11 +194,11 @@ class TestSuitesOnSmallRanges:
         assert worst == 38  # wobbles stop right before the onset
 
     def test_mod_ten_split(self):
-        assert verify_crank_mod10(n_max=30).status == "pass"
+        assert run_plan(verify_crank_mod10(n_max=30)).status == "pass"
 
     def test_extreme_tail_constancy(self):
-        rep = verify_crank_constancy(k_max=6, n_max=40)
-        assert rep.status == "pass"
+        rep = run_plan(verify_crank_constancy(n_max=40))
+        assert rep.status == "pass" and rep.range == f"k <= {CONSTANCY_K_MAX}, n <= 40"
         # the constants behind it: full columns at the tail
         assert crank_poly(10).coefficient(10) == 1   # k = 0: only the single-row partition
         assert crank_poly(10).coefficient(9) == 0    # k = 1: that gap is always empty
@@ -206,18 +208,18 @@ class TestSuitesOnSmallRanges:
         crank_poly = verify.partitions.crank_poly
         monkeypatch.setattr(verify.partitions, "crank_poly",
                             lambda n: built.append(n) or crank_poly(n))
-        assert verify_crank_constancy(k_max=6, n_max=40).status == "pass"
+        assert run_plan(verify_crank_constancy(n_max=40)).status == "pass"
         assert sorted(built) == list(range(2, 41))
 
     def test_colored_congruence_case(self):
         case = CongruenceCase.make(1, 4, 5)
-        rep = verify_colored_congruence(case, n_max=12)
+        rep = run_plan(verify_colored_congruence(case, n_max=12))
         assert rep.status == "pass"
         assert rep.claim_id.endswith("k1-h4-ell5")
 
     def test_colored_quotients_small_instance(self):
         case = CongruenceCase.make(6, 4, 5)
-        rep = verify_colored_quotients("A", case, n_max=6)
+        rep = run_plan(verify_colored_quotients("A", case, n_max=6))
         assert rep.status == "pass"
         assert "onset" in rep.range
         with pytest.raises(ValueError, match="n_max"):
@@ -229,7 +231,7 @@ class TestSliceCheckFailures:
         off = LaurentPoly(-1, (1, 1, 1))  # symmetric and unimodal, span too short for Phi_5
         monkeypatch.setattr(qseries, "iter_ck_slices",
                             lambda a, deltas, sizes: ((size, (off,)) for size in sizes))
-        rep = verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)
+        rep = run_plan(verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1))
         assert rep.status == "fail"
         assert [c.params for c in rep.counterexamples] == [
             {"kind": "not-divisible", "within_claim": True, "n": n, "size": 5 * n + 4}
@@ -240,9 +242,9 @@ class TestSliceCheckFailures:
     @pytest.mark.parametrize(
         "suite,params",
         [
-            (lambda: verify_modified_rank(5, n_max=1), ("ell",)),
-            (lambda: verify_modified_crank(7, n_max=1), ("ell",)),
-            (lambda: verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1),
+            (lambda: run_plan(verify_modified_rank(5, n_max=1)), ("ell",)),
+            (lambda: run_plan(verify_modified_crank(7, n_max=1)), ("ell",)),
+            (lambda: run_plan(verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)),
              ("size",)),
         ],
         ids=["modified-rank", "modified-crank", "colored-quotients"],
@@ -299,9 +301,8 @@ class TestClaimRegistry:
                              (partitions, "colored_count"), (qseries, "iter_ck_slices"),
                              (search, "slice_defects")):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
-        # runners too: a suite that refused its own range would still run after earlier claims
-        monkeypatch.setattr(verify, "CLAIMS", tuple(
-            c._replace(run=lambda *args, cid=c.claim_id: calls.append(cid)) for c in CLAIMS))
+        # and no plan runs: every claim is planned, and refused, before the first one runs
+        monkeypatch.setattr(verify, "run_plan", lambda plan: calls.append(plan.claim_id))
         with pytest.raises(BoundExceeded):
             run_claims(claim_id, n_max=10**6)
         assert calls == []
@@ -315,11 +316,10 @@ class TestClaimRegistry:
     def test_defaults_and_documented_requests_are_admitted(self, claim_id, n_max):
         claim, instances = verify._resolve(claim_id)
         for instance in instances:
-            if claim.check:
-                claim.check(instance, n_max)
+            claim.plan(instance, n_max, None, 1)
 
     def test_elapsed_covers_the_whole_runner(self, monkeypatch):
-        # conj4.2's suite times its own scan
+        # conj4.2's plan runs its scan, so run_plan times it
         def slow_scan(**kwargs):
             time.sleep(0.05)
             return []
@@ -328,10 +328,11 @@ class TestClaimRegistry:
         [report] = run_claims("conj4.2")
         assert report.elapsed_s >= 0.05
 
-    @pytest.mark.parametrize("claim", [c for c in CLAIMS if c.check], ids=lambda c: c.claim_id)
+    @pytest.mark.parametrize("claim", [c for c in CLAIMS if c.claim_id not in IGNORES_N_MAX],
+                             ids=lambda c: c.claim_id)
     def test_check_admits_exactly_what_the_suite_admits(self, monkeypatch, claim):
-        # the registry restates each suite's own admission so that `verify all`
-        # refuses before any suite runs; the two must draw the same line
+        # the suite's plan is the one admission: building it computes nothing, and
+        # at the edge of what it admits its work computes while one past it refuses
         class Reached(Exception):
             pass
 
@@ -349,7 +350,7 @@ class TestClaimRegistry:
 
         def admitted(instance, n_max):
             try:
-                claim.check(instance, n_max)
+                claim.plan(instance, n_max, None, 1)
             except BoundExceeded:
                 return False
             return True
@@ -361,13 +362,12 @@ class TestClaimRegistry:
             while hi - lo > 1:  # admitted at lo, refused at hi
                 mid = (lo + hi) // 2
                 lo, hi = (mid, hi) if admitted(instance, mid) else (lo, mid)
+            assert calls == [], (instance, lo)
             with pytest.raises(Reached):
-                claim.run(instance, lo, None, 1)
+                run_plan(claim.plan(instance, lo, None, 1))
             calls.clear()
             with pytest.raises(BoundExceeded):
-                claim.check(instance, hi)
-            with pytest.raises(BoundExceeded):
-                claim.run(instance, hi, None, 1)
+                claim.plan(instance, hi, None, 1)
             assert calls == [], (instance, hi)
 
 
@@ -414,7 +414,7 @@ class TestColoredBound:
         monkeypatch.setattr(qseries, "colored_coeffs",
                             lambda k, n: calls.append(n) or [0] * (n + 1))
         case = CongruenceCase.make(996, 4, 5)
-        verify_colored_congruence(case, n_max=50)  # admitted: its largest size is 254
+        run_plan(verify_colored_congruence(case, n_max=50))  # admitted: its largest size is 254
         with pytest.raises(BoundExceeded):
             verify_colored_congruence(case, n_max=150)
         assert len(calls) == 51
