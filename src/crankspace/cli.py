@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import partitions, search, verify
 from .cyclotomic import NotDivisible, exact_quotient
-from .laurent import CrankspaceError, LaurentPoly, parse_int, quote
+from .laurent import QUOTE_CHARS, CrankspaceError, LaurentPoly, parse_int, quote
 
 _POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
 # No polynomial a shorthand builds spans more than 2 * POLY_BOUND + 1 exponents
@@ -43,20 +43,25 @@ class UsageError(CrankspaceError):
 # -- output rendering -----------------------------------------------------------
 
 
-def _poly_brief(poly: LaurentPoly | None) -> str | None:
+def _poly_brief(poly: LaurentPoly | None) -> str:
+    """A counterexample line's ` poly=...` suffix ('' without one); a long poly by its span."""
     if poly is None:
-        return None
+        return ""
     text = str(poly)
     if len(text) > 100:
-        return f"<{len(poly.coeffs)} coefficients on [{poly.lo}, {poly.hi}]>"
-    return text
+        text = f"<{len(poly.coeffs)} coefficients on [{poly.lo}, {poly.hi}]>"
+    return f" poly={text}"
+
+
+def _write_json(payload, out) -> None:
+    json.dump(payload, out, indent=2)
+    out.write("\n")
 
 
 def _render_reports(reports: list[verify.Report], fmt: str, out) -> None:
     if fmt == "json":
         payload = [r.to_json_dict() for r in reports]
-        json.dump(payload[0] if len(payload) == 1 else payload, out, indent=2)
-        out.write("\n")
+        _write_json(payload[0] if len(payload) == 1 else payload, out)
         return
     if fmt == "csv":
         out.write("claim_id,status,range,counterexamples,elapsed_s\n")
@@ -68,19 +73,14 @@ def _render_reports(reports: list[verify.Report], fmt: str, out) -> None:
         out.write(f"{r.claim_id}: {r.status.upper()} ({r.range}) [{r.elapsed_s:.2f}s]\n")
         shown = r.counterexamples[:10]
         for c in shown:
-            line = f"  - {c.params}"
-            brief = _poly_brief(c.poly)
-            if brief is not None:
-                line += f" poly={brief}"
-            out.write(line + "\n")
+            out.write(f"  - {c.params}{_poly_brief(c.poly)}\n")
         if len(r.counterexamples) > len(shown):
             out.write(f"  ... and {len(r.counterexamples) - len(shown)} more\n")
 
 
 def _render_poly(poly: LaurentPoly, fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(poly.to_json_dict(), out, indent=2)
-        out.write("\n")
+        _write_json(poly.to_json_dict(), out)
     elif fmt == "csv":
         out.write("exponent,coefficient\n")
         for e, c in sorted(poly.coeff_map().items()):
@@ -145,16 +145,14 @@ def _cmd_quotient(args, out) -> int:
         quotient = exact_quotient(f, args.ell, variant)
     except NotDivisible as exc:
         if args.format == "json":
-            json.dump({"divisible": False, "quotient": None, "reason": str(exc)}, out, indent=2)
-            out.write("\n")
+            _write_json({"divisible": False, "quotient": None, "reason": str(exc)}, out)
         elif args.format == "csv":
             out.write("divisible\nfalse\n")
         else:
             out.write(f"NotDivisible: {exc}\n")
         return 0
     if args.format == "json":
-        json.dump({"divisible": True, "quotient": quotient.to_json_dict()}, out, indent=2)
-        out.write("\n")
+        _write_json({"divisible": True, "quotient": quotient.to_json_dict()}, out)
     else:
         _render_poly(quotient, args.format, out)
     return 0
@@ -182,8 +180,7 @@ def _cmd_search(args, out) -> int:
                          "drop the preset to use custom ranges")
     results = search.exhaustive_search(**given, threads=args.threads)
     if args.format == "json":
-        json.dump([r.to_json_dict() for r in results], out, indent=2)
-        out.write("\n")
+        _write_json([r.to_json_dict() for r in results], out)
     else:
         out.write(search.results_to_csv(results))
     return 0
@@ -194,8 +191,7 @@ def _cmd_colored(args, out) -> int:
         raise UsageError("colored pk needs --k >= 1 and --n >= 0")
     value = partitions.colored_count(args.k, args.n)
     if args.format == "json":
-        json.dump({"k": args.k, "n": args.n, "value": str(value)}, out, indent=2)
-        out.write("\n")
+        _write_json({"k": args.k, "n": args.n, "value": str(value)}, out)
     elif args.format == "csv":
         out.write("k,n,value\n")
         out.write(f"{args.k},{args.n},{value}\n")
@@ -210,8 +206,7 @@ def _cmd_asymptotic(args, out) -> int:
     m_values = args.m if args.m else None
     samples = verify.rank_asymptotic_samples(args.n, m_values)
     if args.format == "json":
-        json.dump([s.to_json_dict() for s in samples], out, indent=2)
-        out.write("\n")
+        _write_json([s.to_json_dict() for s in samples], out)
         return 0
     if args.format == "csv":
         out.write("n,m,gamma,predicted,actual,rel_error,out_of_range\n")
@@ -229,6 +224,16 @@ def _cmd_asymptotic(args, out) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _int(text: str) -> int:
+    """The type of every integer option: parse_int, refused in argparse's words."""
+    try:
+        return parse_int(text)
+    except CrankspaceError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crankspace",
@@ -237,71 +242,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format (default text)")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_int, default=None,
                         help="worker count (>= 1) for search-backed commands (default: CPU count)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="print a rank/crank polynomial")
+    p.set_defaults(handler=_cmd_poly)
     p.add_argument("kind", choices=("rank", "crank", "modified-rank", "modified-crank"))
-    p.add_argument("--n", type=int, required=True, help="partition size / progression index")
-    p.add_argument("--ell", type=int, default=None,
+    p.add_argument("--n", type=_int, required=True, help="partition size / progression index")
+    p.add_argument("--ell", type=_int, default=None,
                    help="progression modulus (modified polynomials only)")
 
     p = sub.add_parser("quotient", help="divide a polynomial by a cyclotomic divisor")
-    p.add_argument("--ell", type=int, required=True, help="odd prime index of the divisor")
+    p.set_defaults(handler=_cmd_quotient)
+    p.add_argument("--ell", type=_int, required=True, help="odd prime index of the divisor")
     p.add_argument("--squared", action="store_true", help="divide by the squared-argument variant")
     p.add_argument("--negated", action="store_true", help="divide by the negated-argument variant")
     p.add_argument("--poly", required=True,
                    help="literal polynomial text, or rank:N / crank:N / mrank:ELL:N / mcrank:ELL:N")
 
     p = sub.add_parser("verify", help="run a claim verification suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("claim", nargs="?", help="claim id, or `all`")
-    p.add_argument("--n-max", type=int, default=None, dest="n_max",
+    p.add_argument("--n-max", type=_int, default=None, dest="n_max",
                    help="largest progression index / size index to check (suite default otherwise)")
-    p.add_argument("--n-lo", type=int, default=None, dest="n_lo",
+    p.add_argument("--n-lo", type=_int, default=None, dest="n_lo",
                    help="smallest n for the monotonicity scan (default 1)")
     p.add_argument("--list", action="store_true", help="list claim ids and exit")
 
     p = sub.add_parser("search", help="threshold search over weight tuples")
+    p.set_defaults(handler=_cmd_search)
     p.add_argument("preset", nargs="?", choices=("table1",),
                    help="table1 = the reference scan (k 3..6, bound 75)")
-    p.add_argument("--k-lo", type=int, default=None, dest="k_lo")
-    p.add_argument("--k-hi", type=int, default=None, dest="k_hi")
-    p.add_argument("--n-hi", type=int, default=None, dest="n_hi",
+    p.add_argument("--k-lo", type=_int, default=None, dest="k_lo")
+    p.add_argument("--k-hi", type=_int, default=None, dest="k_hi")
+    p.add_argument("--n-hi", type=_int, default=None, dest="n_hi",
                    help="scan bound: slices 1 <= n < n_hi (default 75)")
 
     p = sub.add_parser("colored", help="colored partition counts")
+    p.set_defaults(handler=_cmd_colored)
     p.add_argument("what", choices=("pk",))
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--n", type=int, required=True, help="partition size")
+    p.add_argument("--k", type=_int, required=True, help="number of colors")
+    p.add_argument("--n", type=_int, required=True, help="partition size")
 
     p = sub.add_parser("asymptotic", help="rank-count large-size approximation diagnostic")
-    p.add_argument("--n", type=int, required=True, help="partition size")
-    p.add_argument("--m", type=int, action="append", default=None,
+    p.set_defaults(handler=_cmd_asymptotic)
+    p.add_argument("--n", type=_int, required=True, help="partition size")
+    p.add_argument("--m", type=_int, action="append", default=None,
                    help="rank value to sample (repeatable; default: a small window)")
 
     return parser
 
 
-HANDLERS = {
-    "poly": _cmd_poly,
-    "quotient": _cmd_quotient,
-    "verify": _cmd_verify,
-    "search": _cmd_search,
-    "colored": _cmd_colored,
-    "asymptotic": _cmd_asymptotic,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.threads is not None and args.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")
-        return HANDLERS[args.command](args, sys.stdout)
-    except CrankspaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return args.handler(args, sys.stdout)
+    except CrankspaceError as exc:  # numbers past QUOTE_CHARS digits are shortened like text
+        message = re.sub(rf"\d{{{QUOTE_CHARS + 1},}}",
+                         lambda m: f"{m[0][:QUOTE_CHARS]}... ({len(m[0])} digits)", str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except Exception:
         import traceback  # here, not at the top, to keep the cold start lean

@@ -40,6 +40,8 @@ POLY_BOUND = 5000
 # k = 1000 at n = 623.
 COLORED_K_BOUND = 1000
 COLORED_WORK_BOUND = 5_000_000
+MODIFIED_RANK_ELLS = (5, 7)
+MODIFIED_CRANK_ELLS = (5, 7, 11)
 
 
 class BoundExceeded(CrankspaceError):
@@ -143,19 +145,25 @@ def _edit_span(f: LaurentPoly, N: int, edits: tuple[tuple[int, int], ...]) -> La
     return LaurentPoly(-N, cs)
 
 
+def _modified_size(statistic: str, ells: tuple[int, ...], ell: int, n: int) -> int:
+    """ell*n + beta(ell), refused for an ell outside the statistic's set or a negative n."""
+    if ell not in ells:
+        raise InvalidEll(f"modified {statistic} polynomials are defined for ell in "
+                         f"{{{', '.join(map(str, ells))}}}, got {ell}")
+    if n < 0:
+        raise CrankspaceError("n must be >= 0")
+    return ell * n + beta(ell)
+
+
 def modified_rank_poly(ell: int, n: int) -> LaurentPoly:
     """Rank polynomial at ell*n + beta(ell) with the four boundary terms moved.
 
     Adds z^(N-2) - z^(N-1) and the mirror pair for N = ell*n + beta(ell):
     the extreme rank values N-1 and their mirrors are shifted inward by one,
     which makes the result symmetric and (conjecturally) unimodal and
-    divisible by Phi_ell.  Supported for ell in {5, 7}.
+    divisible by Phi_ell.  Supported for ell in MODIFIED_RANK_ELLS.
     """
-    if ell not in (5, 7):
-        raise InvalidEll(f"modified rank polynomials are defined for ell in {{5, 7}}, got {ell}")
-    if n < 0:
-        raise CrankspaceError("n must be >= 0")
-    N = ell * n + beta(ell)
+    N = _modified_size("rank", MODIFIED_RANK_ELLS, ell, n)
     return _edit_span(rank_poly(N), N, ((N - 2, 1), (N - 1, -1), (2 - N, 1), (1 - N, -1)))
 
 
@@ -163,11 +171,7 @@ def modified_crank_poly(ell: int, n: int) -> LaurentPoly:
     """Crank polynomial at ell*n + beta(ell) with the extremes pulled in by ell.
 
     Adds z^(N-ell) - z^N and the mirror pair for N = ell*n + beta(ell).
-    Supported for ell in {5, 7, 11}.
+    Supported for ell in MODIFIED_CRANK_ELLS.
     """
-    if ell not in (5, 7, 11):
-        raise InvalidEll(f"modified crank polynomials are defined for ell in {{5, 7, 11}}, got {ell}")
-    if n < 0:
-        raise CrankspaceError("n must be >= 0")
-    N = ell * n + beta(ell)
+    N = _modified_size("crank", MODIFIED_CRANK_ELLS, ell, n)
     return _edit_span(crank_poly(N), N, ((N - ell, 1), (N, -1), (ell - N, 1), (-N, -1)))

@@ -10,9 +10,9 @@ plus the offending polynomial where one exists.
 The claim registry at the bottom (CLAIMS, run_claims) names every claim and
 resolves claim ids, their ell variants and their instance patterns.
 
-Divisibility is always decided twice, by the residue-sum criterion and by
-exact_quotient's sparse division; a disagreement between the routes is
-itself reported as a violation rather than silently resolved.
+Divisibility is decided twice, by the residue-sum criterion and by
+exact_quotient's sparse division, and only in _quotients; a disagreement
+between the routes is itself reported as a violation, not silently resolved.
 
 Default ranges are sized so that the slowest suite, cor3.5-B-k11-ell5, takes
 about two seconds on one core.  Everything is exact integer arithmetic
@@ -115,13 +115,24 @@ def _info(kind: str, poly: LaurentPoly | None = None, **params) -> Counterexampl
     return Counterexample({"kind": kind, "within_claim": False, **params}, poly)
 
 
-def _dual_quotient(f: LaurentPoly, ell: int, variant: str, criterion: bool):
-    """Run both divisibility routes; return (divisible, quotient, agree)."""
-    try:
-        q = exact_quotient(f, ell, variant)
-    except NotDivisible:
-        return False, None, not criterion
-    return True, q, criterion
+def _quotients(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int, variant: str,
+               violations: list[Counterexample]):
+    """Yield (params, size, f, q) for each slice both routes find divisible; q is its quotient.
+
+    For `squared` the residue sums test Phi_ell(z) and Phi_ell(-z), whose product it is
+    for odd ell.  Every other slice is appended to violations.
+    """
+    for params, size, f in slices:
+        criterion = divides_standard(f, ell) and (variant != "squared" or divides_negated(f, ell))
+        try:
+            q = exact_quotient(f, ell, variant)
+        except NotDivisible:
+            q = None
+        if criterion and q is not None:
+            yield params, size, f, q
+        else:
+            kind = "route-disagreement" if criterion or q is not None else "not-divisible"
+            violations.append(_violation(kind, f, **params))
 
 
 def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
@@ -136,14 +147,7 @@ def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
     violations: list[Counterexample] = []
     wobbles: list[int] = []
     negatives: list[int] = []
-    for params, size, f in slices:
-        divisible, q, agree = _dual_quotient(f, ell, "standard", divides_standard(f, ell))
-        if not agree:
-            violations.append(_violation("route-disagreement", f, **params))
-            continue
-        if not divisible:
-            violations.append(_violation("not-divisible", f, **params))
-            continue
+    for params, size, f, q in _quotients(slices, ell, "standard", violations):
         if not f.is_symmetric():
             violations.append(_violation("not-symmetric", f, **params))
         if not f.is_unimodal():
@@ -159,18 +163,16 @@ def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
     return violations, wobbles, negatives
 
 
-def _check_top_size(n_max: int, step: int = 1, offset: int = 0) -> None:
-    """Refuse a largest size step*n_max + offset past POLY_BOUND (a negative one is empty)."""
-    partitions._check_size(max(step * n_max + offset, 0))
-
-
 # -- modified rank / crank quotients -------------------------------------------
 
 
-def _modified_quotients(claim: str, poly: Callable[[int, int], LaurentPoly], onset: int,
-                        ell: int, n_max: int) -> Plan:
-    beta = partitions.beta(ell)
-    _check_top_size(n_max, ell, beta)
+def _modified_quotients(claim: str, statistic: str, ells: tuple[int, ...],
+                        poly: Callable[[int, int], LaurentPoly], onset: int,
+                        ell: int, n_max: int | None) -> Plan:
+    beta = partitions._modified_size(statistic, ells, ell, 0)  # refuses an ell outside ells
+    if n_max is None:
+        n_max = (500 - beta) // ell  # every size up to 500
+    partitions._check_size(max(ell * n_max + beta, 0))
 
     def work():
         slices = (({"ell": ell, "n": n}, ell * n + beta, poly(ell, n)) for n in range(n_max + 1))
@@ -191,8 +193,8 @@ def verify_modified_rank(ell: int, n_max: int = 50) -> Plan:
     expected, so they are tallied in the range note rather than reported
     as counterexamples.
     """
-    return _modified_quotients("conj1.1-part1", partitions.modified_rank_poly,
-                               RANK_MONOTONE_ONSET, ell, n_max)
+    return _modified_quotients("conj1.1-part1", "rank", partitions.MODIFIED_RANK_ELLS,
+                               partitions.modified_rank_poly, RANK_MONOTONE_ONSET, ell, n_max)
 
 
 def verify_crank_squared(n_max: int = 99) -> Plan:
@@ -204,26 +206,18 @@ def verify_crank_squared(n_max: int = 99) -> Plan:
     surfaced in the range note (non-negativity, not strict positivity, is
     the claim).
     """
-    _check_top_size(n_max, 5, 4)
+    partitions._check_size(max(5 * n_max + 4, 0))
 
     def work():
         violations: list[Counterexample] = []
         interior_zeros = 0
-        for n in range(n_max + 1):
-            N = 5 * n + 4
-            f = partitions.crank_poly(N)
-            crit = divides_standard(f, 5) and divides_negated(f, 5)
-            divisible, q, agree = _dual_quotient(f, 5, "squared", crit)
-            if not agree:
-                violations.append(_violation("route-disagreement", f, n=n, size=N))
-                continue
-            if not divisible:
-                violations.append(_violation("not-divisible", f, n=n, size=N))
-                continue
+        slices = (({"n": n, "size": N}, N, partitions.crank_poly(N))
+                  for n, N in enumerate(range(4, 5 * n_max + 5, 5)))
+        for params, _, _, q in _quotients(slices, 5, "squared", violations):
             if not q.is_nonnegative():
-                violations.append(_violation("negative-quotient", q, n=n, size=N))
+                violations.append(_violation("negative-quotient", q, **params))
             if not q.shift(4).is_symmetric():
-                violations.append(_violation("normalized-quotient-asymmetric", q, n=n, size=N))
+                violations.append(_violation("normalized-quotient-asymmetric", q, **params))
             if any(c == 0 for c in q.coeffs):
                 interior_zeros += 1
         note = (f"sizes 5n+4 <= {5 * n_max + 4}; "
@@ -243,10 +237,8 @@ def verify_modified_crank(ell: int, n_max: int | None = None) -> Plan:
     the quotient claim still holds; such sizes are tallied in the range
     note rather than reported as counterexamples.
     """
-    if n_max is None:
-        n_max = {5: 99, 7: 70, 11: 44}.get(ell, 40)
-    return _modified_quotients("conj1.1-part3", partitions.modified_crank_poly,
-                               CRANK_UNIMODAL_ONSET, ell, n_max)
+    return _modified_quotients("conj1.1-part3", "crank", partitions.MODIFIED_CRANK_ELLS,
+                               partitions.modified_crank_poly, CRANK_UNIMODAL_ONSET, ell, n_max)
 
 
 # -- rank monotonicity and crank columns ----------------------------------------
@@ -263,7 +255,7 @@ def verify_rank_monotonic(n_max: int = 200, n_lo: int = 1) -> Plan:
     """
     if n_lo < 0:
         raise CrankspaceError(f"n_lo must be >= 0, got {n_lo}")
-    _check_top_size(n_max)
+    partitions._check_size(max(n_max, 0))
 
     def work():
         violations: list[Counterexample] = []
@@ -292,7 +284,7 @@ def verify_crank_mod10(n_max: int = 99) -> Plan:
     Claim: five times the count in class 2k + j mod 10 equals the count in
     class j mod 2, for j in {0, 1} and every k in 0..4.
     """
-    _check_top_size(n_max, 5, 4)
+    partitions._check_size(max(5 * n_max + 4, 0))
 
     def work():
         violations: list[Counterexample] = []
@@ -319,7 +311,7 @@ def verify_crank_constancy(n_max: int = 60) -> Plan:
     n once n >= max(2k, 2), and the extreme columns are M(n-1, n) = 0 and
     M(n, n) = 1 from n = 2 on.
     """
-    _check_top_size(n_max)
+    partitions._check_size(max(n_max, 0))
 
     def work():
         violations: list[Counterexample] = []
@@ -695,11 +687,12 @@ def _cor35_instance(claim_id: str) -> tuple[str, CongruenceCase] | None:
 CLAIMS: tuple[Claim, ...] = (
     Claim("conj1.1-part1", "modified rank: cyclotomic quotient non-negative (ell=5,7)",
           lambda ell, n_max, n_lo, threads: verify_modified_rank(ell, **_given(n_max=n_max)),
-          ells=(5, 7)),
+          ells=partitions.MODIFIED_RANK_ELLS),
     Claim("conj1.1-part2", "crank at 5n+4: quotient by squared-argument divisor non-negative",
           lambda _, n_max, n_lo, threads: verify_crank_squared(**_given(n_max=n_max))),
     Claim("conj1.1-part3", "modified crank: cyclotomic quotient non-negative (ell=5,7,11)",
-          lambda ell, n_max, n_lo, threads: verify_modified_crank(ell, n_max), ells=(5, 7, 11)),
+          lambda ell, n_max, n_lo, threads: verify_modified_crank(ell, n_max),
+          ells=partitions.MODIFIED_CRANK_ELLS),
     Claim("conj1.3", "rank counts weakly decreasing over the window (onset 39)",
           lambda _, n_max, n_lo, threads: verify_rank_monotonic(**_given(n_max=n_max, n_lo=n_lo)),
           n_min=1, takes_n_lo=True),

@@ -386,6 +386,24 @@ class TestRefusalQuotes:
         assert code == 2 and out == ""
         assert len(err.encode()) < 300 and f"... ({len(argv[-1])} characters)" in err
 
+    @pytest.mark.parametrize("argv,shown", [
+        (("verify", "all", "--n-max", "9" * DIGITS_BOUND), "n=" + "9" * 60 + "... (4000 digits)"),
+        (("poly", "rank", "--n", "9" * DIGITS_BOUND), "n=" + "9" * 60 + "... (4000 digits)"),
+        (("poly", "rank", "--n", BIG), "a 5000-digit number is past the 4000-digit bound"),
+    ], ids=["verify-all", "poly", "argparse"])
+    def test_a_long_number_is_shortened(self, capsys, argv, shown):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's own refusal
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2 and len(err.encode()) < 2048 and shown in err
+
+    def test_a_non_number_keeps_argparse_wording(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["poly", "rank", "--n", "abc"])
+        assert "argument --n: invalid int value: 'abc'\n" in capsys.readouterr().err
+
     def test_a_short_literal_is_quoted_whole(self, capsys):
         code, _, err = run(capsys, "quotient", "--ell", "5", "--poly", "2*z^1 z")
         assert code == 2
@@ -503,9 +521,10 @@ class TestArgvFuzz:
             except SystemExit as exc:  # argparse's own refusals
                 code = exc.code
             took = time.perf_counter() - t0
-            out, _ = capsys.readouterr()
+            out, err = capsys.readouterr()
             codes.append(code)
-            if code not in (0, 1, 2) or (code == 2 and out) or took >= 2.0:
+            refusal_too_long = code == 2 and (out or len(err.encode()) >= 2048)
+            if code not in (0, 1, 2) or refusal_too_long or took >= 2.0:
                 shown = [a if len(a) <= 40 else f"<{len(a)} characters>" for a in argv]
                 faults.append((shown, code, round(took, 2)))
         assert faults == []

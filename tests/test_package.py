@@ -78,6 +78,7 @@ REACHING_CALLS = [
     (2, ["--threads", "0", "poly", "rank", "--n", "1"]),
     (2, ["poly", "rank", "--n", "-1"]),
     (2, ["poly", "rank", "--n", "5001"]),
+    (2, ["poly", "rank", "--n", "9" * 61]),
     (2, ["poly", "rank", "--ell", "5", "--n", "1"]),
     (2, ["poly", "modified-rank", "--n", "1"]),
     (2, ["poly", "modified-rank", "--ell", "11", "--n", "1"]),

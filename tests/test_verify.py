@@ -14,6 +14,7 @@ from crankspace.partitions import (
     COLORED_K_BOUND,
     POLY_BOUND,
     BoundExceeded,
+    InvalidEll,
     crank_poly,
     rank_poly,
 )
@@ -239,18 +240,30 @@ class TestSliceCheckFailures:
         ]
         assert rep.counterexamples[0].poly == off
 
+    def test_non_divisible_crank_squared(self, monkeypatch):
+        off = LaurentPoly(-1, (1, 1, 1))  # span too short for Phi_5(z^2)
+        monkeypatch.setattr(partitions, "crank_poly", lambda N: off)
+        rep = run_plan(verify_crank_squared(n_max=1))
+        assert rep.status == "fail"
+        assert [c.params for c in rep.counterexamples] == [
+            {"kind": "not-divisible", "within_claim": True, "n": n, "size": 5 * n + 4}
+            for n in (0, 1)
+        ]
+        assert rep.counterexamples[0].poly == off
+
     @pytest.mark.parametrize(
-        "suite,params",
+        "suite,params,route",
         [
-            (lambda: run_plan(verify_modified_rank(5, n_max=1)), ("ell",)),
-            (lambda: run_plan(verify_modified_crank(7, n_max=1)), ("ell",)),
+            (lambda: run_plan(verify_modified_rank(5, n_max=1)), ("ell",), "divides_standard"),
+            (lambda: run_plan(verify_modified_crank(7, n_max=1)), ("ell",), "divides_standard"),
             (lambda: run_plan(verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)),
-             ("size",)),
+             ("size",), "divides_standard"),
+            (lambda: run_plan(verify_crank_squared(n_max=1)), ("size",), "divides_negated"),
         ],
-        ids=["modified-rank", "modified-crank", "colored-quotients"],
+        ids=["modified-rank", "modified-crank", "colored-quotients", "crank-squared"],
     )
-    def test_route_disagreement(self, monkeypatch, suite, params):
-        monkeypatch.setattr(verify, "divides_standard", lambda f, ell: False)
+    def test_route_disagreement(self, monkeypatch, suite, params, route):
+        monkeypatch.setattr(verify, route, lambda f, ell: False)
         rep = suite()
         assert rep.status == "fail"
         assert [c.params["kind"] for c in rep.counterexamples] == ["route-disagreement"] * 2
@@ -386,6 +399,16 @@ class TestPolyBound:
             monkeypatch.setattr(partitions, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(BoundExceeded, match=f"n={largest} exceeds"):
             suite()
+        assert calls == []
+
+    def test_unsupported_ell_is_refused_at_plan_time(self, monkeypatch):
+        calls = []
+        for name in ("rank_poly", "crank_poly", "modified_rank_poly", "modified_crank_poly"):
+            monkeypatch.setattr(partitions, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(InvalidEll, match="modified crank polynomials .* got 13"):
+            verify_modified_crank(13)
+        with pytest.raises(InvalidEll, match="modified rank polynomials .* got 11"):
+            verify_modified_rank(11)
         assert calls == []
 
 
