@@ -224,6 +224,21 @@ def _cmd_asymptotic(args, out) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _shorten(message: str, run: str = r"\d") -> str:
+    """message with every run of `run` characters past QUOTE_CHARS cut to its head and length."""
+    def cut(m: re.Match) -> str:
+        unit = "digits" if m[0].isdigit() else "characters"
+        return f"{m[0][:QUOTE_CHARS]}... ({len(m[0])} {unit})"
+    return re.sub(rf"{run}{{{QUOTE_CHARS + 1},}}", cut, message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose own refusals shorten each long word they echo, as `main` does."""
+
+    def error(self, message: str):
+        super().error(_shorten(message, r"\S"))
+
+
 def _int(text: str) -> int:
     """The type of every integer option: parse_int, refused in argparse's words."""
     try:
@@ -235,7 +250,7 @@ def _int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crankspace",
         description="Exact rank/crank partition statistics: polynomials, "
                     "cyclotomic quotients, claim verification, threshold search.",
@@ -301,9 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")
         return args.handler(args, sys.stdout)
     except CrankspaceError as exc:  # numbers past QUOTE_CHARS digits are shortened like text
-        message = re.sub(rf"\d{{{QUOTE_CHARS + 1},}}",
-                         lambda m: f"{m[0][:QUOTE_CHARS]}... ({len(m[0])} digits)", str(exc))
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {_shorten(str(exc))}", file=sys.stderr)
         return 2
     except Exception:
         import traceback  # here, not at the top, to keep the cold start lean

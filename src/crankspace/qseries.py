@@ -17,7 +17,10 @@ whose coefficients are all non-negative, times prod (1-q^n) for odd k (the
 pentagonal-number expansion).  G depends only on the weights, so it is built
 once per distinct weight tuple and serves both parities d (a slice scan asks
 for both when k and k+1 share a tuple); the pentagonal sum is then done only
-for the slices and parities asked for, one slice at a time (`iter_ck_slices`).
+for the slices and parities asked for, one slice at a time, as the caller
+asks for them (`iter_ck_slices`).  One call builds a group of tuples that
+share every weight but the largest: their division passes differ only in
+the last one, so the rest are run once for the group.
 
 G is built by division by theta series, not factor by factor.  By the Jacobi
 triple product, (q)_inf prod_n (1-z^a q^n)(1-z^-a q^n) is the sparse series
@@ -208,90 +211,125 @@ def _unpack_half(x: int, nslots: int, bits: int, margin: int, total: int) -> lis
     return half
 
 
-def _geometric_half(a: tuple[int, ...], order: int, bits: int) -> list[int]:
-    """Entries 0..order of G, the geometric stage of weights a, packed as halves.
+def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool) -> None:
+    """Divide the packed entries, in place, by weight aj's theta series (see _geometric_halves).
 
-    Slot s (width `bits`) of entry m holds the coefficient of z^(c - s),
-    c = a_1: the z^e, e <= c, part of G's q^m coefficient.  Built from the
-    scalar (q)_inf^r by dividing by one theta series per weight, ascending,
-    through its recurrence E[m] += sum_{k>=2} (-1)^k run_k E[m - k(k-1)/2],
-    run_k = z^(a(1-k)) + ... + z^(a(k-1)), pushed forward from each finished
-    E[j].  During weight a's pass, entry m is the image of z^(a*m) E[m]
-    under z -> 2^bits, a polynomial because E[m] spans z^(-a*m)..z^(a*m), so
-    every shift is a left shift.  run_k E[j] grows by one shift-add per k
-    (adding E[j] + z^a E[j] at the next offset) and lands in its entry by a
-    second, so each (j, k) pair costs two.  The integers are exact images
-    whatever their sign, and whatever slots overflow on the way.  The final
-    entries are G's, whose coefficients are non-negative and smaller than
-    2^bits when bits is the slot width iter_ck_slices picks, so the image's
-    base-2^bits digits are those coefficients: the right shift by c*(m-1)
-    slots drops exactly the terms below z^-c and leaves z^e in slot c + e,
-    which by the z -> 1/z symmetry holds the coefficient of z^(c - s) at
-    s = c + e.  Each entry is converted in place as soon as the last pass
-    has pushed it forward.
+    During the pass, entry m is the image of z^(aj*m) E[m] under z -> 2^bits,
+    a polynomial because E[m] spans z^(-aj*m)..z^(aj*m), so every shift is a
+    left shift; entries framed for the previous weight, origin, are reframed
+    first.  Each finished E[j] is pushed forward through the recurrence
+    E[m] += sum_{k>=2} (-1)^k run_k E[m - k(k-1)/2],
+    run_k = z^(aj(1-k)) + ... + z^(aj(k-1)): run_k E[j] grows by one
+    shift-add per k (adding E[j] + z^aj E[j] at the next offset) and lands in
+    its entry by a second, so each (j, k) pair costs two.  With last set,
+    each entry is converted to its half as soon as it has been pushed forward.
     """
-    ints = [1] + [0] * order
+    order = len(ints) - 1
+    sh = bits * aj
+    reframe = bits * (aj - origin)
+    for m in range(1, order + 1):
+        ints[m] <<= reframe * m
+    for j in range(order + 1):
+        t = ints[j]
+        pair = t + (t << sh)
+        run = t
+        k, lo, m = 2, 0, j + 1  # m = j + k(k-1)/2, lo = (k-1)(k-2)/2
+        while m <= order:
+            run += pair << (sh * (2 * k - 3))
+            if k & 1:
+                ints[m] -= run << (sh * lo)
+            else:
+                ints[m] += run << (sh * lo)
+            lo = m - j
+            m += k
+            k += 1
+        if last:
+            ints[j] = t >> (sh * (j - 1)) if j else t << sh
+
+
+def _geometric_halves(group: Sequence[tuple[int, ...]], order: int,
+                      bits: int) -> Iterator[list[int]]:
+    """Entries 0..order of G, the geometric stage, packed as halves, for each tuple a in group.
+
+    The tuples share every weight but the largest, a[1:].  Slot s (width
+    `bits`) of entry m holds the coefficient of z^(c - s), c = a_1: the
+    z^e, e <= c, part of G's q^m coefficient.  G is the scalar (q)_inf^r
+    divided by one theta series per weight, ascending, so a_1 is always the
+    last pass: the prefix, (q)_inf^r and the passes of a[1:], is built once,
+    and each member's last pass runs on a copy of it (the last member's on
+    the prefix itself, so a group of one holds no copy).  The integers are
+    exact images whatever their sign, and whatever slots overflow on the
+    way.  G's coefficients are non-negative and smaller than 2^bits at the
+    slot width iter_ck_slices picks, so the image's base-2^bits digits are
+    those coefficients: the final right shift by c*(m-1) slots drops exactly
+    the terms below z^-c and leaves z^e in slot c + e, which by the
+    z -> 1/z symmetry holds the coefficient of z^(c - s) at s = c + e.
+    """
+    prefix = [1] + [0] * order
     pentagonal = _pentagonal_terms(order)
-    for _ in a:  # (q)_inf^r, one pentagonal pass per weight, in place from the top
+    for _ in group[0]:  # (q)_inf^r, one pentagonal pass per weight, in place from the top
         for m in range(order, 0, -1):
-            pos, neg = _pentagonal_split(ints, m, pentagonal)
-            ints[m] = pos - neg
+            pos, neg = _pentagonal_split(prefix, m, pentagonal)
+            prefix[m] = pos - neg
     origin = 0
-    for aj in reversed(a):
-        sh = bits * aj
-        reframe = bits * (aj - origin)
-        for m in range(1, order + 1):
-            ints[m] <<= reframe * m
+    for aj in reversed(group[0][1:]):
+        _theta_pass(prefix, aj, origin, bits, False)
         origin = aj
-        for j in range(order + 1):
-            t = ints[j]
-            pair = t + (t << sh)
-            run = t
-            k, lo, m = 2, 0, j + 1  # m = j + k(k-1)/2, lo = (k-1)(k-2)/2
-            while m <= order:
-                run += pair << (sh * (2 * k - 3))
-                if k & 1:
-                    ints[m] -= run << (sh * lo)
-                else:
-                    ints[m] += run << (sh * lo)
-                lo = m - j
-                m += k
-                k += 1
-            if aj == a[0]:
-                ints[j] = t >> (sh * (j - 1)) if j else t << sh
-    return ints
+    for i, a in enumerate(group):
+        ints = prefix if i == len(group) - 1 else prefix.copy()
+        _theta_pass(ints, a[0], origin, bits, True)
+        yield ints
 
 
-def iter_ck_slices(a: tuple[int, ...], deltas: Sequence[int],
-                   sizes: Iterable[int]) -> Iterator[tuple[int, tuple[LaurentPoly, ...]]]:
-    """Yield (m, q^m coefficients) of the colored-crank products for each m in sizes.
+def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], sizes: list[int],
+            totals: list[tuple[int, int]]) -> Iterator[tuple[int, LaurentPoly]]:
+    """(m, q^m coefficient) for m in sizes: one parity's scan of one packed G (see iter_ck_slices)."""
+    for m, (pos_total, neg_total) in zip(sizes, totals):
+        nslots = c * (1 + max(m, 1)) + 1  # the mirrors of the margin, even at m = 0
+        pos, neg = _pentagonal_split(ints, m, terms)
+        half = _unpack_half(pos, nslots, bits, c, pos_total)
+        if neg_total:
+            half = [x - y for x, y in zip(half, _unpack_half(neg, nslots, bits, c, neg_total))]
+        yield m, LaurentPoly(1 - len(half), half[:0:-1] + half)
 
-    The products have weights a and, for each delta in deltas, delta copies
-    of prod (1-q^n); each yield holds one coefficient per delta, in the order
-    of deltas.  Each weight enters as (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1),
-    so every slice is a palindrome: only its z^e, e <= 0, half is built,
-    then mirrored.  The geometric product G depends on the weights alone, so
-    it is packed once for all deltas, up to max(sizes), by `_geometric_half`:
-    (q)_inf^r divided by one Jacobi theta series per weight, on the images
-    of the z-polynomials under z -> 2^bits, in O(r * N^1.5) shift-adds to
-    order N.  A final right shift, exact because G's coefficients fit their
-    slots, leaves slot s of entry m holding the coefficient of z^(c - s),
-    c = a_1.  The entries share one origin, so each slice sums its own pentagonal terms
-    (delta = 1 only) unshifted into separate non-negative pos/neg packed
-    integers, and slots never borrow.  The packed product stays resident
-    while the slices are yielded; the pentagonal sum and the unpacking are
-    done per requested slice, so skipped sizes cost nothing and the dense
-    polynomials never all coexist.  Negative sizes raise CrankspaceError.
+
+def iter_ck_slices(group: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes: Iterable[int]
+                   ) -> Iterator[tuple[Iterator[tuple[int, LaurentPoly]], ...]]:
+    """Per member (a, deltas) of group, one slice scan per delta, over sizes.
+
+    A member's products have weights a and, for each delta in deltas, delta
+    copies of prod (1-q^n).  For each member, in the order of group, this
+    yields one iterator per delta, in the order of deltas, of
+    (m, q^m coefficient) for m in sizes, in their order.  A scan decodes
+    each slice only when it is asked for, so a caller that stops a scan
+    early pays for no slice past it.  Each weight enters as
+    (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every slice is a palindrome:
+    only its z^e, e <= 0, half is built, then mirrored.
+
+    The members must share every weight but the largest, a[1:].  The
+    geometric product G depends on the weights alone, so it is packed once
+    per member for all its deltas, up to max(sizes), by `_geometric_halves`:
+    (q)_inf^r divided by one Jacobi theta series per weight, ascending, in
+    O(r * N^1.5) shift-adds to order N, so only the last pass, a_1's, is
+    run per member and the others once for the group.  Slot s of entry m
+    then holds the coefficient of z^(c - s), c = a_1.  The entries share
+    one origin, so each slice sums its own pentagonal terms (delta = 1
+    only) unshifted into separate non-negative pos/neg packed integers, and
+    slots never borrow.  A member's packed product stays resident while its
+    scans are live; the pentagonal sum and the unpacking are done per
+    requested slice, so skipped sizes cost nothing and the dense
+    polynomials never all coexist.  Negative sizes, or members that differ
+    past their largest weight, raise CrankspaceError.
 
     Slot widths are exact: at z = 1 G is prod (1-q^n)^(-F), F = 2r, so the
     coefficients of a slice's pos part sum to p_F(m) plus its positive
     p_F(m - g) terms and those of its neg part to its negative ones; no
     coefficient exceeds its part's total, and none of G's up to the top
     requested size exceeds p_F of that size.  The slot is as wide as the
-    largest total over every requested delta, so it is exact for the widest
-    parity and wide enough for the others.
-    `_unpack_half` checks each decoded part all the same: twice its half
-    less z^0 must give the total, and the margin z^1..z^c must mirror
+    largest total over every requested size and every delta any member
+    asks for, so it is exact for the widest parity and wide enough for the
+    others.  `_unpack_half` checks each decoded part all the same: twice its
+    half less z^0 must give the total, and the margin z^1..z^c must mirror
     z^-1..z^-c.  Weights (1,) with delta 1 give the raw crank factor, whose
     q^n coefficient for n >= 2 is the crank polynomial that
     `partitions.crank_poly` computes from the Andrews-Garvan formula instead.
@@ -299,23 +337,15 @@ def iter_ck_slices(a: tuple[int, ...], deltas: Sequence[int],
     sizes = list(sizes)
     if min(sizes, default=0) < 0:
         raise CrankspaceError(f"slice sizes must be >= 0, got {min(sizes)}")
+    if len({a[1:] for a, _ in group}) > 1:
+        raise CrankspaceError("a group's weight tuples must differ only in their largest weight")
     order = max(sizes, default=0)
-    c = a[0]
-    terms = [_pentagonal_terms(order) if d else [] for d in deltas]
-    colored = colored_coeffs(2 * len(a), order)
-    totals = [[_pentagonal_split(colored, m, t) for t in terms] for m in sizes]
-    bits = _slot_width(max((t for row in totals for pair in row for t in pair), default=0))
-    ints = _geometric_half(a, order, bits)
-    for m, row in zip(sizes, totals):
-        nslots = c * (1 + max(m, 1)) + 1  # the mirrors of the margin, even at m = 0
-        polys = []
-        for t, (pos_total, neg_total) in zip(terms, row):
-            pos, neg = _pentagonal_split(ints, m, t)
-            half = _unpack_half(pos, nslots, bits, c, pos_total)
-            if neg_total:
-                half = [x - y for x, y in zip(half, _unpack_half(neg, nslots, bits, c, neg_total))]
-            polys.append(LaurentPoly(1 - len(half), half[:0:-1] + half))
-        yield m, tuple(polys)
+    terms = {d: _pentagonal_terms(order) if d else [] for _, deltas in group for d in deltas}
+    colored = colored_coeffs(2 * len(group[0][0]), order)
+    totals = {d: [_pentagonal_split(colored, m, t) for m in sizes] for d, t in terms.items()}
+    bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
+    for (a, deltas), ints in zip(group, _geometric_halves([a for a, _ in group], order, bits)):
+        yield tuple(_slices(ints, a[0], bits, terms[d], sizes, totals[d]) for d in deltas)
 
 
 def ak_spec(k: int) -> CrankSpec:

@@ -3,17 +3,21 @@
 The search space for a given color count k is every strictly decreasing
 weight tuple drawn from {1..k}; for each tuple the q^n coefficients of its
 product are scanned below a bound, and the minimal m with "unimodal for all
-m < n < n_hi" follows from the last non-unimodal n.  The claims decided from
-these scans (the first-gap criterion and the families' onsets) live in verify.
+m < n < n_hi" follows from the last non-unimodal n.  So the search scans each
+parity from n_hi - 1 down and stops at its first non-unimodal slice; the
+family scan, which tallies every defect, scans them all.  The claims decided
+from these scans (the first-gap criterion and the families' onsets) live in
+verify.
 
-Work parallelizes over distinct weight tuples (`_pool_map`): this process is
-one worker and forks the others, which pull tasks off one shared pipe, the
-largest first; where os.fork is missing the scan runs serially.  Each task
-packs one tuple's geometric product once and scans it for every parity asked
-of that tuple (every k = 3 tuple is also a k = 4 tuple, and A_k shares its
-weights with A_(k+1) for odd k).  Results come back keyed by weight tuple and
-are merged in input order, so the output is byte-identical for any worker
-count.
+Work parallelizes over groups of weight tuples that share every weight but
+the largest (`_pool_map`): this process is one worker and forks the others,
+which pull tasks off one shared pipe, the largest first; where os.fork is
+missing the scan runs serially.  Each task is one kernel call: it runs the
+group's shared division passes once, packs each tuple's geometric product
+once, and scans it for every parity asked of that tuple (every k = 3 tuple
+is also a k = 4 tuple, and A_k shares its weights with A_(k+1) for odd k).
+Results come back keyed by weight tuple and parity and are merged in input
+order, so the output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ DEFAULT_SCAN_BOUND = 75
 # slots, so it is a looser upper bound, kept so that the same requests are
 # admitted and refused.  At the bound, cor3.5-B-k11-ell5 to q^589 (9.8e9)
 # takes 17 s and a 132 MB peak RSS on one core of a 2-core VM.  It also
-# counts every spec, though specs that share a weight tuple share one build.
+# counts every spec and every pass, though specs that share a weight tuple
+# share one build, and tuples that share every weight but the largest share
+# every division pass but the last.
 SCAN_WORK_BOUND = 10**10
 
 
@@ -194,7 +200,7 @@ def exhaustive_search(
         raise CrankspaceError(f"need 3 <= k_lo <= k_hi, got [{k_lo}, {k_hi}]")
     specs = [spec for k in range(k_lo, k_hi + 1) for spec in crank_space(k)]
     return [SearchResult(spec, n_hi, bad[-1] if bad else None)
-            for spec, bad in zip(specs, slice_defects(specs, n_hi, threads))]
+            for spec, bad in zip(specs, slice_defects(specs, n_hi, threads, top_only=True))]
 
 
 def _tuple_work(r: int, a1: int, order: int) -> int:
@@ -236,35 +242,51 @@ def results_to_csv(results: Iterable[SearchResult]) -> str:
     return "".join(lines)
 
 
-def _defects_task(task: tuple[tuple[int, ...], tuple[int, ...], int]) -> list[list[int]]:
-    a, deltas, n_hi = task
-    defects: list[list[int]] = [[] for _ in deltas]
-    for n, slices in qseries.iter_ck_slices(a, deltas, range(1, n_hi)):
-        for bad, f in zip(defects, slices):
-            if not f.is_unimodal():
-                bad.append(n)
+def _defects_task(task: tuple[tuple, int, bool]) -> dict[tuple[tuple[int, ...], int], list[int]]:
+    """{(a, delta): its non-unimodal n below n_hi, ascending} for one group's members.
+
+    Sizes are scanned from the top down; with top_only, each parity stops at
+    its first non-unimodal slice, the only one its caller reads.
+    """
+    group, n_hi, top_only = task
+    defects = {}
+    for (a, deltas), scans in zip(group, qseries.iter_ck_slices(group, range(n_hi - 1, 0, -1))):
+        for delta, scan in zip(deltas, scans):
+            bad = []
+            for n, f in scan:
+                if not f.is_unimodal():
+                    bad.append(n)
+                    if top_only:
+                        break
+            defects[a, delta] = bad[::-1]
     return defects
 
 
-def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = None) -> list[list[int]]:
-    """Per weight tuple, its non-unimodal n in 1 <= n < n_hi.
+def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = None,
+                  top_only: bool = False) -> list[list[int]]:
+    """Per spec, its non-unimodal n in 1 <= n < n_hi, ascending.
 
     The one slice scan: exhaustive_search reads its thresholds from these
-    lists, check_family_unimodality its defects.  Slices need no symmetry
-    check: the kernel builds each one as a mirrored half.  One task per
-    distinct weight tuple packs its product once for all of its specs'
-    parities; tasks start largest first (by _tuple_work), so no large product
-    is left to run alone at the end.
+    lists, check_family_unimodality its defects.  With top_only, each list
+    holds at most the largest such n, since the scan runs from n_hi - 1
+    down and stops at it: that is all exhaustive_search reads.  Slices need
+    no symmetry check: the kernel builds each one as a mirrored half.  One
+    task per group of weight tuples that share every weight but the largest
+    builds the group's shared passes once and each tuple's product once
+    for all of its specs' parities; tasks start largest first (by
+    _tuple_work), so no large group is left to run alone at the end.
     Results follow the order of `specs`, whatever the worker count.
     """
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
     specs = list(specs)
-    parities: dict[tuple[int, ...], dict[int, None]] = {}  # insertion-ordered sets
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, None]]] = {}  # insertion-ordered
     for spec in specs:
-        parities.setdefault(spec.a, {})[spec.delta] = None
-    tasks = sorted(((a, tuple(deltas), n_hi) for a, deltas in parities.items()), reverse=True,
-                   key=lambda task: _tuple_work(len(task[0]), task[0][0], n_hi - 1))
-    found = {a: dict(zip(deltas, bad)) for (a, deltas, _), bad
-             in zip(tasks, _pool_map(_defects_task, tasks, threads))}
-    return [found[spec.a][spec.delta] for spec in specs]
+        groups.setdefault(spec.a[1:], {}).setdefault(spec.a, {})[spec.delta] = None
+    tasks = sorted(((tuple((a, tuple(deltas)) for a, deltas in members.items()), n_hi, top_only)
+                    for members in groups.values()), reverse=True,
+                   key=lambda task: sum(_tuple_work(len(a), a[0], n_hi - 1) for a, _ in task[0]))
+    found = {}
+    for defects in _pool_map(_defects_task, tasks, threads):
+        found.update(defects)
+    return [found[spec.a, spec.delta] for spec in specs]

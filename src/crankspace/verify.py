@@ -143,19 +143,29 @@ def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
     `onset` on, and have a non-negative quotient from size `quotient_onset`
     on.  Returns (violations, wobbles, negatives), the latter two listing the
     below-onset sizes that were not unimodal or had a negative quotient.
+
+    A symmetric unimodal f divisible by Phi_ell (ell an odd prime) has a
+    non-negative quotient q = f (1 - z) / (1 - z^ell): q_n sums differences
+    f_i - f_(i-1) with i <= n, none negative up to the centre, and q is a
+    palindrome.  So a negative quotient of such an f is an arithmetic fault,
+    not a finding, and raises ArithmeticError.
     """
     violations: list[Counterexample] = []
     wobbles: list[int] = []
     negatives: list[int] = []
     for params, size, f, q in _quotients(slices, ell, "standard", violations):
-        if not f.is_symmetric():
+        symmetric, unimodal = f.is_symmetric(), f.is_unimodal()
+        if not symmetric:
             violations.append(_violation("not-symmetric", f, **params))
-        if not f.is_unimodal():
+        if not unimodal:
             if size >= onset:
                 violations.append(_violation("not-unimodal", f, **params | {"size": size}))
             else:
                 wobbles.append(size)
         if not q.is_nonnegative():
+            if symmetric and unimodal:
+                raise ArithmeticError(f"a symmetric unimodal multiple of Phi_{ell} has a negative "
+                                      f"quotient at {params}")
             if size >= quotient_onset:
                 violations.append(_violation("negative-quotient", q, **params))
             else:
@@ -480,8 +490,9 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
     search.check_slice_work([spec], top, f"a scan of the {kind}-k{case.k} product to size {top}")
 
     def work():
-        built = qseries.iter_ck_slices(spec.a, (spec.delta,), range(case.delta, top + 1, case.ell))
-        slices = (({"n": n, "size": size}, size, f) for n, (size, (f,)) in enumerate(built))
+        sizes = range(case.delta, top + 1, case.ell)
+        [(built,)] = qseries.iter_ck_slices([(spec.a, (spec.delta,))], sizes)
+        slices = (({"n": n, "size": size}, size, f) for n, (size, f) in enumerate(built))
         violations, wobbles, negatives = _check_slices(slices, case.ell, onset, onset)
         note = (f"kind={kind}, k={case.k}, ell={case.ell}, delta={case.delta}, "
                 f"sizes <= {top}, onset {onset}")

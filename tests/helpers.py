@@ -15,7 +15,7 @@ full_spectrum_slices builds the colored-crank slices on a packed kernel that
 computes both halves of every slice, the audit route for the half-spectrum
 kernel and for the z -> 1/z symmetry it relies on.  shift_add_half packs the
 kernel's geometric stage factor by factor, N^2 shift-adds per weight, the
-audit route for the theta-series division in `qseries._geometric_half`.
+audit route for the theta-series division in `qseries._geometric_halves`.
 phi builds the three cyclotomic divisors as polynomials, and
 schoolbook_quotient divides by any nonzero polynomial by long division: the
 audit route for `cyclotomic.exact_quotient`, which divides by Phi_ell's
@@ -23,7 +23,8 @@ binomial multiple instead.  divides_by_division is the schoolbook form of the
 divisibility test, the audit route for the residue-sum criteria.
 colored_coeffs_reference builds p_k one color at a time by the pentagonal
 recurrence, the audit route for `qseries.colored_coeffs`.  spec_slices is
-the one-parity call of the kernel, one spec's (n, slice) pairs; scan_threshold
+the one-parity call of the kernel, one spec's (n, slice) pairs, and
+tuple_slices its call for one weight tuple and several parities; scan_threshold
 is one weight tuple's SearchResult, read off the slice scan the search uses.
 poly_from_json reads a polynomial's JSON form back; the package writes JSON
 but reads none.
@@ -163,8 +164,15 @@ def poly_from_json(data: dict) -> LaurentPoly:
 
 def spec_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
     """(n, q^n coefficient of spec's product) for n in sizes, from the kernel."""
-    for n, (f,) in iter_ck_slices(spec.a, (spec.delta,), sizes):
-        yield n, f
+    [(scan,)] = iter_ck_slices([(spec.a, (spec.delta,))], sizes)
+    yield from scan
+
+
+def tuple_slices(a: tuple[int, ...], deltas: Sequence[int],
+                 sizes: Iterable[int]) -> list[tuple[int, tuple[LaurentPoly, ...]]]:
+    """Per size, weights a's slice for each delta, from one kernel call for the one tuple."""
+    [scans] = iter_ck_slices([(a, tuple(deltas))], sizes)
+    return [(row[0][0], tuple(f for _, f in row)) for row in zip(*map(list, scans))]
 
 
 def scan_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchResult:
@@ -380,7 +388,7 @@ def shift_add_half(a: tuple[int, ...], order: int, bits: int) -> list[int]:
     ints[m] += ints[m-n] >> bits*a: a positive factor only raises
     exponents, so the right shift drops exactly the terms above z^c, none of
     which could come back down.  Every value is non-negative, so the
-    integers equal `_geometric_half`'s whenever no slot overflows.
+    integers equal `_geometric_halves`'s whenever no slot overflows.
     """
     c = a[0]
     ints = [0] * (order + 1)

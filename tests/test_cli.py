@@ -348,6 +348,7 @@ def _quotient_past_the_str_limit() -> str:
 
 
 BIG = "7" * 5000
+WORD = "x" * 5000
 
 
 class TestRequestNumbers:
@@ -398,6 +399,29 @@ class TestRefusalQuotes:
             code = exc.code
         err = capsys.readouterr().err
         assert code == 2 and len(err.encode()) < 2048 and shown in err
+
+    @pytest.mark.parametrize("argv,shown", [
+        (("poly", WORD, "--n", "1"), "argument kind: invalid choice: '" + WORD[:59] + "... (5002 characters) ("),
+        (("--format", WORD, "poly", "rank", "--n", "1"),
+         "argument --format: invalid choice: '" + WORD[:59] + "... (5002 characters) ("),
+        (("poly", "rank", "--n", "1", BIG), "unrecognized arguments: " + BIG[:60] + "... (5000 digits)\n"),
+        (("poly", "rank", "--n", "1", WORD), "unrecognized arguments: " + WORD[:60] + "... (5000 characters)\n"),
+    ], ids=["choice", "format-choice", "stray-number", "stray-word"])
+    def test_argparse_refusals_shorten_what_they_echo(self, capsys, argv, shown):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and len(err.encode()) < 500 and shown in err
+
+    @pytest.mark.parametrize("argv,line", [
+        (["poly", "nope", "--n", "1"], "crankspace poly: error: argument kind: invalid choice: 'nope' "
+                                       "(choose from 'rank', 'crank', 'modified-rank', 'modified-crank')\n"),
+        (["poly", "rank", "--n", "1", "stray"], "crankspace: error: unrecognized arguments: stray\n"),
+    ], ids=["choice", "stray"])
+    def test_short_argparse_refusals_are_unchanged(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().err.endswith(line)
 
     def test_a_non_number_keeps_argparse_wording(self, capsys):
         with pytest.raises(SystemExit):
@@ -483,7 +507,7 @@ class TestArgvFuzz:
         if action.nargs == 0:  # a flag
             return []
         if action.choices:
-            return [rng.choice([*action.choices, "nope"])]
+            return [rng.choice([*action.choices, "nope", WORD])]
         if action.dest == "claim":
             return [self.claim_id(rng)]
         if action.dest == "poly":
@@ -505,7 +529,7 @@ class TestArgvFuzz:
             if action.dest in self.ALWAYS or rng.random() < (0.95 if needed else 0.5):
                 argv += [*action.option_strings[:1], *self.value(rng, action)]
         if rng.random() < 0.03:
-            argv.append("--no-such-option")
+            argv.append(rng.choice(["--no-such-option", BIG, WORD]))
         return argv
 
     def test_every_request_exits_cleanly_and_in_time(self, capsys):

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import doctest
+import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import crankspace.cyclotomic
@@ -183,6 +184,26 @@ class TestExactQuotient:
     def test_zero_dividend(self):
         for variant in VARIANTS:
             assert exact_quotient(LaurentPoly.zero(), 5, variant) == LaurentPoly.zero()
+
+
+class TestSymmetricUnimodalCriterion:
+    """A symmetric unimodal f divisible by Phi_ell has a non-negative quotient.
+
+    The statement `verify._check_slices` relies on when it treats a negative
+    quotient of such a slice as a fault.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(ell=st.sampled_from((3, 5, 7, 11)), first=st.integers(1, 3),
+           steps=st.lists(st.integers(0, 2), max_size=12), bump=st.integers(0, 2))
+    def test_quotient_is_non_negative(self, ell, first, steps, bump):
+        rise = list(itertools.accumulate([first, *steps]))
+        f = LaurentPoly(-len(rise), rise + [rise[-1] + bump] + rise[::-1])
+        assert f.is_symmetric() and f.is_unimodal()
+        divisible = divides_standard(f, ell)
+        event(f"divisible: {divisible}")
+        if divisible:
+            assert exact_quotient(f, ell).is_nonnegative(), (f, ell)
 
 
 def test_doctests_pass():

@@ -23,7 +23,6 @@ from crankspace.partitions import (
     modified_rank_poly,
     rank_poly,
 )
-from crankspace.qseries import iter_ck_slices
 
 from helpers import (
     ENUMERATION_BOUND,
@@ -35,6 +34,7 @@ from helpers import (
     packed_rank_series,
     rank_of,
     rank_poly_enumerated,
+    tuple_slices,
 )
 
 
@@ -175,7 +175,7 @@ class TestClosedFormAgainstSeries:
             assert rank_poly(n) == series[n], f"mismatch at n={n}"
 
     def test_crank_poly_matches_crank_factor_weights(self):
-        for n, (raw,) in iter_ck_slices((1,), (1,), range(2, self.AUDIT_ORDER + 1)):
+        for n, (raw,) in tuple_slices((1,), (1,), range(2, self.AUDIT_ORDER + 1)):
             assert crank_poly(n) == raw, f"mismatch at n={n}"
 
     def test_poly_bound_is_reachable(self):

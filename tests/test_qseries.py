@@ -18,7 +18,7 @@ from crankspace.qseries import (
     CrankSpec,
     InvalidK,
     SlotOverflow,
-    _geometric_half,
+    _geometric_halves,
     _slot_width,
     _unpack_half,
     ak_spec,
@@ -39,6 +39,7 @@ from helpers import (
     packed_rank_series,
     shift_add_half,
     spec_slices,
+    tuple_slices,
 )
 
 
@@ -151,7 +152,7 @@ class TestSeriesAgainstNaiveOracle:
 
     def test_corrected_crank_series(self):
         order = 20
-        raw = {n: f for n, (f,) in iter_ck_slices((1,), (1,), range(order + 1))}
+        raw = {n: f for n, (f,) in tuple_slices((1,), (1,), range(order + 1))}
         naive_raw = naive_crank_series(order)
         # size 1 is the corrected column: constant 1, not z - 1 + 1/z
         assert crank_poly(1) == LaurentPoly.one()
@@ -305,7 +306,24 @@ class TestThetaBuild:
         for a, order in self.CASES[group]:
             # the narrowest slot that holds every geometric coefficient up to the order
             bits = _slot_width(colored_coeffs(2 * len(a), order)[order])
-            assert _geometric_half(a, order, bits) == shift_add_half(a, order, bits), (a, order)
+            [built] = _geometric_halves([a], order, bits)
+            assert built == shift_add_half(a, order, bits), (a, order)
+
+    @pytest.mark.parametrize("ks,order", [((3, 6), 74), ((7, 8), 59)], ids=["table1", "k7-8"])
+    def test_shared_prefix_builds_match_independent_builds(self, ks, order):
+        # every tuple a search over ks packs, in the groups it packs them in: sharing a[1:]
+        groups: dict = {}
+        for a in sorted({spec.a for k in range(ks[0], ks[1] + 1) for spec in crank_space(k)}):
+            groups.setdefault(a[1:], []).append(a)
+        assert any(len(group) > 1 for group in groups.values())
+        for group in groups.values():
+            bits = _slot_width(colored_coeffs(2 * len(group[0]), order)[order])
+            alone = [next(_geometric_halves([a], order, bits)) for a in group]
+            assert list(_geometric_halves(group, order, bits)) == alone, group
+
+    def test_group_members_must_share_all_but_the_largest_weight(self):
+        with pytest.raises(ValueError, match="must differ only in their largest weight"):
+            list(iter_ck_slices([((3, 2), (0,)), ((3, 1), (0,))], range(5)))
 
 
 def one_parity_builds(a: tuple[int, ...], sizes: range) -> list[tuple[int, tuple[LaurentPoly, ...]]]:
@@ -323,7 +341,7 @@ class TestSharedParityBuild:
     @pytest.mark.parametrize("r", sorted({len(a) for a in TUPLES}))
     def test_shared_build_matches_two_one_parity_builds(self, r):
         for a in (a for a in self.TUPLES if len(a) == r):
-            assert list(iter_ck_slices(a, (0, 1), range(40))) == one_parity_builds(a, range(40)), a
+            assert tuple_slices(a, (0, 1), range(40)) == one_parity_builds(a, range(40)), a
 
     def test_shared_slot_is_the_widest_parity_slot(self, monkeypatch):
         # at order 83, r = 3: the odd parity's pos totals need 72-bit slots and
@@ -332,7 +350,7 @@ class TestSharedParityBuild:
         monkeypatch.setattr("crankspace.qseries._slot_width",
                             lambda largest: widths.append(_slot_width(largest)) or widths[-1])
         a, sizes = (3, 2, 1), range(1, 84)
-        shared = list(iter_ck_slices(a, (0, 1), sizes))
+        shared = tuple_slices(a, (0, 1), sizes)
         assert widths == [72]
         assert shared == one_parity_builds(a, sizes)
         assert widths == [72, 72, 64]

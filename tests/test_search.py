@@ -144,16 +144,25 @@ class TestExhaustiveSearch:
             pooled = run_plan(check_family_unimodality(n_hi=30, threads=threads))
             assert serial._replace(elapsed_s=0) == pooled._replace(elapsed_s=0)
 
-    @pytest.mark.parametrize("scan,builds", [
-        (lambda: exhaustive_search(3, 6, n_hi=20, threads=1), 26),  # of 39 specs
-        (lambda: run_plan(check_family_unimodality(n_hi=20, threads=1)), 8),  # of 13 families
+    @pytest.mark.parametrize("scan,tuples,prefixes,passes", [
+        # 39 specs; one (q)_inf^r and a[1:] per prefix, one last pass per tuple
+        (lambda: exhaustive_search(3, 6, n_hi=20, threads=1), 26, 13, 49),
+        # 13 families
+        (lambda: run_plan(check_family_unimodality(n_hi=20, threads=1)), 8, 8, 35),
     ], ids=["table1-tuples", "families"])
-    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, builds):
-        packed = []
-        build = qseries.iter_ck_slices
-        monkeypatch.setattr(qseries, "iter_ck_slices", lambda a, *args: packed.append(a) or build(a, *args))
+    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, tuples, prefixes, passes):
+        groups, theta_passes = [], []
+        build, theta_pass = qseries._geometric_halves, qseries._theta_pass
+        monkeypatch.setattr(qseries, "_geometric_halves",
+                            lambda group, *args: groups.append(tuple(group)) or build(group, *args))
+        monkeypatch.setattr(qseries, "_theta_pass",
+                            lambda *args: theta_passes.append(args[1]) or theta_pass(*args))
         scan()
-        assert len(packed) == len(set(packed)) == builds
+        packed = [a for group in groups for a in group]
+        assert len(packed) == len(set(packed)) == tuples
+        shared = [group[0][1:] for group in groups]
+        assert len(shared) == len(set(shared)) == prefixes
+        assert len(theta_passes) == passes
 
     def test_tasks_start_largest_first(self, monkeypatch):
         handed = []
@@ -161,9 +170,20 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(search, "_pool_map",
                             lambda fn, tasks, threads: handed.extend(tasks) or pool_map(fn, tasks, threads))
         results = exhaustive_search(3, 6, n_hi=20, threads=1)
-        work = [len(a) * a[0] for a, _, _ in handed]  # r * a_1: every task packs to the same order
+        # sum of r * a_1 over the group: every task packs to the same order
+        work = [sum(len(a) * a[0] for a, _ in group) for group, _, _ in handed]
         assert work == sorted(work, reverse=True) and work[0] > work[-1]
         assert [r.spec.a for r in results] == [a for _, a, _ in TABLE1_ROWS]  # still in spec order
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_top_down_stop_finds_the_full_scans_largest_defect(self, monkeypatch, threads):
+        three_cpus(monkeypatch)
+        specs = [spec for k in range(3, 9) for spec in crank_space(k)]
+        full = slice_defects(specs, 16, threads=1)
+        assert any(len(bad) > 1 for bad in full) and any(bad == [1] for bad in full)
+        results = exhaustive_search(3, 8, n_hi=16, threads=threads)
+        assert [r.spec for r in results] == specs
+        assert [r.largest_nonunimodal for r in results] == [bad[-1] if bad else None for bad in full]
 
     def test_repeated_and_shared_specs_get_their_own_lists(self):
         odd, even = CrankSpec(3, (3, 2)), CrankSpec(4, (3, 2))
@@ -330,7 +350,7 @@ class TestForkMap:
         task = search._defects_task
 
         def failing(t):
-            if t[0] == (4, 3):
+            if any(a == (4, 3) for a, _ in t[0]):
                 raise error("raised in a task")
             return task(t)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crankspace import partitions, qseries, search, verify
+from crankspace import cli, partitions, qseries, search, verify
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import (
     COLORED_K_BOUND,
@@ -231,7 +231,7 @@ class TestSliceCheckFailures:
     def test_non_divisible_slice(self, monkeypatch):
         off = LaurentPoly(-1, (1, 1, 1))  # symmetric and unimodal, span too short for Phi_5
         monkeypatch.setattr(qseries, "iter_ck_slices",
-                            lambda a, deltas, sizes: ((size, (off,)) for size in sizes))
+                            lambda group, sizes: [(((size, off) for size in sizes),)])
         rep = run_plan(verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1))
         assert rep.status == "fail"
         assert [c.params for c in rep.counterexamples] == [
@@ -270,6 +270,25 @@ class TestSliceCheckFailures:
         for n, ce in enumerate(rep.counterexamples):
             assert ce.params["within_claim"] and ce.params["n"] == n
             assert set(ce.params) == {"kind", "within_claim", "n", *params}
+
+    @pytest.mark.parametrize("f,faulty", [
+        (LaurentPoly(-2, (1, 1, 1, 1, 1)), True),  # symmetric and unimodal
+        (LaurentPoly(-2, (1, 2, 0, 2, 1)), False),  # symmetric, not unimodal
+    ], ids=["unimodal", "not-unimodal"])
+    def test_negative_quotient_of_a_symmetric_unimodal_slice_is_a_fault(self, monkeypatch, capsys,
+                                                                         f, faulty):
+        monkeypatch.setattr(qseries, "iter_ck_slices",
+                            lambda group, sizes: [(((size, f) for size in sizes),)])
+        monkeypatch.setattr(verify, "divides_standard", lambda f, ell: True)
+        monkeypatch.setattr(verify, "exact_quotient", lambda f, ell, variant: LaurentPoly(0, (1, -1, 1)))
+        plan = verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)  # sizes 4, 9
+        if not faulty:  # below the onset, a negative quotient stays a tallied claim finding
+            assert "negative quotient below onset at sizes [4, 9]" in run_plan(plan).range
+            return
+        with pytest.raises(ArithmeticError, match="symmetric unimodal multiple of Phi_5"):
+            run_plan(plan)
+        assert cli.main(["verify", "cor3.5-A-k6-ell5", "--n-max", "1"]) == 3
+        assert "ArithmeticError" in capsys.readouterr().err
 
 
 # one instance id per pattern entry, each in its own claim's range
@@ -351,7 +370,7 @@ class TestClaimRegistry:
 
         calls = []
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls.append(args)
             raise Reached
 
