@@ -34,6 +34,10 @@ _POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
 # (crank:5000), and Phi_ell divides no nonzero polynomial spanning fewer than
 # ell: `quotient` refuses a larger --ell or a wider literal before any work.
 QUOTIENT_BOUND = 2 * partitions.POLY_BOUND + 1
+# poly's kinds and the shorthands' prefixes, each to the partitions builder it calls
+_BUILDERS = {"rank": "rank_poly", "crank": "crank_poly",
+             "modified-rank": "modified_rank_poly", "modified-crank": "modified_crank_poly",
+             "mrank": "modified_rank_poly", "mcrank": "modified_crank_poly"}
 
 
 class UsageError(CrankspaceError):
@@ -95,16 +99,14 @@ def _render_poly(poly: LaurentPoly, fmt: str, out) -> None:
 def _cmd_poly(args, out) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    if args.kind in ("modified-rank", "modified-crank"):
+    builder = getattr(partitions, _BUILDERS[args.kind])
+    if args.kind.startswith("modified"):
         if args.ell is None:
             raise UsageError(f"poly {args.kind} requires --ell")
-        builder = (partitions.modified_rank_poly if args.kind == "modified-rank"
-                   else partitions.modified_crank_poly)
         poly = builder(args.ell, args.n)
     else:
         if args.ell is not None:
             raise UsageError(f"poly {args.kind} does not take --ell")
-        builder = partitions.rank_poly if args.kind == "rank" else partitions.crank_poly
         poly = builder(args.n)
     _render_poly(poly, args.format, out)
     return 0
@@ -114,13 +116,13 @@ def _parse_poly_arg(text: str) -> LaurentPoly:
     match = _POLY_SHORTHAND.match(text.strip())
     if match:
         kind, first, second = match.group(1), parse_int(match.group(2)), match.group(3)
+        builder = getattr(partitions, _BUILDERS[kind])
         if kind in ("rank", "crank"):
             if second is not None:
                 raise UsageError(f"{kind}:N takes a single number, got {quote(text)}")
-            return partitions.rank_poly(first) if kind == "rank" else partitions.crank_poly(first)
+            return builder(first)
         if second is None:
             raise UsageError(f"{kind} shorthand is {kind}:ELL:N, got {quote(text)}")
-        builder = partitions.modified_rank_poly if kind == "mrank" else partitions.modified_crank_poly
         return builder(first, parse_int(second))
     try:
         terms = LaurentPoly._parse_terms(text)

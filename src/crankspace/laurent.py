@@ -13,6 +13,7 @@ Values are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Mapping
 
@@ -159,12 +160,9 @@ class LaurentPoly:
         False
         """
         seq = (0,) + self.coeffs + (0,)
-        i = 0
-        while i + 1 < len(seq) and seq[i] <= seq[i + 1]:
-            i += 1
-        while i + 1 < len(seq) and seq[i] >= seq[i + 1]:
-            i += 1
-        return i == len(seq) - 1
+        top = seq.index(max(seq))  # a unimodal sequence rises to its first maximum, then falls
+        return (all(map(operator.le, seq[:top], seq[1 : top + 1]))
+                and all(map(operator.ge, seq[top:], seq[top + 1 :])))
 
     def is_nonnegative(self) -> bool:
         """True iff every coefficient is >= 0."""

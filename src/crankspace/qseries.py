@@ -14,13 +14,9 @@ and the Andrews-Garvan crank formula over p(n).
 The factors of the a = 0 copies cancel against the numerators, so each
 product is a geometric stage G = prod_a prod_n 1/((1-z^a q^n)(1-z^-a q^n)),
 whose coefficients are all non-negative, times prod (1-q^n) for odd k (the
-pentagonal-number expansion).  G depends only on the weights, so it is built
-once per distinct weight tuple and serves both parities d (a slice scan asks
-for both when k and k+1 share a tuple); the pentagonal sum is then done only
-for the slices and parities asked for, one slice at a time, as the caller
-asks for them (`iter_ck_slices`).  One call builds a group of tuples that
-share every weight but the largest: their division passes differ only in
-the last one, so the rest are run once for the group.
+pentagonal-number expansion).  G depends only on the weights, so one build
+serves both parities, and one call builds a group of tuples that share
+every weight but the largest (`iter_ck_slices`).
 
 G is built by division by theta series, not factor by factor.  By the Jacobi
 triple product, (q)_inf prod_n (1-z^a q^n)(1-z^-a q^n) is the sparse series
@@ -29,23 +25,15 @@ G = (q)_inf^r / prod_a (that series).  Dividing by one weight's series costs
 O(N^1.5) coefficient operations to order N, where the 2N geometric factors
 it replaces cost about N^2.  Each q-coefficient is handled as one big
 integer, the image of its z-polynomial under z -> 2^bits: ring operations
-commute with that map, so the division runs on integers at C speed, two
-shift-adds per (entry, theta term) pair, and neither the signed
-intermediate values nor slots that overflow on the way change the exact
-result.  Only G's own coefficients are decoded, and they are non-negative
-and bounded: at z = 1, G is prod (1-q^n)^(-2r), so every slice's
-coefficients sum to a total read off `colored_coeffs`, and a slot as wide
-as the largest total holds every one.  So the base-2^bits digits of G's
-images are its coefficients, and a right shift drops exactly the digits
-below any chosen exponent.  Every weight enters as +a and -a, so each slice
-is invariant under z -> 1/z: the kernel keeps only its z^e, e <= 0, half
-(plus a margin) and mirrors it (see `iter_ck_slices`).  Two run-time checks
-certify every decoded half all the same, one against that total and one
-against the symmetry, and a failure raises SlotOverflow.  Slots of 64 bits
-or fewer are widened to 64 and decoded at C speed.  Tests cross-check the
-kernel against a naive LaurentPoly-arithmetic builder, against the
-factor-by-factor shift-add build and against a packed kernel that builds
-both halves of every slice.
+commute with that map, so the division runs on integers at C speed, and
+neither the signed intermediate values nor slots that overflow on the way
+change the exact result.  G's coefficients are non-negative and bounded by
+totals read off `colored_coeffs`, so in slots that wide the base-2^bits
+digits of its images are its coefficients; two run-time checks certify
+every decoded half all the same, and a failure raises SlotOverflow.  Tests
+cross-check the kernel against a naive LaurentPoly-arithmetic builder,
+against the factor-by-factor shift-add build and against a packed kernel that
+builds both halves of every slice.
 """
 
 from __future__ import annotations
@@ -94,18 +82,9 @@ _COLORED_CACHE: dict[int, list[int]] = {}
 
 
 def _pentagonal_terms(limit: int) -> list[tuple[int, int]]:
-    """Generalized pentagonal numbers g = j(3j-1)/2 <= limit with sign (-1)^j."""
-    terms = []
-    j = 1
-    while True:
-        emitted = False
-        for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-            if g <= limit:
-                terms.append((g, -1 if j % 2 else 1))
-                emitted = True
-        if not emitted:
-            return terms
-        j += 1
+    """Generalized pentagonal numbers g = j(3j-1)/2 <= limit, ascending, with sign (-1)^j."""
+    return [(g, -1 if j % 2 else 1) for j in range(1, math.isqrt(2 * limit // 3) + 2)
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= limit]
 
 
 def colored_coeffs(k: int, order: int) -> tuple[int, ...]:
@@ -306,20 +285,16 @@ def iter_ck_slices(group: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes
     (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every slice is a palindrome:
     only its z^e, e <= 0, half is built, then mirrored.
 
-    The members must share every weight but the largest, a[1:].  The
-    geometric product G depends on the weights alone, so it is packed once
-    per member for all its deltas, up to max(sizes), by `_geometric_halves`:
-    (q)_inf^r divided by one Jacobi theta series per weight, ascending, in
-    O(r * N^1.5) shift-adds to order N, so only the last pass, a_1's, is
-    run per member and the others once for the group.  Slot s of entry m
-    then holds the coefficient of z^(c - s), c = a_1.  The entries share
-    one origin, so each slice sums its own pentagonal terms (delta = 1
+    The members must share every weight but the largest, a[1:]: G is packed
+    by `_geometric_halves` once per member for all its deltas, up to
+    max(sizes), and only a_1's theta pass is run per member.  Slot s of
+    entry m then holds the coefficient of z^(c - s), c = a_1.  The entries
+    share one origin, so each slice sums its own pentagonal terms (delta = 1
     only) unshifted into separate non-negative pos/neg packed integers, and
-    slots never borrow.  A member's packed product stays resident while its
-    scans are live; the pentagonal sum and the unpacking are done per
-    requested slice, so skipped sizes cost nothing and the dense
-    polynomials never all coexist.  Negative sizes, or members that differ
-    past their largest weight, raise CrankspaceError.
+    slots never borrow; that sum and the unpacking are done per requested
+    slice, so skipped sizes cost nothing and the dense polynomials never all
+    coexist.  Negative sizes, or members that differ past their largest
+    weight, raise CrankspaceError.
 
     Slot widths are exact: at z = 1 G is prod (1-q^n)^(-F), F = 2r, so the
     coefficients of a slice's pos part sum to p_F(m) plus its positive
@@ -328,9 +303,8 @@ def iter_ck_slices(group: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes
     requested size exceeds p_F of that size.  The slot is as wide as the
     largest total over every requested size and every delta any member
     asks for, so it is exact for the widest parity and wide enough for the
-    others.  `_unpack_half` checks each decoded part all the same: twice its
-    half less z^0 must give the total, and the margin z^1..z^c must mirror
-    z^-1..z^-c.  Weights (1,) with delta 1 give the raw crank factor, whose
+    others; `_unpack_half` certifies each decoded part all the same.
+    Weights (1,) with delta 1 give the raw crank factor, whose
     q^n coefficient for n >= 2 is the crank polynomial that
     `partitions.crank_poly` computes from the Andrews-Garvan formula instead.
     """

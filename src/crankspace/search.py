@@ -10,14 +10,11 @@ from these scans (the first-gap criterion and the families' onsets) live in
 verify.
 
 Work parallelizes over groups of weight tuples that share every weight but
-the largest (`_pool_map`): this process is one worker and forks the others,
-which pull tasks off one shared pipe, the largest first; where os.fork is
-missing the scan runs serially.  Each task is one kernel call: it runs the
-group's shared division passes once, packs each tuple's geometric product
-once, and scans it for every parity asked of that tuple (every k = 3 tuple
-is also a k = 4 tuple, and A_k shares its weights with A_(k+1) for odd k).
-Results come back keyed by weight tuple and parity and are merged in input
-order, so the output is byte-identical for any worker count.
+the largest, one kernel call each (slice_defects), on this process and its
+forks (_pool_map); results merge in input order, so the output is
+byte-identical for any worker count.  One cost model, scan_work, prices a
+scan's theta passes in bit operations: it admits every scan
+(refuse_past_bound) and orders slice_defects' tasks, the largest first.
 """
 
 from __future__ import annotations
@@ -33,17 +30,10 @@ from .partitions import BoundExceeded
 from .qseries import CrankSpec
 
 DEFAULT_SCAN_BOUND = 75
-# The largest slice scan the package starts, in estimated slot operations (see
-# _tuple_work); `search table1` is 2.4e8.  The estimate is the cost of the
-# factor-by-factor build, r*N^2 shift-adds over at most a_1*N slots; the
-# theta-series division takes O(r*N^1.5) shift-adds over at most 2*a_1*N
-# slots, so it is a looser upper bound, kept so that the same requests are
-# admitted and refused.  At the bound, cor3.5-B-k11-ell5 to q^589 (9.8e9)
-# takes 17 s and a 132 MB peak RSS on one core of a 2-core VM.  It also
-# counts every spec and every pass, though specs that share a weight tuple
-# share one build, and tuples that share every weight but the largest share
-# every division pass but the last.
-SCAN_WORK_BOUND = 10**10
+# The largest scan the package starts, in modelled bit operations (scan_work):
+# the model cost of cor3.5-B-k11-ell5 --n-max 117, weights (8, 7, 6, 5, 3, 2)
+# to q^589, which takes 11-12 s and a 131 MB peak RSS on one core of a 2-core VM.
+SCAN_WORK_BOUND = 126_385_122_240
 
 
 class SearchResult(NamedTuple):
@@ -203,33 +193,62 @@ def exhaustive_search(
             for spec, bad in zip(specs, slice_defects(specs, n_hi, threads, top_only=True))]
 
 
-def _tuple_work(r: int, a1: int, order: int) -> int:
-    # the factor-by-factor cost of packing one tuple to q^N, an upper bound on the theta build's
-    return r * a1 * max(order, 1) ** 3
+def _slot_bits(r: int, order: int) -> int:
+    """A slot width, rounded as qseries._slot_width rounds, >= any iter_ck_slices picks.
+
+    Each total it sizes for r weights sums p_2r(m - g) over distinct g <= m,
+    at most sum_(i<=m) p_2r(i) <= p_F(m), F = 2r + 1.  With u = x/(1 - x),
+    log prod 1/(1 - x^n) <= u pi^2/6, so ln p_F(n) <= F u pi^2/6 + n ln(1 + 1/u),
+    least where u(1 + u) = 6n/(F pi^2): a closed form, so admission builds nothing.
+    """
+    if order <= 0:
+        return 64
+    n = min(order, 2**53)  # a float; a larger order is past any bound on its entry count alone
+    c = (2 * r + 1) * math.pi ** 2 / 6
+    u = (math.sqrt(1 + 4 * n / c) - 1) / 2
+    return max(64, (math.floor((c * u + n * math.log1p(1 / u)) / math.log(2)) + 8) // 8 * 8)
 
 
-def _check_work(work: int, request: str) -> None:
+def scan_work(r: int, order: int, passes: int, weight_sum: int) -> int:
+    """The modelled bit operations of `passes` theta passes, to q^order, of r-weight products.
+
+    weight_sum sums the passes' weights.  A pass over weight a pushes each
+    entry j <= N = order, 2a*j + 1 slots wide, through its
+    floor(sqrt(2(N - j))) + 1 theta terms at two shift-adds each, on slots of
+    _slot_bits(r, N) bits; the sum over j is taken in closed form.
+    """
+    # i = N - j is counted once by each t <= s with l_t = ceil(t^2/2) = (t^2 + t mod 2)/2 <= i
+    n = max(order, 0)
+    s = math.isqrt(2 * n)
+    odd = (s + 1) // 2  # the odd t <= s
+    t2 = s * (s + 1) * (2 * s + 1) // 6
+    l_sum = (t2 + odd) // 2
+    l2_sum = (t2 * (3 * s * s + 3 * s - 1) // 5 + 2 * odd * (4 * odd * odd - 1) // 3 + odd) // 4
+    terms = (s + 1) * (n + 1) - l_sum  # sum over i <= N of floor(sqrt(2i)) + 1
+    weighted = (s + 1) * n * (n + 1) // 2 - (l2_sum - l_sum) // 2  # of i(floor(sqrt(2i)) + 1)
+    return _slot_bits(r, n) * (2 * terms * passes + 4 * (n * terms - weighted) * weight_sum)
+
+
+def refuse_past_bound(work: int, request: str) -> None:
+    """Raise BoundExceeded if request's scan_work passes SCAN_WORK_BOUND."""
     if work > SCAN_WORK_BOUND:
-        raise BoundExceeded(f"{request} exceeds the scan work bound {SCAN_WORK_BOUND} slot operations")
-
-
-def check_slice_work(specs: Iterable[CrankSpec], order: int, request: str) -> None:
-    """Raise BoundExceeded if packing every spec's product to q^order would pass SCAN_WORK_BOUND."""
-    _check_work(sum(_tuple_work(len(s.a), s.a[0], order) for s in specs), request)
+        raise BoundExceeded(f"{request} exceeds the scan work bound {SCAN_WORK_BOUND} bit operations")
 
 
 def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND) -> None:
     """Raise BoundExceeded if exhaustive_search(k_lo, k_hi, n_hi) would pass SCAN_WORK_BOUND.
 
-    Each k counts C(k, r) weight tuples at a_1 <= k, to order n_hi.
+    Each k counts all passes of its C(k, r) tuples to q^(n_hi - 1), as if none
+    were shared; each weight 1..k is in C(k - 1, r - 1) of them.
     """
     work = 0
     for k in range(max(k_lo, 3), k_hi + 1):
         r = (k + k % 2) // 2
         # C(k, r) > 2^(k/2): any larger k is over the bound, its C(k, r) not worth computing
         big = k > 2 * SCAN_WORK_BOUND.bit_length()
-        work += SCAN_WORK_BOUND + 1 if big else math.comb(k, r) * _tuple_work(r, k, n_hi)
-        _check_work(work, f"search over k {k_lo}..{k_hi} below n_hi {n_hi}")
+        work += SCAN_WORK_BOUND + 1 if big else scan_work(
+            r, n_hi - 1, math.comb(k, r) * r, math.comb(k - 1, r - 1) * k * (k + 1) // 2)
+        refuse_past_bound(work, f"search over k {k_lo}..{k_hi} below n_hi {n_hi}")
 
 
 def results_to_csv(results: Iterable[SearchResult]) -> str:
@@ -270,11 +289,11 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     lists, check_family_unimodality its defects.  With top_only, each list
     holds at most the largest such n, since the scan runs from n_hi - 1
     down and stops at it: that is all exhaustive_search reads.  Slices need
-    no symmetry check: the kernel builds each one as a mirrored half.  One
-    task per group of weight tuples that share every weight but the largest
-    builds the group's shared passes once and each tuple's product once
-    for all of its specs' parities; tasks start largest first (by
-    _tuple_work), so no large group is left to run alone at the end.
+    no symmetry check: the kernel builds each one as a mirrored half.  Each
+    task, one group of tuples that share every weight but the largest, runs
+    the shared passes once and each tuple's last pass once for all of its
+    specs' parities; tasks start largest first by the scan_work of those
+    passes, so no large group is left to run alone at the end.
     Results follow the order of `specs`, whatever the worker count.
     """
     if n_hi < 2:
@@ -283,9 +302,12 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     groups: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, None]]] = {}  # insertion-ordered
     for spec in specs:
         groups.setdefault(spec.a[1:], {}).setdefault(spec.a, {})[spec.delta] = None
-    tasks = sorted(((tuple((a, tuple(deltas)) for a, deltas in members.items()), n_hi, top_only)
-                    for members in groups.values()), reverse=True,
-                   key=lambda task: sum(_tuple_work(len(a), a[0], n_hi - 1) for a, _ in task[0]))
+    # the shared passes once, then one last pass per member
+    work = {prefix: scan_work(len(prefix) + 1, n_hi - 1, len(prefix) + len(members),
+                              sum(prefix) + sum(a[0] for a in members))
+            for prefix, members in groups.items()}
+    tasks = [(tuple((a, tuple(deltas)) for a, deltas in groups[prefix].items()), n_hi, top_only)
+             for prefix in sorted(groups, key=work.get, reverse=True)]
     found = {}
     for defects in _pool_map(_defects_task, tasks, threads):
         found.update(defects)

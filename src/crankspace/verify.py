@@ -478,7 +478,7 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
     quotient is non-negative.  Below-onset negative quotients or
     non-unimodal slices are expected for some small sizes; they are tallied
     in the range note rather than reported as counterexamples.  Sizes run
-    to 300 by default; a scan past SCAN_WORK_BOUND is refused.
+    to 300 by default; a scan whose search.scan_work passes the bound is refused.
     """
     onset = _check_family_hypotheses(kind, case)
     spec = _family_spec(kind, case.k)
@@ -487,7 +487,8 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
     if n_max < 0:
         raise CrankspaceError(f"n_max must be >= 0, got {n_max}")
     top = case.ell * n_max + case.delta
-    search.check_slice_work([spec], top, f"a scan of the {kind}-k{case.k} product to size {top}")
+    search.refuse_past_bound(search.scan_work(len(spec.a), top, len(spec.a), sum(spec.a)),
+                             f"a scan of the {kind}-k{case.k} product to size {top}")
 
     def work():
         sizes = range(case.delta, top + 1, case.ell)
@@ -554,7 +555,8 @@ def check_family_unimodality(n_hi: int = 100, threads: int | None = None) -> Pla
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
     specs = [_family_spec(kind, k) for kind, k in FAMILIES]
-    search.check_slice_work(specs, n_hi - 1, f"family scan over k 3..12 below n_hi {n_hi}")
+    search.refuse_past_bound(sum(search.scan_work(len(s.a), n_hi - 1, len(s.a), sum(s.a)) for s in specs),
+                             f"family scan over k 3..12 below n_hi {n_hi}")
 
     def work():
         violations: list[Counterexample] = []

@@ -137,6 +137,22 @@ class TestPredicates:
     def test_negative_coefficient_is_never_unimodal(self):
         assert not LaurentPoly(0, (1, -2, 1)).is_unimodal()
 
+    @given(st.integers(-4, 4), st.lists(st.integers(0, 3), max_size=6),
+           st.lists(st.integers(0, 3), max_size=6), st.integers(0, 23), st.integers(-2, 3))
+    def test_unimodality_is_rise_then_fall(self, lo, rise, fall, at, value):
+        # a rise, a fall and perhaps one changed entry, which may be negative or
+        # an interior zero: plateaus everywhere, unimodal about as often as not
+        coeffs = sorted(rise) + sorted(fall, reverse=True)
+        if at < len(coeffs):
+            coeffs[at] = value
+        f = LaurentPoly(lo, coeffs)
+        seq = (0,) + f.coeffs + (0,)
+        steps = range(len(seq) - 1)
+        assert f.is_unimodal() == any(
+            all(seq[i] <= seq[i + 1] for i in steps if i < peak)
+            and all(seq[i] >= seq[i + 1] for i in steps if i >= peak)
+            for peak in range(len(seq)))
+
     def test_nonnegative(self):
         assert LaurentPoly(-3, (0, 1, 2)).is_nonnegative()
         assert LaurentPoly.zero().is_nonnegative()

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from crankspace import cli, qseries, search
+from crankspace import cli, qseries, search, verify
 from crankspace.laurent import CrankspaceError
 from crankspace.partitions import BoundExceeded
 from crankspace.qseries import CrankSpec, SlotOverflow, bk_spec
@@ -132,6 +132,56 @@ class TestExhaustiveSearch:
         with pytest.raises(BoundExceeded, match="scan work bound"):
             check_scan_work(**ranges)
 
+    def test_model_slot_bits_cover_the_kernels(self):
+        # every slot width iter_ck_slices can pick for r weights to order N, either parity
+        pentagonal = qseries._pentagonal_terms(300)
+        for r in [*range(1, 13), *range(31, 500, 41), 498, 499, 500]:
+            colored = qseries.colored_coeffs(2 * r, 300)
+            for terms in ([], pentagonal):
+                largest = 0
+                for n in range(301):
+                    largest = max(largest, *qseries._pentagonal_split(colored, n, terms))
+                    assert qseries._slot_width(largest) <= search._slot_bits(r, n), (r, n, terms)
+
+    def test_bound_is_the_model_cost_of_its_stated_edge(self):
+        # cor3.5-B-k11-ell5 --n-max 117 packs weights (8, 7, 6, 5, 3, 2) to q^589
+        assert search.SCAN_WORK_BOUND == search.scan_work(6, 589, 6, 31)
+        claim, [instance] = verify._resolve("cor3.5-B-k11-ell5")
+        claim.plan(instance, 117, None, 1)
+        with pytest.raises(BoundExceeded, match="scan work bound"):
+            claim.plan(instance, 118, None, 1)
+
+    @pytest.mark.parametrize("claim_id,n_max", [("cor3.5-A-k996-ell5", "6"), ("cor3.5-A-k760-ell7", "5")])
+    def test_wide_slot_scans_are_refused_before_any_table(self, capsys, monkeypatch, claim_id, n_max):
+        # few sizes, but r and the slot width are large: each ran 30 s or more when admitted
+        calls = []
+        monkeypatch.setattr(qseries, "colored_coeffs", lambda *args: calls.append(args))
+        code = cli.main(["verify", claim_id, "--n-max", n_max])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "scan work bound" in err
+        assert calls == []
+
+    def test_model_ranks_the_default_colored_scans_as_measured(self, monkeypatch):
+        # measured at their defaults: B-k11-ell5 1.67 s, B-k9-ell23 0.76 s, A-k6-ell5 0.42 s
+        costs = []
+        model = search.scan_work
+        monkeypatch.setattr(search, "scan_work", lambda *args: costs.append(model(*args)) or costs[-1])
+        for claim_id in ("cor3.5-B-k11-ell5", "cor3.5-B-k9-ell23", "cor3.5-A-k6-ell5"):
+            claim, [instance] = verify._resolve(claim_id)
+            claim.plan(instance, None, None, 1)
+        assert len(costs) == 3 and costs[0] > costs[1] > costs[2]
+
+    @pytest.mark.parametrize("scan", [
+        lambda: exhaustive_search(3, 3, n_hi=5),
+        lambda: check_first_gap_criterion(n_hi=5),
+        lambda: check_family_unimodality(n_hi=5),
+        lambda: verify.run_claims("cor3.5-A-k6-ell5", n_max=1),
+    ], ids=["search", "conj4.2", "conj1.4", "cor3.5"])
+    def test_every_scan_is_admitted_by_the_model(self, monkeypatch, scan):
+        monkeypatch.setattr(search, "scan_work", lambda *args: search.SCAN_WORK_BOUND + 1)
+        with pytest.raises(BoundExceeded, match="scan work bound"):
+            scan()
+
     def test_worker_count_does_not_change_results(self, monkeypatch):
         three_cpus(monkeypatch)
         serial = exhaustive_search(3, 6, n_hi=30, threads=1)
@@ -170,8 +220,10 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(search, "_pool_map",
                             lambda fn, tasks, threads: handed.extend(tasks) or pool_map(fn, tasks, threads))
         results = exhaustive_search(3, 6, n_hi=20, threads=1)
-        # sum of r * a_1 over the group: every task packs to the same order
-        work = [sum(len(a) * a[0] for a, _ in group) for group, _, _ in handed]
+        # each task runs its shared prefix's passes once and one last pass per member
+        work = [search.scan_work(len(group[0][0]), 19, len(group[0][0]) - 1 + len(group),
+                                 sum(group[0][0][1:]) + sum(a[0] for a, _ in group))
+                for group, _, _ in handed]
         assert work == sorted(work, reverse=True) and work[0] > work[-1]
         assert [r.spec.a for r in results] == [a for _, a, _ in TABLE1_ROWS]  # still in spec order
 
