@@ -113,6 +113,11 @@ class LaurentPoly:
             cs[e - lo] = c
         return cls(lo, cs)
 
+    @classmethod
+    def from_half(cls, half: list[int]) -> LaurentPoly:
+        """The palindrome whose z^0, z^-1, ... (so also z^0, z^1, ...) coefficients are half."""
+        return cls(1 - len(half), half[:0:-1] + half)
+
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -165,8 +170,8 @@ class LaurentPoly:
                 and all(map(operator.ge, seq[top:], seq[top + 1 :])))
 
     def is_nonnegative(self) -> bool:
-        """True iff every coefficient is >= 0."""
-        return all(c >= 0 for c in self.coeffs)
+        """True iff every coefficient is >= 0 (so the zero polynomial is)."""
+        return min(self.coeffs, default=0) >= 0
 
     # -- text and JSON forms --------------------------------------------------
 

@@ -70,7 +70,7 @@ def _closed_form_poly(n: int, s: int) -> LaurentPoly:
             total += sign * (p[i] - p[i - k] if i >= k else p[i])
             sign, k = -sign, k + 1
         half.append(total)
-    return LaurentPoly(-n, half[:0:-1] + half)
+    return LaurentPoly.from_half(half)
 
 
 def _check_size(n: int) -> None:

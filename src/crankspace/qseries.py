@@ -7,9 +7,12 @@ colors per sparse pass by Jacobi's identity for (q)_inf^3.  The
 polynomial series are the colored-crank products C_k(a_1..a_r): (k-d)/2
 copies of the a = 0 crank factor prod_{n>=1} (1-q^n) / ((1-z^a q^n)(1-z^-a q^n))
 times the factors for a_1..a_r, where d = k mod 2 and r = (k+d)/2; each
-q-coefficient is a LaurentPoly in z.  Single-size rank and crank polynomials
-are not built here: `partitions` sums the Atkin-Swinnerton-Dyer rank formula
-and the Andrews-Garvan crank formula over p(n).
+q-coefficient is a Laurent polynomial in z, a palindrome, and the kernel
+yields only its z^0, z^-1, ... half, as a list: the scans test that half,
+and only `cor3.5` mirrors it into a LaurentPoly (`LaurentPoly.from_half`).
+Single-size rank and crank polynomials are not built here: `partitions`
+sums the Atkin-Swinnerton-Dyer rank formula and the Andrews-Garvan crank
+formula over p(n).
 
 The factors of the a = 0 copies cancel against the numerators, so each
 product is a geometric stage G = prod_a prod_n 1/((1-z^a q^n)(1-z^-a q^n)),
@@ -39,10 +42,11 @@ builds both halves of every slice.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .laurent import CrankspaceError, LaurentPoly
+from .laurent import CrankspaceError
 
 
 class InvalidK(CrankspaceError):
@@ -261,29 +265,30 @@ def _geometric_halves(group: Sequence[tuple[int, ...]], order: int,
 
 
 def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], sizes: list[int],
-            totals: list[tuple[int, int]]) -> Iterator[tuple[int, LaurentPoly]]:
-    """(m, q^m coefficient) for m in sizes: one parity's scan of one packed G (see iter_ck_slices)."""
+            totals: list[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:
+    """(m, half of the q^m coefficient) for m in sizes: one parity's scan of one packed G."""
     for m, (pos_total, neg_total) in zip(sizes, totals):
         nslots = c * (1 + max(m, 1)) + 1  # the mirrors of the margin, even at m = 0
         pos, neg = _pentagonal_split(ints, m, terms)
         half = _unpack_half(pos, nslots, bits, c, pos_total)
         if neg_total:
-            half = [x - y for x, y in zip(half, _unpack_half(neg, nslots, bits, c, neg_total))]
-        yield m, LaurentPoly(1 - len(half), half[:0:-1] + half)
+            half = list(map(operator.sub, half, _unpack_half(neg, nslots, bits, c, neg_total)))
+        yield m, half
 
 
 def iter_ck_slices(group: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes: Iterable[int]
-                   ) -> Iterator[tuple[Iterator[tuple[int, LaurentPoly]], ...]]:
+                   ) -> Iterator[tuple[Iterator[tuple[int, list[int]]], ...]]:
     """Per member (a, deltas) of group, one slice scan per delta, over sizes.
 
     A member's products have weights a and, for each delta in deltas, delta
     copies of prod (1-q^n).  For each member, in the order of group, this
     yields one iterator per delta, in the order of deltas, of
-    (m, q^m coefficient) for m in sizes, in their order.  A scan decodes
-    each slice only when it is asked for, so a caller that stops a scan
-    early pays for no slice past it.  Each weight enters as
+    (m, half of the q^m coefficient) for m in sizes, in their order.  A scan
+    decodes each slice only when it is asked for, so a caller that stops a
+    scan early pays for no slice past it.  Each weight enters as
     (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every slice is a palindrome:
-    only its z^e, e <= 0, half is built, then mirrored.
+    only its z^e, e <= 0, half is built, and it is yielded as the list of
+    its z^0, z^-1, ... coefficients (`LaurentPoly.from_half` mirrors it).
 
     The members must share every weight but the largest, a[1:]: G is packed
     by `_geometric_halves` once per member for all its deltas, up to

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from typing import Iterable, Iterator, NamedTuple
 
@@ -261,19 +262,28 @@ def results_to_csv(results: Iterable[SearchResult]) -> str:
     return "".join(lines)
 
 
+def _unimodal_half(half: list[int]) -> bool:
+    """Whether the palindrome with z^0, z^-1, ... coefficients half is unimodal.
+
+    It is iff half never rises outward and ends >= 0, the zero past its span.
+    """
+    return half[-1] >= 0 and all(map(operator.ge, half, half[1:]))
+
+
 def _defects_task(task: tuple[tuple, int, bool]) -> dict[tuple[tuple[int, ...], int], list[int]]:
     """{(a, delta): its non-unimodal n below n_hi, ascending} for one group's members.
 
     Sizes are scanned from the top down; with top_only, each parity stops at
-    its first non-unimodal slice, the only one its caller reads.
+    its first non-unimodal slice, the only one its caller reads.  Each slice
+    is tested on the certified half the kernel decodes; none is mirrored.
     """
     group, n_hi, top_only = task
     defects = {}
     for (a, deltas), scans in zip(group, qseries.iter_ck_slices(group, range(n_hi - 1, 0, -1))):
         for delta, scan in zip(deltas, scans):
             bad = []
-            for n, f in scan:
-                if not f.is_unimodal():
+            for n, half in scan:
+                if not _unimodal_half(half):
                     bad.append(n)
                     if top_only:
                         break
@@ -289,7 +299,8 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     lists, check_family_unimodality its defects.  With top_only, each list
     holds at most the largest such n, since the scan runs from n_hi - 1
     down and stops at it: that is all exhaustive_search reads.  Slices need
-    no symmetry check: the kernel builds each one as a mirrored half.  Each
+    no symmetry check and no polynomial: the kernel builds each one as a
+    palindrome's half, and the unimodality test reads that half.  Each
     task, one group of tuples that share every weight but the largest, runs
     the shared passes once and each tuple's last pass once for all of its
     specs' parities; tasks start largest first by the scan_work of those

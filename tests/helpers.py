@@ -24,7 +24,8 @@ divisibility test, the audit route for the residue-sum criteria.
 colored_coeffs_reference builds p_k one color at a time by the pentagonal
 recurrence, the audit route for `qseries.colored_coeffs`.  spec_slices is
 the one-parity call of the kernel, one spec's (n, slice) pairs, and
-tuple_slices its call for one weight tuple and several parities; scan_threshold
+tuple_slices its call for one weight tuple and several parities; both mirror
+the kernel's halves with `LaurentPoly.from_half`, as `cor3.5` does; scan_threshold
 is one weight tuple's SearchResult, read off the slice scan the search uses.
 poly_from_json reads a polynomial's JSON form back; the package writes JSON
 but reads none.
@@ -163,16 +164,18 @@ def poly_from_json(data: dict) -> LaurentPoly:
 
 
 def spec_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
-    """(n, q^n coefficient of spec's product) for n in sizes, from the kernel."""
+    """(n, q^n coefficient of spec's product) for n in sizes: the kernel's halves, mirrored."""
     [(scan,)] = iter_ck_slices([(spec.a, (spec.delta,))], sizes)
-    yield from scan
+    for n, half in scan:
+        yield n, LaurentPoly.from_half(half)
 
 
 def tuple_slices(a: tuple[int, ...], deltas: Sequence[int],
                  sizes: Iterable[int]) -> list[tuple[int, tuple[LaurentPoly, ...]]]:
     """Per size, weights a's slice for each delta, from one kernel call for the one tuple."""
     [scans] = iter_ck_slices([(a, tuple(deltas))], sizes)
-    return [(row[0][0], tuple(f for _, f in row)) for row in zip(*map(list, scans))]
+    return [(row[0][0], tuple(LaurentPoly.from_half(half) for _, half in row))
+            for row in zip(*map(list, scans))]
 
 
 def scan_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchResult:

@@ -64,6 +64,14 @@ class TestConstruction:
     def test_from_coeff_map_empty(self):
         assert LaurentPoly.from_coeff_map({}) == LaurentPoly.zero()
 
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+    def test_from_half_mirrors_the_half(self, half):
+        f = LaurentPoly.from_half(half)
+        assert f.is_symmetric()
+        assert [f.coefficient(-i) for i in range(len(half))] == half
+        assert [f.coefficient(i) for i in range(len(half))] == half
+        assert f.coefficient(len(half)) == f.coefficient(-len(half)) == 0
+
     def test_hashable(self):
         seen = {LaurentPoly.one(), LaurentPoly(0, (1,)), LaurentPoly.zero()}
         assert len(seen) == 2

@@ -9,9 +9,11 @@ import signal
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from crankspace import cli, qseries, search, verify
-from crankspace.laurent import CrankspaceError
+from crankspace.laurent import CrankspaceError, LaurentPoly
 from crankspace.partitions import BoundExceeded
 from crankspace.qseries import CrankSpec, SlotOverflow, bk_spec
 from crankspace.search import (
@@ -267,6 +269,32 @@ class TestExhaustiveSearch:
             assert (data["threshold"], data["eventually_unimodal"]) == (
                 back.threshold, back.eventually_unimodal)
             assert data["k"] == 3 and isinstance(data["a"], list)
+
+
+class TestHalfUnimodality:
+    @given(st.lists(st.one_of(st.integers(-2, 2), st.integers()), min_size=1, max_size=12))
+    @example([0])
+    @example([0, 0, 0])
+    @example([-1])
+    @example([3, 3, 0])
+    @example([2, 0, 1])
+    def test_half_test_matches_is_unimodal_on_palindromes(self, half):
+        assert search._unimodal_half(half) == LaurentPoly.from_half(half).is_unimodal()
+
+    @pytest.mark.parametrize("top_only", [True, False], ids=["top-only", "full"])
+    def test_scans_build_no_polynomial(self, monkeypatch, top_only):
+        built = []
+        init = LaurentPoly.__init__
+        monkeypatch.setattr(LaurentPoly, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        specs = [spec for k in range(3, 7) for spec in crank_space(k)]
+        defects = slice_defects(specs, 40, threads=1, top_only=top_only)
+        assert built == []
+        monkeypatch.undo()
+        mirrored = [[n for n, f in spec_slices(spec, range(1, 40)) if not f.is_unimodal()]
+                    for spec in specs]
+        assert any(mirrored)
+        assert defects == ([bad[-1:] for bad in mirrored] if top_only else mirrored)
 
 
 class TestCriteria:

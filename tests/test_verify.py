@@ -231,7 +231,7 @@ class TestSliceCheckFailures:
     def test_non_divisible_slice(self, monkeypatch):
         off = LaurentPoly(-1, (1, 1, 1))  # symmetric and unimodal, span too short for Phi_5
         monkeypatch.setattr(qseries, "iter_ck_slices",
-                            lambda group, sizes: [(((size, off) for size in sizes),)])
+                            lambda group, sizes: [(((size, [1, 1]) for size in sizes),)])
         rep = run_plan(verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1))
         assert rep.status == "fail"
         assert [c.params for c in rep.counterexamples] == [
@@ -271,14 +271,14 @@ class TestSliceCheckFailures:
             assert ce.params["within_claim"] and ce.params["n"] == n
             assert set(ce.params) == {"kind", "within_claim", "n", *params}
 
-    @pytest.mark.parametrize("f,faulty", [
-        (LaurentPoly(-2, (1, 1, 1, 1, 1)), True),  # symmetric and unimodal
-        (LaurentPoly(-2, (1, 2, 0, 2, 1)), False),  # symmetric, not unimodal
+    @pytest.mark.parametrize("half,faulty", [
+        ([1, 1, 1], True),  # the halves of 1 1 1 1 1, unimodal
+        ([0, 2, 1], False),  # and of 1 2 0 2 1, not unimodal
     ], ids=["unimodal", "not-unimodal"])
     def test_negative_quotient_of_a_symmetric_unimodal_slice_is_a_fault(self, monkeypatch, capsys,
-                                                                         f, faulty):
+                                                                         half, faulty):
         monkeypatch.setattr(qseries, "iter_ck_slices",
-                            lambda group, sizes: [(((size, f) for size in sizes),)])
+                            lambda group, sizes: [(((size, half) for size in sizes),)])
         monkeypatch.setattr(verify, "divides_standard", lambda f, ell: True)
         monkeypatch.setattr(verify, "exact_quotient", lambda f, ell, variant: LaurentPoly(0, (1, -1, 1)))
         plan = verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)  # sizes 4, 9
