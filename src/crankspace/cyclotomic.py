@@ -1,14 +1,14 @@
 """Cyclotomic divisibility tests for integer Laurent polynomials.
 
-For an odd prime ell, the cyclotomic polynomial Phi_ell(z) = 1 + z + ... +
-z^(ell-1) and its variants Phi_ell(z^2) and Phi_ell(-z) divide a Laurent
-polynomial f exactly when certain residue-class coefficient sums of f agree.
-Those criteria are linear scans over the span.  `exact_quotient` is the
-independent second route: it divides by the sparse binomial multiple
-1 - eps*z^(s*ell) of Phi_ell(eps*z^s), and the two must always agree.
-Divisibility by Phi_ell means equidistribution of the underlying counts over
-residue classes mod ell, which is how partition congruences surface at the
-polynomial level.
+For an odd prime ell, the divisors are the cyclotomic polynomial Phi_ell(z) =
+1 + z + ... + z^(ell-1) and its variants Phi_ell(z^2) and Phi_ell(-z).  The
+residue-sum route answers Phi_ell(z) and Phi_ell(z^2), the divisors the
+claims test, each from one table of f's residue-class coefficient sums.
+`exact_quotient`, the independent second route, answers all three (for
+`quotient` too): it divides by the sparse binomial multiple 1 - eps*z^(s*ell)
+of Phi_ell(eps*z^s), and the two routes must always agree.  Divisibility by
+Phi_ell means equidistribution of the underlying counts over residue classes
+mod ell, which is how partition congruences surface at the polynomial level.
 """
 
 from __future__ import annotations
@@ -46,15 +46,14 @@ def _check_modulus(ell: int, variant: str = "standard") -> None:
 def hat_sums(f: LaurentPoly, m: int) -> list[int]:
     """The coefficient sums of f over its exponent classes mod m, by residue.
 
+    Class r holds the coefficients at indices (r - f.lo) mod m, m apart.
+
     >>> hat_sums(LaurentPoly(-2, (1, 2, 3, 4, 5)), 5)
     [3, 4, 5, 1, 2]
     """
     if m < 1:
         raise CrankspaceError("modulus must be >= 1")
-    sums = [0] * m
-    for i, c in enumerate(f.coeffs):
-        sums[(f.lo + i) % m] += c
-    return sums
+    return [sum(f.coeffs[(r - f.lo) % m::m]) for r in range(m)]
 
 
 def divides_standard(f: LaurentPoly, ell: int) -> bool:
@@ -67,22 +66,20 @@ def divides_standard(f: LaurentPoly, ell: int) -> bool:
     return all(s == sums[ell - 1] for s in sums)
 
 
-def divides_negated(f: LaurentPoly, ell: int) -> bool:
-    """Whether Phi_ell(-z) divides f, by the residue-sum criterion.
+def divides_squared(f: LaurentPoly, ell: int) -> bool:
+    """Whether Phi_ell(z^2) divides f, by the residue-sum criterion.
 
-    Phi_ell(-z) | f iff the alternating differences
-    (-1)^r * (hat(f, r, 2*ell) - hat(f, r + ell, 2*ell)) agree for all r.
+    Write f = A(z^2) + z*B(z^2).  Phi_ell(z^2) | f iff Phi_ell divides A and
+    B, that is iff f's class sums mod 2*ell are all equal over the even
+    classes and all equal over the odd classes: each equals the one two
+    classes on.
+
+    >>> divides_squared(LaurentPoly(-1, (1, 2, 1, 2, 1, 2, 1, 2, 1, 2)), 5)
+    True
     """
     _check_modulus(ell)
     sums = hat_sums(f, 2 * ell)
-    target = sums[ell - 1] - sums[2 * ell - 1]
-    for r in range(ell - 1):
-        d = sums[r] - sums[r + ell]
-        if r % 2 == 1:
-            d = -d
-        if d != target:
-            return False
-    return True
+    return sums[2:] == sums[:-2]
 
 
 def exact_quotient(f: LaurentPoly, ell: int, variant: str = "standard") -> LaurentPoly:

@@ -16,9 +16,11 @@ and a packed rank series:
 
 the rank formula of Atkin and Swinnerton-Dyer (Proc. London Math. Soc.
 1954) and the crank formula of Andrews and Garvan (Bull. AMS 1988), the
-latter for n >= 2.  Counts at n = 1 follow the corrected crank convention
-M(0, 1) = 1, M(m, 1) = 0 otherwise; the empty partition has no rank or
-crank, while the n = 0 polynomials are the constant 1 as a
+latter for n >= 2.  They depend on |m| only, so each size's counts are
+computed for m = 0..n and mirrored once; the modified polynomials edit that
+half before the mirror.  Counts at n = 1 follow the corrected crank
+convention M(0, 1) = 1, M(m, 1) = 0 otherwise; the empty partition has no
+rank or crank, while the n = 0 polynomials are the constant 1 as a
 generating-function convention.
 """
 
@@ -55,8 +57,8 @@ class InvalidEll(CrankspaceError):
 # -- closed-form counts --------------------------------------------------------
 
 
-def _closed_form_poly(n: int, s: int) -> LaurentPoly:
-    """sum_m c(m, n) z^m for n >= 1, by the module docstring's formulas.
+def _closed_form_half(n: int, s: int) -> list[int]:
+    """[c(0, n), ..., c(n, n)], the z^0, z^-1, ... half of sum_m c(m, n) z^m, for n >= 1.
 
     c(m, n) sums over k >= 1 with offsets k(sk-1)/2 and k(sk+1)/2: s = 3
     gives the rank count N(m, n), s = 1 the crank count M(m, n) for n >= 2.
@@ -70,7 +72,7 @@ def _closed_form_poly(n: int, s: int) -> LaurentPoly:
             total += sign * (p[i] - p[i - k] if i >= k else p[i])
             sign, k = -sign, k + 1
         half.append(total)
-    return LaurentPoly.from_half(half)
+    return half
 
 
 def _check_size(n: int) -> None:
@@ -83,13 +85,13 @@ def _check_size(n: int) -> None:
 def rank_poly(n: int) -> LaurentPoly:
     """sum_m N(m, n) z^m, from the rank formula over p(.)."""
     _check_size(n)
-    return LaurentPoly.one() if n <= 1 else _closed_form_poly(n, 3)
+    return LaurentPoly.one() if n <= 1 else LaurentPoly.from_half(_closed_form_half(n, 3))
 
 
 def crank_poly(n: int) -> LaurentPoly:
     """sum_m M(m, n) z^m with the corrected n = 1 column, from the crank formula over p(.)."""
     _check_size(n)
-    return LaurentPoly.one() if n <= 1 else _closed_form_poly(n, 1)
+    return LaurentPoly.one() if n <= 1 else LaurentPoly.from_half(_closed_form_half(n, 1))
 
 
 # -- colored counts and progressions --------------------------------------------
@@ -133,26 +135,15 @@ def delta(k: int, ell: int) -> int:
     return (k * pow(24, -1, ell)) % ell
 
 
-def _edit_span(f: LaurentPoly, N: int, edits: tuple[tuple[int, int], ...]) -> LaurentPoly:
-    """f plus c*z^e for each (e, c) in edits; f's span and every e lie in [-N, N].
-
-    The edits go into a copy of f's coefficients laid out over [-N, N]; the
-    constructor trims the ends they zero.
-    """
-    cs = [0] * (f.lo + N) + list(f.coeffs) + [0] * (N - f.hi)
-    for e, c in edits:
-        cs[e + N] += c
-    return LaurentPoly(-N, cs)
-
-
 def _modified_size(statistic: str, ells: tuple[int, ...], ell: int, n: int) -> int:
-    """ell*n + beta(ell), refused for an ell outside the statistic's set or a negative n."""
+    """ell*n + beta(ell); refuses an ell outside ells, a negative n and a size past POLY_BOUND."""
     if ell not in ells:
         raise InvalidEll(f"modified {statistic} polynomials are defined for ell in "
                          f"{{{', '.join(map(str, ells))}}}, got {ell}")
     if n < 0:
         raise CrankspaceError("n must be >= 0")
-    return ell * n + beta(ell)
+    _check_size(N := ell * n + beta(ell))
+    return N
 
 
 def modified_rank_poly(ell: int, n: int) -> LaurentPoly:
@@ -164,14 +155,21 @@ def modified_rank_poly(ell: int, n: int) -> LaurentPoly:
     divisible by Phi_ell.  Supported for ell in MODIFIED_RANK_ELLS.
     """
     N = _modified_size("rank", MODIFIED_RANK_ELLS, ell, n)
-    return _edit_span(rank_poly(N), N, ((N - 2, 1), (N - 1, -1), (2 - N, 1), (1 - N, -1)))
+    half = _closed_form_half(N, 3)
+    half[N - 2] += 1
+    half[N - 1] -= 1
+    return LaurentPoly.from_half(half)
 
 
 def modified_crank_poly(ell: int, n: int) -> LaurentPoly:
     """Crank polynomial at ell*n + beta(ell) with the extremes pulled in by ell.
 
-    Adds z^(N-ell) - z^N and the mirror pair for N = ell*n + beta(ell).
-    Supported for ell in MODIFIED_CRANK_ELLS.
+    Adds z^(N-ell) - z^N and the mirror pair for N = ell*n + beta(ell).  At
+    n = 0, N < ell and z^(N-ell) lands in half slot ell - N, as its mirror
+    does.  Supported for ell in MODIFIED_CRANK_ELLS.
     """
     N = _modified_size("crank", MODIFIED_CRANK_ELLS, ell, n)
-    return _edit_span(crank_poly(N), N, ((N - ell, 1), (N, -1), (ell - N, 1), (-N, -1)))
+    half = _closed_form_half(N, 1)
+    half[abs(N - ell)] += 1
+    half[N] -= 1
+    return LaurentPoly.from_half(half)

@@ -30,7 +30,7 @@ from . import partitions, qseries, search
 from .cyclotomic import (
     NotDivisible,
     _is_odd_prime,
-    divides_negated,
+    divides_squared,
     divides_standard,
     exact_quotient,
     hat_sums,
@@ -119,11 +119,11 @@ def _quotients(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int, varian
                violations: list[Counterexample]):
     """Yield (params, size, f, q) for each slice both routes find divisible; q is its quotient.
 
-    For `squared` the residue sums test Phi_ell(z) and Phi_ell(-z), whose product it is
-    for odd ell.  Every other slice is appended to violations.
+    Every other slice is appended to violations.  variant is `standard` or `squared`.
     """
+    divides = divides_squared if variant == "squared" else divides_standard
     for params, size, f in slices:
-        criterion = divides_standard(f, ell) and (variant != "squared" or divides_negated(f, ell))
+        criterion = divides(f, ell)
         try:
             q = exact_quotient(f, ell, variant)
         except NotDivisible:

@@ -20,7 +20,10 @@ phi builds the three cyclotomic divisors as polynomials, and
 schoolbook_quotient divides by any nonzero polynomial by long division: the
 audit route for `cyclotomic.exact_quotient`, which divides by Phi_ell's
 binomial multiple instead.  divides_by_division is the schoolbook form of the
-divisibility test, the audit route for the residue-sum criteria.
+divisibility test, the audit route for the residue-sum criteria, and
+hat_sums_reference the per-coefficient loop that `cyclotomic.hat_sums` sums
+as strided slices.  edit_span adds terms to a polynomial laid out over
+[-N, N], the reference for the modified builders' edits to a half.
 colored_coeffs_reference builds p_k one color at a time by the pentagonal
 recurrence, the audit route for `qseries.colored_coeffs`.  spec_slices is
 the one-parity call of the kernel, one spec's (n, slice) pairs, and
@@ -234,6 +237,22 @@ def divides_by_division(f: LaurentPoly, g: LaurentPoly) -> bool:
     except NotDivisible:
         return False
     return True
+
+
+def hat_sums_reference(f: LaurentPoly, m: int) -> list[int]:
+    """The coefficient sums of f over its exponent classes mod m, one coefficient at a time."""
+    sums = [0] * m
+    for i, c in enumerate(f.coeffs):
+        sums[(f.lo + i) % m] += c
+    return sums
+
+
+def edit_span(f: LaurentPoly, N: int, edits: Iterable[tuple[int, int]]) -> LaurentPoly:
+    """f plus c*z^e for each (e, c) in edits; f's span and every e lie in [-N, N]."""
+    cs = [0] * (f.lo + N) + list(f.coeffs) + [0] * (N - f.hi)
+    for e, c in edits:
+        cs[e + N] += c
+    return LaurentPoly(-N, cs)
 
 
 def pentagonal_signs(limit: int) -> list[tuple[int, int]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from crankspace.cyclotomic import (
-    divides_negated,
+    divides_squared,
     divides_standard,
     exact_quotient,
 )
@@ -133,8 +133,8 @@ def test_criterion_4_dual_route_divisibility_corpus():
                 multiples_seen += 1
             if divides_standard(f, ell) != divides_by_division(f, phi(ell)):
                 disagreements += 1
-            if divides_negated(f, ell) != divides_by_division(
-                f, phi(ell, "negated")
+            if divides_squared(f, ell) != divides_by_division(
+                f, phi(ell, "squared")
             ):
                 disagreements += 1
     ok = disagreements == 0 and multiples_seen >= trials_per_ell

@@ -14,14 +14,14 @@ import crankspace.cyclotomic
 from crankspace.cyclotomic import (
     VARIANTS,
     NotDivisible,
-    divides_negated,
+    divides_squared,
     divides_standard,
     exact_quotient,
     hat_sums,
 )
 from crankspace.laurent import CrankspaceError, LaurentPoly
 
-from helpers import add, divides_by_division, mul, phi, schoolbook_quotient
+from helpers import add, divides_by_division, hat_sums_reference, mul, phi, schoolbook_quotient
 
 PRIMES = (5, 7, 11)
 AUDIT_PRIMES = (3, 5, 7, 11, 13, 23, 37)
@@ -91,6 +91,18 @@ class TestHatSum:
     def test_residue_classes_partition_the_total(self, f, m):
         assert sum(hat_sums(f, m)) == sum(f.coeffs)
 
+    @given(
+        st.builds(
+            LaurentPoly,
+            st.integers(min_value=-30, max_value=10),
+            st.lists(st.integers(min_value=-50, max_value=50), max_size=25),
+        ),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_strided_sums_match_the_per_coefficient_loop(self, f, m):
+        event(f"modulus past the span: {m > len(f.coeffs)}")
+        assert hat_sums(f, m) == hat_sums_reference(f, m)
+
 
 class TestDivisibilityRoutes:
     def test_standard_accepts_phi_multiples(self):
@@ -105,15 +117,33 @@ class TestDivisibilityRoutes:
 
     def test_zero_divisible_by_everything(self):
         assert divides_standard(LaurentPoly.zero(), 7)
-        assert divides_negated(LaurentPoly.zero(), 7)
+        assert divides_squared(LaurentPoly.zero(), 7)
         assert divides_by_division(LaurentPoly.zero(), phi(7))
 
-    def test_negated_route_tracks_sign_twisted_divisor(self):
+    def test_squared_route_tracks_squared_divisor(self):
         for ell in PRIMES:
-            f = mul(phi(ell, "negated"), LaurentPoly(0, (1, 2)))
-            assert divides_negated(f, ell)
-            assert divides_by_division(f, phi(ell, "negated"))
-            assert not divides_negated(phi(ell), ell) or ell == 2
+            f = mul(phi(ell, "squared"), LaurentPoly(-3, (1, 2)))
+            assert divides_squared(f, ell)
+            assert divides_by_division(f, phi(ell, "squared"))
+            for factor in ("standard", "negated"):  # each divides Phi_ell(z^2) but not conversely
+                assert not divides_squared(phi(ell, factor), ell)
+                assert not divides_squared(mul(phi(ell, factor), LaurentPoly(0, (1, 2))), ell)
+
+    def test_squared_route_matches_division_on_seeded_corpus(self):
+        rng = random.Random(20261019)
+        seen = set()
+        for ell in AUDIT_PRIMES:
+            g = phi(ell, "squared")
+            corpus = [LaurentPoly.zero(), g, g.shift(-9)]
+            for trial in range(60):
+                # spans from 1 exponent to past 2*ell - 1; every other one times a divisor variant
+                f = random_poly(rng, span=3 * ell)
+                corpus.append(mul(f, phi(ell, VARIANTS[trial % 3])) if trial % 2 else f)
+            for f in corpus:
+                divisible = divides_by_division(f, g)
+                assert divides_squared(f, ell) == divisible, (f, ell)
+                seen.add((divisible, len(f.coeffs) < 2 * ell - 1))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_routes_agree_on_seeded_corpus(self):
         rng = random.Random(20260817)
@@ -123,8 +153,8 @@ class TestDivisibilityRoutes:
                 if trial % 2:
                     f = mul(f, phi(ell))
                 assert divides_standard(f, ell) == divides_by_division(f, phi(ell))
-                assert divides_negated(f, ell) == divides_by_division(
-                    f, phi(ell, "negated")
+                assert divides_squared(f, ell) == divides_by_division(
+                    f, phi(ell, "squared")
                 )
 
 

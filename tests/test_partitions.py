@@ -12,6 +12,8 @@ import crankspace.partitions
 from crankspace.cyclotomic import hat_sums
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import (
+    MODIFIED_CRANK_ELLS,
+    MODIFIED_RANK_ELLS,
     POLY_BOUND,
     BoundExceeded,
     InvalidEll,
@@ -30,6 +32,7 @@ from helpers import (
     add,
     crank_of,
     crank_poly_enumerated,
+    edit_span,
     enumerate_partitions,
     packed_rank_series,
     rank_of,
@@ -248,6 +251,19 @@ class TestModifiedPolynomials:
                 {size - ell: 1, size: -1, ell - size: 1, -size: -1}
             )
             assert modified_crank_poly(ell, n) == add(base, extra)
+
+    @pytest.mark.parametrize("statistic,ell", [("rank", ell) for ell in MODIFIED_RANK_ELLS]
+                             + [("crank", ell) for ell in MODIFIED_CRANK_ELLS])
+    def test_half_edits_match_the_four_term_edit_of_the_full_polynomial(self, statistic, ell):
+        # the four edits to the full polynomial laid out over [-N, N], for every N <= 600
+        for n in range(0, (600 - beta(ell)) // ell + 1):
+            N = ell * n + beta(ell)
+            if statistic == "rank":
+                edits = ((N - 2, 1), (N - 1, -1), (2 - N, 1), (1 - N, -1))
+                assert modified_rank_poly(ell, n) == edit_span(rank_poly(N), N, edits)
+            else:
+                edits = ((N - ell, 1), (N, -1), (ell - N, 1), (-N, -1))
+                assert modified_crank_poly(ell, n) == edit_span(crank_poly(N), N, edits)
 
     def test_modified_polys_stay_symmetric_with_same_mass(self):
         for ell in (5, 7, 11):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crankspace import cli, partitions, qseries, search, verify
+from crankspace import cli, cyclotomic, partitions, qseries, search, verify
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import (
     COLORED_K_BOUND,
@@ -182,6 +182,13 @@ class TestSuitesOnSmallRanges:
         assert rep.status == "pass"
         assert "interior zeros" in rep.range
 
+    def test_crank_squared_reads_one_class_sum_table_per_slice(self, monkeypatch):
+        moduli = []
+        hat_sums = cyclotomic.hat_sums
+        monkeypatch.setattr(cyclotomic, "hat_sums", lambda f, m: moduli.append(m) or hat_sums(f, m))
+        assert run_plan(verify_crank_squared(n_max=30)).status == "pass"
+        assert moduli == [10] * 31
+
     def test_rank_monotonic_above_onset_passes(self):
         rep = run_plan(verify_rank_monotonic(n_max=80, n_lo=RANK_MONOTONE_ONSET))
         assert rep.status == "pass"
@@ -258,7 +265,7 @@ class TestSliceCheckFailures:
             (lambda: run_plan(verify_modified_crank(7, n_max=1)), ("ell",), "divides_standard"),
             (lambda: run_plan(verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)),
              ("size",), "divides_standard"),
-            (lambda: run_plan(verify_crank_squared(n_max=1)), ("size",), "divides_negated"),
+            (lambda: run_plan(verify_crank_squared(n_max=1)), ("size",), "divides_squared"),
         ],
         ids=["modified-rank", "modified-crank", "colored-quotients", "crank-squared"],
     )
