@@ -18,15 +18,17 @@ the rank formula of Atkin and Swinnerton-Dyer (Proc. London Math. Soc.
 1954) and the crank formula of Andrews and Garvan (Bull. AMS 1988), the
 latter for n >= 2.  They depend on |m| only, so each size's counts are
 computed for m = 0..n and mirrored once; the modified polynomials edit that
-half before the mirror.  Counts at n = 1 follow the corrected crank
-convention M(0, 1) = 1, M(m, 1) = 0 otherwise; the empty partition has no
-rank or crank, while the n = 0 polynomials are the constant 1 as a
+half before the mirror.  One k's terms over every m read a strided slice of
+p(.), so each k is one C-level pass.  Counts at n = 1 follow the corrected
+crank convention M(0, 1) = 1, M(m, 1) = 0 otherwise; the empty partition has
+no rank or crank, while the n = 0 polynomials are the constant 1 as a
 generating-function convention.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from . import qseries
 from .cyclotomic import _is_odd_prime
@@ -62,16 +64,19 @@ def _closed_form_half(n: int, s: int) -> list[int]:
 
     c(m, n) sums over k >= 1 with offsets k(sk-1)/2 and k(sk+1)/2: s = 3
     gives the rank count N(m, n), s = 1 the crank count M(m, n) for n >= 2.
-    The two p(.) arguments of one k differ by exactly k.
+    The two p(.) arguments of one k differ by exactly k, so with
+    i = n - k(sk-1)/2 the run p(i), p(i-k), ... is the strided slice
+    p[i::-k], and k's terms for m = 0, 1, ... are that run minus itself
+    shifted by one, a 0 past its end: one C-level pass per k.
     """
     p = qseries.colored_coeffs(1, n)
-    half = []
-    for m in range(n + 1):
-        total, sign, k = 0, 1, 1
-        while (i := n - k * (s * k - 1) // 2 - k * m) >= 0:
-            total += sign * (p[i] - p[i - k] if i >= k else p[i])
-            sign, k = -sign, k + 1
-        half.append(total)
+    half = [0] * (n + 1)
+    k = 1
+    while (i := n - k * (s * k - 1) // 2) >= 0:
+        run = p[i::-k]
+        half[: len(run)] = map((operator.sub, operator.add)[k & 1], half,
+                               map(operator.sub, run, run[1:] + (0,)))
+        k += 1
     return half
 
 

@@ -32,15 +32,17 @@ commute with that map, so the division runs on integers at C speed, and
 neither the signed intermediate values nor slots that overflow on the way
 change the exact result.  G's coefficients are non-negative and bounded by
 totals read off `colored_coeffs`, so in slots that wide the base-2^bits
-digits of its images are its coefficients; two run-time checks certify
-every decoded half all the same, and a failure raises SlotOverflow.  Tests
-cross-check the kernel against a naive LaurentPoly-arithmetic builder,
-against the factor-by-factor shift-add build and against a packed kernel that
-builds both halves of every slice.
+digits of its images are its coefficients, decoded through 64-bit machine
+words at any slot width; two run-time checks certify every decoded half all
+the same, and a failure raises SlotOverflow.  Tests cross-check the kernel
+against a naive LaurentPoly-arithmetic builder, against the factor-by-factor
+shift-add build and against a packed kernel that builds both halves of every
+slice.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -173,16 +175,30 @@ def _unpack_half(x: int, nslots: int, bits: int, margin: int, total: int) -> lis
     z^0 slot must be the total of all coefficients.  A value that outgrows
     its slot carries into the next one, which breaks one check or both; a
     failure, or x not fitting nslots >= 2*margin + 1 slots, raises
-    SlotOverflow.  64-bit slots decode at C speed through a machine-word
-    view (little-endian hosts); wider ones slot by slot.
+    SlotOverflow.  On little-endian hosts every width decodes through one
+    machine-word view: each slot's bytes are padded to whole 64-bit limbs
+    (one strided copy per byte column), the low limbs are read at C speed,
+    and a higher limb is added only to the slots where it is non-zero.
+    Big-endian hosts decode slot by slot.
     """
     nbytes = bits // 8
     try:
         raw = x.to_bytes(nslots * nbytes, "little")
     except OverflowError:
         raise SlotOverflow(f"a packed value overflows {nslots} slots of {bits} bits") from None
-    if bits == 64 and sys.byteorder == "little":
-        slots = memoryview(raw).cast("Q").tolist()
+    if sys.byteorder == "little":
+        limbs = -(-nbytes // 8)
+        if nbytes != 8 * limbs:
+            padded = bytearray(8 * limbs * nslots)
+            for c in range(nbytes):
+                padded[c :: 8 * limbs] = raw[c::nbytes]
+            raw = padded
+        words = memoryview(raw).cast("Q").tolist()
+        slots = words[::limbs] if limbs > 1 else words
+        for j in range(1, limbs):
+            high = words[j::limbs]
+            for s in itertools.compress(range(nslots), high):
+                slots[s] += high[s] << (64 * j)
     else:
         slots = [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
                  for i in range(nslots)]

@@ -236,8 +236,8 @@ def refuse_past_bound(work: int, request: str) -> None:
         raise BoundExceeded(f"{request} exceeds the scan work bound {SCAN_WORK_BOUND} bit operations")
 
 
-def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND) -> None:
-    """Raise BoundExceeded if exhaustive_search(k_lo, k_hi, n_hi) would pass SCAN_WORK_BOUND.
+def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND) -> int:
+    """The scan_work of exhaustive_search(k_lo, k_hi, n_hi); BoundExceeded past SCAN_WORK_BOUND.
 
     Each k counts all passes of its C(k, r) tuples to q^(n_hi - 1), as if none
     were shared; each weight 1..k is in C(k - 1, r - 1) of them.
@@ -250,6 +250,7 @@ def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND
         work += SCAN_WORK_BOUND + 1 if big else scan_work(
             r, n_hi - 1, math.comb(k, r) * r, math.comb(k - 1, r - 1) * k * (k + 1) // 2)
         refuse_past_bound(work, f"search over k {k_lo}..{k_hi} below n_hi {n_hi}")
+    return work
 
 
 def results_to_csv(results: Iterable[SearchResult]) -> str:

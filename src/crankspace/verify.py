@@ -8,7 +8,9 @@ outside its stated range, or past what a finite scan decides).
 Counterexample payloads carry enough parameters to reproduce the violation,
 plus the offending polynomial where one exists.
 The claim registry at the bottom (CLAIMS, run_claims) names every claim and
-resolves claim ids, their ell variants and their instance patterns.
+resolves claim ids, their ell variants and their instance patterns; a
+request for several plans runs them on search's fork map, the costliest
+first, and reports them in registry order.
 
 Divisibility is decided twice, by the residue-sum criterion and by
 exact_quotient's sparse division, and only in _quotients; a disagreement
@@ -22,6 +24,7 @@ except the quarantined floating-point asymptotic diagnostic.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import time
 from typing import Callable, Iterable, NamedTuple
@@ -98,6 +101,7 @@ class Plan(NamedTuple):
 
     claim_id: str
     work: Callable[[], tuple[str, list[Counterexample]]]
+    cost: int = 0  # a colored scan's search.scan_work: run_claims starts the costliest first
 
 
 def run_plan(plan: Plan) -> Report:
@@ -273,6 +277,9 @@ def verify_rank_monotonic(n_max: int = 200, n_lo: int = 1) -> Plan:
         worst_below = None
         for n in range(n_lo, n_max + 1):
             f = partitions.rank_poly(n)
+            run = f.coeffs[-f.lo :]  # N(0, n), N(1, n), ...: a rank polynomial starts at z^-(n-1)
+            if all(map(operator.ge, run[: n - 2], run[1 : n - 1])):
+                continue
             for m in range(0, n - 2):
                 a, b = f.coefficient(m), f.coefficient(m + 1)
                 if a < b:
@@ -487,8 +494,8 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
     if n_max < 0:
         raise CrankspaceError(f"n_max must be >= 0, got {n_max}")
     top = case.ell * n_max + case.delta
-    search.refuse_past_bound(search.scan_work(len(spec.a), top, len(spec.a), sum(spec.a)),
-                             f"a scan of the {kind}-k{case.k} product to size {top}")
+    cost = search.scan_work(len(spec.a), top, len(spec.a), sum(spec.a))
+    search.refuse_past_bound(cost, f"a scan of the {kind}-k{case.k} product to size {top}")
 
     def work():
         sizes = range(case.delta, top + 1, case.ell)
@@ -503,7 +510,7 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
         if negatives:
             note += f"; negative quotient below onset at sizes {negatives}"
         return note, violations
-    return Plan(f"cor3.5-{kind}-k{case.k}-ell{case.ell}", work)
+    return Plan(f"cor3.5-{kind}-k{case.k}-ell{case.ell}", work, cost)
 
 
 # -- weight-tuple scans ---------------------------------------------------------
@@ -522,7 +529,7 @@ def check_first_gap_criterion(n_hi: int = search.DEFAULT_SCAN_BOUND,
     """
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
-    search.check_scan_work(n_hi=n_hi)
+    cost = search.check_scan_work(n_hi=n_hi)
 
     def work():
         results = search.exhaustive_search(n_hi=n_hi, threads=threads)
@@ -542,7 +549,7 @@ def check_first_gap_criterion(n_hi: int = search.DEFAULT_SCAN_BOUND,
         ks = sorted({r.spec.k for r in results})
         bounds = sorted({r.n_hi for r in results})
         return f"{len(results)} weight tuples, k in {ks}, scan bounds {bounds}", infos
-    return Plan("conj4.2", work)
+    return Plan("conj4.2", work, cost)
 
 
 def check_family_unimodality(n_hi: int = 100, threads: int | None = None) -> Plan:
@@ -556,8 +563,8 @@ def check_family_unimodality(n_hi: int = 100, threads: int | None = None) -> Pla
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
     specs = [_family_spec(kind, k) for kind, k in FAMILIES]
-    search.refuse_past_bound(sum(search.scan_work(len(s.a), n_hi - 1, len(s.a), sum(s.a)) for s in specs),
-                             f"family scan over k 3..12 below n_hi {n_hi}")
+    cost = sum(search.scan_work(len(s.a), n_hi - 1, len(s.a), sum(s.a)) for s in specs)
+    search.refuse_past_bound(cost, f"family scan over k 3..12 below n_hi {n_hi}")
 
     def work():
         violations: list[Counterexample] = []
@@ -575,7 +582,7 @@ def check_family_unimodality(n_hi: int = 100, threads: int | None = None) -> Pla
         if below_notes:
             note += "; below-onset non-unimodal: " + "; ".join(below_notes)
         return note, violations
-    return Plan("conj1.4", work)
+    return Plan("conj1.4", work, cost)
 
 
 # -- floating-point diagnostic (quarantined) --------------------------------------
@@ -762,11 +769,17 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
     CrankspaceError, and a BoundExceeded names the first refused instance of
     every claim.  None for n_max, n_lo or threads keeps each suite's own
     default.
+
+    Several plans, at threads other than 1, run on search._pool_map, the
+    costliest first, each planned with threads=1 so that no worker forks again;
+    the reports come back in registry order whatever the worker count.
     """
     ids = [claim.claim_id for claim in CLAIMS] if claim_id == "all" else [claim_id]
+    selected = list(map(_resolve, ids))
+    fan_out = threads != 1 and sum(len(instances) for _, instances in selected) > 1
     plans: list[Plan] = []
     refused = []
-    for claim, instances in map(_resolve, ids):
+    for claim, instances in selected:
         if n_lo is not None and not claim.takes_n_lo:
             raise CrankspaceError(f"{claim.claim_id} does not take n_lo")
         lo = claim.n_min if n_lo is None else max(claim.n_min, n_lo)
@@ -774,9 +787,14 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
             raise CrankspaceError(f"empty range: {claim.claim_id} checks nothing "
                                   f"with n_max={n_max} (needs n_max >= {lo})")
         try:
-            plans += [claim.plan(instance, n_max, n_lo, threads) for instance in instances]
+            plans += [claim.plan(instance, n_max, n_lo, 1 if fan_out else threads)
+                      for instance in instances]
         except partitions.BoundExceeded as exc:
             refused.append(f"{claim.claim_id}: {exc}")
     if refused:
         raise partitions.BoundExceeded("; ".join(refused))
-    return [run_plan(plan) for plan in plans]
+    if not fan_out:
+        return [run_plan(plan) for plan in plans]
+    ranked = sorted(plans, key=operator.attrgetter("cost"), reverse=True)
+    reports = dict(zip(ranked, search._pool_map(run_plan, ranked, threads)))
+    return [reports[plan] for plan in plans]

@@ -24,6 +24,10 @@ divisibility test, the audit route for the residue-sum criteria, and
 hat_sums_reference the per-coefficient loop that `cyclotomic.hat_sums` sums
 as strided slices.  edit_span adds terms to a polynomial laid out over
 [-N, N], the reference for the modified builders' edits to a half.
+closed_form_half_reference sums the rank and crank formulas one coefficient
+at a time, the reference for `partitions._closed_form_half`'s strided
+slices, and rank_increases_walk reads conj1.3's counterexamples off every
+coefficient pair, the reference for the suite's one comparison per size.
 colored_coeffs_reference builds p_k one color at a time by the pentagonal
 recurrence, the audit route for `qseries.colored_coeffs`.  spec_slices is
 the one-parity call of the kernel, one spec's (n, slice) pairs, and
@@ -43,6 +47,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Iterator, Sequence
 
+from crankspace import partitions
 from crankspace.cyclotomic import NotDivisible, _check_modulus
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import BoundExceeded
@@ -253,6 +258,36 @@ def edit_span(f: LaurentPoly, N: int, edits: Iterable[tuple[int, int]]) -> Laure
     for e, c in edits:
         cs[e + N] += c
     return LaurentPoly(-N, cs)
+
+
+def closed_form_half_reference(n: int, s: int) -> list[int]:
+    """partitions._closed_form_half(n, s), one coefficient and one term at a time."""
+    p = colored_coeffs(1, n)
+    half = []
+    for m in range(n + 1):
+        total, sign, k = 0, 1, 1
+        while (i := n - k * (s * k - 1) // 2 - k * m) >= 0:
+            total += sign * (p[i] - p[i - k] if i >= k else p[i])
+            sign, k = -sign, k + 1
+        half.append(total)
+    return half
+
+
+def rank_increases_walk(n_lo: int, n_max: int, onset: int) -> list[dict]:
+    """conj1.3's counterexample params, pair by pair: those at n >= onset first, then the rest.
+
+    Reads every size through partitions.rank_poly, so a patch on it applies here too.
+    """
+    within, below = [], []
+    for n in range(n_lo, n_max + 1):
+        f = partitions.rank_poly(n)
+        for m in range(n - 2):
+            a, b = f.coefficient(m), f.coefficient(m + 1)
+            if a < b:
+                (within if n >= onset else below).append(
+                    {"kind": "rank-increase", "within_claim": n >= onset, "n": n, "m": m,
+                     "lhs": a, "rhs": b})
+    return within + below
 
 
 def pentagonal_signs(limit: int) -> list[tuple[int, int]]:

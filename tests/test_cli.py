@@ -265,8 +265,10 @@ class TestSearchCommand:
     def test_threads_flag_never_changes_bytes(self, capsys, monkeypatch):
         # three usable CPUs, so that --threads 3 forks two children on any host
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        # verify all fans its plans out; cut to --n-max 5, it runs every claim in a third of a second
         for argv in (("search", "--k-lo", "3", "--k-hi", "4", "--n-hi", "40"),
-                     ("--format", "json", "verify", "conj1.4", "--n-max", "30")):
+                     ("--format", "json", "verify", "conj1.4", "--n-max", "30"),
+                     ("--format", "json", "verify", "all", "--n-max", "5")):
             runs = []
             for threads in ("1", "2", "3"):
                 code, out, _ = run(capsys, "--threads", threads, *argv)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -24,6 +26,21 @@ def test_package_root_binds_only_its_version_and_modules():
              and not (isinstance(value, types.ModuleType) and value.__name__ == f"crankspace.{name}")]
     assert stray == []
     assert isinstance(crankspace.__version__, str)
+
+
+def test_cli_import_loads_every_layer_module():
+    # The benchmark's contract: perfbench/tracer.py's install() looks each of these
+    # modules up in sys.modules right after `from crankspace import cli`, and fails
+    # with a KeyError if one is not loaded yet.  It holds until ROADMAP item 4 Step B
+    # retires those lookups; till then no layer module may become a lazy import of cli.
+    script = "import sys\nfrom crankspace import cli\nprint(sorted(sys.modules))\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(eval(done.stdout))
+    layers = ("verify", "search", "partitions", "qseries", "cyclotomic", "laurent")
+    assert {f"crankspace.{layer}" for layer in layers} <= loaded
 
 
 def test_refusals_share_one_base():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from crankspace.partitions import (
     POLY_BOUND,
     BoundExceeded,
     InvalidEll,
+    _closed_form_half,
     beta,
     colored_count,
     crank_poly,
@@ -30,6 +32,7 @@ from helpers import (
     ENUMERATION_BOUND,
     EmptyPartition,
     add,
+    closed_form_half_reference,
     crank_of,
     crank_poly_enumerated,
     edit_span,
@@ -189,6 +192,14 @@ class TestClosedFormAgainstSeries:
             assert sum(poly.coeffs) == total
             with pytest.raises(BoundExceeded):
                 builder(POLY_BOUND + 1)
+
+
+class TestClosedFormSlices:
+    @pytest.mark.parametrize("s", [1, 3], ids=["crank", "rank"])
+    def test_strided_slices_match_the_per_coefficient_loop(self, s):
+        sizes = [*range(401), *random.Random(s).sample(range(401, POLY_BOUND), 12), POLY_BOUND]
+        for n in sizes:
+            assert _closed_form_half(n, s) == closed_form_half_reference(n, s), f"mismatch at n={n}"
 
 
 class TestColoredCounts:

@@ -225,6 +225,31 @@ class TestSlotCertificate:
         assert _unpack_half(pack([1, 5, 1, 3]), 4, 8, 1, 13) == [5, 1, 3]
         assert _unpack_half(pack([1, 5, 1, 3], 64), 4, 64, 1, 13) == [5, 1, 3]
 
+    @pytest.mark.parametrize("bits", [72, 120, 136, 200], ids=lambda b: f"{b}-bit")
+    @pytest.mark.parametrize("high", [False, True], ids=["low-limb-only", "high-limbs"])
+    def test_every_width_decodes_as_slot_by_slot(self, bits, high):
+        # 1 to 4 limbs past the low one; with high set, some slots fill every limb
+        rng = random.Random(bits)
+        half = [rng.getrandbits(rng.choice([8, 64, bits]) if high else 64) for _ in range(50)]
+        margin = 4
+        slots = half[margin:0:-1] + half
+        x, nbytes = pack(slots, bits), bits // 8
+        raw = x.to_bytes(len(slots) * nbytes, "little")
+        per_slot = [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
+                    for i in range(len(slots))]
+        assert any(v >> 64 for v in per_slot) == high
+        assert _unpack_half(x, len(slots), bits, margin, 2 * sum(half) - half[0]) == per_slot[margin:]
+
+    @pytest.mark.parametrize("bits", [72, 120, 136, 200], ids=lambda b: f"{b}-bit")
+    @pytest.mark.parametrize("slot", [1, 4, 7], ids=["margin", "centre", "half"])
+    def test_a_flipped_high_limb_bit_is_caught(self, bits, slot):
+        half = [3 << (bits - 8), 5, 1 << 70, 7]
+        slots = half[3:0:-1] + half
+        x, total = pack(slots, bits), 2 * sum(half) - half[0]
+        assert _unpack_half(x, len(slots), bits, 3, total) == half
+        with pytest.raises(SlotOverflow):
+            _unpack_half(x ^ (1 << (bits * slot + bits - 2)), len(slots), bits, 3, total)
+
     def test_margin_must_mirror(self):
         # the sum is right (2 * (5 + 1) - 5 == 7); only the mirror check sees it
         with pytest.raises(SlotOverflow, match="mirror"):

@@ -46,7 +46,7 @@ from crankspace.verify import (
     verify_rank_monotonic,
 )
 
-from helpers import poly_from_json
+from helpers import poly_from_json, rank_increases_walk
 
 
 VIOLATION = Counterexample({"kind": "congruence", "within_claim": True, "n": 1})
@@ -200,6 +200,33 @@ class TestSuitesOnSmallRanges:
         assert all(not ce.params["within_claim"] for ce in rep.counterexamples)
         worst = max(ce.params["n"] for ce in rep.counterexamples)
         assert worst == 38  # wobbles stop right before the onset
+
+    def test_rank_monotonic_reports_what_a_pair_walk_finds(self):
+        rep = run_plan(verify_rank_monotonic(n_lo=0, n_max=60))
+        walked = rank_increases_walk(0, 60, RANK_MONOTONE_ONSET)
+        assert walked  # below-onset increases exist in this range
+        assert [ce.params for ce in rep.counterexamples] == walked
+
+    def test_rank_monotonic_finds_a_planted_increase_above_the_onset(self, monkeypatch):
+        rank = partitions.rank_poly
+
+        def planted(n):
+            # N(11, 50) > N(10, 50) inside the window, N(53, 55) > N(52, 55) at its edge
+            f = rank(n)
+            if n not in (50, 55):
+                return f
+            m = 10 if n == 50 else n - 3
+            coeffs = list(f.coeffs)
+            coeffs[m + 1 - f.lo] = coeffs[m - f.lo] + 1
+            return LaurentPoly(f.lo, coeffs)
+
+        monkeypatch.setattr(partitions, "rank_poly", planted)
+        rep = run_plan(verify_rank_monotonic(n_lo=0, n_max=60))
+        walked = rank_increases_walk(0, 60, RANK_MONOTONE_ONSET)
+        assert [ce.params for ce in rep.counterexamples] == walked
+        assert rep.status == "fail"
+        assert [(ce.params["n"], ce.params["m"]) for ce in rep.counterexamples
+                if ce.params["within_claim"]] == [(50, 10), (55, 52)]
 
     def test_mod_ten_split(self):
         assert run_plan(verify_crank_mod10(n_max=30)).status == "pass"
@@ -356,6 +383,33 @@ class TestClaimRegistry:
         claim, instances = verify._resolve(claim_id)
         for instance in instances:
             claim.plan(instance, n_max, None, 1)
+
+    def test_plans_fan_out_costliest_first_and_report_in_registry_order(self, monkeypatch):
+        # one usable CPU: the fan-out takes the pool's one-worker path, so every
+        # _pool_map call, the suites' own included, is seen here; none forks
+        calls = []
+        pool_map = search._pool_map
+        monkeypatch.setattr(search, "_pool_map",
+                            lambda fn, tasks, threads: calls.append((tasks, threads))
+                            or pool_map(fn, tasks, threads))
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(search.os, "fork", lambda: pytest.fail("forked"), raising=False)
+        plans = [claim.plan(instance, 3, None, 1)
+                 for claim in CLAIMS for instance in claim.ells or claim.instances]
+        reports = run_claims("all", n_max=3, threads=2)
+        assert [r.claim_id for r in reports] == [plan.claim_id for plan in plans]
+        ranked, threads = calls[0]
+        assert threads == 2
+        assert sorted(p.claim_id for p in ranked) == sorted(p.claim_id for p in plans)
+        assert [p.cost for p in ranked] == sorted((p.cost for p in plans), reverse=True)
+        assert ranked[0].claim_id.startswith("cor3.5")
+        # the rest follow every colored scan in registry order
+        assert [p.claim_id for p in ranked if not p.cost] == [p.claim_id for p in plans if not p.cost]
+        assert [threads for _, threads in calls[1:]] == [1, 1]  # conj1.4's and conj4.2's scans
+        calls.clear()
+        run_claims("conj1.3", n_max=3, threads=2)
+        run_claims("thm1.2", n_max=1, threads=1)
+        assert calls == []  # one plan, or one thread: no fan-out
 
     def test_elapsed_covers_the_whole_runner(self, monkeypatch):
         # conj4.2's plan runs its scan, so run_plan times it
