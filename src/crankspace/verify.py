@@ -8,9 +8,9 @@ outside its stated range, or past what a finite scan decides).
 Counterexample payloads carry enough parameters to reproduce the violation,
 plus the offending polynomial where one exists.
 The claim registry at the bottom (CLAIMS, run_claims) names every claim and
-resolves claim ids, their ell variants and their instance patterns; a
-request for several plans runs them on search's fork map, the costliest
-first, and reports them in registry order.
+resolves claim ids, their ell variants and their instance patterns; every
+request runs its plans on search's fork map, the costliest first, and
+reports them in registry order.
 
 Divisibility is decided twice, by the residue-sum criterion and by
 exact_quotient's sparse division, and only in _quotients; a disagreement
@@ -770,13 +770,14 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
     every claim.  None for n_max, n_lo or threads keeps each suite's own
     default.
 
-    Several plans, at threads other than 1, run on search._pool_map, the
-    costliest first, each planned with threads=1 so that no worker forks again;
-    the reports come back in registry order whatever the worker count.
+    The plans run on search._pool_map, the costliest first, so a failure
+    resolves the same way at every worker count; several plans are each
+    planned with threads=1, so that no worker forks again.  The reports come
+    back in registry order whatever the worker count.
     """
     ids = [claim.claim_id for claim in CLAIMS] if claim_id == "all" else [claim_id]
     selected = list(map(_resolve, ids))
-    fan_out = threads != 1 and sum(len(instances) for _, instances in selected) > 1
+    several = sum(len(instances) for _, instances in selected) > 1
     plans: list[Plan] = []
     refused = []
     for claim, instances in selected:
@@ -787,14 +788,12 @@ def run_claims(claim_id: str, n_max: int | None = None, n_lo: int | None = None,
             raise CrankspaceError(f"empty range: {claim.claim_id} checks nothing "
                                   f"with n_max={n_max} (needs n_max >= {lo})")
         try:
-            plans += [claim.plan(instance, n_max, n_lo, 1 if fan_out else threads)
+            plans += [claim.plan(instance, n_max, n_lo, 1 if several else threads)
                       for instance in instances]
         except partitions.BoundExceeded as exc:
             refused.append(f"{claim.claim_id}: {exc}")
     if refused:
         raise partitions.BoundExceeded("; ".join(refused))
-    if not fan_out:
-        return [run_plan(plan) for plan in plans]
     ranked = sorted(plans, key=operator.attrgetter("cost"), reverse=True)
     reports = dict(zip(ranked, search._pool_map(run_plan, ranked, threads)))
     return [reports[plan] for plan in plans]

@@ -407,9 +407,28 @@ class TestClaimRegistry:
         assert [p.claim_id for p in ranked if not p.cost] == [p.claim_id for p in plans if not p.cost]
         assert [threads for _, threads in calls[1:]] == [1, 1]  # conj1.4's and conj4.2's scans
         calls.clear()
-        run_claims("conj1.3", n_max=3, threads=2)
-        run_claims("thm1.2", n_max=1, threads=1)
-        assert calls == []  # one plan, or one thread: no fan-out
+        reports = run_claims("thm1.2", n_max=1, threads=1)
+        assert [r.claim_id for r in reports] == [p.claim_id for p in plans if p.claim_id.startswith("thm1.2")]
+        assert [threads for _, threads in calls] == [1]  # one thread: the same pool, one worker
+        calls.clear()
+        run_claims("conj1.4", n_max=3, threads=2)
+        assert [threads for _, threads in calls] == [2, 2]  # one plan keeps its own fan-out
+
+    def test_the_first_failure_in_cost_order_is_raised_at_every_worker_count(self, monkeypatch):
+        # conj1.3 comes first in the registry, cor3.5-B-k9-ell23 first in cost order
+        plan_runner = verify.run_plan
+
+        def failing(plan):
+            if plan.claim_id in ("conj1.3", "cor3.5-B-k9-ell23"):
+                raise ArithmeticError(plan.claim_id)
+            return plan_runner(plan)
+
+        monkeypatch.setattr(verify, "run_plan", failing)
+        # three usable CPUs, so that --threads 3 forks two workers on any host
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        for threads in (1, 2, 3):
+            with pytest.raises(ArithmeticError, match="^cor3.5-B-k9-ell23$"):
+                run_claims("all", n_max=5, threads=threads)
 
     def test_elapsed_covers_the_whole_runner(self, monkeypatch):
         # conj4.2's plan runs its scan, so run_plan times it
