@@ -34,10 +34,14 @@ change the exact result.  G's coefficients are non-negative and bounded by
 totals read off `colored_coeffs`, so in slots that wide the base-2^bits
 digits of its images are its coefficients, decoded through 64-bit machine
 words at any slot width; two run-time checks certify every decoded half all
-the same, and a failure raises SlotOverflow.  Tests cross-check the kernel
-against a naive LaurentPoly-arithmetic builder, against the factor-by-factor
-shift-add build and against a packed kernel that builds both halves of every
-slice.
+the same, and a failure raises SlotOverflow.  Every step of the division
+is a left shift or an add, so the same division with each integer reduced
+modulo 2^(W*bits) yields a slice's W outermost coefficients exactly, at a
+small fraction of the cost: `top_windows` gives them for one tuple's top
+slice, which the search screens by before it builds.  Tests cross-check
+the kernel against a naive LaurentPoly-arithmetic builder, against the
+factor-by-factor shift-add build and against a packed kernel that builds
+both halves of every slice.
 """
 
 from __future__ import annotations
@@ -210,7 +214,8 @@ def _unpack_half(x: int, nslots: int, bits: int, margin: int, total: int) -> lis
     return half
 
 
-def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool) -> None:
+def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
+                window: int = 0) -> None:
     """Divide the packed entries, in place, by weight aj's theta series (see _geometric_halves).
 
     During the pass, entry m is the image of z^(aj*m) E[m] under z -> 2^bits,
@@ -222,18 +227,30 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool) ->
     shift-add per k (adding E[j] + z^aj E[j] at the next offset) and lands in
     its entry by a second, so each (j, k) pair costs two.  With last set,
     each entry is converted to its half as soon as it has been pushed forward.
+
+    With window set, each entry is reduced modulo 2^(window*bits) before it
+    is pushed forward, and no term whose lowest slot, aj*(k-1)(k-2)/2, is
+    window or above is added: slots 0..window-1 stay exact (top_windows).
     """
     order = len(ints) - 1
     sh = bits * aj
     reframe = bits * (aj - origin)
     for m in range(1, order + 1):
         ints[m] <<= reframe * m
+    mask = (1 << bits * window) - 1
+    reach = order  # the largest k(k-1)/2 pushed; with a window, k = s + 2 for
+    if window:  # the largest s with s(s+1)/2 <= (window-1)//aj
+        s = (math.isqrt(8 * ((window - 1) // aj) + 1) - 1) // 2
+        reach = (s + 2) * (s + 1) // 2
     for j in range(order + 1):
+        if window:
+            ints[j] &= mask
         t = ints[j]
         pair = t + (t << sh)
         run = t
         k, lo, m = 2, 0, j + 1  # m = j + k(k-1)/2, lo = (k-1)(k-2)/2
-        while m <= order:
+        stop = min(order, j + reach)
+        while m <= stop:
             run += pair << (sh * (2 * k - 3))
             if k & 1:
                 ints[m] -= run << (sh * lo)
@@ -244,6 +261,28 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool) ->
             k += 1
         if last:
             ints[j] = t >> (sh * (j - 1)) if j else t << sh
+
+
+def _theta_prefix(r: int, weights: Sequence[int], orders: Sequence[int], bits: int,
+                  window: int = 0) -> list[int]:
+    """Packed entries of (q)_inf^r divided by the theta series of each of weights, in turn.
+
+    (q)_inf^r takes one pentagonal pass per weight, in place from the top, to
+    orders[0]; weights[i]'s theta pass (with window) runs to orders[i + 1],
+    on entries padded with zeros.
+    """
+    ints = [1] + [0] * orders[0]
+    pentagonal = _pentagonal_terms(orders[0])
+    for _ in range(r):
+        for m in range(orders[0], 0, -1):
+            pos, neg = _pentagonal_split(ints, m, pentagonal)
+            ints[m] = pos - neg
+    origin = 0
+    for aj, order in zip(weights, orders[1:]):
+        ints += [0] * (order + 1 - len(ints))
+        _theta_pass(ints, aj, origin, bits, False, window)
+        origin = aj
+    return ints
 
 
 def _geometric_halves(group: Sequence[tuple[int, ...]], order: int,
@@ -264,19 +303,11 @@ def _geometric_halves(group: Sequence[tuple[int, ...]], order: int,
     the terms below z^-c and leaves z^e in slot c + e, which by the
     z -> 1/z symmetry holds the coefficient of z^(c - s) at s = c + e.
     """
-    prefix = [1] + [0] * order
-    pentagonal = _pentagonal_terms(order)
-    for _ in group[0]:  # (q)_inf^r, one pentagonal pass per weight, in place from the top
-        for m in range(order, 0, -1):
-            pos, neg = _pentagonal_split(prefix, m, pentagonal)
-            prefix[m] = pos - neg
-    origin = 0
-    for aj in reversed(group[0][1:]):
-        _theta_pass(prefix, aj, origin, bits, False)
-        origin = aj
+    shared = group[0][1:]
+    prefix = _theta_prefix(len(group[0]), shared[::-1], [order] * len(group[0]), bits)
     for i, a in enumerate(group):
         ints = prefix if i == len(group) - 1 else prefix.copy()
-        _theta_pass(ints, a[0], origin, bits, True)
+        _theta_pass(ints, a[0], max(shared, default=0), bits, True)
         yield ints
 
 
@@ -341,6 +372,46 @@ def iter_ck_slices(group: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes
     bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
     for (a, deltas), ints in zip(group, _geometric_halves([a for a, _ in group], order, bits)):
         yield tuple(_slices(ints, a[0], bits, terms[d], sizes, totals[d]) for d in deltas)
+
+
+def top_windows(a: tuple[int, ...], deltas: Sequence[int], m: int) -> list[list[int]]:
+    """Per delta in deltas, the coefficients of z^(-c*m) .. z^(-c*m + c), c = a_1, of a's q^m slice.
+
+    For m >= 1 that window is the last c + 1 entries of the half that
+    iter_ck_slices yields for (a, delta) at m, reversed, and costs a small
+    fraction of it.  It is the same theta division with every entry kept to
+    its W = c + 1 lowest slots (_theta_pass's window).  Reduction modulo
+    2^(W*bits) after z -> 2^bits is a ring map, and every step is a left
+    shift or an add on a frame whose slot 0 is z^(-a_j*m), so an entry's low
+    W slots depend only on the low W slots of the entries before it.  A pass
+    before the last needs only its orders up to (W - 1) // (the gap to the
+    next weight): the next reframe shifts every later entry out of the
+    window.  For delta 1, each pentagonal term q^g G[m - g] is shifted c*g
+    slots into entry m's frame (those with c*g >= W miss the window), and the
+    positive and negative terms are summed apart.  Each part is the image of
+    a polynomial whose coefficients are non-negative and below 2^bits, by
+    the totals bound iter_ck_slices sizes its slots by, so its low W
+    base-2^bits digits are its coefficients, exactly.
+    """
+    c, w = a[0], a[0] + 1
+    orders = [m]  # what each pass must reach, from a_1's back to (q)_inf^r's
+    for gap in map(operator.sub, a, [*a[1:], 0]):
+        orders.append(min(orders[-1], (w - 1) // gap))
+    terms = _pentagonal_terms(m)
+    colored = colored_coeffs(2 * len(a), m)
+    bits = _slot_width(max(max(_pentagonal_split(colored, m, terms if d else [])) for d in deltas))
+    ints = _theta_prefix(len(a), a[::-1], orders[::-1], bits, w)
+    slot = (1 << bits) - 1
+    windows = []
+    for d in deltas:
+        parts = [ints[m], 0]  # positive, negative
+        for g, sgn in terms if d else []:
+            if c * g >= w:
+                break
+            parts[sgn < 0] += ints[m - g] << (bits * c * g)
+        pos, neg = parts
+        windows.append([(pos >> (bits * s) & slot) - (neg >> (bits * s) & slot) for s in range(w)])
+    return windows
 
 
 def ak_spec(k: int) -> CrankSpec:

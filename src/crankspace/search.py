@@ -4,8 +4,11 @@ The search space for a given color count k is every strictly decreasing
 weight tuple drawn from {1..k}; for each tuple the q^n coefficients of its
 product are scanned below a bound, and the minimal m with "unimodal for all
 m < n < n_hi" follows from the last non-unimodal n.  So the search scans each
-parity from n_hi - 1 down and stops at its first non-unimodal slice; the
-family scan, which tallies every defect, scans them all.  The claims decided
+parity from n_hi - 1 down and stops at its first non-unimodal slice, and
+first screens every parity by the exact outer window of its top slice
+(qseries.top_windows): a window that proves that slice not unimodal settles
+the parity, and only the undecided ones are built.  The family scan, which
+tallies every defect, builds and scans them all.  The claims decided
 from these scans (the first-gap criterion and the families' onsets) live in
 verify.
 
@@ -13,7 +16,7 @@ Work parallelizes over groups of weight tuples that share every weight but
 the largest, one kernel call each (slice_defects), on this process and its
 forks (_pool_map); results merge in input order, so the output is
 byte-identical for any worker count.  One cost model, scan_work, prices a
-scan's theta passes in bit operations: it admits every scan
+scan's full theta passes in bit operations: it admits every scan
 (refuse_past_bound) and orders slice_defects' tasks, the largest first.
 """
 
@@ -240,7 +243,9 @@ def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND
     """The scan_work of exhaustive_search(k_lo, k_hi, n_hi); BoundExceeded past SCAN_WORK_BOUND.
 
     Each k counts all passes of its C(k, r) tuples to q^(n_hi - 1), as if none
-    were shared; each weight 1..k is in C(k - 1, r - 1) of them.
+    were shared; each weight 1..k is in C(k - 1, r - 1) of them.  So every
+    tuple's last pass is priced, also for tuples the top-slice screen settles
+    without a build: an upper bound, which the screen only loosens.
     """
     work = 0
     for k in range(max(k_lo, 3), k_hi + 1):
@@ -271,19 +276,49 @@ def _unimodal_half(half: list[int]) -> bool:
     return half[-1] >= 0 and all(map(operator.ge, half, half[1:]))
 
 
+def _top_screen(group: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], top: int
+                ) -> tuple[dict, dict]:
+    """Split group's (a, delta) parities by the outer window of their q^top slices.
+
+    A window (qseries.top_windows, the end of that slice's half) that rises
+    outward or ends below 0 proves the slice not unimodal: such a parity is
+    returned in the first dict, as {(a, delta): [top]}; every other one in
+    the second, as {(a, delta): its window}.
+    """
+    decided, undecided = {}, {}
+    for a, deltas in group:
+        for delta, window in zip(deltas, qseries.top_windows(a, deltas, top)):
+            if _unimodal_half(window[::-1]):
+                undecided[a, delta] = window
+            else:
+                decided[a, delta] = [top]
+    return decided, undecided
+
+
 def _defects_task(task: tuple[tuple, int, bool]) -> dict[tuple[tuple[int, ...], int], list[int]]:
     """{(a, delta): its non-unimodal n below n_hi, ascending} for one group's members.
 
     Sizes are scanned from the top down; with top_only, each parity stops at
-    its first non-unimodal slice, the only one its caller reads.  Each slice
-    is tested on the certified half the kernel decodes; none is mirrored.
+    its first non-unimodal slice, the only one its caller reads, and the
+    parities whose top slice _top_screen decides are not built: the rest
+    are built as one smaller group (none, if none is left), and the decoded
+    top half of each must end in its window, reversed, or ArithmeticError is
+    raised.  Each slice is tested on the certified half the kernel decodes;
+    none is mirrored.
     """
     group, n_hi, top_only = task
-    defects = {}
-    for (a, deltas), scans in zip(group, qseries.iter_ck_slices(group, range(n_hi - 1, 0, -1))):
+    top = n_hi - 1
+    defects, windows = _top_screen(group, top) if top_only else ({}, {})
+    group = [(a, kept) for a, deltas in group
+             if (kept := tuple(d for d in deltas if (a, d) not in defects))]
+    built = qseries.iter_ck_slices(group, range(top, 0, -1)) if group else ()
+    for (a, deltas), scans in zip(group, built):
         for delta, scan in zip(deltas, scans):
             bad = []
             for n, half in scan:
+                if top_only and n == top and half[: -a[0] - 2 : -1] != windows[a, delta]:
+                    raise ArithmeticError(f"the q^{top} window of weights {a}, delta {delta}, "
+                                          "differs from the end of its built half")
                 if not _unimodal_half(half):
                     bad.append(n)
                     if top_only:
@@ -299,13 +334,15 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     The one slice scan: exhaustive_search reads its thresholds from these
     lists, check_family_unimodality its defects.  With top_only, each list
     holds at most the largest such n, since the scan runs from n_hi - 1
-    down and stops at it: that is all exhaustive_search reads.  Slices need
-    no symmetry check and no polynomial: the kernel builds each one as a
-    palindrome's half, and the unimodality test reads that half.  Each
-    task, one group of tuples that share every weight but the largest, runs
-    the shared passes once and each tuple's last pass once for all of its
-    specs' parities; tasks start largest first by the scan_work of those
-    passes, so no large group is left to run alone at the end.
+    down and stops at it: that is all exhaustive_search reads; a spec whose
+    top slice its outer window proves not unimodal gets [n_hi - 1] with no
+    build (_defects_task).  Slices need no symmetry check and no
+    polynomial: the kernel builds each one as a palindrome's half, and the
+    unimodality test reads that half.  Each task, one group of tuples that
+    share every weight but the largest, runs the shared passes once and each
+    built tuple's last pass once for all of its specs' parities; tasks start
+    largest first by the scan_work of all those passes, screened or not, so
+    no large group is left to run alone at the end.
     Results follow the order of `specs`, whatever the worker count.
     """
     if n_hi < 2:

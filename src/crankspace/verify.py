@@ -574,7 +574,7 @@ def check_family_unimodality(n_hi: int = 100, threads: int | None = None) -> Pla
             below = [n for n in bad if n < onset]
             for n in bad:
                 if n >= onset:
-                    violations.append(_violation("not-unimodal", kind=kind, k=k, n=n))
+                    violations.append(_violation("not-unimodal", family=kind, k=k, n=n))
             if below:
                 below_notes.append(f"{kind}{k} at {below}")
         note = (f"k in [3, 12], 1 <= n < {n_hi}, "

@@ -25,6 +25,7 @@ from crankspace.qseries import (
     bk_spec,
     colored_coeffs,
     iter_ck_slices,
+    top_windows,
 )
 from crankspace.search import crank_space
 from crankspace.verify import FAMILIES
@@ -250,6 +251,19 @@ class TestSlotCertificate:
         with pytest.raises(SlotOverflow):
             _unpack_half(x ^ (1 << (bits * slot + bits - 2)), len(slots), bits, 3, total)
 
+    @pytest.mark.parametrize("bits", [64, 72, 120, 136, 200], ids=lambda b: f"{b}-bit")
+    def test_big_endian_hosts_decode_slot_by_slot(self, monkeypatch, bits):
+        rng = random.Random(bits)
+        half = [rng.getrandbits(rng.choice([8, 64, bits])) for _ in range(50)]
+        margin = 4
+        slots = half[margin:0:-1] + half
+        x, total = pack(slots, bits), 2 * sum(half) - half[0]
+        by_limbs = _unpack_half(x, len(slots), bits, margin, total)
+        monkeypatch.setattr(crankspace.qseries.sys, "byteorder", "big")
+        assert _unpack_half(x, len(slots), bits, margin, total) == by_limbs == half
+        with pytest.raises(SlotOverflow):
+            _unpack_half(x ^ (1 << (bits * 7 + bits - 2)), len(slots), bits, margin, total)
+
     def test_margin_must_mirror(self):
         # the sum is right (2 * (5 + 1) - 5 == 7); only the mirror check sees it
         with pytest.raises(SlotOverflow, match="mirror"):
@@ -349,6 +363,38 @@ class TestThetaBuild:
     def test_group_members_must_share_all_but_the_largest_weight(self):
         with pytest.raises(ValueError, match="must differ only in their largest weight"):
             list(iter_ck_slices([((3, 2), (0,)), ((3, 1), (0,))], range(5)))
+
+
+class TestTopWindows:
+    """The search screen's window of a top slice is the end of that slice's built half."""
+
+    def test_window_is_the_reversed_end_of_the_top_half(self):
+        # every tuple with 3 <= k <= 12 at n_hi 2, 3 and 12, and with k 3..8 at 30, in k's parity
+        checked = 0
+        for n_hi, k_hi in ((2, 12), (3, 12), (12, 12), (30, 8)):
+            for k in range(3, k_hi + 1):
+                groups: dict = {}  # built as the search builds them, sharing a[1:]
+                for spec in crank_space(k):
+                    groups.setdefault(spec.a[1:], []).append((spec.a, (k % 2,)))
+                for group in groups.values():
+                    for (a, deltas), [scan] in zip(group, iter_ck_slices(group, [n_hi - 1])):
+                        [(_, half)] = scan
+                        assert top_windows(a, deltas, n_hi - 1) == [half[: -a[0] - 2 : -1]], (a, k, n_hi)
+                        checked += 1
+        assert checked == 5868
+
+    def test_windowed_passes_keep_every_entry_inside_the_window(self, monkeypatch):
+        theta_pass, passes = crankspace.qseries._theta_pass, []
+
+        def spy(ints, aj, origin, bits, last, window=0):
+            theta_pass(ints, aj, origin, bits, last, window)
+            assert window and all(0 <= x < 1 << (bits * window) for x in ints)
+            passes.append(aj)
+
+        monkeypatch.setattr(crankspace.qseries, "_theta_pass", spy)
+        for a in [(3, 2), (5, 3, 1), (7, 6, 4, 2), (12, 11, 10, 9, 8, 7)]:
+            top_windows(a, (0, 1), 59)
+        assert len(passes) == 15
 
 
 def one_parity_builds(a: tuple[int, ...], sizes: range) -> list[tuple[int, tuple[LaurentPoly, ...]]]:

@@ -196,25 +196,39 @@ class TestExhaustiveSearch:
             pooled = run_plan(check_family_unimodality(n_hi=30, threads=threads))
             assert serial._replace(elapsed_s=0) == pooled._replace(elapsed_s=0)
 
-    @pytest.mark.parametrize("scan,tuples,prefixes,passes", [
-        # 39 specs; one (q)_inf^r and a[1:] per prefix, one last pass per tuple
-        (lambda: exhaustive_search(3, 6, n_hi=20, threads=1), 26, 13, 49),
-        # 13 families
-        (lambda: run_plan(check_family_unimodality(n_hi=20, threads=1)), 8, 8, 35),
+    @pytest.mark.parametrize("scan,screened,tuples,prefixes,passes", [
+        # 39 specs of 26 tuples, each screened; one (q)_inf^r and a[1:] per
+        # prefix, one last pass per tuple the screen leaves undecided
+        (lambda: exhaustive_search(3, 6, n_hi=20, threads=1), 26, 13, 13, 36),
+        # 13 families, unscreened: the family scan reads every defect
+        (lambda: run_plan(check_family_unimodality(n_hi=20, threads=1)), 0, 8, 8, 35),
     ], ids=["table1-tuples", "families"])
-    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, tuples, prefixes, passes):
-        groups, theta_passes = [], []
+    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, screened, tuples, prefixes,
+                                              passes):
+        groups, theta_passes, windows = [], [], {}
         build, theta_pass = qseries._geometric_halves, qseries._theta_pass
+        top_windows = qseries.top_windows
+
+        def full_pass(ints, aj, origin, bits, last, window=0):
+            if not window:  # the screen's windowed passes are not counted
+                theta_passes.append(aj)
+            theta_pass(ints, aj, origin, bits, last, window)
+
         monkeypatch.setattr(qseries, "_geometric_halves",
                             lambda group, *args: groups.append(tuple(group)) or build(group, *args))
-        monkeypatch.setattr(qseries, "_theta_pass",
-                            lambda *args: theta_passes.append(args[1]) or theta_pass(*args))
+        monkeypatch.setattr(qseries, "_theta_pass", full_pass)
+        monkeypatch.setattr(qseries, "top_windows",
+                            lambda a, *args: windows.setdefault(a, top_windows(a, *args)))
         scan()
         packed = [a for group in groups for a in group]
         assert len(packed) == len(set(packed)) == tuples
         shared = [group[0][1:] for group in groups]
         assert len(shared) == len(set(shared)) == prefixes
         assert len(theta_passes) == passes
+        assert len(windows) == screened
+        if screened:  # built are exactly the tuples with a parity the window left undecided
+            assert set(packed) == {a for a, found in windows.items()
+                                   if any(search._unimodal_half(w[::-1]) for w in found)}
 
     def test_tasks_start_largest_first(self, monkeypatch):
         handed = []
@@ -269,6 +283,41 @@ class TestExhaustiveSearch:
             assert (data["threshold"], data["eventually_unimodal"]) == (
                 back.threshold, back.eventually_unimodal)
             assert data["k"] == 3 and isinstance(data["a"], list)
+
+
+class TestTopScreen:
+    def test_a_screen_that_decides_nothing_changes_no_result(self, monkeypatch):
+        three_cpus(monkeypatch)
+        threads = (1, 2, 3)
+        screened = [exhaustive_search(3, 8, n_hi=30, threads=t) for t in threads]
+        reports = [run_plan(check_first_gap_criterion(n_hi=30, threads=t))._replace(elapsed_s=0)
+                   for t in threads]
+        assert {r.eventually_unimodal for r in screened[0]} == {True, False}
+
+        def decide_nothing(group, top):  # every parity undecided, with its true window
+            return {}, {(a, d): w for a, deltas in group
+                        for d, w in zip(deltas, qseries.top_windows(a, deltas, top))}
+
+        monkeypatch.setattr(search, "_top_screen", decide_nothing)
+        for t, results, report in zip(threads, screened, reports):
+            assert exhaustive_search(3, 8, n_hi=30, threads=t) == results == screened[0]
+            assert run_plan(check_first_gap_criterion(n_hi=30, threads=t))._replace(elapsed_s=0) == report
+
+    def test_a_window_that_differs_from_the_built_half_is_a_fault(self, monkeypatch, capsys):
+        top_windows = qseries.top_windows
+
+        def planted(a, deltas, m):
+            windows = top_windows(a, deltas, m)
+            if a == (3, 2):  # undecided in both parities; it stays so with its innermost slot raised
+                windows = [w[:-1] + [w[-1] + 1] for w in windows]
+                assert all(search._unimodal_half(w[::-1]) for w in windows)
+            return windows
+
+        monkeypatch.setattr(qseries, "top_windows", planted)
+        assert cli.main(["search", "table1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "ArithmeticError" in captured.err
 
 
 class TestHalfUnimodality:

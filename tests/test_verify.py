@@ -21,6 +21,9 @@ from crankspace.partitions import (
 from crankspace.verify import (
     CLAIMS,
     CONSTANCY_K_MAX,
+    FAMILIES,
+    FAMILY_A_ONSET,
+    FAMILY_B_ONSET,
     CRANK_UNIMODAL_ONSET,
     H_VALUES,
     RANK_MONOTONE_ONSET,
@@ -32,6 +35,7 @@ from crankspace.verify import (
     Report,
     enumerate_congruence_cases,
     VARIANTS,
+    check_family_unimodality,
     rank_asymptotic_samples,
     run_claims,
     run_plan,
@@ -284,6 +288,29 @@ class TestSliceCheckFailures:
             for n in (0, 1)
         ]
         assert rep.counterexamples[0].poly == off
+
+    def test_family_defect_at_its_onset_fails_conj1_4(self, monkeypatch, capsys):
+        scan = search.slice_defects
+        planted = {("A", 5): [FAMILY_A_ONSET - 1, FAMILY_A_ONSET], ("B", 7): [FAMILY_B_ONSET]}
+
+        def defects(specs, n_hi, threads):
+            found = scan(specs, n_hi, threads)
+            return [sorted({*bad, *planted.get(family, [])}) for family, bad in zip(FAMILIES, found)]
+
+        monkeypatch.setattr(search, "slice_defects", defects)
+        rep = run_plan(check_family_unimodality(n_hi=30))
+        assert rep.status == "fail"
+        assert [c.params for c in rep.counterexamples] == [
+            {"kind": "not-unimodal", "within_claim": True, "family": "A", "k": 5, "n": FAMILY_A_ONSET},
+            {"kind": "not-unimodal", "within_claim": True, "family": "B", "k": 7, "n": FAMILY_B_ONSET},
+        ]
+        # the planted defect below the onset is only tallied
+        assert re.search(rf"A5 at \[[^]]*\b{FAMILY_A_ONSET - 1}\];", rep.range)
+        assert cli.main(["verify", "conj1.4", "--n-max", "29"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("conj1.4: FAIL (")
+        assert (f"  - {{'kind': 'not-unimodal', 'within_claim': True, 'family': 'B', 'k': 7, "
+                f"'n': {FAMILY_B_ONSET}}}\n") in out
 
     @pytest.mark.parametrize(
         "suite,params,route",
