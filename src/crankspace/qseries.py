@@ -238,8 +238,8 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
     for m in range(1, order + 1):
         ints[m] <<= reframe * m
     mask = (1 << bits * window) - 1
-    reach = order  # the largest k(k-1)/2 pushed; with a window, k = s + 2 for
-    if window:  # the largest s with s(s+1)/2 <= (window-1)//aj
+    reach = order  # the largest k(k-1)/2 pushed
+    if window:  # k = s + 2 for the largest s with s(s+1)/2 <= (window-1)//aj
         s = (math.isqrt(8 * ((window - 1) // aj) + 1) - 1) // 2
         reach = (s + 2) * (s + 1) // 2
     for j in range(order + 1):
