@@ -18,8 +18,7 @@ The factors of the a = 0 copies cancel against the numerators, so each
 product is a geometric stage G = prod_a prod_n 1/((1-z^a q^n)(1-z^-a q^n)),
 whose coefficients are all non-negative, times prod (1-q^n) for odd k (the
 pentagonal-number expansion).  G depends only on the weights, so one build
-serves both parities, and one call builds a group of tuples that share
-every weight but the largest (`iter_ck_slices`).
+serves both parities: one call of `iter_ck_slices` builds one weight tuple.
 
 G is built by division by theta series, not factor by factor.  By the Jacobi
 triple product, (q)_inf prod_n (1-z^a q^n)(1-z^-a q^n) is the sparse series
@@ -216,7 +215,7 @@ def _unpack_half(x: int, nslots: int, bits: int, margin: int, total: int) -> lis
 
 def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
                 window: int = 0) -> None:
-    """Divide the packed entries, in place, by weight aj's theta series (see _geometric_halves).
+    """Divide the packed entries, in place, by weight aj's theta series (see iter_ck_slices).
 
     During the pass, entry m is the image of z^(aj*m) E[m] under z -> 2^bits,
     a polynomial because E[m] spans z^(-aj*m)..z^(aj*m), so every shift is a
@@ -285,32 +284,6 @@ def _theta_prefix(r: int, weights: Sequence[int], orders: Sequence[int], bits: i
     return ints
 
 
-def _geometric_halves(group: Sequence[tuple[int, ...]], order: int,
-                      bits: int) -> Iterator[list[int]]:
-    """Entries 0..order of G, the geometric stage, packed as halves, for each tuple a in group.
-
-    The tuples share every weight but the largest, a[1:].  Slot s (width
-    `bits`) of entry m holds the coefficient of z^(c - s), c = a_1: the
-    z^e, e <= c, part of G's q^m coefficient.  G is the scalar (q)_inf^r
-    divided by one theta series per weight, ascending, so a_1 is always the
-    last pass: the prefix, (q)_inf^r and the passes of a[1:], is built once,
-    and each member's last pass runs on a copy of it (the last member's on
-    the prefix itself, so a group of one holds no copy).  The integers are
-    exact images whatever their sign, and whatever slots overflow on the
-    way.  G's coefficients are non-negative and smaller than 2^bits at the
-    slot width iter_ck_slices picks, so the image's base-2^bits digits are
-    those coefficients: the final right shift by c*(m-1) slots drops exactly
-    the terms below z^-c and leaves z^e in slot c + e, which by the
-    z -> 1/z symmetry holds the coefficient of z^(c - s) at s = c + e.
-    """
-    shared = group[0][1:]
-    prefix = _theta_prefix(len(group[0]), shared[::-1], [order] * len(group[0]), bits)
-    for i, a in enumerate(group):
-        ints = prefix if i == len(group) - 1 else prefix.copy()
-        _theta_pass(ints, a[0], max(shared, default=0), bits, True)
-        yield ints
-
-
 def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], sizes: list[int],
             totals: list[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:
     """(m, half of the q^m coefficient) for m in sizes: one parity's scan of one packed G."""
@@ -323,55 +296,60 @@ def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], si
         yield m, half
 
 
-def iter_ck_slices(group: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes: Iterable[int]
-                   ) -> Iterator[tuple[Iterator[tuple[int, list[int]]], ...]]:
-    """Per member (a, deltas) of group, one slice scan per delta, over sizes.
+def iter_ck_slices(a: tuple[int, ...], deltas: Sequence[int], sizes: Iterable[int]
+                   ) -> Iterator[Iterator[tuple[int, list[int]]]]:
+    """Per delta in deltas, one slice scan of weights a's product, over sizes.
 
-    A member's products have weights a and, for each delta in deltas, delta
-    copies of prod (1-q^n).  For each member, in the order of group, this
-    yields one iterator per delta, in the order of deltas, of
-    (m, half of the q^m coefficient) for m in sizes, in their order.  A scan
-    decodes each slice only when it is asked for, so a caller that stops a
-    scan early pays for no slice past it.  Each weight enters as
-    (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every slice is a palindrome:
-    only its z^e, e <= 0, half is built, and it is yielded as the list of
-    its z^0, z^-1, ... coefficients (`LaurentPoly.from_half` mirrors it).
+    The products have weights a and, for each delta, delta copies of
+    prod (1-q^n).  This yields one iterator per delta, in the order of
+    deltas, of (m, half of the q^m coefficient) for m in sizes, in their
+    order; its first next() packs G, the geometric stage, up to max(sizes),
+    once for all of them.  A scan decodes each slice only when it is asked
+    for, so a caller that stops a scan early pays for no slice past it.
+    Each weight enters as (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every
+    slice is a palindrome: only its z^e, e <= 0, half is built, and it is
+    yielded as the list of its z^0, z^-1, ... coefficients
+    (`LaurentPoly.from_half` mirrors it).  Negative sizes raise
+    CrankspaceError.
 
-    The members must share every weight but the largest, a[1:]: G is packed
-    by `_geometric_halves` once per member for all its deltas, up to
-    max(sizes), and only a_1's theta pass is run per member.  Slot s of
-    entry m then holds the coefficient of z^(c - s), c = a_1.  The entries
-    share one origin, so each slice sums its own pentagonal terms (delta = 1
-    only) unshifted into separate non-negative pos/neg packed integers, and
-    slots never borrow; that sum and the unpacking are done per requested
-    slice, so skipped sizes cost nothing and the dense polynomials never all
-    coexist.  Negative sizes, or members that differ past their largest
-    weight, raise CrankspaceError.
+    G is the scalar (q)_inf^r divided by one theta series per weight,
+    ascending, so a_1's pass is the last, and it leaves slot s of entry m
+    holding the coefficient of z^(c - s), c = a_1.  The integers are exact
+    images whatever their sign, and whatever slots overflow on the way.
+    G's coefficients are non-negative and below 2^bits, so the image's
+    base-2^bits digits are those coefficients: the last pass's right shift
+    by c*(m-1) slots drops exactly the terms below z^-c and leaves z^e in
+    slot c + e, which by the z -> 1/z symmetry holds the coefficient of
+    z^(c - s) at s = c + e.  The entries share one origin, so each slice
+    sums its own pentagonal terms (delta = 1 only) unshifted into separate
+    non-negative pos/neg packed integers, and slots never borrow; that sum
+    and the unpacking are done per requested slice, so skipped sizes cost
+    nothing and the dense polynomials never all coexist.
 
     Slot widths are exact: at z = 1 G is prod (1-q^n)^(-F), F = 2r, so the
     coefficients of a slice's pos part sum to p_F(m) plus its positive
     p_F(m - g) terms and those of its neg part to its negative ones; no
     coefficient exceeds its part's total, and none of G's up to the top
     requested size exceeds p_F of that size.  The slot is as wide as the
-    largest total over every requested size and every delta any member
-    asks for, so it is exact for the widest parity and wide enough for the
-    others; `_unpack_half` certifies each decoded part all the same.
-    Weights (1,) with delta 1 give the raw crank factor, whose
-    q^n coefficient for n >= 2 is the crank polynomial that
-    `partitions.crank_poly` computes from the Andrews-Garvan formula instead.
+    largest total over every requested size and every delta, so it is exact
+    for the widest parity and wide enough for the other; `_unpack_half`
+    certifies each decoded part all the same.  Weights (1,) with delta 1
+    give the raw crank factor, whose q^n coefficient for n >= 2 is the crank
+    polynomial that `partitions.crank_poly` computes from the Andrews-Garvan
+    formula instead.
     """
     sizes = list(sizes)
     if min(sizes, default=0) < 0:
         raise CrankspaceError(f"slice sizes must be >= 0, got {min(sizes)}")
-    if len({a[1:] for a, _ in group}) > 1:
-        raise CrankspaceError("a group's weight tuples must differ only in their largest weight")
     order = max(sizes, default=0)
-    terms = {d: _pentagonal_terms(order) if d else [] for _, deltas in group for d in deltas}
-    colored = colored_coeffs(2 * len(group[0][0]), order)
+    terms = {d: _pentagonal_terms(order) if d else [] for d in deltas}
+    colored = colored_coeffs(2 * len(a), order)
     totals = {d: [_pentagonal_split(colored, m, t) for m in sizes] for d, t in terms.items()}
     bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
-    for (a, deltas), ints in zip(group, _geometric_halves([a for a, _ in group], order, bits)):
-        yield tuple(_slices(ints, a[0], bits, terms[d], sizes, totals[d]) for d in deltas)
+    ints = _theta_prefix(len(a), a[:0:-1], [order] * len(a), bits)
+    _theta_pass(ints, a[0], max(a[1:], default=0), bits, True)
+    for d in deltas:
+        yield _slices(ints, a[0], bits, terms[d], sizes, totals[d])
 
 
 def top_windows(a: tuple[int, ...], deltas: Sequence[int], m: int) -> list[list[int]]:

@@ -12,12 +12,12 @@ tallies every defect, builds and scans them all.  The claims decided
 from these scans (the first-gap criterion and the families' onsets) live in
 verify.
 
-Work parallelizes over groups of weight tuples that share every weight but
-the largest, one kernel call each (slice_defects), on this process and its
-forks (_pool_map); results merge in input order, so the output is
-byte-identical for any worker count.  One cost model, scan_work, prices a
-scan's full theta passes in bit operations: it admits every scan
-(refuse_past_bound) and orders slice_defects' tasks, the largest first.
+Work parallelizes over weight tuples, one kernel call each (slice_defects),
+on this process and its forks (_pool_map); results merge in input order, so
+the output is byte-identical for any worker count.  One cost model,
+scan_work, prices a scan's full theta passes in bit operations: it admits
+every scan (refuse_past_bound) and orders slice_defects' tasks, the largest
+first.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from .qseries import CrankSpec
 DEFAULT_SCAN_BOUND = 75
 # The largest scan the package starts, in modelled bit operations (scan_work):
 # the model cost of cor3.5-B-k11-ell5 --n-max 117, weights (8, 7, 6, 5, 3, 2)
-# to q^589, which takes 11-12 s and a 131 MB peak RSS on one core of a 2-core VM.
+# to q^589, which takes 11-15 s and a 131 MB peak RSS on one core of a 2-core VM.
+# Fewer weights reach further in q under it and hold more: the largest admitted
+# peak found is 168 MB, cor3.5-A-k4-ell7 --n-max 179 (q^1259, 11-12 s).
 SCAN_WORK_BOUND = 126_385_122_240
 
 
@@ -242,10 +244,10 @@ def refuse_past_bound(work: int, request: str) -> None:
 def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND) -> int:
     """The scan_work of exhaustive_search(k_lo, k_hi, n_hi); BoundExceeded past SCAN_WORK_BOUND.
 
-    Each k counts all passes of its C(k, r) tuples to q^(n_hi - 1), as if none
-    were shared; each weight 1..k is in C(k - 1, r - 1) of them.  So every
-    tuple's last pass is priced, also for tuples the top-slice screen settles
-    without a build: an upper bound, which the screen only loosens.
+    Each k counts all r passes of each of its C(k, r) tuples to q^(n_hi - 1),
+    since each tuple is built alone; each weight 1..k is in C(k - 1, r - 1)
+    of them.  So every tuple is priced, also one that the top-slice screen
+    settles without a build: an upper bound, which the screen only loosens.
     """
     work = 0
     for k in range(max(k_lo, 3), k_hi + 1):
@@ -276,54 +278,50 @@ def _unimodal_half(half: list[int]) -> bool:
     return half[-1] >= 0 and all(map(operator.ge, half, half[1:]))
 
 
-def _top_screen(group: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], top: int
-                ) -> tuple[dict, dict]:
-    """Split group's (a, delta) parities by the outer window of their q^top slices.
+def _top_screen(a: tuple[int, ...], deltas: tuple[int, ...], top: int) -> tuple[dict, dict]:
+    """Split weights a's parities deltas by the outer window of their q^top slices.
 
     A window (qseries.top_windows, the end of that slice's half) that rises
     outward or ends below 0 proves the slice not unimodal: such a parity is
-    returned in the first dict, as {(a, delta): [top]}; every other one in
-    the second, as {(a, delta): its window}.
+    returned in the first dict, as {delta: [top]}; every other one in the
+    second, as {delta: its window}.
     """
     decided, undecided = {}, {}
-    for a, deltas in group:
-        for delta, window in zip(deltas, qseries.top_windows(a, deltas, top)):
-            if _unimodal_half(window[::-1]):
-                undecided[a, delta] = window
-            else:
-                decided[a, delta] = [top]
+    for delta, window in zip(deltas, qseries.top_windows(a, deltas, top)):
+        if _unimodal_half(window[::-1]):
+            undecided[delta] = window
+        else:
+            decided[delta] = [top]
     return decided, undecided
 
 
-def _defects_task(task: tuple[tuple, int, bool]) -> dict[tuple[tuple[int, ...], int], list[int]]:
-    """{(a, delta): its non-unimodal n below n_hi, ascending} for one group's members.
+def _defects_task(task: tuple[tuple[int, ...], tuple[int, ...], int, bool]) -> dict[int, list[int]]:
+    """{delta: its non-unimodal n below n_hi, ascending} for one weight tuple's parities.
 
     Sizes are scanned from the top down; with top_only, each parity stops at
     its first non-unimodal slice, the only one its caller reads, and the
-    parities whose top slice _top_screen decides are not built: the rest
-    are built as one smaller group (none, if none is left), and the decoded
-    top half of each must end in its window, reversed, or ArithmeticError is
-    raised.  Each slice is tested on the certified half the kernel decodes;
-    none is mirrored.
+    parities whose top slice _top_screen decides are not built: the tuple is
+    built for the rest only (not at all, if none is left, since zip stops at
+    the empty list before it starts the build), and the decoded top half of
+    each must end in its window, reversed, or ArithmeticError is raised.
+    Each slice is tested on the certified half the kernel decodes; none is
+    mirrored.
     """
-    group, n_hi, top_only = task
+    a, deltas, n_hi, top_only = task
     top = n_hi - 1
-    defects, windows = _top_screen(group, top) if top_only else ({}, {})
-    group = [(a, kept) for a, deltas in group
-             if (kept := tuple(d for d in deltas if (a, d) not in defects))]
-    built = qseries.iter_ck_slices(group, range(top, 0, -1)) if group else ()
-    for (a, deltas), scans in zip(group, built):
-        for delta, scan in zip(deltas, scans):
-            bad = []
-            for n, half in scan:
-                if top_only and n == top and half[: -a[0] - 2 : -1] != windows[a, delta]:
-                    raise ArithmeticError(f"the q^{top} window of weights {a}, delta {delta}, "
-                                          "differs from the end of its built half")
-                if not _unimodal_half(half):
-                    bad.append(n)
-                    if top_only:
-                        break
-            defects[a, delta] = bad[::-1]
+    defects, windows = _top_screen(a, deltas, top) if top_only else ({}, {})
+    kept = [d for d in deltas if d not in defects]
+    for delta, scan in zip(kept, qseries.iter_ck_slices(a, kept, range(top, 0, -1))):
+        bad = []
+        for n, half in scan:
+            if top_only and n == top and half[: -a[0] - 2 : -1] != windows[delta]:
+                raise ArithmeticError(f"the q^{top} window of weights {a}, delta {delta}, "
+                                      "differs from the end of its built half")
+            if not _unimodal_half(half):
+                bad.append(n)
+                if top_only:
+                    break
+        defects[delta] = bad[::-1]
     return defects
 
 
@@ -338,26 +336,22 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     top slice its outer window proves not unimodal gets [n_hi - 1] with no
     build (_defects_task).  Slices need no symmetry check and no
     polynomial: the kernel builds each one as a palindrome's half, and the
-    unimodality test reads that half.  Each task, one group of tuples that
-    share every weight but the largest, runs the shared passes once and each
-    built tuple's last pass once for all of its specs' parities; tasks start
-    largest first by the scan_work of all those passes, screened or not, so
-    no large group is left to run alone at the end.
+    unimodality test reads that half.  Each task is one weight tuple, built
+    once for all of its specs' parities; tasks start largest first by the
+    scan_work of that build, screened or not, so no large tuple is left to
+    run alone at the end.
     Results follow the order of `specs`, whatever the worker count.
     """
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
     specs = list(specs)
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, None]]] = {}  # insertion-ordered
+    tuples: dict[tuple[int, ...], dict[int, None]] = {}  # insertion-ordered
     for spec in specs:
-        groups.setdefault(spec.a[1:], {}).setdefault(spec.a, {})[spec.delta] = None
-    # the shared passes once, then one last pass per member
-    work = {prefix: scan_work(len(prefix) + 1, n_hi - 1, len(prefix) + len(members),
-                              sum(prefix) + sum(a[0] for a in members))
-            for prefix, members in groups.items()}
-    tasks = [(tuple((a, tuple(deltas)) for a, deltas in groups[prefix].items()), n_hi, top_only)
-             for prefix in sorted(groups, key=work.get, reverse=True)]
+        tuples.setdefault(spec.a, {})[spec.delta] = None
+    tasks = sorted(((a, tuple(deltas), n_hi, top_only) for a, deltas in tuples.items()),
+                   key=lambda task: scan_work(len(task[0]), n_hi - 1, len(task[0]), sum(task[0])),
+                   reverse=True)
     found = {}
-    for defects in _pool_map(_defects_task, tasks, threads):
-        found.update(defects)
+    for (a, *_), defects in zip(tasks, _pool_map(_defects_task, tasks, threads)):
+        found.update(((a, delta), bad) for delta, bad in defects.items())
     return [found[spec.a, spec.delta] for spec in specs]

@@ -23,6 +23,7 @@ except the quarantined floating-point asymptotic diagnostic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -278,16 +279,13 @@ def verify_rank_monotonic(n_max: int = 200, n_lo: int = 1) -> Plan:
         for n in range(n_lo, n_max + 1):
             f = partitions.rank_poly(n)
             run = f.coeffs[-f.lo :]  # N(0, n), N(1, n), ...: a rank polynomial starts at z^-(n-1)
-            if all(map(operator.ge, run[: n - 2], run[1 : n - 1])):
-                continue
-            for m in range(0, n - 2):
-                a, b = f.coefficient(m), f.coefficient(m + 1)
-                if a < b:
-                    if n >= RANK_MONOTONE_ONSET:
-                        violations.append(_violation("rank-increase", n=n, m=m, lhs=a, rhs=b))
-                    else:
-                        infos.append(_info("rank-increase", n=n, m=m, lhs=a, rhs=b))
-                        worst_below = n
+            for m in itertools.compress(range(n - 2), map(operator.lt, run, run[1 : n - 1])):
+                a, b = run[m], run[m + 1]
+                if n >= RANK_MONOTONE_ONSET:
+                    violations.append(_violation("rank-increase", n=n, m=m, lhs=a, rhs=b))
+                else:
+                    infos.append(_info("rank-increase", n=n, m=m, lhs=a, rhs=b))
+                    worst_below = n
         note = f"n in [{n_lo}, {n_max}], claim onset n >= {RANK_MONOTONE_ONSET}"
         if worst_below is not None:
             note += f"; largest below-onset violation at n={worst_below}"
@@ -499,7 +497,7 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
 
     def work():
         sizes = range(case.delta, top + 1, case.ell)
-        [(built,)] = qseries.iter_ck_slices([(spec.a, (spec.delta,))], sizes)
+        [built] = qseries.iter_ck_slices(spec.a, (spec.delta,), sizes)
         slices = (({"n": n, "size": size}, size, LaurentPoly.from_half(half))
                   for n, (size, half) in enumerate(built))
         violations, wobbles, negatives = _check_slices(slices, case.ell, onset, onset)

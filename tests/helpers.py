@@ -15,7 +15,7 @@ full_spectrum_slices builds the colored-crank slices on a packed kernel that
 computes both halves of every slice, the audit route for the half-spectrum
 kernel and for the z -> 1/z symmetry it relies on.  shift_add_half packs the
 kernel's geometric stage factor by factor, N^2 shift-adds per weight, the
-audit route for the theta-series division in `qseries._geometric_halves`.
+audit route for the theta-series division that `qseries.iter_ck_slices` runs.
 phi builds the three cyclotomic divisors as polynomials, and
 schoolbook_quotient divides by any nonzero polynomial by long division: the
 audit route for `cyclotomic.exact_quotient`, which divides by Phi_ell's
@@ -173,17 +173,16 @@ def poly_from_json(data: dict) -> LaurentPoly:
 
 def spec_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
     """(n, q^n coefficient of spec's product) for n in sizes: the kernel's halves, mirrored."""
-    [(scan,)] = iter_ck_slices([(spec.a, (spec.delta,))], sizes)
+    [scan] = iter_ck_slices(spec.a, (spec.delta,), sizes)
     for n, half in scan:
         yield n, LaurentPoly.from_half(half)
 
 
 def tuple_slices(a: tuple[int, ...], deltas: Sequence[int],
                  sizes: Iterable[int]) -> list[tuple[int, tuple[LaurentPoly, ...]]]:
-    """Per size, weights a's slice for each delta, from one kernel call for the one tuple."""
-    [scans] = iter_ck_slices([(a, tuple(deltas))], sizes)
+    """Per size, weights a's slice for each delta, from one kernel call."""
     return [(row[0][0], tuple(LaurentPoly.from_half(half) for _, half in row))
-            for row in zip(*map(list, scans))]
+            for row in zip(*map(list, iter_ck_slices(a, deltas, sizes)))]
 
 
 def scan_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchResult:
@@ -445,7 +444,7 @@ def shift_add_half(a: tuple[int, ...], order: int, bits: int) -> list[int]:
     ints[m] += ints[m-n] >> bits*a: a positive factor only raises
     exponents, so the right shift drops exactly the terms above z^c, none of
     which could come back down.  Every value is non-negative, so the
-    integers equal `_geometric_halves`'s whenever no slot overflows.
+    integers equal the theta-series division's whenever no slot overflows.
     """
     c = a[0]
     ints = [0] * (order + 1)

@@ -18,7 +18,6 @@ from crankspace.qseries import (
     CrankSpec,
     InvalidK,
     SlotOverflow,
-    _geometric_halves,
     _slot_width,
     _unpack_half,
     ak_spec,
@@ -341,28 +340,15 @@ class TestThetaBuild:
     }
 
     @pytest.mark.parametrize("group", sorted(CASES))
-    def test_matches_the_shift_add_build(self, group):
+    def test_matches_the_shift_add_build(self, monkeypatch, group):
+        # the packed entries iter_ck_slices builds, handed on before any slice is decoded
+        monkeypatch.setattr(crankspace.qseries, "_slices", lambda ints, *args: ints)
         for a, order in self.CASES[group]:
-            # the narrowest slot that holds every geometric coefficient up to the order
+            # the slot it picks for delta 0 at the one size order: the narrowest
+            # that holds every geometric coefficient up to that order
             bits = _slot_width(colored_coeffs(2 * len(a), order)[order])
-            [built] = _geometric_halves([a], order, bits)
+            [built] = iter_ck_slices(a, (0,), [order])
             assert built == shift_add_half(a, order, bits), (a, order)
-
-    @pytest.mark.parametrize("ks,order", [((3, 6), 74), ((7, 8), 59)], ids=["table1", "k7-8"])
-    def test_shared_prefix_builds_match_independent_builds(self, ks, order):
-        # every tuple a search over ks packs, in the groups it packs them in: sharing a[1:]
-        groups: dict = {}
-        for a in sorted({spec.a for k in range(ks[0], ks[1] + 1) for spec in crank_space(k)}):
-            groups.setdefault(a[1:], []).append(a)
-        assert any(len(group) > 1 for group in groups.values())
-        for group in groups.values():
-            bits = _slot_width(colored_coeffs(2 * len(group[0]), order)[order])
-            alone = [next(_geometric_halves([a], order, bits)) for a in group]
-            assert list(_geometric_halves(group, order, bits)) == alone, group
-
-    def test_group_members_must_share_all_but_the_largest_weight(self):
-        with pytest.raises(ValueError, match="must differ only in their largest weight"):
-            list(iter_ck_slices([((3, 2), (0,)), ((3, 1), (0,))], range(5)))
 
 
 class TestTopWindows:
@@ -373,14 +359,11 @@ class TestTopWindows:
         checked = 0
         for n_hi, k_hi in ((2, 12), (3, 12), (12, 12), (30, 8)):
             for k in range(3, k_hi + 1):
-                groups: dict = {}  # built as the search builds them, sharing a[1:]
                 for spec in crank_space(k):
-                    groups.setdefault(spec.a[1:], []).append((spec.a, (k % 2,)))
-                for group in groups.values():
-                    for (a, deltas), [scan] in zip(group, iter_ck_slices(group, [n_hi - 1])):
-                        [(_, half)] = scan
-                        assert top_windows(a, deltas, n_hi - 1) == [half[: -a[0] - 2 : -1]], (a, k, n_hi)
-                        checked += 1
+                    a, deltas = spec.a, (spec.delta,)
+                    [[(_, half)]] = iter_ck_slices(a, deltas, [n_hi - 1])
+                    assert top_windows(a, deltas, n_hi - 1) == [half[: -a[0] - 2 : -1]], (a, k, n_hi)
+                    checked += 1
         assert checked == 5868
 
     def test_windowed_passes_keep_every_entry_inside_the_window(self, monkeypatch):

@@ -196,39 +196,39 @@ class TestExhaustiveSearch:
             pooled = run_plan(check_family_unimodality(n_hi=30, threads=threads))
             assert serial._replace(elapsed_s=0) == pooled._replace(elapsed_s=0)
 
-    @pytest.mark.parametrize("scan,screened,tuples,prefixes,passes", [
-        # 39 specs of 26 tuples, each screened; one (q)_inf^r and a[1:] per
-        # prefix, one last pass per tuple the screen leaves undecided
-        (lambda: exhaustive_search(3, 6, n_hi=20, threads=1), 26, 13, 13, 36),
+    @pytest.mark.parametrize("scan,screened,tuples,passes", [
+        # 39 specs of 26 tuples, each screened; r passes per tuple the screen leaves undecided
+        (lambda: exhaustive_search(3, 6, n_hi=75, threads=1), 26, 13, 36),
+        # 105 specs of 70 tuples, likewise
+        (lambda: exhaustive_search(7, 8, n_hi=60, threads=1), 70, 35, 140),
         # 13 families, unscreened: the family scan reads every defect
-        (lambda: run_plan(check_family_unimodality(n_hi=20, threads=1)), 0, 8, 8, 35),
-    ], ids=["table1-tuples", "families"])
-    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, screened, tuples, prefixes,
-                                              passes):
-        groups, theta_passes, windows = [], [], {}
-        build, theta_pass = qseries._geometric_halves, qseries._theta_pass
+        (lambda: run_plan(check_family_unimodality(n_hi=60, threads=1)), 0, 8, 35),
+    ], ids=["table1-tuples", "k7-8", "families"])
+    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, screened, tuples, passes):
+        built, theta_passes, windows = [], [], {}
+        build, theta_pass = qseries.iter_ck_slices, qseries._theta_pass
         top_windows = qseries.top_windows
+
+        def counted_build(a, *args):  # a generator, so a call that is never started builds nothing
+            built.append(a)
+            yield from build(a, *args)
 
         def full_pass(ints, aj, origin, bits, last, window=0):
             if not window:  # the screen's windowed passes are not counted
                 theta_passes.append(aj)
             theta_pass(ints, aj, origin, bits, last, window)
 
-        monkeypatch.setattr(qseries, "_geometric_halves",
-                            lambda group, *args: groups.append(tuple(group)) or build(group, *args))
+        monkeypatch.setattr(qseries, "iter_ck_slices", counted_build)
         monkeypatch.setattr(qseries, "_theta_pass", full_pass)
         monkeypatch.setattr(qseries, "top_windows",
                             lambda a, *args: windows.setdefault(a, top_windows(a, *args)))
         scan()
-        packed = [a for group in groups for a in group]
-        assert len(packed) == len(set(packed)) == tuples
-        shared = [group[0][1:] for group in groups]
-        assert len(shared) == len(set(shared)) == prefixes
+        assert len(built) == len(set(built)) == tuples
         assert len(theta_passes) == passes
         assert len(windows) == screened
         if screened:  # built are exactly the tuples with a parity the window left undecided
-            assert set(packed) == {a for a, found in windows.items()
-                                   if any(search._unimodal_half(w[::-1]) for w in found)}
+            assert set(built) == {a for a, found in windows.items()
+                                  if any(search._unimodal_half(w[::-1]) for w in found)}
 
     def test_tasks_start_largest_first(self, monkeypatch):
         handed = []
@@ -236,10 +236,9 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(search, "_pool_map",
                             lambda fn, tasks, threads: handed.extend(tasks) or pool_map(fn, tasks, threads))
         results = exhaustive_search(3, 6, n_hi=20, threads=1)
-        # each task runs its shared prefix's passes once and one last pass per member
-        work = [search.scan_work(len(group[0][0]), 19, len(group[0][0]) - 1 + len(group),
-                                 sum(group[0][0][1:]) + sum(a[0] for a, _ in group))
-                for group, _, _ in handed]
+        # each task is one tuple, ranked by the model cost of its r passes
+        assert sorted(a for a, _, _, _ in handed) == sorted({a for _, a, _ in TABLE1_ROWS})
+        work = [search.scan_work(len(a), 19, len(a), sum(a)) for a, _, _, _ in handed]
         assert work == sorted(work, reverse=True) and work[0] > work[-1]
         assert [r.spec.a for r in results] == [a for _, a, _ in TABLE1_ROWS]  # still in spec order
 
@@ -294,9 +293,8 @@ class TestTopScreen:
                    for t in threads]
         assert {r.eventually_unimodal for r in screened[0]} == {True, False}
 
-        def decide_nothing(group, top):  # every parity undecided, with its true window
-            return {}, {(a, d): w for a, deltas in group
-                        for d, w in zip(deltas, qseries.top_windows(a, deltas, top))}
+        def decide_nothing(a, deltas, top):  # every parity undecided, with its true window
+            return {}, dict(zip(deltas, qseries.top_windows(a, deltas, top)))
 
         monkeypatch.setattr(search, "_top_screen", decide_nothing)
         for t, results, report in zip(threads, screened, reports):
@@ -479,7 +477,7 @@ class TestForkMap:
         task = search._defects_task
 
         def failing(t):
-            if any(a == (4, 3) for a, _ in t[0]):
+            if t[0] == (4, 3):
                 raise error("raised in a task")
             return task(t)
 

@@ -269,7 +269,7 @@ class TestSliceCheckFailures:
     def test_non_divisible_slice(self, monkeypatch):
         off = LaurentPoly(-1, (1, 1, 1))  # symmetric and unimodal, span too short for Phi_5
         monkeypatch.setattr(qseries, "iter_ck_slices",
-                            lambda group, sizes: [(((size, [1, 1]) for size in sizes),)])
+                            lambda a, deltas, sizes: [((size, [1, 1]) for size in sizes)])
         rep = run_plan(verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1))
         assert rep.status == "fail"
         assert [c.params for c in rep.counterexamples] == [
@@ -339,7 +339,7 @@ class TestSliceCheckFailures:
     def test_negative_quotient_of_a_symmetric_unimodal_slice_is_a_fault(self, monkeypatch, capsys,
                                                                          half, faulty):
         monkeypatch.setattr(qseries, "iter_ck_slices",
-                            lambda group, sizes: [(((size, half) for size in sizes),)])
+                            lambda a, deltas, sizes: [((size, half) for size in sizes)])
         monkeypatch.setattr(verify, "divides_standard", lambda f, ell: True)
         monkeypatch.setattr(verify, "exact_quotient", lambda f, ell, variant: LaurentPoly(0, (1, -1, 1)))
         plan = verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)  # sizes 4, 9
@@ -350,6 +350,65 @@ class TestSliceCheckFailures:
             run_plan(plan)
         assert cli.main(["verify", "cor3.5-A-k6-ell5", "--n-max", "1"]) == 3
         assert "ArithmeticError" in capsys.readouterr().err
+
+
+class TestPlantedFaults:
+    """A fault planted in a function a suite calls at run time fails its claim."""
+
+    @staticmethod
+    def plant_crank(monkeypatch, size: int, edits: dict[int, int]) -> None:
+        """Add edits[e] to the z^e coefficient of crank_poly(size) only."""
+        crank = partitions.crank_poly
+
+        def planted(n):
+            f = crank(n)
+            if n != size:
+                return f
+            coeffs = list(f.coeffs)
+            for e, amount in edits.items():
+                coeffs[e - f.lo] += amount
+            return LaurentPoly(f.lo, coeffs)
+
+        monkeypatch.setattr(partitions, "crank_poly", planted)
+
+    @staticmethod
+    def assert_fails(capsys, plan, argv: list[str], found: list[dict]) -> None:
+        """plan's report, and `verify argv` through the CLI, fail with exactly found."""
+        rep = run_plan(plan)
+        assert rep.status == "fail"
+        assert [c.params for c in rep.counterexamples] == found
+        assert cli.main(["verify", *argv]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{argv[0]}: FAIL (")
+        assert "".join(f"  - {params}\n" for params in found) in out
+
+    def test_thm2_2(self, monkeypatch, capsys):
+        # one partition of 9 moved from crank 0 to crank 2: classes 0 and 2 hold 1 and 3, not 2 and 2
+        self.plant_crank(monkeypatch, 9, {0: -1, 2: 1})
+        found = [{"kind": "mod10-imbalance", "within_claim": True, "n": 1, "size": 9, "j": 0, "k": k,
+                  "lhs": lhs, "rhs": 10} for k, lhs in ((0, 5), (1, 15))]
+        self.assert_fails(capsys, verify_crank_mod10(n_max=3), ["thm2.2", "--n-max", "3"], found)
+
+    def test_lem2_4(self, monkeypatch, capsys):
+        self.plant_crank(monkeypatch, 30, {27: 1})  # M(n - 3, n) is 1 for every other n >= 6
+        found = [{"kind": "not-constant", "within_claim": True, "k": 3, "n": 30, "value": 2,
+                  "expected": 1}]
+        self.assert_fails(capsys, verify_crank_constancy(n_max=40), ["lem2.4", "--n-max", "40"], found)
+
+    def test_crank_n22_gap(self, monkeypatch, capsys):
+        # at ell = 7, N = 159: M(151, 159) = 7 and M(152, 159) = 4, a gap of 2, planted down to -1
+        assert 7 * 22 + partitions.beta(7) == 159
+        self.plant_crank(monkeypatch, 159, {152: 3})
+        found = [{"kind": "gap-negative", "within_claim": True, "ell": 7, "size": 159, "gap": -1}]
+        self.assert_fails(capsys, verify_n22_gap(), ["crank-n22-gap"], found)
+
+    def test_thm1_2(self, monkeypatch, capsys):
+        count = partitions.colored_count
+        monkeypatch.setattr(partitions, "colored_count", lambda k, n: count(k, n) + (n == 19))
+        found = [{"kind": "congruence", "within_claim": True, "k": 1, "ell": 5, "n": 3, "size": 19,
+                  "residue": 1}]
+        self.assert_fails(capsys, verify_colored_congruence(CongruenceCase.make(1, 4, 5), n_max=5),
+                          ["thm1.2-k1-h4-ell5", "--n-max", "5"], found)
 
 
 # one instance id per pattern entry, each in its own claim's range
