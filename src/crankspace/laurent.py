@@ -118,6 +118,14 @@ class LaurentPoly:
         """The palindrome whose z^0, z^-1, ... (so also z^0, z^1, ...) coefficients are half."""
         return cls(1 - len(half), half[:0:-1] + half)
 
+    @staticmethod
+    def unimodal_half(half: list[int]) -> bool:
+        """Whether from_half(half) is unimodal: iff half never rises outward and ends >= 0.
+
+        The one unimodality test production runs, in search's scans and verify's slice checks.
+        """
+        return half[-1] >= 0 and all(map(operator.ge, half, half[1:]))
+
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -157,7 +165,8 @@ class LaurentPoly:
 
         The full integer line is considered: coefficients beyond the span are
         zero, and interior zeros count.  Constant and monotone sequences are
-        unimodal; any strict dip (for example 1,0,1) is not.
+        unimodal; any strict dip (for example 1,0,1) is not.  No production path
+        calls it: it is the tests' reference, and perfbench/tracer.py wraps it by name.
 
         >>> LaurentPoly(-2, (1, 1, 1, 1, 1)).is_unimodal()
         True

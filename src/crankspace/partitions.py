@@ -18,11 +18,11 @@ the rank formula of Atkin and Swinnerton-Dyer (Proc. London Math. Soc.
 1954) and the crank formula of Andrews and Garvan (Bull. AMS 1988), the
 latter for n >= 2.  They depend on |m| only, so each size's counts are
 computed for m = 0..n and mirrored once; the modified polynomials edit that
-half before the mirror.  One k's terms over every m read a strided slice of
-p(.), so each k is one C-level pass.  Counts at n = 1 follow the corrected
-crank convention M(0, 1) = 1, M(m, 1) = 0 otherwise; the empty partition has
-no rank or crank, while the n = 0 polynomials are the constant 1 as a
-generating-function convention.
+half (_modified_half), and the claims take it as it is.  One k's terms over
+every m read a strided slice of p(.), so each k is one C-level pass.  Counts
+at n = 1 follow the corrected crank convention M(0, 1) = 1, M(m, 1) = 0
+otherwise; the empty partition has no rank or crank, while the n = 0
+polynomials are the constant 1 as a generating-function convention.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ def delta(k: int, ell: int) -> int:
     return (k * pow(24, -1, ell)) % ell
 
 
-def _modified_size(statistic: str, ells: tuple[int, ...], ell: int, n: int) -> int:
-    """ell*n + beta(ell); refuses an ell outside ells, a negative n and a size past POLY_BOUND."""
+def _modified_size(statistic: str, ell: int, n: int) -> int:
+    """ell*n + beta(ell); refuses an unsupported ell, a negative n and a size past POLY_BOUND."""
+    ells = MODIFIED_RANK_ELLS if statistic == "rank" else MODIFIED_CRANK_ELLS
     if ell not in ells:
         raise InvalidEll(f"modified {statistic} polynomials are defined for ell in "
                          f"{{{', '.join(map(str, ells))}}}, got {ell}")
@@ -151,30 +152,28 @@ def _modified_size(statistic: str, ells: tuple[int, ...], ell: int, n: int) -> i
     return N
 
 
-def modified_rank_poly(ell: int, n: int) -> LaurentPoly:
-    """Rank polynomial at ell*n + beta(ell) with the four boundary terms moved.
+def _modified_half(statistic: str, ell: int, n: int) -> list[int]:
+    """The z^0, z^-1, ... half of the modified rank or crank polynomial at N = ell*n + beta(ell).
 
-    Adds z^(N-2) - z^(N-1) and the mirror pair for N = ell*n + beta(ell):
-    the extreme rank values N-1 and their mirrors are shifted inward by one,
-    which makes the result symmetric and (conjecturally) unimodal and
-    divisible by Phi_ell.  Supported for ell in MODIFIED_RANK_ELLS.
+    The one place the edits are made: the closed-form half with one count moved
+    in from z^-top to z^-(top - step), for the rank top = N-1 and step = 1, for
+    the crank top = N and step = ell (at n = 0, N < ell and z^(N-ell) lands in
+    slot ell - N, as its mirror does).  The polynomial is then (conjecturally)
+    unimodal and divisible by Phi_ell.
     """
-    N = _modified_size("rank", MODIFIED_RANK_ELLS, ell, n)
-    half = _closed_form_half(N, 3)
-    half[N - 2] += 1
-    half[N - 1] -= 1
-    return LaurentPoly.from_half(half)
+    N = _modified_size(statistic, ell, n)
+    top, step = (N - 1, 1) if statistic == "rank" else (N, ell)
+    half = _closed_form_half(N, 3 if statistic == "rank" else 1)
+    half[abs(top - step)] += 1
+    half[top] -= 1
+    return half
+
+
+def modified_rank_poly(ell: int, n: int) -> LaurentPoly:
+    """Rank polynomial at N = ell*n + beta(ell), plus z^(N-2) - z^(N-1) and its mirror."""
+    return LaurentPoly.from_half(_modified_half("rank", ell, n))
 
 
 def modified_crank_poly(ell: int, n: int) -> LaurentPoly:
-    """Crank polynomial at ell*n + beta(ell) with the extremes pulled in by ell.
-
-    Adds z^(N-ell) - z^N and the mirror pair for N = ell*n + beta(ell).  At
-    n = 0, N < ell and z^(N-ell) lands in half slot ell - N, as its mirror
-    does.  Supported for ell in MODIFIED_CRANK_ELLS.
-    """
-    N = _modified_size("crank", MODIFIED_CRANK_ELLS, ell, n)
-    half = _closed_form_half(N, 1)
-    half[abs(N - ell)] += 1
-    half[N] -= 1
-    return LaurentPoly.from_half(half)
+    """Crank polynomial at N = ell*n + beta(ell), plus z^(N-ell) - z^N and its mirror."""
+    return LaurentPoly.from_half(_modified_half("crank", ell, n))

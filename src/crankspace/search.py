@@ -8,9 +8,11 @@ parity from n_hi - 1 down and stops at its first non-unimodal slice, and
 first screens every parity by the exact outer window of its top slice
 (qseries.top_windows): a window that proves that slice not unimodal settles
 the parity, and only the undecided ones are built.  The family scan, which
-tallies every defect, builds and scans them all.  The claims decided
-from these scans (the first-gap criterion and the families' onsets) live in
-verify.
+tallies every defect, builds and scans them all.  Slices need no symmetry
+check and no polynomial: each is tested on the palindrome's half the kernel
+decodes, by LaurentPoly.unimodal_half, the one unimodality test, which
+verify's slice checks run too.  The claims decided from these scans (the
+first-gap criterion and the families' onsets) live in verify.
 
 Work parallelizes over weight tuples, one kernel call each (slice_defects),
 on this process and its forks (_pool_map); results merge in input order, so
@@ -24,12 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from typing import Iterable, Iterator, NamedTuple
 
 from . import qseries
-from .laurent import CrankspaceError
+from .laurent import CrankspaceError, LaurentPoly
 from .partitions import BoundExceeded
 from .qseries import CrankSpec
 
@@ -270,14 +271,6 @@ def results_to_csv(results: Iterable[SearchResult]) -> str:
     return "".join(lines)
 
 
-def _unimodal_half(half: list[int]) -> bool:
-    """Whether the palindrome with z^0, z^-1, ... coefficients half is unimodal.
-
-    It is iff half never rises outward and ends >= 0, the zero past its span.
-    """
-    return half[-1] >= 0 and all(map(operator.ge, half, half[1:]))
-
-
 def _top_screen(a: tuple[int, ...], deltas: tuple[int, ...], top: int) -> tuple[dict, dict]:
     """Split weights a's parities deltas by the outer window of their q^top slices.
 
@@ -288,7 +281,7 @@ def _top_screen(a: tuple[int, ...], deltas: tuple[int, ...], top: int) -> tuple[
     """
     decided, undecided = {}, {}
     for delta, window in zip(deltas, qseries.top_windows(a, deltas, top)):
-        if _unimodal_half(window[::-1]):
+        if LaurentPoly.unimodal_half(window[::-1]):
             undecided[delta] = window
         else:
             decided[delta] = [top]
@@ -317,7 +310,7 @@ def _defects_task(task: tuple[tuple[int, ...], tuple[int, ...], int, bool]) -> d
             if top_only and n == top and half[: -a[0] - 2 : -1] != windows[delta]:
                 raise ArithmeticError(f"the q^{top} window of weights {a}, delta {delta}, "
                                       "differs from the end of its built half")
-            if not _unimodal_half(half):
+            if not LaurentPoly.unimodal_half(half):
                 bad.append(n)
                 if top_only:
                     break
@@ -334,13 +327,11 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     holds at most the largest such n, since the scan runs from n_hi - 1
     down and stops at it: that is all exhaustive_search reads; a spec whose
     top slice its outer window proves not unimodal gets [n_hi - 1] with no
-    build (_defects_task).  Slices need no symmetry check and no
-    polynomial: the kernel builds each one as a palindrome's half, and the
-    unimodality test reads that half.  Each task is one weight tuple, built
-    once for all of its specs' parities; tasks start largest first by the
-    scan_work of that build, screened or not, so no large tuple is left to
-    run alone at the end.
-    Results follow the order of `specs`, whatever the worker count.
+    build (_defects_task).  Each task is one weight tuple, built once for
+    all of its specs' parities; tasks start largest first by the scan_work
+    of that build, screened or not, so no large tuple is left to run alone
+    at the end.  Results follow the order of `specs`, whatever the worker
+    count.
     """
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")

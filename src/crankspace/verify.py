@@ -13,7 +13,7 @@ request runs its plans on search's fork map, the costliest first, and
 reports them in registry order.
 
 Divisibility is decided twice, by the residue-sum criterion and by
-exact_quotient's sparse division, and only in _quotients; a disagreement
+exact_quotient's sparse division, and only in _quotient; a disagreement
 between the routes is itself reported as a violation, not silently resolved.
 
 Default ranges are sized so that the slowest suite, cor3.5-B-k11-ell5, takes
@@ -120,31 +120,31 @@ def _info(kind: str, poly: LaurentPoly | None = None, **params) -> Counterexampl
     return Counterexample({"kind": kind, "within_claim": False, **params}, poly)
 
 
-def _quotients(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int, variant: str,
-               violations: list[Counterexample]):
-    """Yield (params, size, f, q) for each slice both routes find divisible; q is its quotient.
+def _quotient(params: dict, f: LaurentPoly, ell: int, variant: str,
+              violations: list[Counterexample]) -> LaurentPoly | None:
+    """f's quotient if both routes find f divisible, else None with the violation appended.
 
-    Every other slice is appended to violations.  variant is `standard` or `squared`.
+    variant `standard` divides by Phi_ell, `squared` by Phi_ell(z^2).
     """
-    divides = divides_squared if variant == "squared" else divides_standard
-    for params, size, f in slices:
-        criterion = divides(f, ell)
-        try:
-            q = exact_quotient(f, ell, variant)
-        except NotDivisible:
-            q = None
-        if criterion and q is not None:
-            yield params, size, f, q
-        else:
-            kind = "route-disagreement" if criterion or q is not None else "not-divisible"
-            violations.append(_violation(kind, f, **params))
+    criterion = (divides_squared if variant == "squared" else divides_standard)(f, ell)
+    try:
+        q = exact_quotient(f, ell, variant)
+    except NotDivisible:
+        q = None
+    if criterion and q is not None:
+        return q
+    kind = "route-disagreement" if criterion or q is not None else "not-divisible"
+    violations.append(_violation(kind, f, **params))
+    return None
 
 
-def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
+def _check_slices(slices: Iterable[tuple[dict, int, list[int]]], ell: int,
                   onset: int, quotient_onset: int = 0):
-    """Check (params, size, f) slices against the Phi_ell quotient claim.
+    """Check (params, size, half) slices against the Phi_ell quotient claim.
 
-    Each f must be divisible by both routes and symmetric, unimodal from size
+    Each half is mirrored once (LaurentPoly.from_half), for both divisibility
+    routes and any counterexample, so each slice is symmetric.  It must be
+    divisible by both routes, unimodal (LaurentPoly.unimodal_half) from size
     `onset` on, and have a non-negative quotient from size `quotient_onset`
     on.  Returns (violations, wobbles, negatives), the latter two listing the
     below-onset sizes that were not unimodal or had a negative quotient.
@@ -152,23 +152,24 @@ def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
     A symmetric unimodal f divisible by Phi_ell (ell an odd prime) has a
     non-negative quotient q = f (1 - z) / (1 - z^ell): q_n sums differences
     f_i - f_(i-1) with i <= n, none negative up to the centre, and q is a
-    palindrome.  So a negative quotient of such an f is an arithmetic fault,
-    not a finding, and raises ArithmeticError.
+    palindrome.  So a negative quotient of a unimodal slice is an arithmetic
+    fault, not a finding, and raises ArithmeticError.
     """
     violations: list[Counterexample] = []
     wobbles: list[int] = []
     negatives: list[int] = []
-    for params, size, f, q in _quotients(slices, ell, "standard", violations):
-        symmetric, unimodal = f.is_symmetric(), f.is_unimodal()
-        if not symmetric:
-            violations.append(_violation("not-symmetric", f, **params))
+    for params, size, half in slices:
+        f = LaurentPoly.from_half(half)
+        if (q := _quotient(params, f, ell, "standard", violations)) is None:
+            continue
+        unimodal = LaurentPoly.unimodal_half(half)
         if not unimodal:
             if size >= onset:
                 violations.append(_violation("not-unimodal", f, **params | {"size": size}))
             else:
                 wobbles.append(size)
         if not q.is_nonnegative():
-            if symmetric and unimodal:
+            if unimodal:
                 raise ArithmeticError(f"a symmetric unimodal multiple of Phi_{ell} has a negative "
                                       f"quotient at {params}")
             if size >= quotient_onset:
@@ -181,16 +182,16 @@ def _check_slices(slices: Iterable[tuple[dict, int, LaurentPoly]], ell: int,
 # -- modified rank / crank quotients -------------------------------------------
 
 
-def _modified_quotients(claim: str, statistic: str, ells: tuple[int, ...],
-                        poly: Callable[[int, int], LaurentPoly], onset: int,
-                        ell: int, n_max: int | None) -> Plan:
-    beta = partitions._modified_size(statistic, ells, ell, 0)  # refuses an ell outside ells
+def _modified_quotients(claim: str, statistic: str, onset: int, ell: int,
+                        n_max: int | None) -> Plan:
+    beta = partitions._modified_size(statistic, ell, 0)  # refuses an unsupported ell
     if n_max is None:
         n_max = (500 - beta) // ell  # every size up to 500
     partitions._check_size(max(ell * n_max + beta, 0))
 
     def work():
-        slices = (({"ell": ell, "n": n}, ell * n + beta, poly(ell, n)) for n in range(n_max + 1))
+        slices = (({"ell": ell, "n": n}, ell * n + beta,
+                   partitions._modified_half(statistic, ell, n)) for n in range(n_max + 1))
         violations, wobbles, _ = _check_slices(slices, ell, onset)
         note = f"ell={ell}, n in [0, {n_max}] (sizes ell*n+{beta})"
         if wobbles:
@@ -208,8 +209,7 @@ def verify_modified_rank(ell: int, n_max: int = 50) -> Plan:
     expected, so they are tallied in the range note rather than reported
     as counterexamples.
     """
-    return _modified_quotients("conj1.1-part1", "rank", partitions.MODIFIED_RANK_ELLS,
-                               partitions.modified_rank_poly, RANK_MONOTONE_ONSET, ell, n_max)
+    return _modified_quotients("conj1.1-part1", "rank", RANK_MONOTONE_ONSET, ell, n_max)
 
 
 def verify_crank_squared(n_max: int = 99) -> Plan:
@@ -226,9 +226,10 @@ def verify_crank_squared(n_max: int = 99) -> Plan:
     def work():
         violations: list[Counterexample] = []
         interior_zeros = 0
-        slices = (({"n": n, "size": N}, N, partitions.crank_poly(N))
-                  for n, N in enumerate(range(4, 5 * n_max + 5, 5)))
-        for params, _, _, q in _quotients(slices, 5, "squared", violations):
+        for n, N in enumerate(range(4, 5 * n_max + 5, 5)):
+            params = {"n": n, "size": N}
+            if (q := _quotient(params, partitions.crank_poly(N), 5, "squared", violations)) is None:
+                continue
             if not q.is_nonnegative():
                 violations.append(_violation("negative-quotient", q, **params))
             if not q.shift(4).is_symmetric():
@@ -252,8 +253,7 @@ def verify_modified_crank(ell: int, n_max: int | None = None) -> Plan:
     the quotient claim still holds; such sizes are tallied in the range
     note rather than reported as counterexamples.
     """
-    return _modified_quotients("conj1.1-part3", "crank", partitions.MODIFIED_CRANK_ELLS,
-                               partitions.modified_crank_poly, CRANK_UNIMODAL_ONSET, ell, n_max)
+    return _modified_quotients("conj1.1-part3", "crank", CRANK_UNIMODAL_ONSET, ell, n_max)
 
 
 # -- rank monotonicity and crank columns ----------------------------------------
@@ -498,8 +498,7 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
     def work():
         sizes = range(case.delta, top + 1, case.ell)
         [built] = qseries.iter_ck_slices(spec.a, (spec.delta,), sizes)
-        slices = (({"n": n, "size": size}, size, LaurentPoly.from_half(half))
-                  for n, (size, half) in enumerate(built))
+        slices = (({"n": n, "size": size}, size, half) for n, (size, half) in enumerate(built))
         violations, wobbles, negatives = _check_slices(slices, case.ell, onset, onset)
         note = (f"kind={kind}, k={case.k}, ell={case.ell}, delta={case.delta}, "
                 f"sizes <= {top}, onset {onset}")

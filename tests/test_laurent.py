@@ -11,7 +11,7 @@ import doctest
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crankspace.laurent
@@ -160,6 +160,15 @@ class TestPredicates:
             all(seq[i] <= seq[i + 1] for i in steps if i < peak)
             and all(seq[i] >= seq[i + 1] for i in steps if i >= peak)
             for peak in range(len(seq)))
+
+    @given(st.lists(st.one_of(st.integers(-2, 2), st.integers()), min_size=1, max_size=12))
+    @example([0])
+    @example([0, 0, 0])
+    @example([-1])
+    @example([3, 3, 0])
+    @example([2, 0, 1])
+    def test_half_test_matches_is_unimodal_on_palindromes(self, half):
+        assert LaurentPoly.unimodal_half(half) == LaurentPoly.from_half(half).is_unimodal()
 
     def test_nonnegative(self):
         assert LaurentPoly(-3, (0, 1, 2)).is_nonnegative()

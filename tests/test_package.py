@@ -12,7 +12,7 @@ from pathlib import Path
 import crankspace
 from crankspace import cli, verify
 from crankspace.cli import UsageError
-from crankspace.laurent import CrankspaceError
+from crankspace.laurent import CrankspaceError, LaurentPoly
 from crankspace.partitions import BoundExceeded, InvalidEll
 from crankspace.qseries import InvalidK
 from crankspace.verify import HypothesisViolation, InvalidCase
@@ -28,19 +28,31 @@ def test_package_root_binds_only_its_version_and_modules():
     assert isinstance(crankspace.__version__, str)
 
 
+def _tracer_names() -> dict[str, object]:
+    """The LAYERS and PREDICATES tuples of perfbench/tracer.py, read from its source."""
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "tracer.py").read_text())
+    return {target.id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name) and target.id in ("LAYERS", "PREDICATES")}
+
+
 def test_cli_import_loads_every_layer_module():
-    # The benchmark's contract: perfbench/tracer.py's install() looks each of these
-    # modules up in sys.modules right after `from crankspace import cli`, and fails
-    # with a KeyError if one is not loaded yet.  It holds until ROADMAP item 4 Step B
-    # retires those lookups; till then no layer module may become a lazy import of cli.
+    # The benchmark's contract: perfbench/tracer.py's install() looks each of its
+    # LAYERS, and laurent, up in sys.modules right after `from crankspace import cli`,
+    # and fails with a KeyError if one is not loaded yet; then it wraps each of its
+    # PREDICATES on LaurentPoly by name, and fails with an AttributeError if one is
+    # missing.  It holds until ROADMAP item 1 Step B retires those lookups; till then
+    # no layer module may become a lazy import of cli, and no predicate may go.
+    names = _tracer_names()
+    assert set(names) == {"LAYERS", "PREDICATES"} and names["PREDICATES"]
     script = "import sys\nfrom crankspace import cli\nprint(sorted(sys.modules))\n"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     loaded = set(eval(done.stdout))
-    layers = ("verify", "search", "partitions", "qseries", "cyclotomic", "laurent")
-    assert {f"crankspace.{layer}" for layer in layers} <= loaded
+    assert {f"crankspace.{layer}" for layer in (*names["LAYERS"], "laurent")} <= loaded
+    assert [name for name in names["PREDICATES"] if not hasattr(LaurentPoly, name)] == []
 
 
 def test_refusals_share_one_base():
@@ -128,6 +140,9 @@ NOT_REACHED = {
     "laurent.LaurentPoly.__eq__": "a value type compares by value",
     "laurent.LaurentPoly.__hash__": "equal values must hash equal",
     "laurent.LaurentPoly.__repr__": "a value type shows its value",
+    "laurent.LaurentPoly.is_unimodal": "the tests' reference predicate, which perfbench/tracer.py "
+                                       "wraps by name; it moves to tests/helpers.py with ROADMAP "
+                                       "item 1 Step B",
     "verify.enumerate_congruence_cases": "the registry calls it at import for thm1.2's instances",
 }
 

@@ -9,8 +9,6 @@ import signal
 import time
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from crankspace import cli, qseries, search, verify
 from crankspace.laurent import CrankspaceError, LaurentPoly
@@ -228,7 +226,7 @@ class TestExhaustiveSearch:
         assert len(windows) == screened
         if screened:  # built are exactly the tuples with a parity the window left undecided
             assert set(built) == {a for a, found in windows.items()
-                                  if any(search._unimodal_half(w[::-1]) for w in found)}
+                                  if any(LaurentPoly.unimodal_half(w[::-1]) for w in found)}
 
     def test_tasks_start_largest_first(self, monkeypatch):
         handed = []
@@ -308,7 +306,7 @@ class TestTopScreen:
             windows = top_windows(a, deltas, m)
             if a == (3, 2):  # undecided in both parities; it stays so with its innermost slot raised
                 windows = [w[:-1] + [w[-1] + 1] for w in windows]
-                assert all(search._unimodal_half(w[::-1]) for w in windows)
+                assert all(LaurentPoly.unimodal_half(w[::-1]) for w in windows)
             return windows
 
         monkeypatch.setattr(qseries, "top_windows", planted)
@@ -319,15 +317,6 @@ class TestTopScreen:
 
 
 class TestHalfUnimodality:
-    @given(st.lists(st.one_of(st.integers(-2, 2), st.integers()), min_size=1, max_size=12))
-    @example([0])
-    @example([0, 0, 0])
-    @example([-1])
-    @example([3, 3, 0])
-    @example([2, 0, 1])
-    def test_half_test_matches_is_unimodal_on_palindromes(self, half):
-        assert search._unimodal_half(half) == LaurentPoly.from_half(half).is_unimodal()
-
     @pytest.mark.parametrize("top_only", [True, False], ids=["top-only", "full"])
     def test_scans_build_no_polynomial(self, monkeypatch, top_only):
         built = []

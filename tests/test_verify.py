@@ -264,6 +264,36 @@ class TestSuitesOnSmallRanges:
         with pytest.raises(ValueError, match="n_max"):
             verify_colored_quotients("A", case, n_max=-1)
 
+    @pytest.mark.parametrize("claim_id,n_max,passes,bits,decoded,unpacked", [
+        # the benchmark's colored-quotients requests: r full theta passes, one slot
+        # width, one slice per n, and two unpacks per slice for odd k (pos and neg parts)
+        ("cor3.5-A-k6-ell5", 24, 3, 88, 25, 25),
+        ("cor3.5-B-k9-ell23", 5, 5, 104, 6, 12),
+        ("cor3.5-B-k11-ell5", 24, 6, 120, 25, 50),
+    ])
+    def test_each_colored_quotients_request_does_its_counted_work(
+            self, monkeypatch, claim_id, n_max, passes, bits, decoded, unpacked):
+        theta_bits, slices, unpacks = [], [], []
+        theta_pass, scan, unpack = qseries._theta_pass, qseries._slices, qseries._unpack_half
+
+        def counted_pass(ints, aj, origin, bits, last, window=0):
+            theta_bits.append(bits)
+            theta_pass(ints, aj, origin, bits, last, window)
+
+        def counted_scan(*args):
+            for m, half in scan(*args):
+                slices.append(m)
+                yield m, half
+
+        monkeypatch.setattr(qseries, "_theta_pass", counted_pass)
+        monkeypatch.setattr(qseries, "_slices", counted_scan)
+        monkeypatch.setattr(qseries, "_unpack_half", lambda *args: unpacks.append(args[2]) or unpack(*args))
+        [report] = run_claims(claim_id, n_max=n_max, threads=1)
+        assert report.status == "pass"
+        assert theta_bits == [bits] * passes
+        assert len(slices) == len(set(slices)) == decoded
+        assert unpacks == [bits] * unpacked
+
 
 class TestSliceCheckFailures:
     def test_non_divisible_slice(self, monkeypatch):
@@ -372,15 +402,20 @@ class TestPlantedFaults:
         monkeypatch.setattr(partitions, "crank_poly", planted)
 
     @staticmethod
-    def assert_fails(capsys, plan, argv: list[str], found: list[dict]) -> None:
-        """plan's report, and `verify argv` through the CLI, fail with exactly found."""
+    def assert_fails(capsys, plan, argv: list[str], found: list[dict],
+                     shown: list[str] | None = None) -> None:
+        """plan's report, and `verify argv` through the CLI, fail with exactly found.
+
+        shown lists each counterexample's rendered ` poly=` text, where it has a polynomial.
+        """
         rep = run_plan(plan)
         assert rep.status == "fail"
         assert [c.params for c in rep.counterexamples] == found
         assert cli.main(["verify", *argv]) == 1
         out = capsys.readouterr().out
         assert out.startswith(f"{argv[0]}: FAIL (")
-        assert "".join(f"  - {params}\n" for params in found) in out
+        suffixes = [f" poly={text}" for text in shown] if shown else [""] * len(found)
+        assert "".join(f"  - {params}{suffix}\n" for params, suffix in zip(found, suffixes)) in out
 
     def test_thm2_2(self, monkeypatch, capsys):
         # one partition of 9 moved from crank 0 to crank 2: classes 0 and 2 hold 1 and 3, not 2 and 2
@@ -409,6 +444,77 @@ class TestPlantedFaults:
                   "residue": 1}]
         self.assert_fails(capsys, verify_colored_congruence(CongruenceCase.make(1, 4, 5), n_max=5),
                           ["thm1.2-k1-h4-ell5", "--n-max", "5"], found)
+
+    @pytest.mark.parametrize("edits,found,shown", [
+        # 2 (z^-9 + z) Phi_5(z^2) taken from crank_poly(9): a symmetric quotient, negative at both ends
+        ({e: -2 for e in (-9, -7, -5, -3, -1, 1, 3, 5, 7, 9)}, ["negative-quotient"],
+         ["-1*z^-9 + 1*z^-6 + 1*z^-5 + 1*z^-3 + 1*z^-2 - 1*z^1"]),
+        # z^-9 Phi_5(z^2) added: a non-negative quotient whose ends differ
+        ({e: 1 for e in (-9, -7, -5, -3, -1)}, ["normalized-quotient-asymmetric"],
+         ["2*z^-9 + 1*z^-6 + 1*z^-5 + 1*z^-3 + 1*z^-2 + 1*z^1"]),
+    ], ids=["negative", "asymmetric"])
+    def test_conj1_1_part2(self, monkeypatch, capsys, edits, found, shown):
+        # crank_poly(9)'s quotient by Phi_5(z^2) is z^-9 + z^-6 + z^-5 + z^-3 + z^-2 + z;
+        # each planted slice stays a multiple of Phi_5(z^2), so both routes still divide it
+        self.plant_crank(monkeypatch, 9, edits)
+        found = [{"kind": kind, "within_claim": True, "n": 1, "size": 9} for kind in found]
+        self.assert_fails(capsys, verify_crank_squared(n_max=2), ["conj1.1-part2", "--n-max", "2"],
+                          found, shown)
+
+    @pytest.mark.parametrize("fault", ["not-unimodal", "negative-quotient"])
+    @pytest.mark.parametrize("argv,plan", [
+        (["conj1.1-part1-ell5", "--n-max", "8"], lambda: verify_modified_rank(5, n_max=8)),
+        (["conj1.1-part3-ell5", "--n-max", "8"], lambda: verify_modified_crank(5, n_max=8)),
+        (["cor3.5-A-k6-ell5", "--n-max", "3"],
+         lambda: verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=3)),
+    ], ids=["modified-rank", "modified-crank", "colored-quotients"])
+    def test_half_slices(self, monkeypatch, capsys, argv, plan, fault):
+        # Planted in the half of size 44 (n = 8) through partitions._modified_half, past the
+        # rank and crank onsets (39, 44), or of size 19 (n = 3) through qseries.iter_ck_slices,
+        # past cor3.5-A's onset 15.  height is added to slots 1..5, so f gains
+        # height (z^-5 + z) Phi_5(z) and its quotient height (z^-5 + z): with z^1 above z^0,
+        # f is not unimodal and its quotient non-negative; with z^1 below 0, f is not
+        # unimodal and its quotient is negative at z^1.
+        seen = {}
+
+        def plant(half):
+            height = half[0] - half[1] + 1 if fault == "not-unimodal" else -half[0] - 1
+            seen.update(half=half, height=height)
+            return half[:1] + [h + height for h in half[1:6]] + half[6:]
+
+        if argv[0].startswith("cor3.5"):
+            build = qseries.iter_ck_slices
+
+            def planted(a, deltas, sizes):
+                for scan in build(a, deltas, sizes):
+                    yield ((m, plant(half) if m == 19 else half) for m, half in scan)
+
+            monkeypatch.setattr(qseries, "iter_ck_slices", planted)
+            params, size = {"n": 3, "size": 19}, 19
+        else:
+            route = partitions._modified_half
+            monkeypatch.setattr(partitions, "_modified_half", lambda statistic, ell, n:
+                                plant(route(statistic, ell, n)) if n == 8 else route(statistic, ell, n))
+            params, size = {"ell": 5, "n": 8}, 44
+        rep = run_plan(plan())
+        half, height = seen["half"], seen["height"]
+        f = LaurentPoly.from_half(plant(half))
+        q = cyclotomic.exact_quotient(LaurentPoly.from_half(half), 5, "standard").coeff_map()
+        q[-5], q[1] = q.get(-5, 0) + height, q.get(1, 0) + height
+        q = LaurentPoly.from_coeff_map(q)
+        found = [{"kind": "not-unimodal", "within_claim": True, **params, "size": size}]
+        polys = [f]
+        if fault == "negative-quotient":
+            assert min(q.coeffs) < 0
+            found.append({"kind": "negative-quotient", "within_claim": True, **params})
+            polys.append(q)
+        assert [c.poly for c in rep.counterexamples] == polys
+        # every planted slice and quotient is long, so the text report gives its span
+        assert all(len(str(poly)) > 100 for poly in polys)
+        shown = [f"<{len(poly.coeffs)} coefficients on [{poly.lo}, {poly.hi}]>" for poly in polys]
+        if argv[0] == "conj1.1-part1-ell5":
+            assert shown[0] == "<85 coefficients on [-42, 42]>"
+        self.assert_fails(capsys, plan(), argv, found, shown)
 
 
 # one instance id per pattern entry, each in its own claim's range
@@ -450,6 +556,7 @@ class TestClaimRegistry:
     def test_over_bound_n_max_is_refused_before_any_suite(self, monkeypatch, claim_id):
         calls = []
         for module, name in ((partitions, "rank_poly"), (partitions, "crank_poly"),
+                             (partitions, "_modified_half"),
                              (partitions, "colored_count"), (qseries, "iter_ck_slices"),
                              (search, "slice_defects")):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
@@ -541,7 +648,7 @@ class TestClaimRegistry:
             raise Reached
 
         for module, name in ((partitions, "rank_poly"), (partitions, "crank_poly"),
-                             (partitions, "modified_rank_poly"), (partitions, "modified_crank_poly"),
+                             (partitions, "_modified_half"),
                              (partitions, "colored_count"), (qseries, "iter_ck_slices"),
                              (search, "slice_defects")):
             monkeypatch.setattr(module, name, spy)
@@ -580,7 +687,7 @@ class TestPolyBound:
     ], ids=["conj1.1-part1", "conj1.1-part3", "conj1.1-part2", "thm2.2", "conj1.3", "lem2.4"])
     def test_suite_refuses_its_largest_size_before_any_polynomial(self, monkeypatch, suite, largest):
         calls = []
-        for name in ("rank_poly", "crank_poly", "modified_rank_poly", "modified_crank_poly"):
+        for name in ("rank_poly", "crank_poly", "_modified_half"):  # what the suites build with
             monkeypatch.setattr(partitions, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(BoundExceeded, match=f"n={largest} exceeds"):
             suite()
@@ -588,7 +695,7 @@ class TestPolyBound:
 
     def test_unsupported_ell_is_refused_at_plan_time(self, monkeypatch):
         calls = []
-        for name in ("rank_poly", "crank_poly", "modified_rank_poly", "modified_crank_poly"):
+        for name in ("rank_poly", "crank_poly", "_modified_half"):  # what the suites build with
             monkeypatch.setattr(partitions, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(InvalidEll, match="modified crank polynomials .* got 13"):
             verify_modified_crank(13)
