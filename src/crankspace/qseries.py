@@ -18,7 +18,10 @@ The factors of the a = 0 copies cancel against the numerators, so each
 product is a geometric stage G = prod_a prod_n 1/((1-z^a q^n)(1-z^-a q^n)),
 whose coefficients are all non-negative, times prod (1-q^n) for odd k (the
 pentagonal-number expansion).  G depends only on the weights, so one build
-serves both parities: one call of `iter_ck_slices` builds one weight tuple.
+serves both parities, and one call of `iter_ck_slices` builds a set of
+tuples with the same r along a trie over their weights, largest first: a
+pass over the largest weights that several tuples share, the widest kind of
+pass, runs once for all of them.
 
 G is built by division by theta series, not factor by factor.  By the Jacobi
 triple product, (q)_inf prod_n (1-z^a q^n)(1-z^-a q^n) is the sparse series
@@ -217,23 +220,27 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
                 window: int = 0) -> None:
     """Divide the packed entries, in place, by weight aj's theta series (see iter_ck_slices).
 
-    During the pass, entry m is the image of z^(aj*m) E[m] under z -> 2^bits,
-    a polynomial because E[m] spans z^(-aj*m)..z^(aj*m), so every shift is a
-    left shift; entries framed for the previous weight, origin, are reframed
-    first.  Each finished E[j] is pushed forward through the recurrence
-    E[m] += sum_{k>=2} (-1)^k run_k E[m - k(k-1)/2],
+    During the pass, entry m is the image of z^(c*m) E[m] under z -> 2^bits,
+    c = max(origin, aj): a polynomial, since E[m] spans z^(-c*m)..z^(c*m),
+    so every shift is a left shift.  Entries framed at origin, the frame of
+    the passes before, are reframed first when aj is wider.  Each finished
+    E[j] is pushed forward through the recurrence
+    E[m] += sum_{k>=2} (-1)^k run_k E[m - T_k], T_k = k(k-1)/2,
     run_k = z^(aj(1-k)) + ... + z^(aj(k-1)): run_k E[j] grows by one
     shift-add per k (adding E[j] + z^aj E[j] at the next offset) and lands in
-    its entry by a second, so each (j, k) pair costs two.  With last set,
-    each entry is converted to its half as soon as it has been pushed forward.
+    its entry by a second, shifted aj*lo + (c - aj)*T_k slots,
+    lo = (k-1)(k-2)/2, so each (j, k) pair costs two; both shifts are kept
+    as running sums.  With last set, each entry is converted to its half as
+    soon as it has been pushed forward.
 
     With window set, each entry is reduced modulo 2^(window*bits) before it
     is pushed forward, and no term whose lowest slot, aj*(k-1)(k-2)/2, is
     window or above is added: slots 0..window-1 stay exact (top_windows).
     """
     order = len(ints) - 1
-    sh = bits * aj
-    reframe = bits * (aj - origin)
+    c = max(origin, aj)
+    sh, ex, reframe = bits * aj, bits * (c - aj), bits * (c - origin)
+    sh2, grow = 2 * sh, sh + ex
     for m in range(1, order + 1):
         ints[m] <<= reframe * m
     mask = (1 << bits * window) - 1
@@ -247,19 +254,21 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
         t = ints[j]
         pair = t + (t << sh)
         run = t
-        k, lo, m = 2, 0, j + 1  # m = j + k(k-1)/2, lo = (k-1)(k-2)/2
+        k, m, lift, shift, step = 2, j + 1, sh, ex, sh + 2 * ex  # m = j + T_k; step: shift's next rise
         stop = min(order, j + reach)
         while m <= stop:
-            run += pair << (sh * (2 * k - 3))
+            run += pair << lift
             if k & 1:
-                ints[m] -= run << (sh * lo)
+                ints[m] -= run << shift
             else:
-                ints[m] += run << (sh * lo)
-            lo = m - j
+                ints[m] += run << shift
             m += k
             k += 1
-        if last:
-            ints[j] = t >> (sh * (j - 1)) if j else t << sh
+            lift += sh2
+            shift += step
+            step += grow
+        if last:  # grow = bits*c
+            ints[j] = t >> (grow * (j - 1)) if j else t << grow
 
 
 def _theta_prefix(r: int, weights: Sequence[int], orders: Sequence[int], bits: int,
@@ -296,60 +305,118 @@ def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], si
         yield m, half
 
 
-def iter_ck_slices(a: tuple[int, ...], deltas: Sequence[int], sizes: Iterable[int]
-                   ) -> Iterator[Iterator[tuple[int, list[int]]]]:
-    """Per delta in deltas, one slice scan of weights a's product, over sizes.
+def _plan(c: int, members: list[tuple[int, tuple[int, ...]]]
+          ) -> tuple[tuple[int, int], dict[int, list[tuple[int, tuple[int, ...]]]] | None]:
+    """The cheapest build of members (i, weights left, descending) from entries framed at c.
+
+    Returns its cost, (frame units, passes), with a pass at frame c'
+    counted as c' units (its entries are about 2c'm slots wide), and its
+    first step: None, to build each member alone, ascending, or the members
+    grouped by their next weight, each with that weight dropped, to divide
+    by it once per group.  Branching is taken only when it costs less
+    (fewer units, or as many in fewer passes), so no plan costs more units
+    or passes than building each member alone.
+    """
+    alone = (sum(max(c, w) for _, rest in members for w in rest), sum(len(rest) for _, rest in members))
+    if len(members) < 2 or not members[0][1]:
+        return alone, None
+    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for i, rest in members:
+        groups.setdefault(rest[0], []).append((i, rest[1:]))
+    units = passes = 0
+    for w, below in groups.items():
+        (u, p), _ = _plan(max(c, w), below)
+        units, passes = units + max(c, w) + u, passes + 1 + p
+    return ((units, passes), groups) if (units, passes) < alone else (alone, None)
+
+
+def _trie_build(ints: list[int], c: int, members: list[tuple[int, tuple[int, ...]]], bits: int
+                ) -> Iterator[tuple[int, list[int]]]:
+    """(i, packed G) for members (i, weights left, descending), from ints framed at c, by _plan.
+
+    The last member or group works on ints in place and each other one on a
+    copy, so a yielded G is never touched again.
+    """
+    _, groups = _plan(c, members)
+    if groups is None:
+        for n, (i, rest) in enumerate(members):
+            own = ints if n == len(members) - 1 else ints[:]
+            frame = c
+            for w in reversed(rest):
+                _theta_pass(own, w, frame, bits, w == rest[0])
+                frame = max(frame, w)
+            yield i, own
+        return
+    for n, (w, below) in enumerate(groups.items()):
+        own = ints if n == len(groups) - 1 else ints[:]
+        _theta_pass(own, w, c, bits, not below[0][1])
+        yield from _trie_build(own, max(c, w), below, bits)
+
+
+def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes: Iterable[int]
+                   ) -> Iterator[tuple[tuple[int, ...], list[Iterator[tuple[int, list[int]]]]]]:
+    """Per member (a, deltas), one slice scan over sizes for each delta of weights a's product.
 
     The products have weights a and, for each delta, delta copies of
-    prod (1-q^n).  This yields one iterator per delta, in the order of
-    deltas, of (m, half of the q^m coefficient) for m in sizes, in their
-    order; its first next() packs G, the geometric stage, up to max(sizes),
-    once for all of them.  A scan decodes each slice only when it is asked
-    for, so a caller that stops a scan early pays for no slice past it.
-    Each weight enters as (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every
-    slice is a palindrome: only its z^e, e <= 0, half is built, and it is
-    yielded as the list of its z^0, z^-1, ... coefficients
-    (`LaurentPoly.from_half` mirrors it).  Negative sizes raise
-    CrankspaceError.
+    prod (1-q^n); every member has the same number r of weights.  Each
+    next() builds one member's G, the geometric stage, up to max(sizes) and
+    yields (a, scans): one iterator per delta, in the order of deltas, of
+    (m, half of the q^m coefficient) for m in sizes, in their order.
+    Members come in the order the build reaches them.  A scan decodes each
+    slice only when it is asked for, so a caller that stops a scan early
+    pays for no slice past it.  Each weight enters as
+    (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every slice is a palindrome:
+    only its z^e, e <= 0, half is built, and it is yielded as the list of
+    its z^0, z^-1, ... coefficients (`LaurentPoly.from_half` mirrors it).
+    Negative sizes, or members of different r, raise CrankspaceError.
 
-    G is the scalar (q)_inf^r divided by one theta series per weight,
-    ascending, so a_1's pass is the last, and it leaves slot s of entry m
-    holding the coefficient of z^(c - s), c = a_1.  The integers are exact
-    images whatever their sign, and whatever slots overflow on the way.
-    G's coefficients are non-negative and below 2^bits, so the image's
-    base-2^bits digits are those coefficients: the last pass's right shift
-    by c*(m-1) slots drops exactly the terms below z^-c and leaves z^e in
-    slot c + e, which by the z -> 1/z symmetry holds the coefficient of
-    z^(c - s) at s = c + e.  The entries share one origin, so each slice
-    sums its own pentagonal terms (delta = 1 only) unshifted into separate
-    non-negative pos/neg packed integers, and slots never borrow; that sum
-    and the unpacking are done per requested slice, so skipped sizes cost
-    nothing and the dense polynomials never all coexist.
+    G is the scalar (q)_inf^r, built once for all members, divided by one
+    theta series per weight, along a trie over the members' weights read
+    descending: a pass at a node serves every member below it, so the
+    shared passes are the widest ones, a_1's first.  At each node _plan
+    branches only where that pays; a member left alone takes its remaining
+    passes ascending, so a lone member is built a_r first and a_1 last.
+    Either way every entry ends framed at c = a_1, and the member's last
+    pass leaves slot s of entry m holding the coefficient of z^(c - s).
+    The integers are exact images whatever their sign, and whatever slots
+    overflow on the way.  G's coefficients are non-negative and below
+    2^bits, so the image's base-2^bits digits are those coefficients: the
+    last pass's right shift by c*(m-1) slots drops exactly the terms below
+    z^-c and leaves z^e in slot c + e, which by the z -> 1/z symmetry holds
+    the coefficient of z^(c - s) at s = c + e.  The entries share one
+    origin, so each slice sums its own pentagonal terms (delta = 1 only)
+    unshifted into separate non-negative pos/neg packed integers, and slots
+    never borrow; that sum and the unpacking are done per requested slice,
+    so skipped sizes cost nothing and the dense polynomials never all
+    coexist.
 
     Slot widths are exact: at z = 1 G is prod (1-q^n)^(-F), F = 2r, so the
     coefficients of a slice's pos part sum to p_F(m) plus its positive
     p_F(m - g) terms and those of its neg part to its negative ones; no
     coefficient exceeds its part's total, and none of G's up to the top
     requested size exceeds p_F of that size.  The slot is as wide as the
-    largest total over every requested size and every delta, so it is exact
-    for the widest parity and wide enough for the other; `_unpack_half`
-    certifies each decoded part all the same.  Weights (1,) with delta 1
-    give the raw crank factor, whose q^n coefficient for n >= 2 is the crank
-    polynomial that `partitions.crank_poly` computes from the Andrews-Garvan
-    formula instead.
+    largest total over every requested size and every member's delta, so it
+    is exact for the widest parity and wide enough for the other;
+    `_unpack_half` certifies each decoded part all the same.  Weights (1,)
+    with delta 1 give the raw crank factor, whose q^n coefficient for
+    n >= 2 is the crank polynomial that `partitions.crank_poly` computes
+    from the Andrews-Garvan formula instead.
     """
     sizes = list(sizes)
     if min(sizes, default=0) < 0:
         raise CrankspaceError(f"slice sizes must be >= 0, got {min(sizes)}")
+    r = len(members[0][0]) if members else 0
+    if any(len(a) != r for a, _ in members):
+        raise CrankspaceError(f"members must share r, got {sorted({len(a) for a, _ in members})} weights")
     order = max(sizes, default=0)
-    terms = {d: _pentagonal_terms(order) if d else [] for d in deltas}
-    colored = colored_coeffs(2 * len(a), order)
+    terms = {d: _pentagonal_terms(order) if d else [] for _, deltas in members for d in deltas}
+    colored = colored_coeffs(2 * r, order)
     totals = {d: [_pentagonal_split(colored, m, t) for m in sizes] for d, t in terms.items()}
     bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
-    ints = _theta_prefix(len(a), a[:0:-1], [order] * len(a), bits)
-    _theta_pass(ints, a[0], max(a[1:], default=0), bits, True)
-    for d in deltas:
-        yield _slices(ints, a[0], bits, terms[d], sizes, totals[d])
+    scalar = _theta_prefix(r, (), [order], bits)
+    for i, ints in _trie_build(scalar, 0, [(i, a) for i, (a, _) in enumerate(members)], bits):
+        a, deltas = members[i]
+        yield a, [_slices(ints, a[0], bits, terms[d], sizes, totals[d]) for d in deltas]
 
 
 def top_windows(a: tuple[int, ...], deltas: Sequence[int], m: int) -> list[list[int]]:

@@ -14,12 +14,13 @@ decodes, by LaurentPoly.unimodal_half, the one unimodality test, which
 verify's slice checks run too.  The claims decided from these scans (the
 first-gap criterion and the families' onsets) live in verify.
 
-Work parallelizes over weight tuples, one kernel call each (slice_defects),
-on this process and its forks (_pool_map); results merge in input order, so
-the output is byte-identical for any worker count.  One cost model,
-scan_work, prices a scan's full theta passes in bit operations: it admits
-every scan (refuse_past_bound) and orders slice_defects' tasks, the largest
-first.
+Work parallelizes over tasks, each the weight tuples of one r and one
+largest weight a_1 (7 for table1, 5 for k 7..8), built by one kernel call
+that runs the widest passes they share once (slice_defects), on this
+process and its forks (_pool_map); results merge in input order, so the
+output is byte-identical for any worker count.  One cost model, scan_work,
+prices a scan's full theta passes in bit operations: it admits every scan
+(refuse_past_bound) and orders slice_defects' tasks, the largest first.
 """
 
 from __future__ import annotations
@@ -246,9 +247,11 @@ def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND
     """The scan_work of exhaustive_search(k_lo, k_hi, n_hi); BoundExceeded past SCAN_WORK_BOUND.
 
     Each k counts all r passes of each of its C(k, r) tuples to q^(n_hi - 1),
-    since each tuple is built alone; each weight 1..k is in C(k - 1, r - 1)
-    of them.  So every tuple is priced, also one that the top-slice screen
-    settles without a build: an upper bound, which the screen only loosens.
+    as if each tuple were built alone, ascending; each weight 1..k is in
+    C(k - 1, r - 1) of them.  A group build shares passes only where that
+    costs no more frame units and no more passes (qseries._plan), and every
+    tuple is priced, also one that the top-slice screen settles without a
+    build: an upper bound, which the sharing and the screen only loosen.
     """
     work = 0
     for k in range(max(k_lo, 3), k_hi + 1):
@@ -288,33 +291,40 @@ def _top_screen(a: tuple[int, ...], deltas: tuple[int, ...], top: int) -> tuple[
     return decided, undecided
 
 
-def _defects_task(task: tuple[tuple[int, ...], tuple[int, ...], int, bool]) -> dict[int, list[int]]:
-    """{delta: its non-unimodal n below n_hi, ascending} for one weight tuple's parities.
+def _defects_task(task: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int, bool]
+                  ) -> dict[tuple[tuple[int, ...], int], list[int]]:
+    """{(a, delta): its non-unimodal n below n_hi, ascending} for one task's weight tuples.
 
+    A task is the tuples of one r and one a_1, each with its parities.
     Sizes are scanned from the top down; with top_only, each parity stops at
     its first non-unimodal slice, the only one its caller reads, and the
-    parities whose top slice _top_screen decides are not built: the tuple is
-    built for the rest only (not at all, if none is left, since zip stops at
-    the empty list before it starts the build), and the decoded top half of
-    each must end in its window, reversed, or ArithmeticError is raised.
-    Each slice is tested on the certified half the kernel decodes; none is
-    mirrored.
+    parities whose top slice _top_screen decides are not built: the rest are
+    built by one kernel call for the whole task (a tuple with none left is
+    not built), and the decoded top half of each must end in its window,
+    reversed, or ArithmeticError is raised.  Each slice is tested on the
+    certified half the kernel decodes; none is mirrored.
     """
-    a, deltas, n_hi, top_only = task
+    members, n_hi, top_only = task
     top = n_hi - 1
-    defects, windows = _top_screen(a, deltas, top) if top_only else ({}, {})
-    kept = [d for d in deltas if d not in defects]
-    for delta, scan in zip(kept, qseries.iter_ck_slices(a, kept, range(top, 0, -1))):
-        bad = []
-        for n, half in scan:
-            if top_only and n == top and half[: -a[0] - 2 : -1] != windows[delta]:
-                raise ArithmeticError(f"the q^{top} window of weights {a}, delta {delta}, "
-                                      "differs from the end of its built half")
-            if not LaurentPoly.unimodal_half(half):
-                bad.append(n)
-                if top_only:
-                    break
-        defects[delta] = bad[::-1]
+    defects, windows, kept = {}, {}, {}
+    for a, deltas in members:
+        decided, undecided = _top_screen(a, deltas, top) if top_only else ({}, {})
+        defects.update(((a, delta), bad) for delta, bad in decided.items())
+        windows.update(((a, delta), window) for delta, window in undecided.items())
+        if rest := [d for d in deltas if d not in decided]:
+            kept[a] = rest
+    for a, scans in qseries.iter_ck_slices(list(kept.items()), range(top, 0, -1)):
+        for delta, scan in zip(kept[a], scans):
+            bad = []
+            for n, half in scan:
+                if top_only and n == top and half[: -a[0] - 2 : -1] != windows[a, delta]:
+                    raise ArithmeticError(f"the q^{top} window of weights {a}, delta {delta}, "
+                                          "differs from the end of its built half")
+                if not LaurentPoly.unimodal_half(half):
+                    bad.append(n)
+                    if top_only:
+                        break
+            defects[a, delta] = bad[::-1]
     return defects
 
 
@@ -327,22 +337,25 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     holds at most the largest such n, since the scan runs from n_hi - 1
     down and stops at it: that is all exhaustive_search reads; a spec whose
     top slice its outer window proves not unimodal gets [n_hi - 1] with no
-    build (_defects_task).  Each task is one weight tuple, built once for
-    all of its specs' parities; tasks start largest first by the scan_work
-    of that build, screened or not, so no large tuple is left to run alone
-    at the end.  Results follow the order of `specs`, whatever the worker
-    count.
+    build (_defects_task).  Each task is the weight tuples of one r and one
+    largest weight a_1, built by one kernel call for all of their specs'
+    parities, which shares the passes over the weights they have in common
+    (a_1's, and a_2's where it is shared too); tasks start largest first by
+    the summed scan_work of their tuples, screened or not, so no large task
+    is left to run alone at the end.  Results follow the order of `specs`,
+    whatever the worker count.
     """
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
     specs = list(specs)
-    tuples: dict[tuple[int, ...], dict[int, None]] = {}  # insertion-ordered
+    groups: dict[tuple[int, int], dict[tuple[int, ...], dict[int, None]]] = {}  # insertion-ordered
     for spec in specs:
-        tuples.setdefault(spec.a, {})[spec.delta] = None
-    tasks = sorted(((a, tuple(deltas), n_hi, top_only) for a, deltas in tuples.items()),
-                   key=lambda task: scan_work(len(task[0]), n_hi - 1, len(task[0]), sum(task[0])),
+        groups.setdefault((len(spec.a), spec.a[0]), {}).setdefault(spec.a, {})[spec.delta] = None
+    tasks = sorted(((tuple((a, tuple(deltas)) for a, deltas in group.items()), n_hi, top_only)
+                    for group in groups.values()),
+                   key=lambda task: sum(scan_work(len(a), n_hi - 1, len(a), sum(a)) for a, _ in task[0]),
                    reverse=True)
     found = {}
-    for (a, *_), defects in zip(tasks, _pool_map(_defects_task, tasks, threads)):
-        found.update(((a, delta), bad) for delta, bad in defects.items())
+    for defects in _pool_map(_defects_task, tasks, threads):
+        found.update(defects)
     return [found[spec.a, spec.delta] for spec in specs]

@@ -497,7 +497,7 @@ def verify_colored_quotients(kind: str, case: CongruenceCase, n_max: int | None 
 
     def work():
         sizes = range(case.delta, top + 1, case.ell)
-        [built] = qseries.iter_ck_slices(spec.a, (spec.delta,), sizes)
+        [(_, [built])] = qseries.iter_ck_slices([(spec.a, (spec.delta,))], sizes)
         slices = (({"n": n, "size": size}, size, half) for n, (size, half) in enumerate(built))
         violations, wobbles, negatives = _check_slices(slices, case.ell, onset, onset)
         note = (f"kind={kind}, k={case.k}, ell={case.ell}, delta={case.delta}, "

@@ -173,7 +173,7 @@ def poly_from_json(data: dict) -> LaurentPoly:
 
 def spec_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int, LaurentPoly]]:
     """(n, q^n coefficient of spec's product) for n in sizes: the kernel's halves, mirrored."""
-    [scan] = iter_ck_slices(spec.a, (spec.delta,), sizes)
+    [(_, [scan])] = iter_ck_slices([(spec.a, (spec.delta,))], sizes)
     for n, half in scan:
         yield n, LaurentPoly.from_half(half)
 
@@ -181,8 +181,9 @@ def spec_slices(spec: CrankSpec, sizes: Iterable[int]) -> Iterator[tuple[int, La
 def tuple_slices(a: tuple[int, ...], deltas: Sequence[int],
                  sizes: Iterable[int]) -> list[tuple[int, tuple[LaurentPoly, ...]]]:
     """Per size, weights a's slice for each delta, from one kernel call."""
+    [(_, scans)] = iter_ck_slices([(a, deltas)], sizes)
     return [(row[0][0], tuple(LaurentPoly.from_half(half) for _, half in row))
-            for row in zip(*map(list, iter_ck_slices(a, deltas, sizes)))]
+            for row in zip(*map(list, scans))]
 
 
 def scan_threshold(spec: CrankSpec, n_hi: int = DEFAULT_SCAN_BOUND) -> SearchResult:

@@ -29,6 +29,7 @@ from crankspace.verify import (
     InvalidCase,
     check_family_unimodality,
     enumerate_congruence_cases,
+    run_claims,
     run_plan,
     verify_colored_congruence,
     verify_colored_quotients,
@@ -177,14 +178,10 @@ def test_criterion_6_colored_quotient_divisibility():
                 seven_impossible = False
             except HypothesisViolation:
                 continue
-    instances = (
-        ("A", CongruenceCase.make(6, 4, 5)),
-        ("B", CongruenceCase.make(9, 14, 23)),
-        ("B", CongruenceCase.make(11, 14, 5)),
-    )
-    reports = [run_plan(verify_colored_quotients(kind, case)) for kind, case in instances]
-    statuses = {r.claim_id: r.status for r in reports}
-    ok = seven_impossible and all(s == "pass" for s in statuses.values())
+    # the three instances, on two workers, as `verify cor3.5 --threads 2` runs them
+    statuses = {r.claim_id: r.status for r in run_claims("cor3.5", threads=2)}
+    ok = seven_impossible and statuses == dict.fromkeys(
+        ("cor3.5-A-k6-ell5", "cor3.5-B-k9-ell23", "cor3.5-B-k11-ell5"), "pass")
     _announce(
         6,
         ok,

@@ -5,14 +5,15 @@ from __future__ import annotations
 import inspect
 import random
 import typing
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crankspace.qseries
 from crankspace import cli
-from crankspace.laurent import LaurentPoly
+from crankspace.laurent import CrankspaceError, LaurentPoly
 from crankspace.partitions import colored_count, crank_poly, rank_poly
 from crankspace.qseries import (
     CrankSpec,
@@ -347,8 +348,68 @@ class TestThetaBuild:
             # the slot it picks for delta 0 at the one size order: the narrowest
             # that holds every geometric coefficient up to that order
             bits = _slot_width(colored_coeffs(2 * len(a), order)[order])
-            [built] = iter_ck_slices(a, (0,), [order])
+            [(_, [built])] = iter_ck_slices([(a, (0,))], [order])
             assert built == shift_add_half(a, order, bits), (a, order)
+
+
+@st.composite
+def member_sets(draw) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """1..5 distinct r-weight tuples from 1..top, each with one or both parities.
+
+    A small top makes most of them share their largest weights.
+    """
+    r = draw(st.integers(1, 4))
+    top = draw(st.integers(r, 9))
+    weights = st.sets(st.integers(1, top), min_size=r, max_size=r).map(lambda w: tuple(sorted(w, reverse=True)))
+    tuples = draw(st.lists(weights, min_size=1, max_size=5, unique=True))
+    return [(a, draw(st.sampled_from([(0,), (1,), (0, 1), (1, 0)]))) for a in tuples]
+
+
+class TestGroupBuild:
+    """One kernel call builds a set of same-r tuples through a descending trie of shared passes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(members=member_sets(), sizes=st.lists(st.integers(0, 24), min_size=1, max_size=4))
+    @example(members=[((8, 7, 2, 1), (0,)), ((8, 7, 3, 1), (1,))], sizes=[30, 2])  # sharing a_1, a_2 does not pay
+    @example(members=[((6, 5, 2), (1,)), ((6, 5, 1), (0, 1)), ((6, 5, 4), (0,)), ((6, 3, 1), (1,))],
+             sizes=[20, 0, 7])
+    def test_group_build_matches_lone_and_shift_add_builds(self, members, sizes):
+        frames, packed, grouped = [], [], {}
+        theta_pass, decode = crankspace.qseries._theta_pass, crankspace.qseries._slices
+
+        def counted_pass(ints, aj, origin, bits, last, window=0):
+            frames.append(max(aj, origin))
+            theta_pass(ints, aj, origin, bits, last, window)
+
+        def kept_scan(ints, c, bits, *args):
+            packed.append((ints, bits))
+            return decode(ints, c, bits, *args)
+
+        with mock.patch.object(crankspace.qseries, "_theta_pass", counted_pass), \
+                mock.patch.object(crankspace.qseries, "_slices", kept_scan):
+            for a, scans in iter_ck_slices(members, sizes):
+                grouped[a] = [list(scan) for scan in scans]
+                ints, bits = packed[-1]
+                assert ints == shift_add_half(a, max(sizes), bits), a
+        assert sorted(grouped) == sorted(a for a, _ in members)
+        for a, deltas in members:
+            [(_, scans)] = iter_ck_slices([(a, deltas)], sizes)
+            assert grouped[a] == [list(scan) for scan in scans], a
+        # never more work than building each tuple alone, ascending: r passes, its weights' sum
+        assert len(frames) <= sum(len(a) for a, _ in members)
+        assert sum(frames) <= sum(sum(a) for a, _ in members)
+
+    def test_a_branch_is_taken_only_where_it_pays(self):
+        # sharing 8 and 7 costs 8 + 8 + 2 * (8 + 8) = 48 frame units; alone, 18 + 19
+        assert crankspace.qseries._plan(0, [(0, (8, 7, 2, 1)), (1, (8, 7, 3, 1))]) == ((37, 8), None)
+        # sharing 6 and 5 costs 6 + 6 + 3 * 6 = 30 against 12 + 13 + 15 alone, in 5 passes, not 9
+        rests = [(5, 1), (5, 2), (5, 4)]
+        assert crankspace.qseries._plan(0, [(i, (6, *rest)) for i, rest in enumerate(rests)]) == (
+            (30, 5), {6: list(enumerate(rests))})
+
+    def test_members_must_share_r(self):
+        with pytest.raises(CrankspaceError, match="share r"):
+            list(iter_ck_slices([((3, 2), (0,)), ((4, 3, 1), (1,))], [5]))
 
 
 class TestTopWindows:
@@ -361,7 +422,7 @@ class TestTopWindows:
             for k in range(3, k_hi + 1):
                 for spec in crank_space(k):
                     a, deltas = spec.a, (spec.delta,)
-                    [[(_, half)]] = iter_ck_slices(a, deltas, [n_hi - 1])
+                    [(_, [[(_, half)]])] = iter_ck_slices([(a, deltas)], [n_hi - 1])
                     assert top_windows(a, deltas, n_hi - 1) == [half[: -a[0] - 2 : -1]], (a, k, n_hi)
                     checked += 1
         assert checked == 5868

@@ -194,36 +194,48 @@ class TestExhaustiveSearch:
             pooled = run_plan(check_family_unimodality(n_hi=30, threads=threads))
             assert serial._replace(elapsed_s=0) == pooled._replace(elapsed_s=0)
 
-    @pytest.mark.parametrize("scan,screened,tuples,passes", [
-        # 39 specs of 26 tuples, each screened; r passes per tuple the screen leaves undecided
-        (lambda: exhaustive_search(3, 6, n_hi=75, threads=1), 26, 13, 36),
-        # 105 specs of 70 tuples, likewise
-        (lambda: exhaustive_search(7, 8, n_hi=60, threads=1), 70, 35, 140),
-        # 13 families, unscreened: the family scan reads every defect
-        (lambda: run_plan(check_family_unimodality(n_hi=60, threads=1)), 0, 8, 35),
+    @pytest.mark.parametrize("scan,screened,tuples,passes,frames,decoded,unpacked", [
+        # 39 specs of 26 tuples, each screened; the 13 the screen leaves undecided are
+        # built in 7 (r, a_1) groups, whose shared passes run once, a_1's and a_2's first
+        (lambda: exhaustive_search(3, 6, n_hi=75, threads=1), 26, 13, 24, 98, 1323, 1845),
+        # 105 specs of 70 tuples, likewise, in 5 groups
+        (lambda: exhaustive_search(7, 8, n_hi=60, threads=1), 70, 35, 60, 399, 2604, 3609),
+        # 13 families, unscreened: the family scan reads every defect; each group is one tuple
+        (lambda: run_plan(check_family_unimodality(n_hi=60, threads=1)), 0, 8, 35, 145, 767, 1239),
     ], ids=["table1-tuples", "k7-8", "families"])
-    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, screened, tuples, passes):
-        built, theta_passes, windows = [], [], {}
+    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, screened, tuples, passes,
+                                              frames, decoded, unpacked):
+        built, theta_frames, windows, slices, unpacks = [], [], {}, [], []
         build, theta_pass = qseries.iter_ck_slices, qseries._theta_pass
-        top_windows = qseries.top_windows
+        top_windows, decode, unpack = qseries.top_windows, qseries._slices, qseries._unpack_half
 
-        def counted_build(a, *args):  # a generator, so a call that is never started builds nothing
-            built.append(a)
-            yield from build(a, *args)
+        def counted_build(members, sizes):  # a generator: counts the members it builds
+            for a, scans in build(members, sizes):
+                built.append(a)
+                yield a, scans
 
         def full_pass(ints, aj, origin, bits, last, window=0):
             if not window:  # the screen's windowed passes are not counted
-                theta_passes.append(aj)
+                theta_frames.append(max(aj, origin))
             theta_pass(ints, aj, origin, bits, last, window)
+
+        def counted_scan(*args):
+            for m, half in decode(*args):
+                slices.append(m)
+                yield m, half
 
         monkeypatch.setattr(qseries, "iter_ck_slices", counted_build)
         monkeypatch.setattr(qseries, "_theta_pass", full_pass)
         monkeypatch.setattr(qseries, "top_windows",
                             lambda a, *args: windows.setdefault(a, top_windows(a, *args)))
+        monkeypatch.setattr(qseries, "_slices", counted_scan)
+        monkeypatch.setattr(qseries, "_unpack_half", lambda *args: unpacks.append(args[2]) or unpack(*args))
         scan()
         assert len(built) == len(set(built)) == tuples
-        assert len(theta_passes) == passes
+        assert len(theta_frames) == passes
+        assert sum(theta_frames) == frames  # a pass counted as its frame's width, as _plan counts it
         assert len(windows) == screened
+        assert len(slices) == decoded and len(unpacks) == unpacked
         if screened:  # built are exactly the tuples with a parity the window left undecided
             assert set(built) == {a for a, found in windows.items()
                                   if any(LaurentPoly.unimodal_half(w[::-1]) for w in found)}
@@ -234,9 +246,13 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(search, "_pool_map",
                             lambda fn, tasks, threads: handed.extend(tasks) or pool_map(fn, tasks, threads))
         results = exhaustive_search(3, 6, n_hi=20, threads=1)
-        # each task is one tuple, ranked by the model cost of its r passes
-        assert sorted(a for a, _, _, _ in handed) == sorted({a for _, a, _ in TABLE1_ROWS})
-        work = [search.scan_work(len(a), 19, len(a), sum(a)) for a, _, _, _ in handed]
+        # each task is the tuples of one r and one a_1 (7 groups), ranked by their summed model cost
+        assert sorted(a for members, _, _ in handed for a, _ in members) == sorted(
+            {a for _, a, _ in TABLE1_ROWS})
+        groups = [{(len(a), a[0]) for a, _ in members} for members, _, _ in handed]
+        assert all(len(group) == 1 for group in groups) and len(set().union(*groups)) == len(groups) == 7
+        work = [sum(search.scan_work(len(a), 19, len(a), sum(a)) for a, _ in members)
+                for members, _, _ in handed]
         assert work == sorted(work, reverse=True) and work[0] > work[-1]
         assert [r.spec.a for r in results] == [a for _, a, _ in TABLE1_ROWS]  # still in spec order
 
@@ -466,7 +482,7 @@ class TestForkMap:
         task = search._defects_task
 
         def failing(t):
-            if t[0] == (4, 3):
+            if any(a == (4, 3) for a, _ in t[0]):
                 raise error("raised in a task")
             return task(t)
 

@@ -299,7 +299,8 @@ class TestSliceCheckFailures:
     def test_non_divisible_slice(self, monkeypatch):
         off = LaurentPoly(-1, (1, 1, 1))  # symmetric and unimodal, span too short for Phi_5
         monkeypatch.setattr(qseries, "iter_ck_slices",
-                            lambda a, deltas, sizes: [((size, [1, 1]) for size in sizes)])
+                            lambda members, sizes: [(a, [((size, [1, 1]) for size in sizes)])
+                                                    for a, _ in members])
         rep = run_plan(verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1))
         assert rep.status == "fail"
         assert [c.params for c in rep.counterexamples] == [
@@ -369,7 +370,8 @@ class TestSliceCheckFailures:
     def test_negative_quotient_of_a_symmetric_unimodal_slice_is_a_fault(self, monkeypatch, capsys,
                                                                          half, faulty):
         monkeypatch.setattr(qseries, "iter_ck_slices",
-                            lambda a, deltas, sizes: [((size, half) for size in sizes)])
+                            lambda members, sizes: [(a, [((size, half) for size in sizes)])
+                                                    for a, _ in members])
         monkeypatch.setattr(verify, "divides_standard", lambda f, ell: True)
         monkeypatch.setattr(verify, "exact_quotient", lambda f, ell, variant: LaurentPoly(0, (1, -1, 1)))
         plan = verify_colored_quotients("A", CongruenceCase.make(6, 4, 5), n_max=1)  # sizes 4, 9
@@ -485,9 +487,9 @@ class TestPlantedFaults:
         if argv[0].startswith("cor3.5"):
             build = qseries.iter_ck_slices
 
-            def planted(a, deltas, sizes):
-                for scan in build(a, deltas, sizes):
-                    yield ((m, plant(half) if m == 19 else half) for m, half in scan)
+            def planted(members, sizes):
+                for a, scans in build(members, sizes):
+                    yield a, [((m, plant(half) if m == 19 else half) for m, half in scan) for scan in scans]
 
             monkeypatch.setattr(qseries, "iter_ck_slices", planted)
             params, size = {"n": 3, "size": 19}, 19
