@@ -305,15 +305,14 @@ def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], si
         yield m, half
 
 
-def _plan(c: int, members: list[tuple[int, tuple[int, ...]]]
-          ) -> tuple[tuple[int, int], dict[int, list[tuple[int, tuple[int, ...]]]] | None]:
+def _plan(c: int, members: list[tuple[int, tuple[int, ...]]]) -> tuple[tuple[int, int], dict | None]:
     """The cheapest build of members (i, weights left, descending) from entries framed at c.
 
     Returns its cost, (frame units, passes), with a pass at frame c'
     counted as c' units (its entries are about 2c'm slots wide), and its
-    first step: None, to build each member alone, ascending, or the members
-    grouped by their next weight, each with that weight dropped, to divide
-    by it once per group.  Branching is taken only when it costs less
+    first step: None, to build each member alone, ascending, or, per next
+    weight w, the members below it, with w dropped, and their own plan, to
+    divide by w once for them.  Branching is taken only when it costs less
     (fewer units, or as many in fewer passes), so no plan costs more units
     or passes than building each member alone.
     """
@@ -323,22 +322,21 @@ def _plan(c: int, members: list[tuple[int, tuple[int, ...]]]
     groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for i, rest in members:
         groups.setdefault(rest[0], []).append((i, rest[1:]))
-    units = passes = 0
-    for w, below in groups.items():
-        (u, p), _ = _plan(max(c, w), below)
-        units, passes = units + max(c, w) + u, passes + 1 + p
-    return ((units, passes), groups) if (units, passes) < alone else (alone, None)
+    steps = {w: (below, _plan(max(c, w), below)) for w, below in groups.items()}
+    units = sum(max(c, w) + plan[0][0] for w, (_, plan) in steps.items())
+    passes = sum(1 + plan[0][1] for _, plan in steps.values())
+    return ((units, passes), steps) if (units, passes) < alone else (alone, None)
 
 
-def _trie_build(ints: list[int], c: int, members: list[tuple[int, tuple[int, ...]]], bits: int
-                ) -> Iterator[tuple[int, list[int]]]:
-    """(i, packed G) for members (i, weights left, descending), from ints framed at c, by _plan.
+def _trie_build(ints: list[int], c: int, members: list[tuple[int, tuple[int, ...]]], plan: tuple,
+                bits: int) -> Iterator[tuple[int, list[int]]]:
+    """(i, packed G) for members (i, weights left, descending), from ints framed at c, by their _plan.
 
     The last member or group works on ints in place and each other one on a
     copy, so a yielded G is never touched again.
     """
-    _, groups = _plan(c, members)
-    if groups is None:
+    _, steps = plan
+    if steps is None:
         for n, (i, rest) in enumerate(members):
             own = ints if n == len(members) - 1 else ints[:]
             frame = c
@@ -347,10 +345,10 @@ def _trie_build(ints: list[int], c: int, members: list[tuple[int, tuple[int, ...
                 frame = max(frame, w)
             yield i, own
         return
-    for n, (w, below) in enumerate(groups.items()):
-        own = ints if n == len(groups) - 1 else ints[:]
+    for n, (w, (below, sub)) in enumerate(steps.items()):
+        own = ints if n == len(steps) - 1 else ints[:]
         _theta_pass(own, w, c, bits, not below[0][1])
-        yield from _trie_build(own, max(c, w), below, bits)
+        yield from _trie_build(own, max(c, w), below, sub, bits)
 
 
 def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes: Iterable[int]
@@ -414,7 +412,8 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     totals = {d: [_pentagonal_split(colored, m, t) for m in sizes] for d, t in terms.items()}
     bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
     scalar = _theta_prefix(r, (), [order], bits)
-    for i, ints in _trie_build(scalar, 0, [(i, a) for i, (a, _) in enumerate(members)], bits):
+    roots = [(i, a) for i, (a, _) in enumerate(members)]
+    for i, ints in _trie_build(scalar, 0, roots, _plan(0, roots), bits):
         a, deltas = members[i]
         yield a, [_slices(ints, a[0], bits, terms[d], sizes, totals[d]) for d in deltas]
 

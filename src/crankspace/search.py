@@ -339,10 +339,9 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     top slice its outer window proves not unimodal gets [n_hi - 1] with no
     build (_defects_task).  Each task is the weight tuples of one r and one
     largest weight a_1, built by one kernel call for all of their specs'
-    parities, which shares the passes over the weights they have in common
-    (a_1's, and a_2's where it is shared too); tasks start largest first by
-    the summed scan_work of their tuples, screened or not, so no large task
-    is left to run alone at the end.  Results follow the order of `specs`,
+    parities, which runs the widest passes they share once; tasks start
+    largest first by the summed scan_work of their tuples, screened or not,
+    so no large task is left to run alone at the end.  Results follow the order of `specs`,
     whatever the worker count.
     """
     if n_hi < 2:

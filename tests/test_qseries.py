@@ -404,8 +404,8 @@ class TestGroupBuild:
         assert crankspace.qseries._plan(0, [(0, (8, 7, 2, 1)), (1, (8, 7, 3, 1))]) == ((37, 8), None)
         # sharing 6 and 5 costs 6 + 6 + 3 * 6 = 30 against 12 + 13 + 15 alone, in 5 passes, not 9
         rests = [(5, 1), (5, 2), (5, 4)]
-        assert crankspace.qseries._plan(0, [(i, (6, *rest)) for i, rest in enumerate(rests)]) == (
-            (30, 5), {6: list(enumerate(rests))})
+        cost, steps = crankspace.qseries._plan(0, [(i, (6, *rest)) for i, rest in enumerate(rests)])
+        assert cost == (30, 5) and list(steps) == [6] and steps[6][0] == list(enumerate(rests))
 
     def test_members_must_share_r(self):
         with pytest.raises(CrankspaceError, match="share r"):
