@@ -14,12 +14,16 @@ range), 1 = a checked claim failed, 2 = usage error (a CrankspaceError),
 3 = internal fault (any other exception, a plain ValueError included;
 traceback on stderr).  Worker count comes from --threads, else the number of
 CPUs this process may run on (its affinity mask where the platform has one);
-it never changes output bytes.
+it never changes output bytes.  main() without argv, the program entry, freezes
+the heap (gc.freeze) once the command is done, so the interpreter's exit skips
+collecting it; main(argv) does not, as a caller's later garbage cycles would
+then never be freed.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -312,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.threads is not None and args.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")
         return args.handler(args, sys.stdout)
@@ -324,6 +328,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         import traceback  # here, not at the top, to keep the cold start lean
         traceback.print_exc()
         return 3
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -578,6 +579,35 @@ class TestInternalFaults:
         assert "Traceback" in err and "ValueError: a fault inside a suite" in err
 
 
+SRC = str(Path(crankspace.__file__).parents[1])
+# What the installed `crankspace` console script runs.
+ENTRY = "import sys; from crankspace.cli import main; sys.exit(main())"
+# A suite fault planted from a -c script's first lines, so its frames read the
+# same in a subprocess and in this process.
+PLANT = "def broken(n_max=99):\n    raise ValueError('a fault inside a suite')\n"
+
+
+def program(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run `python *args` with the package on its path and no inherited PYTHON* setting.
+
+    PYTHONUNBUFFERED, for one, would move a closed stdout's failure from the
+    exit-time flush into the first write.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
+
+
+def in_process(capsys, argv: list[str]) -> tuple[int, bytes, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own refusals
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err
+
+
 def test_cold_commands_import_no_dataclasses_or_pool():
     script = (
         "import sys\n"
@@ -586,9 +616,64 @@ def test_cold_commands_import_no_dataclasses_or_pool():
         "assert main(['verify', '--list']) == 0\n"
         "print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))\n"
     )
-    src = str(Path(crankspace.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = program("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-1] == b"[]"
+
+
+class TestProgramEntry:
+    """The console script and `python -m crankspace.cli` behave as main(argv) does."""
+
+    @pytest.mark.parametrize("form", [["-c", ENTRY], ["-m", "crankspace.cli"]])
+    @pytest.mark.parametrize("argv,code", [
+        (["--format", "json", "poly", "rank", "--n", "7"], 0),
+        (["poly", "rank", "--n", "5001"], 2),  # a CrankspaceError
+        (["poly", "rank", "--n", "x" * 40], 2),  # argparse's refusal
+    ])
+    def test_entry_matches_main(self, capsys, form, argv, code):
+        done = program(*form, *argv)
+        assert (done.returncode, done.stdout, done.stderr.decode()) == in_process(capsys, argv)
+        assert done.returncode == code
+
+    def test_planted_fault_matches_main(self, capsys, monkeypatch):
+        argv = ["--threads", "1", "verify", "thm2.2"]
+        script = PLANT + "from crankspace import verify\nverify.verify_crank_mod10 = broken\n" + ENTRY
+        done = program("-c", script, *argv)
+        plant: dict = {}
+        exec(compile(PLANT, "<string>", "exec"), plant)
+        monkeypatch.setattr(verify, "verify_crank_mod10", plant["broken"])
+        assert (done.returncode, done.stdout, done.stderr.decode()) == in_process(capsys, argv)
+        assert done.returncode == 3 and b"ValueError: a fault inside a suite" in done.stderr
+
+    def test_only_the_program_entry_freezes_the_heap(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["verify", "--list"]) == 0
+        assert gc.get_freeze_count() == before
+        capsys.readouterr()
+        script = ("import gc, sys\nfrom crankspace.cli import main\n"
+                  "sys.argv = ['crankspace', 'verify', '--list']\n"
+                  "before = gc.get_freeze_count()\ncode = main()\n"
+                  "print(before, gc.get_freeze_count(), code, file=sys.stderr)\n")
+        done = program("-c", script)
+        before, after, code = map(int, done.stderr.split())
+        assert (before, code) == (0, 0) and after > 0
+        assert done.stdout.decode() == VERIFY_LIST
+
+    @pytest.mark.parametrize("argv,code", [
+        (["verify", "--list"], 120),  # fits stdout's buffer: the exit-time flush fails
+        (["poly", "rank", "--n", "3000"], 3),  # past it: the handler's own write fails
+    ])
+    def test_closed_stdout(self, argv, code):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = program("-c", ENTRY, *argv, stdout=write)
+        finally:
+            os.close(write)
+        err = done.stderr.decode()
+        assert done.returncode == code and err.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+        if code == 120:  # the interpreter's two lines, and nothing from the program
+            assert err.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+            assert err.count("\n") == 2
+        else:
+            assert err.startswith("Traceback (most recent call last):\n")

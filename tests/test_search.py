@@ -475,6 +475,12 @@ class Refused(CrankspaceError):
 
 
 class TestForkMap:
+    @pytest.mark.parametrize("threads", [None, 1, 3])
+    def test_no_tasks_fork_nothing(self, monkeypatch, threads):
+        three_cpus(monkeypatch)
+        fork_spy(monkeypatch, [], allowed=False)
+        assert search._pool_map(abs, [], threads) == []
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("error,code", [(Refused, 2), (SlotOverflow, 3)])
     def test_a_task_error_keeps_its_type_and_exit_code(self, monkeypatch, capsys, threads, error, code):
