@@ -12,12 +12,15 @@ Output formats: text (default), json, csv.  Exit codes: 0 = computed or all
 claims passed (partial counts as passing: the claim held in its stated
 range), 1 = a checked claim failed, 2 = usage error (a CrankspaceError),
 3 = internal fault (any other exception, a plain ValueError included;
-traceback on stderr).  Worker count comes from --threads, else the number of
-CPUs this process may run on (its affinity mask where the platform has one);
-it never changes output bytes.  main() without argv, the program entry, freezes
-the heap (gc.freeze) once the command is done, so the interpreter's exit skips
-collecting it; main(argv) does not, as a caller's later garbage cycles would
-then never be freed.
+traceback on stderr), 141 = stdout closed before the output was written (a
+reader that went away, as in `| head`; nothing on stderr).  Worker count
+comes from --threads, else the number of CPUs this process may run on (its
+affinity mask where the platform has one); it never changes output bytes.
+main() without argv, the program entry, flushes stdout before it returns, so
+a closed stdout gets 141 whatever the output's size, and freezes the heap
+(gc.freeze) once the command is done, so the interpreter's exit skips
+collecting it; main(argv) does neither: stdout is its caller's, and a frozen
+heap would keep the caller's later garbage cycles for good.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import re
 import sys
 from typing import Sequence
@@ -38,6 +42,8 @@ _POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
 # (crank:5000), and Phi_ell divides no nonzero polynomial spanning fewer than
 # ell: `quotient` refuses a larger --ell or a wider literal before any work.
 QUOTIENT_BOUND = 2 * partitions.POLY_BOUND + 1
+# The exit code for a stdout closed early: a shell's code for a program SIGPIPE ends
+CLOSED_STDOUT = 141
 # poly's kinds and the shorthands' prefixes, each to the partitions builder it calls
 _BUILDERS = {"rank": "rank_poly", "crank": "crank_poly",
              "modified-rank": "modified_rank_poly", "modified-crank": "modified_crank_poly",
@@ -101,8 +107,6 @@ def _render_poly(poly: LaurentPoly, fmt: str, out) -> None:
 
 
 def _cmd_poly(args, out) -> int:
-    if args.n < 0:
-        raise UsageError("--n must be >= 0")
     builder = getattr(partitions, _BUILDERS[args.kind])
     if args.kind.startswith("modified"):
         if args.ell is None:
@@ -193,8 +197,8 @@ def _cmd_search(args, out) -> int:
 
 
 def _cmd_colored(args, out) -> int:
-    if args.k < 1 or args.n < 0:
-        raise UsageError("colored pk needs --k >= 1 and --n >= 0")
+    if args.k < 1:
+        raise UsageError("colored pk needs --k >= 1")
     value = partitions.colored_count(args.k, args.n)
     if args.format == "json":
         _write_json({"k": args.k, "n": args.n, "value": str(value)}, out)
@@ -207,8 +211,6 @@ def _cmd_colored(args, out) -> int:
 
 
 def _cmd_asymptotic(args, out) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
     m_values = args.m if args.m else None
     samples = verify.rank_asymptotic_samples(args.n, m_values)
     if args.format == "json":
@@ -320,7 +322,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if args.threads is not None and args.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")
-        return args.handler(args, sys.stdout)
+        code = args.handler(args, sys.stdout)
+        if argv is None:  # so that a closed stdout fails here, not in the interpreter's exit
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader went away; what is left unwritten goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
     except CrankspaceError as exc:  # numbers past QUOTE_CHARS digits are shortened like text
         print(f"error: {_shorten(str(exc))}", file=sys.stderr)
         return 2

@@ -19,9 +19,9 @@ product is a geometric stage G = prod_a prod_n 1/((1-z^a q^n)(1-z^-a q^n)),
 whose coefficients are all non-negative, times prod (1-q^n) for odd k (the
 pentagonal-number expansion).  G depends only on the weights, so one build
 serves both parities, and one call of `iter_ck_slices` builds a set of
-tuples with the same r along a trie over their weights, largest first: a
+tuples with the same r along one build tree (`_plan`), walked by `_build`: a
 pass over the largest weights that several tuples share, the widest kind of
-pass, runs once for all of them.
+pass, runs once for all of them where that saves work.
 
 G is built by division by theta series, not factor by factor.  By the Jacobi
 triple product, (q)_inf prod_n (1-z^a q^n)(1-z^-a q^n) is the sparse series
@@ -48,6 +48,7 @@ both halves of every slice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -271,25 +272,14 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
             ints[j] = t >> (grow * (j - 1)) if j else t << grow
 
 
-def _theta_prefix(r: int, weights: Sequence[int], orders: Sequence[int], bits: int,
-                  window: int = 0) -> list[int]:
-    """Packed entries of (q)_inf^r divided by the theta series of each of weights, in turn.
-
-    (q)_inf^r takes one pentagonal pass per weight, in place from the top, to
-    orders[0]; weights[i]'s theta pass (with window) runs to orders[i + 1],
-    on entries padded with zeros.
-    """
-    ints = [1] + [0] * orders[0]
-    pentagonal = _pentagonal_terms(orders[0])
+def _q_power(r: int, order: int) -> list[int]:
+    """Coefficients 0..order of (q)_inf^r: r pentagonal passes, each in place from the top."""
+    ints = [1] + [0] * order
+    pentagonal = _pentagonal_terms(order)
     for _ in range(r):
-        for m in range(orders[0], 0, -1):
+        for m in range(order, 0, -1):
             pos, neg = _pentagonal_split(ints, m, pentagonal)
             ints[m] = pos - neg
-    origin = 0
-    for aj, order in zip(weights, orders[1:]):
-        ints += [0] * (order + 1 - len(ints))
-        _theta_pass(ints, aj, origin, bits, False, window)
-        origin = aj
     return ints
 
 
@@ -305,50 +295,46 @@ def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], si
         yield m, half
 
 
-def _plan(c: int, members: list[tuple[int, tuple[int, ...]]]) -> tuple[tuple[int, int], dict | None]:
-    """The cheapest build of members (i, weights left, descending) from entries framed at c.
+def _plan(c: int, members: list[tuple[int, tuple[int, ...]]]) -> tuple[tuple[int, int], int | list]:
+    """The cheapest build tree of members (i, weights left, descending) from entries framed at c.
 
     Returns its cost, (frame units, passes), with a pass at frame c'
-    counted as c' units (its entries are about 2c'm slots wide), and its
-    first step: None, to build each member alone, ascending, or, per next
-    weight w, the members below it, with w dropped, and their own plan, to
-    divide by w once for them.  Branching is taken only when it costs less
-    (fewer units, or as many in fewer passes), so no plan costs more units
-    or passes than building each member alone.
+    counted as c' units (its entries are about 2c'm slots wide), and the
+    tree: a leaf is a member index i, a node a list of steps (w, subtree),
+    each one division by w's theta series.  A member built alone is a chain
+    of one-step nodes, ascending.  Members that share their next weight w
+    are divided by it once only where that costs less (fewer units, or as
+    many in fewer passes), so no tree costs more units or passes than
+    building each member alone.
     """
+    if len(members) == 1 and not members[0][1]:
+        return (0, 0), members[0][0]
     alone = (sum(max(c, w) for _, rest in members for w in rest), sum(len(rest) for _, rest in members))
-    if len(members) < 2 or not members[0][1]:
-        return alone, None
     groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for i, rest in members:
         groups.setdefault(rest[0], []).append((i, rest[1:]))
-    steps = {w: (below, _plan(max(c, w), below)) for w, below in groups.items()}
-    units = sum(max(c, w) + plan[0][0] for w, (_, plan) in steps.items())
-    passes = sum(1 + plan[0][1] for _, plan in steps.values())
-    return ((units, passes), steps) if (units, passes) < alone else (alone, None)
+    if len(groups) < len(members):  # some members share their next weight
+        subs = {w: _plan(max(c, w), below) for w, below in groups.items()}
+        cost = (sum(max(c, w) + units for w, ((units, _), _) in subs.items()),
+                sum(1 + passes for (_, passes), _ in subs.values()))
+        if cost < alone:
+            return cost, [(w, tree) for w, (_, tree) in subs.items()]
+    return alone, [functools.reduce(lambda tree, w: [(w, tree)], rest, i)[0] for i, rest in members]
 
 
-def _trie_build(ints: list[int], c: int, members: list[tuple[int, tuple[int, ...]]], plan: tuple,
-                bits: int) -> Iterator[tuple[int, list[int]]]:
-    """(i, packed G) for members (i, weights left, descending), from ints framed at c, by their _plan.
+def _build(ints: list[int], c: int, tree: int | list, bits: int) -> Iterator[tuple[int, list[int]]]:
+    """(i, packed G) for each leaf i of tree (see _plan), from ints framed at c.
 
-    The last member or group works on ints in place and each other one on a
+    The last step of a node works on ints in place and each other one on a
     copy, so a yielded G is never touched again.
     """
-    _, steps = plan
-    if steps is None:
-        for n, (i, rest) in enumerate(members):
-            own = ints if n == len(members) - 1 else ints[:]
-            frame = c
-            for w in reversed(rest):
-                _theta_pass(own, w, frame, bits, w == rest[0])
-                frame = max(frame, w)
-            yield i, own
+    if isinstance(tree, int):
+        yield tree, ints
         return
-    for n, (w, (below, sub)) in enumerate(steps.items()):
-        own = ints if n == len(steps) - 1 else ints[:]
-        _theta_pass(own, w, c, bits, not below[0][1])
-        yield from _trie_build(own, max(c, w), below, sub, bits)
+    for n, (w, sub) in enumerate(tree):
+        own = ints if n == len(tree) - 1 else ints[:]
+        _theta_pass(own, w, c, bits, isinstance(sub, int))
+        yield from _build(own, max(c, w), sub, bits)
 
 
 def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes: Iterable[int]
@@ -366,16 +352,16 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every slice is a palindrome:
     only its z^e, e <= 0, half is built, and it is yielded as the list of
     its z^0, z^-1, ... coefficients (`LaurentPoly.from_half` mirrors it).
-    Negative sizes, or members of different r, raise CrankspaceError.
+    Negative sizes, or members that differ in r or repeat weights, raise
+    CrankspaceError.
 
     G is the scalar (q)_inf^r, built once for all members, divided by one
-    theta series per weight, along a trie over the members' weights read
-    descending: a pass at a node serves every member below it, so the
-    shared passes are the widest ones, a_1's first.  At each node _plan
-    branches only where that pays; a member left alone takes its remaining
-    passes ascending, so a lone member is built a_r first and a_1 last.
-    Either way every entry ends framed at c = a_1, and the member's last
-    pass leaves slot s of entry m holding the coefficient of z^(c - s).
+    theta series per weight along _plan's build tree, whose shared steps are
+    the widest passes, a_1's first: a step serves every member below it.
+    _plan shares a pass only where that pays; a member left alone takes its
+    remaining passes ascending, a_r first and a_1 last.  Either way every
+    entry ends framed at c = a_1, and the member's last pass leaves slot s
+    of entry m holding the coefficient of z^(c - s).
     The integers are exact images whatever their sign, and whatever slots
     overflow on the way.  G's coefficients are non-negative and below
     2^bits, so the image's base-2^bits digits are those coefficients: the
@@ -406,28 +392,30 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     r = len(members[0][0]) if members else 0
     if any(len(a) != r for a, _ in members):
         raise CrankspaceError(f"members must share r, got {sorted({len(a) for a, _ in members})} weights")
+    if len({a for a, _ in members}) < len(members):
+        raise CrankspaceError("members must have distinct weights")
     order = max(sizes, default=0)
     terms = {d: _pentagonal_terms(order) if d else [] for _, deltas in members for d in deltas}
     colored = colored_coeffs(2 * r, order)
     totals = {d: [_pentagonal_split(colored, m, t) for m in sizes] for d, t in terms.items()}
     bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
-    scalar = _theta_prefix(r, (), [order], bits)
-    roots = [(i, a) for i, (a, _) in enumerate(members)]
-    for i, ints in _trie_build(scalar, 0, roots, _plan(0, roots), bits):
+    _, tree = _plan(0, [(i, a) for i, (a, _) in enumerate(members)])
+    for i, ints in _build(_q_power(r, order), 0, tree, bits):
         a, deltas = members[i]
         yield a, [_slices(ints, a[0], bits, terms[d], sizes, totals[d]) for d in deltas]
 
 
 def top_windows(a: tuple[int, ...], deltas: Sequence[int], m: int) -> list[list[int]]:
-    """Per delta in deltas, the coefficients of z^(-c*m) .. z^(-c*m + c), c = a_1, of a's q^m slice.
+    """Per delta in deltas, the coefficients of z^(-c*m + c) .. z^(-c*m), c = a_1, of a's q^m slice.
 
     For m >= 1 that window is the last c + 1 entries of the half that
-    iter_ck_slices yields for (a, delta) at m, reversed, and costs a small
-    fraction of it.  It is the same theta division with every entry kept to
-    its W = c + 1 lowest slots (_theta_pass's window).  Reduction modulo
-    2^(W*bits) after z -> 2^bits is a ring map, and every step is a left
-    shift or an add on a frame whose slot 0 is z^(-a_j*m), so an entry's low
-    W slots depend only on the low W slots of the entries before it.  A pass
+    iter_ck_slices yields for (a, delta) at m, in the half's order, and costs
+    a small fraction of it.  It is the same theta division, one pass per
+    weight ascending, with every entry kept to its W = c + 1 lowest slots
+    (_theta_pass's window).  Reduction modulo 2^(W*bits) after z -> 2^bits
+    is a ring map, and every step is a left shift or an add on a frame whose
+    slot 0 is z^(-a_j*m), so an entry's low W slots depend only on the low W
+    slots of the entries before it.  A pass
     before the last needs only its orders up to (W - 1) // (the gap to the
     next weight): the next reframe shifts every later entry out of the
     window.  For delta 1, each pentagonal term q^g G[m - g] is shifted c*g
@@ -444,7 +432,10 @@ def top_windows(a: tuple[int, ...], deltas: Sequence[int], m: int) -> list[list[
     terms = _pentagonal_terms(m)
     colored = colored_coeffs(2 * len(a), m)
     bits = _slot_width(max(max(_pentagonal_split(colored, m, terms if d else [])) for d in deltas))
-    ints = _theta_prefix(len(a), a[::-1], orders[::-1], bits, w)
+    ints = _q_power(len(a), orders[-1])
+    for aj, origin, order in zip(a[::-1], (0, *a[:0:-1]), orders[-2::-1]):  # a_r's pass first
+        ints += [0] * (order + 1 - len(ints))
+        _theta_pass(ints, aj, origin, bits, False, w)
     slot = (1 << bits) - 1
     windows = []
     for d in deltas:
@@ -454,7 +445,7 @@ def top_windows(a: tuple[int, ...], deltas: Sequence[int], m: int) -> list[list[
                 break
             parts[sgn < 0] += ints[m - g] << (bits * c * g)
         pos, neg = parts
-        windows.append([(pos >> (bits * s) & slot) - (neg >> (bits * s) & slot) for s in range(w)])
+        windows.append([(pos >> (bits * s) & slot) - (neg >> (bits * s) & slot) for s in range(c, -1, -1)])
     return windows
 
 

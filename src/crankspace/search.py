@@ -5,19 +5,19 @@ weight tuple drawn from {1..k}; for each tuple the q^n coefficients of its
 product are scanned below a bound, and the minimal m with "unimodal for all
 m < n < n_hi" follows from the last non-unimodal n.  So the search scans each
 parity from n_hi - 1 down and stops at its first non-unimodal slice, and
-first screens every parity by the exact outer window of its top slice
-(qseries.top_windows): a window that proves that slice not unimodal settles
-the parity, and only the undecided ones are built.  The family scan, which
-tallies every defect, builds and scans them all.  Slices need no symmetry
-check and no polynomial: each is tested on the palindrome's half the kernel
-decodes, by LaurentPoly.unimodal_half, the one unimodality test, which
-verify's slice checks run too.  The claims decided from these scans (the
-first-gap criterion and the families' onsets) live in verify.
+first screens every parity by the exact outer window of its top slice, the
+end of that slice's half (qseries.top_windows): a window that proves that
+slice not unimodal settles the parity, and only the undecided ones are
+built.  The family scan, which tallies every defect, builds and scans them
+all.  Slices need no symmetry check and no polynomial: each is tested on the
+palindrome's half the kernel decodes, by LaurentPoly.unimodal_half, the one
+unimodality test, which verify's slice checks run too.  The claims these
+scans decide (the first-gap criterion, the families' onsets) live in verify.
 
 Work parallelizes over tasks, each the weight tuples of one r and one
 largest weight a_1 (7 for table1, 5 for k 7..8), built by one kernel call
-that runs the widest passes they share once (slice_defects), on this
-process and its forks (_pool_map); results merge in input order, so the
+whose build tree runs the widest passes they share once (slice_defects), on
+this process and its forks (_pool_map); results merge in input order, so the
 output is byte-identical for any worker count.  One cost model, scan_work,
 prices a scan's full theta passes in bit operations: it admits every scan
 (refuse_past_bound) and orders slice_defects' tasks, the largest first.
@@ -202,7 +202,7 @@ def exhaustive_search(
 
 
 def _slot_bits(r: int, order: int) -> int:
-    """A slot width, rounded as qseries._slot_width rounds, >= any iter_ck_slices picks.
+    """A slot width >= any iter_ck_slices picks: qseries._slot_width of 2^L, L = floor(log2 bound).
 
     Each total it sizes for r weights sums p_2r(m - g) over distinct g <= m,
     at most sum_(i<=m) p_2r(i) <= p_F(m), F = 2r + 1.  With u = x/(1 - x),
@@ -211,10 +211,10 @@ def _slot_bits(r: int, order: int) -> int:
     """
     if order <= 0:
         return 64
-    n = min(order, 2**53)  # a float; a larger order is past any bound on its entry count alone
+    n = min(order, 2**32)  # a float, 2^L small; its entry count alone puts a larger order past any bound
     c = (2 * r + 1) * math.pi ** 2 / 6
     u = (math.sqrt(1 + 4 * n / c) - 1) / 2
-    return max(64, (math.floor((c * u + n * math.log1p(1 / u)) / math.log(2)) + 8) // 8 * 8)
+    return qseries._slot_width(1 << math.floor((c * u + n * math.log1p(1 / u)) / math.log(2)))
 
 
 def scan_work(r: int, order: int, passes: int, weight_sum: int) -> int:
@@ -284,7 +284,7 @@ def _top_screen(a: tuple[int, ...], deltas: tuple[int, ...], top: int) -> tuple[
     """
     decided, undecided = {}, {}
     for delta, window in zip(deltas, qseries.top_windows(a, deltas, top)):
-        if LaurentPoly.unimodal_half(window[::-1]):
+        if LaurentPoly.unimodal_half(window):
             undecided[delta] = window
         else:
             decided[delta] = [top]
@@ -301,7 +301,7 @@ def _defects_task(task: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
     parities whose top slice _top_screen decides are not built: the rest are
     built by one kernel call for the whole task (a tuple with none left is
     not built), and the decoded top half of each must end in its window,
-    reversed, or ArithmeticError is raised.  Each slice is tested on the
+    or ArithmeticError is raised.  Each slice is tested on the
     certified half the kernel decodes; none is mirrored.
     """
     members, n_hi, top_only = task
@@ -317,7 +317,7 @@ def _defects_task(task: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
         for delta, scan in zip(kept[a], scans):
             bad = []
             for n, half in scan:
-                if top_only and n == top and half[: -a[0] - 2 : -1] != windows[a, delta]:
+                if top_only and n == top and half[-len(windows[a, delta]):] != windows[a, delta]:
                     raise ArithmeticError(f"the q^{top} window of weights {a}, delta {delta}, "
                                           "differs from the end of its built half")
                 if not LaurentPoly.unimodal_half(half):

@@ -105,7 +105,8 @@ REACHING_CALLS = [
     (0, ["--format", "json", "asymptotic", "--n", "20", "--m", "1"]),
     (0, ["--format", "csv", "asymptotic", "--n", "20", "--m", "1"]),
     (2, ["--threads", "0", "poly", "rank", "--n", "1"]),
-    (2, ["poly", "rank", "--n", "-1"]),
+    (2, ["poly", "rank", "--n", "-1"]),  # refused by partitions._check_size
+    (2, ["poly", "modified-crank", "--ell", "5", "--n", "-1"]),  # by partitions._modified_size
     (2, ["poly", "rank", "--n", "5001"]),
     (2, ["poly", "rank", "--n", "9" * 61]),
     (2, ["poly", "x" * 61, "--n", "1"]),  # argparse's own refusal, shortened
@@ -130,6 +131,7 @@ REACHING_CALLS = [
     (2, ["search", "--k-lo", "2"]),
     (2, ["search", "--k-hi", "30"]),
     (2, ["colored", "pk", "--k", "0", "--n", "1"]),
+    (2, ["colored", "pk", "--k", "1", "--n", "-1"]),  # by partitions._check_colored
     (2, ["colored", "pk", "--k", "2000", "--n", "1"]),
     (2, ["asymptotic", "--n", "0"]),
     (2, ["asymptotic", "--n", "10", "--m", "100000"]),

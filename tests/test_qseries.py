@@ -366,7 +366,7 @@ def member_sets(draw) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 class TestGroupBuild:
-    """One kernel call builds a set of same-r tuples through a descending trie of shared passes."""
+    """One kernel call builds a set of same-r tuples through one build tree of shared passes."""
 
     @settings(max_examples=80, deadline=None)
     @given(members=member_sets(), sizes=st.lists(st.integers(0, 24), min_size=1, max_size=4))
@@ -400,22 +400,37 @@ class TestGroupBuild:
         assert sum(frames) <= sum(sum(a) for a, _ in members)
 
     def test_a_branch_is_taken_only_where_it_pays(self):
-        # sharing 8 and 7 costs 8 + 8 + 2 * (8 + 8) = 48 frame units; alone, 18 + 19
-        assert crankspace.qseries._plan(0, [(0, (8, 7, 2, 1)), (1, (8, 7, 3, 1))]) == ((37, 8), None)
-        # sharing 6 and 5 costs 6 + 6 + 3 * 6 = 30 against 12 + 13 + 15 alone, in 5 passes, not 9
+        # sharing 8 and 7 costs 8 + 8 + 2 * (8 + 8) = 48 frame units; alone, 18 + 19, each member
+        # a chain of one-step nodes, ascending, ending in its index
+        assert crankspace.qseries._plan(0, [(0, (8, 7, 2, 1)), (1, (8, 7, 3, 1))]) == (
+            (37, 8), [(1, [(2, [(7, [(8, 0)])])]), (1, [(3, [(7, [(8, 1)])])])])
+        # sharing 6 and 5 costs 6 + 6 + 3 * 6 = 30 against 12 + 13 + 15 alone, in 5 passes, not 9;
+        # below 5, at frame 6, sharing nothing more costs no less
         rests = [(5, 1), (5, 2), (5, 4)]
-        cost, steps = crankspace.qseries._plan(0, [(i, (6, *rest)) for i, rest in enumerate(rests)])
-        assert cost == (30, 5) and list(steps) == [6] and steps[6][0] == list(enumerate(rests))
+        assert crankspace.qseries._plan(0, [(i, (6, *rest)) for i, rest in enumerate(rests)]) == (
+            (30, 5), [(6, [(5, [(1, 0), (2, 1), (4, 2)])])])
+        # at frame 6 dividing by 2 or 4 first costs as much as last: a tie keeps each chain ascending
+        assert crankspace.qseries._plan(6, [(0, (2, 1)), (1, (4, 3))]) == (
+            (24, 4), [(1, [(2, 0)]), (3, [(4, 1)])])
+
+    def test_one_member_is_one_chain_and_none_builds_nothing(self):
+        assert crankspace.qseries._plan(0, [(4, (3, 2))]) == ((5, 2), [(2, [(3, 4)])])
+        assert crankspace.qseries._plan(0, []) == ((0, 0), [])
+        assert list(iter_ck_slices([], [5])) == []
 
     def test_members_must_share_r(self):
         with pytest.raises(CrankspaceError, match="share r"):
             list(iter_ck_slices([((3, 2), (0,)), ((4, 3, 1), (1,))], [5]))
 
+    def test_members_must_have_distinct_weights(self):
+        with pytest.raises(CrankspaceError, match="distinct weights"):
+            list(iter_ck_slices([((3, 2), (0,)), ((3, 2), (1,))], [5]))
+
 
 class TestTopWindows:
     """The search screen's window of a top slice is the end of that slice's built half."""
 
-    def test_window_is_the_reversed_end_of_the_top_half(self):
+    def test_window_is_the_end_of_the_top_half(self):
         # every tuple with 3 <= k <= 12 at n_hi 2, 3 and 12, and with k 3..8 at 30, in k's parity
         checked = 0
         for n_hi, k_hi in ((2, 12), (3, 12), (12, 12), (30, 8)):
@@ -423,7 +438,7 @@ class TestTopWindows:
                 for spec in crank_space(k):
                     a, deltas = spec.a, (spec.delta,)
                     [(_, [[(_, half)]])] = iter_ck_slices([(a, deltas)], [n_hi - 1])
-                    assert top_windows(a, deltas, n_hi - 1) == [half[: -a[0] - 2 : -1]], (a, k, n_hi)
+                    assert top_windows(a, deltas, n_hi - 1) == [half[-a[0] - 1 :]], (a, k, n_hi)
                     checked += 1
         assert checked == 5868
 

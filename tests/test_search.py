@@ -118,19 +118,34 @@ class TestExhaustiveSearch:
         with pytest.raises(ValueError):
             exhaustive_search(5, 4)
 
+    # the largest n_hi the model admits for each documented scan, found by the model alone
+    EDGES = [(3, 6, 295), (7, 8, 160), (3, 12, 47), (3, 17, 10)]
+
     @pytest.mark.parametrize("ranges", [
         {}, {"k_lo": 3, "k_hi": 4, "n_hi": 40}, {"k_lo": 7, "k_hi": 8, "n_hi": 60},
         {"k_lo": 5, "k_hi": 4},
+        *({"k_lo": k_lo, "k_hi": k_hi, "n_hi": n_hi} for k_lo, k_hi, n_hi in EDGES),
     ])
     def test_scan_bound_admits_the_documented_scans(self, ranges):
         check_scan_work(**ranges)
 
     @pytest.mark.parametrize("ranges", [
         {"k_hi": 30}, {"n_hi": 100000}, {"k_lo": 10**9, "k_hi": 10**9}, {"k_lo": 3, "k_hi": 10**18},
+        *({"k_lo": k_lo, "k_hi": k_hi, "n_hi": n_hi + 1} for k_lo, k_hi, n_hi in EDGES),
     ])
     def test_scan_bound_refuses_large_scans(self, ranges):
         with pytest.raises(BoundExceeded, match="scan work bound"):
             check_scan_work(**ranges)
+
+    def test_family_scan_edge(self):
+        # conj1.4 --n-max 316 scans below n_hi 317, the largest bound the model admits; planning
+        # runs no scan
+        claim, [instance] = verify._resolve("conj1.4")
+        assert claim.plan(instance, 316, None, 1).cost == check_family_unimodality(n_hi=317).cost
+        with pytest.raises(BoundExceeded, match="scan work bound"):
+            claim.plan(instance, 317, None, 1)
+        with pytest.raises(BoundExceeded, match="scan work bound"):
+            check_family_unimodality(n_hi=318)
 
     def test_model_slot_bits_cover_the_kernels(self):
         # every slot width iter_ck_slices can pick for r weights to order N, either parity
@@ -238,7 +253,7 @@ class TestExhaustiveSearch:
         assert len(slices) == decoded and len(unpacks) == unpacked
         if screened:  # built are exactly the tuples with a parity the window left undecided
             assert set(built) == {a for a, found in windows.items()
-                                  if any(LaurentPoly.unimodal_half(w[::-1]) for w in found)}
+                                  if any(LaurentPoly.unimodal_half(w) for w in found)}
 
     def test_tasks_start_largest_first(self, monkeypatch):
         handed = []
@@ -321,8 +336,8 @@ class TestTopScreen:
         def planted(a, deltas, m):
             windows = top_windows(a, deltas, m)
             if a == (3, 2):  # undecided in both parities; it stays so with its innermost slot raised
-                windows = [w[:-1] + [w[-1] + 1] for w in windows]
-                assert all(LaurentPoly.unimodal_half(w[::-1]) for w in windows)
+                windows = [[w[0] + 1] + w[1:] for w in windows]
+                assert all(LaurentPoly.unimodal_half(w) for w in windows)
             return windows
 
         monkeypatch.setattr(qseries, "top_windows", planted)

@@ -432,6 +432,25 @@ class TestPlantedFaults:
                   "expected": 1}]
         self.assert_fails(capsys, verify_crank_constancy(n_max=40), ["lem2.4", "--n-max", "40"], found)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_lem2_4_top_value(self, monkeypatch, capsys, k):
+        # M(n - k, n) raised by 1 at every n >= 2: the column stays constant, one above its value
+        crank = partitions.crank_poly
+
+        def planted(n):
+            f = crank(n)
+            if n < 2:
+                return f
+            coeffs = list(f.coeffs)
+            coeffs[n - k - f.lo] += 1
+            return LaurentPoly(f.lo, coeffs)
+
+        monkeypatch.setattr(partitions, "crank_poly", planted)
+        expected = 1 - k  # M(n, n) = 1 and M(n - 1, n) = 0 from n = 2 on
+        found = [{"kind": "top-value", "within_claim": True, "k": k, "value": expected + 1,
+                  "expected": expected}]
+        self.assert_fails(capsys, verify_crank_constancy(n_max=40), ["lem2.4", "--n-max", "40"], found)
+
     def test_crank_n22_gap(self, monkeypatch, capsys):
         # at ell = 7, N = 159: M(151, 159) = 7 and M(152, 159) = 4, a gap of 2, planted down to -1
         assert 7 * 22 + partitions.beta(7) == 159
