@@ -20,14 +20,14 @@ main() without argv, the program entry, flushes stdout before it returns, so
 a closed stdout gets 141 whatever the output's size, and freezes the heap
 (gc.freeze) once the command is done, so the interpreter's exit skips
 collecting it; main(argv) does neither: stdout is its caller's, and a frozen
-heap would keep the caller's later garbage cycles for good.
+heap would keep the caller's later garbage cycles for good.  json loads at
+the first JSON write, so a text or CSV command never imports it.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import re
 import sys
@@ -37,7 +37,8 @@ from . import partitions, search, verify
 from .cyclotomic import NotDivisible, exact_quotient
 from .laurent import QUOTE_CHARS, CrankspaceError, LaurentPoly, parse_int, quote
 
-_POLY_SHORTHAND = re.compile(r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$")
+# re compiles and caches the pattern at its first use, so the import compiles nothing
+_POLY_SHORTHAND = r"^(rank|crank|mrank|mcrank):(\d+)(?::(\d+))?$"
 # No polynomial a shorthand builds spans more than 2 * POLY_BOUND + 1 exponents
 # (crank:5000), and Phi_ell divides no nonzero polynomial spanning fewer than
 # ell: `quotient` refuses a larger --ell or a wider literal before any work.
@@ -68,6 +69,7 @@ def _poly_brief(poly: LaurentPoly | None) -> str:
 
 
 def _write_json(payload, out) -> None:
+    import json  # here, not at the top: no text or CSV command reads it
     json.dump(payload, out, indent=2)
     out.write("\n")
 
@@ -121,7 +123,7 @@ def _cmd_poly(args, out) -> int:
 
 
 def _parse_poly_arg(text: str) -> LaurentPoly:
-    match = _POLY_SHORTHAND.match(text.strip())
+    match = re.match(_POLY_SHORTHAND, text.strip())
     if match:
         kind, first, second = match.group(1), parse_int(match.group(2)), match.group(3)
         builder = getattr(partitions, _BUILDERS[kind])

@@ -203,7 +203,8 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
 
-    _TERM = re.compile(
+    # One term of polynomial text; re compiles and caches it at the first parse.
+    _TERM = (
         r"\s*(?P<sign>[+-]?)\s*(?:"
         r"(?P<coeff>\d+)\s*\*?\s*z\^(?P<exp>-?\d+)"
         r"|(?P<conly>\d+)"
@@ -226,11 +227,12 @@ class LaurentPoly:
         s = text.strip()
         if not s:
             raise CrankspaceError("empty polynomial text")
+        term = re.compile(cls._TERM)
         acc: dict[int, int] = {}
         pos = 0
         first = True
         while pos < len(s):
-            m = cls._TERM.match(s, pos)
+            m = term.match(s, pos)
             if not m or m.end() == pos:
                 raise CrankspaceError(f"cannot parse polynomial text at position {pos}: {quote(s)}")
             sign = -1 if m.group("sign") == "-" else 1

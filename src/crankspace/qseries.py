@@ -92,6 +92,7 @@ class CrankSpec(NamedTuple("CrankSpec", [("k", int), ("a", tuple[int, ...])])):
 # -- scalar helpers -----------------------------------------------------------
 
 _COLORED_CACHE: dict[int, list[int]] = {}
+_Q_POWER_CACHE: dict[int, list[int]] = {}
 
 
 def _pentagonal_terms(limit: int) -> list[tuple[int, int]]:
@@ -273,14 +274,21 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
 
 
 def _q_power(r: int, order: int) -> list[int]:
-    """Coefficients 0..order of (q)_inf^r: r pentagonal passes, each in place from the top."""
-    ints = [1] + [0] * order
-    pentagonal = _pentagonal_terms(order)
-    for _ in range(r):
-        for m in range(order, 0, -1):
-            pos, neg = _pentagonal_split(ints, m, pentagonal)
-            ints[m] = pos - neg
-    return ints
+    """Coefficients 0..order of (q)_inf^r, as a new list: r pentagonal passes, each in place.
+
+    The longest series built for each r is kept, and a shorter request takes
+    its prefix: truncation commutes with the product.
+    """
+    ints = _Q_POWER_CACHE.get(r, [])
+    if len(ints) <= order:
+        ints = [1] + [0] * order
+        pentagonal = _pentagonal_terms(order)
+        for _ in range(r):
+            for m in range(order, 0, -1):
+                pos, neg = _pentagonal_split(ints, m, pentagonal)
+                ints[m] = pos - neg
+        _Q_POWER_CACHE[r] = ints
+    return ints[: order + 1]
 
 
 def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], sizes: list[int],

@@ -432,16 +432,17 @@ def verify_colored_congruence(case: CongruenceCase, n_max: int = 50) -> Plan:
     """ell | p_k(ell*n + delta) for the given admissible case.
 
     The largest size is checked against the colored-count bounds before any
-    count is computed.
+    count is computed; the work reads every size from one p_k series.
     """
+    top = case.ell * n_max + case.delta
     if n_max >= 0:
-        partitions._check_colored(case.k, case.ell * n_max + case.delta)
+        partitions._check_colored(case.k, top)
 
     def work():
         violations: list[Counterexample] = []
-        for n in range(n_max + 1):
+        series = qseries.colored_coeffs(case.k, top) if n_max >= 0 else ()
+        for n, value in enumerate(series[case.delta :: case.ell]):
             size = case.ell * n + case.delta
-            value = partitions.colored_count(case.k, size)
             if value % case.ell:
                 violations.append(
                     _violation("congruence", k=case.k, ell=case.ell, n=n, size=size,
@@ -640,16 +641,18 @@ class Claim(NamedTuple):
     plan(instance, n_max, n_lo, threads) is the suite's call for one instance:
     its Plan, or the suite's refusal (None keeps a suite default).  The bare
     id selects every instance: the `ells` of a group entry, which also answers
-    to `<id>-ell<L>`, or else `instances`.  A pattern entry answers to every id
-    `parse` turns into an instance.  n_min is the smallest n_max whose range is
-    not empty; takes_n_lo marks the entries whose suite reads n_lo.
+    to `<id>-ell<L>`, or else what `instances()` returns, built only when a
+    request selects them (_resolve is the one caller).  A pattern entry answers
+    to every id `parse` turns into an instance.  n_min is the smallest n_max
+    whose range is not empty; takes_n_lo marks the entries whose suite reads
+    n_lo.
     """
 
     claim_id: str
     description: str
     plan: Callable[..., Plan]
     ells: tuple[int, ...] = ()
-    instances: tuple = (None,)
+    instances: Callable[[], tuple] = lambda: (None,)
     pattern: str = ""
     parse: Callable[[str], object] | None = None
     n_min: int = 0
@@ -701,7 +704,7 @@ def _cor35_instance(claim_id: str) -> tuple[str, CongruenceCase] | None:
 
 
 # Planners name their suites at call time, so a wrapper installed on a module
-# attribute (as a tracer does) sees every call.
+# attribute (as a tracer does) sees every call; instances are built the same way.
 CLAIMS: tuple[Claim, ...] = (
     Claim("conj1.1-part1", "modified rank: cyclotomic quotient non-negative (ell=5,7)",
           lambda ell, n_max, n_lo, threads: verify_modified_rank(ell, **_given(n_max=n_max)),
@@ -722,12 +725,12 @@ CLAIMS: tuple[Claim, ...] = (
           lambda *_: verify_n22_gap()),
     Claim("thm1.2", "colored congruences, all admissible cases with k <= 12",
           lambda case, n_max, n_lo, threads: verify_colored_congruence(case, **_given(n_max=n_max)),
-          instances=tuple(enumerate_congruence_cases(12)),
+          instances=lambda: tuple(enumerate_congruence_cases(12)),
           pattern="thm1.2-k<K>-h<H>-ell<L>", parse=_thm12_instance),
     Claim("cor3.5", "distinguished-family slices: divisibility and onset positivity",
           lambda instance, n_max, n_lo, threads: verify_colored_quotients(*instance, n_max),
-          instances=tuple(map(_cor35_instance, ("cor3.5-A-k6-ell5", "cor3.5-B-k9-ell23",
-                                                "cor3.5-B-k11-ell5"))),
+          instances=lambda: tuple(map(_cor35_instance, ("cor3.5-A-k6-ell5", "cor3.5-B-k9-ell23",
+                                                        "cor3.5-B-k11-ell5"))),
           pattern="cor3.5-<A|B>-k<K>-ell<L>", parse=_cor35_instance),
     Claim("conj1.4", "distinguished families unimodal above onsets 15/24 (k <= 12)",
           lambda _, n_max, n_lo, threads: check_family_unimodality(threads=threads, **_n_hi(n_max)),
@@ -748,7 +751,7 @@ def _resolve(claim_id: str) -> tuple[Claim, tuple]:
         return VARIANTS[claim_id]
     for claim in CLAIMS:
         if claim_id == claim.claim_id:
-            return claim, claim.ells or claim.instances
+            return claim, claim.ells or claim.instances()
         instance = claim.parse and claim.parse(claim_id)
         if instance:
             return claim, (instance,)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import crankspace
-from crankspace import cli, partitions, search, verify
+from crankspace import cli, partitions, qseries, search, verify
 from crankspace.cli import QUOTIENT_BOUND, main
 from crankspace.laurent import DIGITS_BOUND
 from crankspace.partitions import COLORED_K_BOUND, POLY_BOUND
@@ -205,7 +205,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("claim", ["thm1.2", "all"])
     def test_colored_bound_is_refused_before_any_suite(self, capsys, monkeypatch, claim):
         calls = []
-        monkeypatch.setattr(partitions, "colored_count", lambda k, n: calls.append((k, n)) or 0)
+        monkeypatch.setattr(qseries, "colored_coeffs", lambda k, order: calls.append((k, order)))
         code, out, err = run(capsys, "verify", claim, "--n-max", "650")
         assert code == 2 and out == ""
         assert "colored-count bound" in err
@@ -614,7 +614,27 @@ def test_cold_commands_import_no_dataclasses_or_pool():
         "from crankspace.cli import main\n"
         "assert main(['poly', 'rank', '--n', '5']) == 0\n"
         "assert main(['verify', '--list']) == 0\n"
-        "print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'json', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    done = program("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == b"[]"
+
+
+def test_import_compiles_no_pattern():
+    # every pattern of the package is compiled, through re's cache, by the call that first uses it
+    script = (
+        "import re, sys\n"
+        "compile_, callers = re._compile, set()\n"
+        "def spy(pattern, flags):\n"
+        "    frame = sys._getframe(1)\n"
+        "    while frame.f_globals['__name__'] == 're':  # re.compile, re.match, ...\n"
+        "        frame = frame.f_back\n"
+        "    callers.add(frame.f_globals['__name__'])\n"
+        "    return compile_(pattern, flags)\n"
+        "re._compile = spy\n"
+        "import crankspace.cli\n"
+        "print(sorted(name for name in callers if name.partition('.')[0] == 'crankspace'))\n"
     )
     done = program("-c", script)
     assert done.returncode == 0, done.stderr

@@ -80,6 +80,11 @@ class TestHatSum:
         assert hat_sums(f, 5)[3] == 1  # exponent -2 lands in class 3 mod 5
         assert hat_sums(f, 5)[2] == 5
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_a_modulus_below_one_is_refused(self, m):
+        with pytest.raises(CrankspaceError, match="modulus must be >= 1"):
+            hat_sums(LaurentPoly(-2, (1, 2, 3, 4, 5)), m)
+
     @given(
         st.builds(
             LaurentPoly,

@@ -145,7 +145,6 @@ NOT_REACHED = {
     "laurent.LaurentPoly.is_unimodal": "the tests' reference predicate, which perfbench/tracer.py "
                                        "wraps by name; it moves to tests/helpers.py with ROADMAP "
                                        "item 1 Step B",
-    "verify.enumerate_congruence_cases": "the registry calls it at import for thm1.2's instances",
 }
 
 

@@ -187,6 +187,28 @@ class TestSeriesAgainstNaiveOracle:
         # only the chains k, k-3, ... (and the colors below k mod 3) are built
         assert sorted(crankspace.qseries._COLORED_CACHE) == [0, 1, 2, 3, 4, 6, 7, 9, 10, 12, 13]
 
+    @pytest.mark.parametrize("k,order,message", [(-1, 5, "k must be >= 0"),
+                                                 (3, -1, "order must be >= 0")], ids=["k", "order"])
+    def test_colored_coeffs_refuse_a_negative_argument(self, k, order, message):
+        with pytest.raises(CrankspaceError, match=message):
+            colored_coeffs(k, order)
+
+    def test_q_power_is_built_once_per_r_and_copied_to_each_caller(self, monkeypatch):
+        # a shorter request is a prefix of the longest one built; a caller may change its copy
+        qs = crankspace.qseries
+        monkeypatch.setattr(qs, "_Q_POWER_CACHE", {})
+        fresh = {(r, order): qs._q_power(r, order) for r in (1, 3) for order in (10, 40)}
+        monkeypatch.setattr(qs, "_Q_POWER_CACHE", {})
+        built = []
+        terms = qs._pentagonal_terms
+        monkeypatch.setattr(qs, "_pentagonal_terms", lambda limit: built.append(limit) or terms(limit))
+        long = qs._q_power(3, 40)
+        assert long[:11] == [1, -3, 0, 5, 0, 0, -7, 0, 0, 0, 9]  # Jacobi's identity
+        long[1] = 0
+        assert qs._q_power(3, 10) == fresh[3, 10] and qs._q_power(3, 40) == fresh[3, 40]
+        assert qs._q_power(1, 10) == fresh[1, 10] and qs._q_power(1, 40) == fresh[1, 40]
+        assert built == [40, 10, 40]
+
     def test_every_slice_is_symmetric(self):
         assert all(p.is_symmetric() for p in slices(CrankSpec(5, (5, 3, 2)), 15))
 

@@ -459,8 +459,9 @@ class TestPlantedFaults:
         self.assert_fails(capsys, verify_n22_gap(), ["crank-n22-gap"], found)
 
     def test_thm1_2(self, monkeypatch, capsys):
-        count = partitions.colored_count
-        monkeypatch.setattr(partitions, "colored_count", lambda k, n: count(k, n) + (n == 19))
+        coeffs = qseries.colored_coeffs
+        monkeypatch.setattr(qseries, "colored_coeffs", lambda k, order: tuple(
+            value + (n == 19) for n, value in enumerate(coeffs(k, order))))
         found = [{"kind": "congruence", "within_claim": True, "k": 1, "ell": 5, "n": 3, "size": 19,
                   "residue": 1}]
         self.assert_fails(capsys, verify_colored_congruence(CongruenceCase.make(1, 4, 5), n_max=5),
@@ -550,7 +551,7 @@ class TestClaimRegistry:
     @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.claim_id)
     def test_bare_id_runs_every_instance(self, claim):
         reports = run_claims(claim.claim_id, n_max=claim.n_min, threads=1)
-        assert len(reports) == len(claim.ells or claim.instances)
+        assert len(reports) == len(verify._resolve(claim.claim_id)[1])
         assert all(r.claim_id.startswith(claim.claim_id) for r in reports)
 
     def test_variants_and_pattern_examples_resolve(self):
@@ -559,6 +560,27 @@ class TestClaimRegistry:
         for claim_id in [*VARIANTS, *PATTERN_EXAMPLES.values()]:
             [report] = run_claims(claim_id, n_max=0)
             assert report.claim_id == claim_id and report.status == "pass"
+
+    def test_instances_are_built_when_a_request_selects_them(self, monkeypatch):
+        # the same tuples, in the same order, as the registry once built at import
+        built = []
+        for name in ("enumerate_congruence_cases", "_cor35_instance"):
+            monkeypatch.setattr(verify, name, lambda arg, fn=getattr(verify, name):
+                                built.append(arg) or fn(arg))
+        _, cases = verify._resolve("thm1.2")
+        assert built == [12]
+        assert [tuple(case) for case in cases] == [
+            (1, 4, 5, 4), (1, 6, 7, 5), (1, 10, 11, 6), (1, 14, 5, 4), (2, 8, 5, 3), (3, 8, 11, 7),
+            (3, 14, 17, 15), (4, 10, 7, 6), (5, 6, 11, 8), (6, 4, 5, 4), (6, 14, 5, 4),
+            (7, 4, 11, 9), (7, 8, 5, 3), (7, 26, 11, 9), (8, 6, 7, 5), (8, 14, 11, 4),
+            (9, 8, 17, 11), (9, 10, 19, 17), (9, 14, 23, 9), (11, 4, 5, 4), (11, 10, 7, 6),
+            (11, 14, 5, 4), (12, 8, 5, 3), (12, 10, 11, 6)]
+        assert type(cases) is tuple and all(type(case) is CongruenceCase for case in cases)
+        built.clear()
+        _, instances = verify._resolve("cor3.5")
+        assert built == ["cor3.5-A-k6-ell5", "cor3.5-B-k9-ell23", "cor3.5-B-k11-ell5"]
+        assert instances == (("A", CongruenceCase(6, 4, 5, 4)), ("B", CongruenceCase(9, 14, 23, 9)),
+                             ("B", CongruenceCase(11, 14, 5, 4)))
 
     def test_readme_claim_table_lists_exactly_the_registry(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -578,7 +600,7 @@ class TestClaimRegistry:
         calls = []
         for module, name in ((partitions, "rank_poly"), (partitions, "crank_poly"),
                              (partitions, "_modified_half"),
-                             (partitions, "colored_count"), (qseries, "iter_ck_slices"),
+                             (qseries, "colored_coeffs"), (qseries, "iter_ck_slices"),
                              (search, "slice_defects")):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
         # and no plan runs: every claim is planned, and refused, before the first one runs
@@ -609,7 +631,7 @@ class TestClaimRegistry:
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(search.os, "fork", lambda: pytest.fail("forked"), raising=False)
         plans = [claim.plan(instance, 3, None, 1)
-                 for claim in CLAIMS for instance in claim.ells or claim.instances]
+                 for claim in CLAIMS for instance in verify._resolve(claim.claim_id)[1]]
         reports = run_claims("all", n_max=3, threads=2)
         assert [r.claim_id for r in reports] == [plan.claim_id for plan in plans]
         ranked, threads = calls[0]
@@ -670,7 +692,7 @@ class TestClaimRegistry:
 
         for module, name in ((partitions, "rank_poly"), (partitions, "crank_poly"),
                              (partitions, "_modified_half"),
-                             (partitions, "colored_count"), (qseries, "iter_ck_slices"),
+                             (qseries, "colored_coeffs"), (qseries, "iter_ck_slices"),
                              (search, "slice_defects")):
             monkeypatch.setattr(module, name, spy)
 
@@ -681,7 +703,7 @@ class TestClaimRegistry:
                 return False
             return True
 
-        for instance in claim.ells or claim.instances:
+        for instance in verify._resolve(claim.claim_id)[1]:
             lo, hi = claim.n_min, 2 * claim.n_min + 1
             while admitted(instance, hi):
                 lo, hi = hi, 2 * hi
@@ -753,7 +775,7 @@ class TestColoredBound:
         run_plan(verify_colored_congruence(case, n_max=50))  # admitted: its largest size is 254
         with pytest.raises(BoundExceeded):
             verify_colored_congruence(case, n_max=150)
-        assert len(calls) == 51
+        assert calls == [254]  # one series, to the largest size, serves all 51
 
 
 class TestAsymptotics:
