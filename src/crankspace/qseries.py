@@ -21,7 +21,9 @@ pentagonal-number expansion).  G depends only on the weights, so one build
 serves both parities, and one call of `iter_ck_slices` builds a set of
 tuples with the same r along one build tree (`_plan`), walked by `_build`: a
 pass over the largest weights that several tuples share, the widest kind of
-pass, runs once for all of them where that saves work.
+pass, runs once for all of them where that saves work.  Or it builds a chain
+of tuples that nest across r (`_chain`), each member from the one before it
+by one pentagonal and one theta pass, where a lone build costs r theta passes.
 
 G is built by division by theta series, not factor by factor.  By the Jacobi
 triple product, (q)_inf prod_n (1-z^a q^n)(1-z^-a q^n) is the sparse series
@@ -156,22 +158,33 @@ def _slot_width(largest: int) -> int:
     return max(64, (largest.bit_length() + 7) // 8 * 8)
 
 
-def _pentagonal_split(series: Sequence[int], m: int,
-                      terms: list[tuple[int, int]]) -> tuple[int, int]:
+def _pentagonal_split(series: Sequence[int], m: int, terms: list[tuple[int, int]],
+                      shift: int = 0) -> tuple[int, int]:
     """The q^m coefficient of series * prod (1-q^n), as (positive, negative) parts.
 
-    Multiplying by q^g moves no z-exponent, so the entries are summed as they
-    are: plain integers, or packed ones that share one slot origin.
+    Multiplying by q^g moves no z-exponent, so entry m - g enters as it is
+    when the entries are plain integers or packed ones that share one slot
+    origin (shift 0).  Packed entries framed at c (entry n the image of
+    z^(c*n) E[n]) take shift = bits*c: a left shift of shift*g bits moves
+    entry m - g into entry m's frame.
     """
     pos, neg = series[m], 0
     for g, sgn in terms:
         if g > m:
             break
+        term = series[m - g] << shift * g if shift else series[m - g]
         if sgn > 0:
-            pos += series[m - g]
+            pos += term
         else:
-            neg += series[m - g]
+            neg += term
     return pos, neg
+
+
+def _pentagonal_pass(ints: list[int], terms: list[tuple[int, int]], c: int, bits: int) -> None:
+    """Multiply the entries, framed at c, in place by (q)_inf, whose terms reach their order."""
+    for m in range(len(ints) - 1, 0, -1):
+        pos, neg = _pentagonal_split(ints, m, terms, bits * c)
+        ints[m] = pos - neg
 
 
 def _unpack_half(x: int, nslots: int, bits: int, margin: int, total: int) -> list[int]:
@@ -284,9 +297,7 @@ def _q_power(r: int, order: int) -> list[int]:
         ints = [1] + [0] * order
         pentagonal = _pentagonal_terms(order)
         for _ in range(r):
-            for m in range(order, 0, -1):
-                pos, neg = _pentagonal_split(ints, m, pentagonal)
-                ints[m] = pos - neg
+            _pentagonal_pass(ints, pentagonal, 0, 0)
         _Q_POWER_CACHE[r] = ints
     return ints[: order + 1]
 
@@ -345,12 +356,33 @@ def _build(ints: list[int], c: int, tree: int | list, bits: int) -> Iterator[tup
         yield from _build(own, max(c, w), sub, bits)
 
 
+def _chain(ints: list[int], chain: list[tuple[int, ...]], bits: int) -> Iterator[tuple[int, list[int]]]:
+    """(i, packed G) for each member i of chain, from ints framed at 0 (see iter_ck_slices).
+
+    The first member is built as _plan builds one alone, each next one by a
+    pentagonal and a theta pass.  A member before the last is halved on a
+    copy, so the chain goes on from its framed entries; the last is halved
+    in place.
+    """
+    c, terms = 0, _pentagonal_terms(len(ints) - 1)
+    for i, a in enumerate(chain):
+        if i:
+            _pentagonal_pass(ints, terms, c, bits)
+        last = i == len(chain) - 1
+        for w in a[::-1] if i == 0 else a[:1]:  # ascending: each pass's frame is its weight
+            _theta_pass(ints, w, c, bits, last and w == a[0])
+            c = w
+        grow = bits * c
+        yield i, ints if last else [t >> grow * (j - 1) if j else t << grow for j, t in enumerate(ints)]
+
+
 def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes: Iterable[int]
                    ) -> Iterator[tuple[tuple[int, ...], list[Iterator[tuple[int, list[int]]]]]]:
     """Per member (a, deltas), one slice scan over sizes for each delta of weights a's product.
 
     The products have weights a and, for each delta, delta copies of
-    prod (1-q^n); every member has the same number r of weights.  Each
+    prod (1-q^n).  Every member has the same number r of weights, or each
+    member's a[1:] is the weights of the member before it (they nest).  Each
     next() builds one member's G, the geometric stage, up to max(sizes) and
     yields (a, scans): one iterator per delta, in the order of deltas, of
     (m, half of the q^m coefficient) for m in sizes, in their order.
@@ -360,8 +392,8 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     (1 - z^a q^n)^(-1) (1 - z^-a q^n)^(-1), so every slice is a palindrome:
     only its z^e, e <= 0, half is built, and it is yielded as the list of
     its z^0, z^-1, ... coefficients (`LaurentPoly.from_half` mirrors it).
-    Negative sizes, or members that differ in r or repeat weights, raise
-    CrankspaceError.
+    Negative sizes, members that repeat weights, or members that differ in r
+    and do not nest raise CrankspaceError.
 
     G is the scalar (q)_inf^r, built once for all members, divided by one
     theta series per weight along _plan's build tree, whose shared steps are
@@ -369,7 +401,11 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     _plan shares a pass only where that pays; a member left alone takes its
     remaining passes ascending, a_r first and a_1 last.  Either way every
     entry ends framed at c = a_1, and the member's last pass leaves slot s
-    of entry m holding the coefficient of z^(c - s).
+    of entry m holding the coefficient of z^(c - s).  Members that nest are
+    one chain from the first member's (q)_inf^r (_chain): weights (b, *a)
+    after a give G = (q)_inf G_a / theta_b, a pentagonal pass on G_a's
+    entries framed at c = a_1, each q^g term shifted c*g slots into its
+    entry's frame (as in top_windows), then a theta pass that reframes at b.
     The integers are exact images whatever their sign, and whatever slots
     overflow on the way.  G's coefficients are non-negative and below
     2^bits, so the image's base-2^bits digits are those coefficients: the
@@ -387,9 +423,10 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     p_F(m - g) terms and those of its neg part to its negative ones; no
     coefficient exceeds its part's total, and none of G's up to the top
     requested size exceeds p_F of that size.  The slot is as wide as the
-    largest total over every requested size and every member's delta, so it
-    is exact for the widest parity and wide enough for the other;
-    `_unpack_half` certifies each decoded part all the same.  Weights (1,)
+    largest total over every requested size, every member's r and every
+    member's delta, so it is exact for the widest member and parity and
+    wide enough for the others; `_unpack_half` certifies each decoded part
+    against its own r's totals all the same.  Weights (1,)
     with delta 1 give the raw crank factor, whose q^n coefficient for
     n >= 2 is the crank polynomial that `partitions.crank_poly` computes
     from the Andrews-Garvan formula instead.
@@ -397,20 +434,27 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     sizes = list(sizes)
     if min(sizes, default=0) < 0:
         raise CrankspaceError(f"slice sizes must be >= 0, got {min(sizes)}")
-    r = len(members[0][0]) if members else 0
-    if any(len(a) != r for a, _ in members):
-        raise CrankspaceError(f"members must share r, got {sorted({len(a) for a, _ in members})} weights")
-    if len({a for a, _ in members}) < len(members):
+    weights = [a for a, _ in members]
+    r = len(weights[0]) if weights else 0
+    shared = all(len(a) == r for a in weights)
+    if not shared and any(a[1:] != before for before, a in zip(weights, weights[1:])):
+        raise CrankspaceError(f"members must share r or nest, got weights {weights}")
+    if len(set(weights)) < len(weights):
         raise CrankspaceError("members must have distinct weights")
     order = max(sizes, default=0)
     terms = {d: _pentagonal_terms(order) if d else [] for _, deltas in members for d in deltas}
-    colored = colored_coeffs(2 * r, order)
-    totals = {d: [_pentagonal_split(colored, m, t) for m in sizes] for d, t in terms.items()}
+    totals = {}
+    for rj in {len(a) for a in weights}:
+        colored = colored_coeffs(2 * rj, order)
+        totals.update(((rj, d), [_pentagonal_split(colored, m, t) for m in sizes]) for d, t in terms.items())
     bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
-    _, tree = _plan(0, [(i, a) for i, (a, _) in enumerate(members)])
-    for i, ints in _build(_q_power(r, order), 0, tree, bits):
+    if shared:
+        built = _build(_q_power(r, order), 0, _plan(0, list(enumerate(weights)))[1], bits)
+    else:
+        built = _chain(_q_power(r, order), weights, bits)
+    for i, ints in built:
         a, deltas = members[i]
-        yield a, [_slices(ints, a[0], bits, terms[d], sizes, totals[d]) for d in deltas]
+        yield a, [_slices(ints, a[0], bits, terms[d], sizes, totals[len(a), d]) for d in deltas]
 
 
 def top_windows(a: tuple[int, ...], deltas: Sequence[int], m: int) -> list[list[int]]:
@@ -444,15 +488,10 @@ def top_windows(a: tuple[int, ...], deltas: Sequence[int], m: int) -> list[list[
     for aj, origin, order in zip(a[::-1], (0, *a[:0:-1]), orders[-2::-1]):  # a_r's pass first
         ints += [0] * (order + 1 - len(ints))
         _theta_pass(ints, aj, origin, bits, False, w)
-    slot = (1 << bits) - 1
+    slot, near = (1 << bits) - 1, [(g, sgn) for g, sgn in terms if c * g < w]
     windows = []
     for d in deltas:
-        parts = [ints[m], 0]  # positive, negative
-        for g, sgn in terms if d else []:
-            if c * g >= w:
-                break
-            parts[sgn < 0] += ints[m - g] << (bits * c * g)
-        pos, neg = parts
+        pos, neg = _pentagonal_split(ints, m, near if d else [], bits * c)
         windows.append([(pos >> (bits * s) & slot) - (neg >> (bits * s) & slot) for s in range(c, -1, -1)])
     return windows
 

@@ -14,10 +14,12 @@ palindrome's half the kernel decodes, by LaurentPoly.unimodal_half, the one
 unimodality test, which verify's slice checks run too.  The claims these
 scans decide (the first-gap criterion, the families' onsets) live in verify.
 
-Work parallelizes over tasks, each the weight tuples of one r and one
-largest weight a_1 (7 for table1, 5 for k 7..8), built by one kernel call
-whose build tree runs the widest passes they share once (slice_defects), on
-this process and its forks (_pool_map); results merge in input order, so the
+Work parallelizes over tasks, each built by one kernel call (slice_defects),
+on this process and its forks (_pool_map).  A search's task is the weight
+tuples of one r and one largest weight a_1 (7 for table1, 5 for k 7..8),
+whose build tree runs the widest passes they share once; the family scan's
+is a chain of tuples that nest across r (2 for conj1.4's 8 tuples), each
+built from the one before it.  Results merge in input order, so the
 output is byte-identical for any worker count.  One cost model, scan_work,
 prices a scan's full theta passes in bit operations: it admits every scan
 (refuse_past_bound) and orders slice_defects' tasks, the largest first.
@@ -295,29 +297,36 @@ def _defects_task(task: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
                   ) -> dict[tuple[tuple[int, ...], int], list[int]]:
     """{(a, delta): its non-unimodal n below n_hi, ascending} for one task's weight tuples.
 
-    A task is the tuples of one r and one a_1, each with its parities.
-    Sizes are scanned from the top down; with top_only, each parity stops at
-    its first non-unimodal slice, the only one its caller reads, and the
-    parities whose top slice _top_screen decides are not built: the rest are
-    built by one kernel call for the whole task (a tuple with none left is
-    not built), and the decoded top half of each must end in its window,
-    or ArithmeticError is raised.  Each slice is tested on the
-    certified half the kernel decodes; none is mirrored.
+    With top_only, a task is the tuples of one r and one a_1, each with its
+    parities; without it, a chain of tuples, each the one before it with one
+    weight more on top (qseries.iter_ck_slices).  Sizes are scanned from the
+    top down; with top_only, each parity stops at its first non-unimodal
+    slice, the only one its caller reads, and the parities whose top slice
+    _top_screen decides are not built.  The rest are built by one kernel
+    call for the whole task (a tuple with none left is not built).  The
+    decoded top half of each screened parity, and of each chain member past
+    the first (the ones the chain's pentagonal passes reach), must end in
+    its window (qseries.top_windows, built alone from (q)_inf^r), or
+    ArithmeticError is raised.  Each slice is tested on the certified half
+    the kernel decodes; none is mirrored.
     """
     members, n_hi, top_only = task
     top = n_hi - 1
     defects, windows, kept = {}, {}, {}
-    for a, deltas in members:
-        decided, undecided = _top_screen(a, deltas, top) if top_only else ({}, {})
+    for i, (a, deltas) in enumerate(members):
+        if top_only:
+            decided, undecided = _top_screen(a, deltas, top)
+        else:
+            decided, undecided = {}, dict(zip(deltas, qseries.top_windows(a, deltas, top) if i else []))
         defects.update(((a, delta), bad) for delta, bad in decided.items())
         windows.update(((a, delta), window) for delta, window in undecided.items())
         if rest := [d for d in deltas if d not in decided]:
             kept[a] = rest
     for a, scans in qseries.iter_ck_slices(list(kept.items()), range(top, 0, -1)):
         for delta, scan in zip(kept[a], scans):
-            bad = []
+            bad, window = [], windows.get((a, delta))
             for n, half in scan:
-                if top_only and n == top and half[-len(windows[a, delta]):] != windows[a, delta]:
+                if window and n == top and half[-len(window):] != window:
                     raise ArithmeticError(f"the q^{top} window of weights {a}, delta {delta}, "
                                           "differs from the end of its built half")
                 if not LaurentPoly.unimodal_half(half):
@@ -337,20 +346,29 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     holds at most the largest such n, since the scan runs from n_hi - 1
     down and stops at it: that is all exhaustive_search reads; a spec whose
     top slice its outer window proves not unimodal gets [n_hi - 1] with no
-    build (_defects_task).  Each task is the weight tuples of one r and one
-    largest weight a_1, built by one kernel call for all of their specs'
-    parities, which runs the widest passes they share once; tasks start
-    largest first by the summed scan_work of their tuples, screened or not,
-    so no large task is left to run alone at the end.  Results follow the order of `specs`,
-    whatever the worker count.
+    build (_defects_task).  Each kernel call builds all of its tuples' specs'
+    parities.  With top_only, a task is the weight tuples of one r and one
+    largest weight a_1, whose widest shared passes run once (a trie across r
+    would cost these scans more).  Without it, the family scan, a task is a
+    chain: tuples taken by r ascending, each joining the chain that ends in
+    its weights after a_1, whose members each cost one pentagonal and one
+    theta pass.  Tasks start largest first by the summed scan_work of their
+    tuples, screened or not, so no large task is left to run alone at the
+    end.  Results follow the order of `specs`, whatever the worker count.
     """
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
     specs = list(specs)
-    groups: dict[tuple[int, int], dict[tuple[int, ...], dict[int, None]]] = {}  # insertion-ordered
+    parities: dict[tuple[int, ...], dict[int, None]] = {}  # insertion-ordered
     for spec in specs:
-        groups.setdefault((len(spec.a), spec.a[0]), {}).setdefault(spec.a, {})[spec.delta] = None
-    tasks = sorted(((tuple((a, tuple(deltas)) for a, deltas in group.items()), n_hi, top_only)
+        parities.setdefault(spec.a, {})[spec.delta] = None
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # by (r, a_1), or by a chain's last member
+    for a in parities if top_only else sorted(parities, key=len):
+        if top_only:
+            groups.setdefault((len(a), a[0]), []).append(a)
+        else:
+            groups[a] = groups.pop(a[1:], []) + [a]
+    tasks = sorted(((tuple((a, tuple(parities[a])) for a in group), n_hi, top_only)
                     for group in groups.values()),
                    key=lambda task: sum(scan_work(len(a), n_hi - 1, len(a), sum(a)) for a, _ in task[0]),
                    reverse=True)

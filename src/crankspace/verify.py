@@ -556,7 +556,12 @@ def check_family_unimodality(n_hi: int = 100, threads: int | None = None) -> Pla
     Kind A is scanned for every k in [3, 12] with onset 15; kind B for odd
     k >= 7 with onset 24.  Non-unimodal slices at or above the onset are
     violations; below-onset ones are expected for small sizes and are
-    tallied in the range note.
+    tallied in the range note.  The scan builds the families as two chains
+    (search.slice_defects), yet its cost sums each spec's tuple built alone:
+    a chain member past the first runs one theta pass and one pentagonal
+    pass, cheaper than a theta pass at its frame, where a lone build runs
+    r >= 3, so even at their widest member's slots the chains cost less
+    (0.67 of their tuples' lone costs).
     """
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")

@@ -170,6 +170,15 @@ class TestPredicates:
     def test_half_test_matches_is_unimodal_on_palindromes(self, half):
         assert LaurentPoly.unimodal_half(half) == LaurentPoly.from_half(half).is_unimodal()
 
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=8), st.integers(0, 11), st.integers(-2, 4))
+    def test_half_test_matches_is_unimodal_on_perturbed_descending_halves(self, fall, at, value):
+        # a fall and perhaps one changed entry, which may rise, be negative or end the half:
+        # unimodal about as often as not
+        half = sorted(fall, reverse=True)
+        if at < len(half):
+            half[at] = value
+        assert LaurentPoly.unimodal_half(half) == LaurentPoly.from_half(half).is_unimodal()
+
     def test_nonnegative(self):
         assert LaurentPoly(-3, (0, 1, 2)).is_nonnegative()
         assert LaurentPoly.zero().is_nonnegative()

@@ -441,12 +441,71 @@ class TestGroupBuild:
         assert list(iter_ck_slices([], [5])) == []
 
     def test_members_must_share_r(self):
-        with pytest.raises(CrankspaceError, match="share r"):
-            list(iter_ck_slices([((3, 2), (0,)), ((4, 3, 1), (1,))], [5]))
+        # or nest (TestChainBuild): each one's weights after a_1 are the member's before it
+        for weights in ([(3, 2), (4, 3, 1)], [(3, 2), (4, 3, 2), (5, 3, 2)], [(4, 3, 2), (3, 2)]):
+            with pytest.raises(CrankspaceError, match="share r or nest"):
+                list(iter_ck_slices([(a, (0,)) for a in weights], [5]))
 
     def test_members_must_have_distinct_weights(self):
         with pytest.raises(CrankspaceError, match="distinct weights"):
             list(iter_ck_slices([((3, 2), (0,)), ((3, 2), (1,))], [5]))
+
+
+@st.composite
+def chains(draw) -> list[tuple[int, ...]]:
+    """1..4 weight tuples, each the one before it with one larger weight on top."""
+    chain = [tuple(sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=3)), reverse=True))]
+    for top in sorted(draw(st.sets(st.integers(chain[0][0] + 1, 10), max_size=3))):
+        chain.append((top, *chain[-1]))
+    return chain
+
+
+class TestChainBuild:
+    """Members that nest across r are one chain: each is (q)_inf times the one before it, over one theta."""
+
+    FAMILIES = {"A": [ak_spec(k).a for k in range(3, 13, 2)], "B": [bk_spec(k).a for k in (7, 9, 11)]}
+
+    @staticmethod
+    def assert_chain_matches_lone_and_shift_add_builds(chain, deltas, sizes):
+        packed, chained, decode = [], {}, crankspace.qseries._slices
+
+        def kept_scan(ints, c, bits, *args):
+            packed.append((ints, bits))
+            return decode(ints, c, bits, *args)
+
+        with mock.patch.object(crankspace.qseries, "_slices", kept_scan):
+            for a, scans in iter_ck_slices([(a, deltas) for a in chain], sizes):
+                chained[a] = [list(scan) for scan in scans]
+                ints, bits = packed[-1]
+                assert ints == shift_add_half(a, max(sizes), bits), a
+        assert list(chained) == chain
+        for a in chain:
+            [(_, scans)] = iter_ck_slices([(a, deltas)], sizes)
+            assert chained[a] == [list(scan) for scan in scans], a
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family_chains_match_lone_and_shift_add_builds(self, family):
+        self.assert_chain_matches_lone_and_shift_add_builds(self.FAMILIES[family], (0, 1), range(40, -1, -1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain=chains(), deltas=st.sampled_from([(0,), (1,), (0, 1)]),
+           sizes=st.lists(st.integers(0, 24), min_size=1, max_size=4))
+    def test_random_chains_match_lone_and_shift_add_builds(self, chain, deltas, sizes):
+        self.assert_chain_matches_lone_and_shift_add_builds(chain, deltas, sizes)
+
+    def test_a_chain_slot_is_its_widest_members(self, monkeypatch):
+        # to q^59, r = 2 alone packs 64-bit slots and r = 6 needs 72: in the narrower slots
+        # of its smallest member the chain overflows
+        qs, sizes, chain = crankspace.qseries, range(59, 0, -1), self.FAMILIES["A"]
+        widths = []
+        monkeypatch.setattr(qs, "_slot_width", lambda largest: widths.append(_slot_width(largest)) or widths[-1])
+        for members in ([chain[0]], [chain[-1]], chain):
+            next(iter_ck_slices([(a, (0, 1)) for a in members], sizes))
+        assert widths == [64, 72, 72]
+        monkeypatch.setattr(qs, "_slot_width", lambda largest: 64)
+        with pytest.raises(SlotOverflow):
+            for _, scans in iter_ck_slices([(a, (0, 1)) for a in chain], sizes):
+                [list(scan) for scan in scans]
 
 
 class TestTopWindows:

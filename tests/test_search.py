@@ -147,6 +147,19 @@ class TestExhaustiveSearch:
         with pytest.raises(BoundExceeded, match="scan work bound"):
             check_family_unimodality(n_hi=318)
 
+    @pytest.mark.parametrize("n_hi", [60, 317])
+    def test_the_family_chains_cost_no_more_than_their_members_built_alone(self, n_hi):
+        # each chain priced at its widest member's slot bits, a pentagonal pass as a theta pass at
+        # its frame; conj1.4's cost sums each spec's tuple built alone
+        chains = [[qseries.ak_spec(k).a for k in range(3, 13, 2)], [bk_spec(k).a for k in (7, 9, 11)]]
+        prices = []
+        for first, *rest in chains:
+            weights = [*first, *(a[0] for a in rest), *(a[1] for a in rest)]
+            prices.append(search.scan_work(len(first) + len(rest), n_hi - 1, len(weights), sum(weights)))
+            alone = sum(search.scan_work(len(a), n_hi - 1, len(a), sum(a)) for a in [first, *rest])
+            assert prices[-1] <= alone
+        assert sum(prices) <= check_family_unimodality(n_hi=n_hi).cost
+
     def test_model_slot_bits_cover_the_kernels(self):
         # every slot width iter_ck_slices can pick for r weights to order N, either parity
         pentagonal = qseries._pentagonal_terms(300)
@@ -209,19 +222,23 @@ class TestExhaustiveSearch:
             pooled = run_plan(check_family_unimodality(n_hi=30, threads=threads))
             assert serial._replace(elapsed_s=0) == pooled._replace(elapsed_s=0)
 
-    @pytest.mark.parametrize("scan,screened,tuples,passes,frames,decoded,unpacked", [
+    @pytest.mark.parametrize("scan,windowed,tuples,passes,frames,pentagonal,decoded,unpacked", [
         # 39 specs of 26 tuples, each screened; the 13 the screen leaves undecided are
         # built in 7 (r, a_1) groups, whose shared passes run once, a_1's and a_2's first
-        (lambda: exhaustive_search(3, 6, n_hi=75, threads=1), 26, 13, 24, 98, 1323, 1845),
+        (lambda: exhaustive_search(3, 6, n_hi=75, threads=1), 26, 13, 24, 98, [], 1323, 1845),
         # 105 specs of 70 tuples, likewise, in 5 groups
-        (lambda: exhaustive_search(7, 8, n_hi=60, threads=1), 70, 35, 60, 399, 2604, 3609),
-        # 13 families, unscreened: the family scan reads every defect; each group is one tuple
-        (lambda: run_plan(check_family_unimodality(n_hi=60, threads=1)), 0, 8, 35, 145, 767, 1239),
+        (lambda: exhaustive_search(7, 8, n_hi=60, threads=1), 70, 35, 60, 399, [], 2604, 3609),
+        # 13 families, unscreened: the family scan reads every defect.  Its 8 tuples are 2 chains,
+        # A (3, 2) .. (7, 6, 5, 4, 3, 2) and B (6, 5, 3, 2) .. (8, 7, 6, 5, 3, 2); each member past
+        # the first costs one pentagonal pass at frame a_2 and one theta pass, and a window audits it
+        (lambda: run_plan(check_family_unimodality(n_hi=60, threads=1)), 6, 8, 12, 58, [3, 4, 5, 6, 6, 7],
+         767, 1239),
     ], ids=["table1-tuples", "k7-8", "families"])
-    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, screened, tuples, passes,
-                                              frames, decoded, unpacked):
-        built, theta_frames, windows, slices, unpacks = [], [], {}, [], []
+    def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, windowed, tuples, passes,
+                                              frames, pentagonal, decoded, unpacked):
+        built, theta_frames, pentagonal_frames, windows, slices, unpacks = [], [], [], {}, [], []
         build, theta_pass = qseries.iter_ck_slices, qseries._theta_pass
+        pentagonal_pass = qseries._pentagonal_pass
         top_windows, decode, unpack = qseries.top_windows, qseries._slices, qseries._unpack_half
 
         def counted_build(members, sizes):  # a generator: counts the members it builds
@@ -234,6 +251,11 @@ class TestExhaustiveSearch:
                 theta_frames.append(max(aj, origin))
             theta_pass(ints, aj, origin, bits, last, window)
 
+        def counted_pentagonal_pass(ints, terms, c, bits):
+            if c:  # the passes at frame 0 build (q)_inf^r, once per r for the process (_q_power)
+                pentagonal_frames.append(c)
+            pentagonal_pass(ints, terms, c, bits)
+
         def counted_scan(*args):
             for m, half in decode(*args):
                 slices.append(m)
@@ -241,6 +263,7 @@ class TestExhaustiveSearch:
 
         monkeypatch.setattr(qseries, "iter_ck_slices", counted_build)
         monkeypatch.setattr(qseries, "_theta_pass", full_pass)
+        monkeypatch.setattr(qseries, "_pentagonal_pass", counted_pentagonal_pass)
         monkeypatch.setattr(qseries, "top_windows",
                             lambda a, *args: windows.setdefault(a, top_windows(a, *args)))
         monkeypatch.setattr(qseries, "_slices", counted_scan)
@@ -249,9 +272,12 @@ class TestExhaustiveSearch:
         assert len(built) == len(set(built)) == tuples
         assert len(theta_frames) == passes
         assert sum(theta_frames) == frames  # a pass counted as its frame's width, as _plan counts it
-        assert len(windows) == screened
+        assert sorted(pentagonal_frames) == pentagonal
+        assert len(windows) == windowed
         assert len(slices) == decoded and len(unpacks) == unpacked
-        if screened:  # built are exactly the tuples with a parity the window left undecided
+        if pentagonal:  # every chain member but the first is audited by its window
+            assert set(windows) == set(built) - {(3, 2), (6, 5, 3, 2)}
+        else:  # built are exactly the tuples with a parity the window left undecided
             assert set(built) == {a for a, found in windows.items()
                                   if any(LaurentPoly.unimodal_half(w) for w in found)}
 
@@ -345,6 +371,21 @@ class TestTopScreen:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" in captured.err and "ArithmeticError" in captured.err
+
+    def test_a_chain_member_that_differs_from_its_window_is_a_fault(self, monkeypatch, capsys):
+        top_windows = qseries.top_windows
+
+        def planted(a, deltas, m):
+            windows = top_windows(a, deltas, m)
+            if a == (5, 4, 3, 2):  # the family scan reaches it by two chain steps from (3, 2)
+                windows = [[w[0] + 1] + w[1:] for w in windows]
+            return windows
+
+        monkeypatch.setattr(qseries, "top_windows", planted)
+        assert cli.main(["--threads", "1", "verify", "conj1.4", "--n-max", "30"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ArithmeticError" in captured.err and "weights (5, 4, 3, 2)" in captured.err
 
 
 class TestHalfUnimodality:
