@@ -21,8 +21,8 @@ pentagonal-number expansion).  G depends only on the weights, so one build
 serves both parities, and one call of `iter_ck_slices` builds a set of
 tuples with the same r along one build tree (`_plan`), walked by `_build`: a
 pass over the largest weights that several tuples share, the widest kind of
-pass, runs once for all of them where that saves work.  Or it builds a chain
-of tuples that nest across r (`_chain`), each member from the one before it
+pass, runs once for all of them where that saves work.  Or its tree is a
+chain of tuples that nest across r, each member built from the one before it
 by one pentagonal and one theta pass, where a lone build costs r theta passes.
 
 G is built by division by theta series, not factor by factor.  By the Jacobi
@@ -342,38 +342,29 @@ def _plan(c: int, members: list[tuple[int, tuple[int, ...]]]) -> tuple[tuple[int
 
 
 def _build(ints: list[int], c: int, tree: int | list, bits: int) -> Iterator[tuple[int, list[int]]]:
-    """(i, packed G) for each leaf i of tree (see _plan), from ints framed at c.
+    """(i, packed G) for each member i of tree, from ints framed at c.
 
-    The last step of a node works on ints in place and each other one on a
-    copy, so a yielded G is never touched again.
+    A tree is a leaf i, or a list of leaves, each yielded as a halved copy
+    so the items after it go on, and steps (w, sub): a division by w's theta
+    series (_plan), which halves in place when sub is a leaf, or for w = 0 a
+    product with (q)_inf at frame c.  The last step of a list works on ints
+    in place and each other one on a copy, so a yielded G is never touched again.
     """
     if isinstance(tree, int):
         yield tree, ints
         return
-    for n, (w, sub) in enumerate(tree):
+    for n, item in enumerate(tree):
+        if isinstance(item, int):
+            grow = bits * c
+            yield item, [t >> grow * (j - 1) if j else t << grow for j, t in enumerate(ints)]
+            continue
+        w, sub = item
         own = ints if n == len(tree) - 1 else ints[:]
-        _theta_pass(own, w, c, bits, isinstance(sub, int))
+        if w:
+            _theta_pass(own, w, c, bits, isinstance(sub, int))
+        else:
+            _pentagonal_pass(own, _pentagonal_terms(len(own) - 1), c, bits)
         yield from _build(own, max(c, w), sub, bits)
-
-
-def _chain(ints: list[int], chain: list[tuple[int, ...]], bits: int) -> Iterator[tuple[int, list[int]]]:
-    """(i, packed G) for each member i of chain, from ints framed at 0 (see iter_ck_slices).
-
-    The first member is built as _plan builds one alone, each next one by a
-    pentagonal and a theta pass.  A member before the last is halved on a
-    copy, so the chain goes on from its framed entries; the last is halved
-    in place.
-    """
-    c, terms = 0, _pentagonal_terms(len(ints) - 1)
-    for i, a in enumerate(chain):
-        if i:
-            _pentagonal_pass(ints, terms, c, bits)
-        last = i == len(chain) - 1
-        for w in a[::-1] if i == 0 else a[:1]:  # ascending: each pass's frame is its weight
-            _theta_pass(ints, w, c, bits, last and w == a[0])
-            c = w
-        grow = bits * c
-        yield i, ints if last else [t >> grow * (j - 1) if j else t << grow for j, t in enumerate(ints)]
 
 
 def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes: Iterable[int]
@@ -402,10 +393,10 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     remaining passes ascending, a_r first and a_1 last.  Either way every
     entry ends framed at c = a_1, and the member's last pass leaves slot s
     of entry m holding the coefficient of z^(c - s).  Members that nest are
-    one chain from the first member's (q)_inf^r (_chain): weights (b, *a)
-    after a give G = (q)_inf G_a / theta_b, a pentagonal pass on G_a's
+    one branch of steps from the first member's (q)_inf^r: weights (b, *a)
+    after a give G = (q)_inf G_a / theta_b, a pentagonal step on G_a's
     entries framed at c = a_1, each q^g term shifted c*g slots into its
-    entry's frame (as in top_windows), then a theta pass that reframes at b.
+    entry's frame (as in top_windows), then a theta step that reframes at b.
     The integers are exact images whatever their sign, and whatever slots
     overflow on the way.  G's coefficients are non-negative and below
     2^bits, so the image's base-2^bits digits are those coefficients: the
@@ -449,12 +440,16 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
         totals.update(((rj, d), [_pentagonal_split(colored, m, t) for m in sizes]) for d, t in terms.items())
     bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
     if shared:
-        built = _build(_q_power(r, order), 0, _plan(0, list(enumerate(weights)))[1], bits)
-    else:
-        built = _chain(_q_power(r, order), weights, bits)
-    for i, ints in built:
+        tree = _plan(0, list(enumerate(weights)))[1]
+    else:  # the first member's passes, ascending, then [i, (0, [(member i + 1's a_1, ...)])] for each i
+        tree = len(weights) - 1
+        for i in range(len(weights) - 2, -1, -1):
+            tree = [i, (0, [(weights[i + 1][0], tree)])]
+        tree = functools.reduce(lambda sub, w: [(w, sub)], weights[0], tree)
+    for i, ints in _build(_q_power(r, order), 0, tree, bits):
         a, deltas = members[i]
         yield a, [_slices(ints, a[0], bits, terms[d], sizes, totals[len(a), d]) for d in deltas]
+        del ints  # the next member builds without this one's entries
 
 
 def top_windows(a: tuple[int, ...], deltas: Sequence[int], m: int) -> list[list[int]]:

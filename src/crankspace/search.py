@@ -134,7 +134,6 @@ def _pool_map(fn, tasks: list, threads: int | None) -> list:
     workers = min(cpus if threads is None else threads, len(tasks), cpus)
     if workers > 1 and hasattr(os, "fork"):
         import pickle  # here, not at the top: a serial command never needs it
-        import signal
     else:
         workers = 1
     chunks = min(len(tasks), _QUEUE_CHUNKS)
@@ -174,6 +173,7 @@ def _pool_map(fn, tasks: list, threads: int | None) -> list:
     finally:
         os.close(queue)
         for pid, pipe in children.items():
+            import signal  # here: only a child whose results were not read needs it
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -334,6 +334,7 @@ def _defects_task(task: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
                     if top_only:
                         break
             defects[a, delta] = bad[::-1]
+        del scans, scan, half  # the next member builds without this one's entries
     return defects
 
 

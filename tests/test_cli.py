@@ -609,16 +609,22 @@ def in_process(capsys, argv: list[str]) -> tuple[int, bytes, str]:
 
 
 def test_cold_commands_import_no_dataclasses_or_pool():
+    # and a two-worker search, whose children are all reaped, needs no signal to kill one
     script = (
-        "import sys\n"
+        "import contextlib, io, os, sys\n"
         "from crankspace.cli import main\n"
-        "assert main(['poly', 'rank', '--n', '5']) == 0\n"
-        "assert main(['verify', '--list']) == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['poly', 'rank', '--n', '5']) == 0\n"
+        "    assert main(['verify', '--list']) == 0\n"
         "print(sorted({'dataclasses', 'inspect', 'json', 'multiprocessing'} & set(sys.modules)))\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['--threads', '2', 'search', '--k-lo', '3', '--k-hi', '4', '--n-hi', '12']) == 0\n"
+        "print(sorted({'pickle', 'signal'} & set(sys.modules)))\n"
     )
     done = program("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == b"[]"
+    assert done.stdout.splitlines() == [b"[]", b"['pickle']"]
 
 
 def test_import_compiles_no_pattern():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import sys
 import typing
 from unittest import mock
 
@@ -508,6 +509,26 @@ class TestChainBuild:
                 [list(scan) for scan in scans]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "conj1.4", "--n-max", "30"],
+    ["search", "table1"],
+    ["verify", "cor3.5-A-k6-ell5", "--n-max", "5"],
+], ids=["conj1.4", "table1", "cor3.5"])
+def test_every_pass_runs_in_the_build_walk_a_window_or_q_power(monkeypatch, capsys, argv):
+    # one route per build: chains and shared trees alike are walked by _build, and only
+    # top_windows and _q_power run passes of their own
+    qs, callers = crankspace.qseries, []
+    for name in ("_theta_pass", "_pentagonal_pass"):
+        def spy(*args, run=getattr(qs, name)):
+            callers.append(sys._getframe(1).f_code.co_name)
+            run(*args)
+
+        monkeypatch.setattr(qs, name, spy)
+    assert cli.main(["--threads", "1", *argv]) == 0
+    capsys.readouterr()
+    assert "_build" in callers and set(callers) <= {"_build", "top_windows", "_q_power"}
+
+
 class TestTopWindows:
     """The search screen's window of a top slice is the end of that slice's built half."""
 
@@ -535,6 +556,43 @@ class TestTopWindows:
         for a in [(3, 2), (5, 3, 1), (7, 6, 4, 2), (12, 11, 10, 9, 8, 7)]:
             top_windows(a, (0, 1), 59)
         assert len(passes) == 15
+
+    def test_a_windowed_build_adds_no_term_past_its_window(self, monkeypatch):
+        # a term whose lowest slot is W or above cannot reach the window, so none is added: each
+        # windowed pass pushes exactly the (j, k) with j + k(k-1)/2 <= order and lowest slot
+        # a_j*(k-1)(k-2)/2 < W, and an odd slice shifts in only q^1's term (a_1*g < a_1 + 1)
+        qs, pushed, expected, shifted = crankspace.qseries, [], [], []
+        theta_pass, split = qs._theta_pass, qs._pentagonal_split
+
+        class Counted(list):
+            stores = 0
+
+            def __setitem__(self, m, value):
+                self.stores += 1
+                super().__setitem__(m, value)
+
+        def counted_pass(ints, aj, origin, bits, last, window=0):
+            counted = Counted(ints)
+            theta_pass(counted, aj, origin, bits, last, window)
+            ints[:] = counted
+            order = len(ints) - 1
+            pushed.append(counted.stores - 2 * order - 1)  # less entry m's reframe (m >= 1) and mask
+            expected.append(sum(1 for j in range(order + 1) for k in range(2, order + 2)
+                                if j + k * (k - 1) // 2 <= order and aj * (k - 1) * (k - 2) // 2 < window))
+
+        def counted_split(series, m, terms, shift=0):
+            if shift:
+                shifted.append([g for g, _ in terms if g <= m])
+            return split(series, m, terms, shift)
+
+        monkeypatch.setattr(qs, "_theta_pass", counted_pass)
+        monkeypatch.setattr(qs, "_pentagonal_split", counted_split)
+        for a, m in [((1,), 12), ((5, 3, 1), 30), ((7, 6, 5, 4, 3, 2), 59)]:
+            shifted.clear()
+            top_windows(a, (0, 1), m)
+            assert shifted == [[], [1]], a
+        assert pushed == expected
+        assert sum(pushed) == 262
 
 
 def one_parity_builds(a: tuple[int, ...], sizes: range) -> list[tuple[int, tuple[LaurentPoly, ...]]]:

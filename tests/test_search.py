@@ -7,6 +7,7 @@ import math
 import os
 import signal
 import time
+import weakref
 
 import pytest
 
@@ -280,6 +281,50 @@ class TestExhaustiveSearch:
         else:  # built are exactly the tuples with a parity the window left undecided
             assert set(built) == {a for a, found in windows.items()
                                   if any(LaurentPoly.unimodal_half(w) for w in found)}
+
+    @pytest.mark.parametrize("scan", [
+        lambda: run_plan(check_family_unimodality(n_hi=30, threads=1)),
+        lambda: exhaustive_search(3, 6, n_hi=30, threads=1),
+    ], ids=["families", "table1-tuples"])
+    def test_a_member_is_released_before_the_next_one_builds(self, monkeypatch, scan):
+        # when a pass of the next member starts, neither the scans nor the packed G handed out
+        # for the members before it are alive: the build holds one member's entries at a time
+        handed, passes = [], []
+        build, decode = qseries._build, qseries._slices
+        theta_pass, pentagonal_pass = qseries._theta_pass, qseries._pentagonal_pass
+
+        class Packed(list):  # a list that takes a weak reference
+            pass
+
+        def tracked_build(*args):  # each G yielded as a copy that only its consumers hold
+            for i, ints in build(*args):
+                yield i, Packed(ints)
+
+        def kept_scan(ints, *args):
+            slices = decode(ints, *args)
+            handed.extend((weakref.ref(ints), weakref.ref(slices)))
+            return slices
+
+        def check_released():
+            assert sum(ref() is not None for ref in handed) == 0
+            handed.clear()
+
+        def checked_theta_pass(ints, aj, origin, bits, last, window=0):
+            if not window:  # the screen's windowed passes hand no G out
+                check_released()
+                passes.append(aj)
+            theta_pass(ints, aj, origin, bits, last, window)
+
+        def checked_pentagonal_pass(ints, terms, c, bits):
+            check_released()
+            pentagonal_pass(ints, terms, c, bits)
+
+        monkeypatch.setattr(qseries, "_build", tracked_build)
+        monkeypatch.setattr(qseries, "_slices", kept_scan)
+        monkeypatch.setattr(qseries, "_theta_pass", checked_theta_pass)
+        monkeypatch.setattr(qseries, "_pentagonal_pass", checked_pentagonal_pass)
+        scan()
+        assert passes
 
     def test_tasks_start_largest_first(self, monkeypatch):
         handed = []
