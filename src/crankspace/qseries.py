@@ -18,12 +18,10 @@ The factors of the a = 0 copies cancel against the numerators, so each
 product is a geometric stage G = prod_a prod_n 1/((1-z^a q^n)(1-z^-a q^n)),
 whose coefficients are all non-negative, times prod (1-q^n) for odd k (the
 pentagonal-number expansion).  G depends only on the weights, so one build
-serves both parities, and one call of `iter_ck_slices` builds a set of
-tuples with the same r along one build tree (`_plan`), walked by `_build`: a
-pass over the largest weights that several tuples share, the widest kind of
-pass, runs once for all of them where that saves work.  Or its tree is a
-chain of tuples that nest across r, each member built from the one before it
-by one pentagonal and one theta pass, where a lone build costs r theta passes.
+serves both parities.  Every pass runs in one walk, `_build`, of one build
+tree: `_plan`'s for tuples of one r, which divides once by a weight that
+several share where that saves work, or a chain of tuples that nest across
+r, each built from the one before it by one pentagonal and one theta pass.
 
 G is built by division by theta series, not factor by factor.  By the Jacobi
 triple product, (q)_inf prod_n (1-z^a q^n)(1-z^-a q^n) is the sparse series
@@ -39,13 +37,12 @@ totals read off `colored_coeffs`, so in slots that wide the base-2^bits
 digits of its images are its coefficients, decoded through 64-bit machine
 words at any slot width; two run-time checks certify every decoded half all
 the same, and a failure raises SlotOverflow.  Every step of the division
-is a left shift or an add, so the same division with each integer reduced
+is a left shift or an add, so the same walk with each integer reduced
 modulo 2^(W*bits) yields a slice's W outermost coefficients exactly, at a
-small fraction of the cost: `top_windows` gives them for one tuple's top
-slice, which the search screens by before it builds.  Tests cross-check
-the kernel against a naive LaurentPoly-arithmetic builder, against the
-factor-by-factor shift-add build and against a packed kernel that builds
-both halves of every slice.
+small fraction of the cost (`top_windows`), which the search screens by
+before it builds.  Tests cross-check the kernel against a naive
+LaurentPoly-arithmetic builder, against the factor-by-factor shift-add
+build and against a packed kernel that builds both halves of every slice.
 """
 
 from __future__ import annotations
@@ -249,8 +246,8 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
     soon as it has been pushed forward.
 
     With window set, each entry is reduced modulo 2^(window*bits) before it
-    is pushed forward, and no term whose lowest slot, aj*(k-1)(k-2)/2, is
-    window or above is added: slots 0..window-1 stay exact (top_windows).
+    is pushed forward, and no term whose lowest slot, aj*lo + (c - aj)*T_k,
+    is window or above is added: slots 0..window-1 stay exact (top_windows).
     """
     order = len(ints) - 1
     c = max(origin, aj)
@@ -259,10 +256,10 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
     for m in range(1, order + 1):
         ints[m] <<= reframe * m
     mask = (1 << bits * window) - 1
-    reach = order  # the largest k(k-1)/2 pushed
-    if window:  # k = s + 2 for the largest s with s(s+1)/2 <= (window-1)//aj
-        s = (math.isqrt(8 * ((window - 1) // aj) + 1) - 1) // 2
-        reach = (s + 2) * (s + 1) // 2
+    k = 2  # with window set, past the last k whose term's lowest slot is below window
+    while window and aj * (k - 1) * (k - 2) // 2 + (c - aj) * k * (k - 1) // 2 < window:
+        k += 1
+    reach = (k - 1) * (k - 2) // 2 if window else order  # the largest k(k-1)/2 pushed
     for j in range(order + 1):
         if window:
             ints[j] &= mask
@@ -314,41 +311,65 @@ def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], si
         yield m, half
 
 
-def _plan(c: int, members: list[tuple[int, tuple[int, ...]]]) -> tuple[tuple[int, int], int | list]:
-    """The cheapest build tree of members (i, weights left, descending) from entries framed at c.
+def _plan(c: int, members: list[tuple[int, tuple[int, ...]]], order: int, window: int = 0
+          ) -> tuple[tuple[int, int], int, int | list]:
+    """The cheapest build tree to q^order of members (i, weights left, descending) from entries framed at c.
 
-    Returns its cost, (frame units, passes), with a pass at frame c'
-    counted as c' units (its entries are about 2c'm slots wide), and the
-    tree: a leaf is a member index i, a node a list of steps (w, subtree),
-    each one division by w's theta series.  A member built alone is a chain
-    of one-step nodes, ascending.  Members that share their next weight w
-    are divided by it once only where that costs less (fewer units, or as
-    many in fewer passes), so no tree costs more units or passes than
-    building each member alone.
+    Returns its cost (units, passes), the order its first steps read, and
+    the tree: a leaf is a member index i, a node a list of steps (w, o, sub),
+    each a division by w's theta series to q^o.  Members that share their
+    next weight divide by it once, unless it reframes (w > c) and building
+    each alone, a chain of one-step nodes ascending, costs fewer units, or
+    as many in fewer passes.  A full pass at frame c' counts c' units (its
+    entries are about 2c'm slots wide), a windowed one (_theta_pass) the
+    order it reaches: before a step that reframes by gap, only
+    (window - 1) // gap, since every later entry leaves the window.
     """
-    if len(members) == 1 and not members[0][1]:
-        return (0, 0), members[0][0]
-    alone = (sum(max(c, w) for _, rest in members for w in rest), sum(len(rest) for _, rest in members))
+    if len(members) == 1:  # alone: a chain of one-step nodes, ascending, so that frames only grow
+        i, rest = members[0]
+        plan = (0, 0), order, i
+        for w, below in zip(rest, [*rest[1:], 0]):  # from its last step back
+            plan = _step(max(c, below), w, plan, window)
+        return plan
     groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for i, rest in members:
-        groups.setdefault(rest[0], []).append((i, rest[1:]))
-    if len(groups) < len(members):  # some members share their next weight
-        subs = {w: _plan(max(c, w), below) for w, below in groups.items()}
-        cost = (sum(max(c, w) + units for w, ((units, _), _) in subs.items()),
-                sum(1 + passes for (_, passes), _ in subs.values()))
-        if cost < alone:
-            return cost, [(w, tree) for w, (_, tree) in subs.items()]
-    return alone, [functools.reduce(lambda tree, w: [(w, tree)], rest, i)[0] for i, rest in members]
+        groups.setdefault(rest[0], []).append((i, rest))
+    plans = []
+    for w, group in groups.items():
+        if len(group) > 1:  # shared, unless it reframes and the chains cost less, summed one by one
+            shared = _step(c, w, _plan(max(c, w), [(i, rest[1:]) for i, rest in group], order, window),
+                           window)
+            if w <= c or shared[0] < tuple(map(sum, zip(*(_plan(c, [m], order, window)[0] for m in group)))):
+                plans.append(shared)
+                continue
+        plans += [_plan(c, [member], order, window) for member in group]
+    return _side_by_side(plans)
 
 
-def _build(ints: list[int], c: int, tree: int | list, bits: int) -> Iterator[tuple[int, list[int]]]:
+def _step(c: int, w: int, plan: tuple, window: int) -> tuple:
+    """A division by w from entries framed at c, then plan, as a _plan of one step."""
+    (units, passes), o, tree = plan
+    reads = min(o, (window - 1) // (w - c)) if window and w > c else o
+    return (units + (o if window else max(c, w)), passes + 1), reads, [(w, o, tree)]
+
+
+def _side_by_side(plans: list[tuple]) -> tuple:
+    """_plans of disjoint members as one: costs and steps added up, reading as far as any one reads."""
+    return ((sum(plan[0][0] for plan in plans), sum(plan[0][1] for plan in plans)),
+            max((plan[1] for plan in plans), default=0), [step for plan in plans for step in plan[2]])
+
+
+def _build(ints: list[int], c: int, tree: int | list, bits: int, window: int = 0
+           ) -> Iterator[tuple[int, list[int]]]:
     """(i, packed G) for each member i of tree, from ints framed at c.
 
     A tree is a leaf i, or a list of leaves, each yielded as a halved copy
-    so the items after it go on, and steps (w, sub): a division by w's theta
-    series (_plan), which halves in place when sub is a leaf, or for w = 0 a
-    product with (q)_inf at frame c.  The last step of a list works on ints
-    in place and each other one on a copy, so a yielded G is never touched again.
+    so the items after it go on, and steps (w, o, sub): to q^o, a division
+    by w's theta series (_plan), which halves in place when sub is a leaf,
+    or for w = 0 a product with (q)_inf at frame c.  With window set, every
+    division keeps each entry to its low window slots (_theta_pass) and
+    halves nothing.  The last step of a list works on ints in place and
+    each other one on a copy, so a yielded G is never touched again.
     """
     if isinstance(tree, int):
         yield tree, ints
@@ -358,13 +379,14 @@ def _build(ints: list[int], c: int, tree: int | list, bits: int) -> Iterator[tup
             grow = bits * c
             yield item, [t >> grow * (j - 1) if j else t << grow for j, t in enumerate(ints)]
             continue
-        w, sub = item
-        own = ints if n == len(tree) - 1 else ints[:]
+        w, order, sub = item
+        own = ints if n == len(tree) - 1 else ints[: order + 1]
+        own[order + 1 :] = [0] * (order + 1 - len(own))  # cut or pad to q^order
         if w:
-            _theta_pass(own, w, c, bits, isinstance(sub, int))
+            _theta_pass(own, w, c, bits, not window and isinstance(sub, int), window)
         else:
-            _pentagonal_pass(own, _pentagonal_terms(len(own) - 1), c, bits)
-        yield from _build(own, max(c, w), sub, bits)
+            _pentagonal_pass(own, _pentagonal_terms(order), c, bits)
+        yield from _build(own, max(c, w), sub, bits, window)
 
 
 def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes: Iterable[int]
@@ -387,27 +409,23 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     and do not nest raise CrankspaceError.
 
     G is the scalar (q)_inf^r, built once for all members, divided by one
-    theta series per weight along _plan's build tree, whose shared steps are
-    the widest passes, a_1's first: a step serves every member below it.
-    _plan shares a pass only where that pays; a member left alone takes its
-    remaining passes ascending, a_r first and a_1 last.  Either way every
-    entry ends framed at c = a_1, and the member's last pass leaves slot s
-    of entry m holding the coefficient of z^(c - s).  Members that nest are
-    one branch of steps from the first member's (q)_inf^r: weights (b, *a)
-    after a give G = (q)_inf G_a / theta_b, a pentagonal step on G_a's
-    entries framed at c = a_1, each q^g term shifted c*g slots into its
-    entry's frame (as in top_windows), then a theta step that reframes at b.
-    The integers are exact images whatever their sign, and whatever slots
-    overflow on the way.  G's coefficients are non-negative and below
-    2^bits, so the image's base-2^bits digits are those coefficients: the
-    last pass's right shift by c*(m-1) slots drops exactly the terms below
-    z^-c and leaves z^e in slot c + e, which by the z -> 1/z symmetry holds
-    the coefficient of z^(c - s) at s = c + e.  The entries share one
-    origin, so each slice sums its own pentagonal terms (delta = 1 only)
-    unshifted into separate non-negative pos/neg packed integers, and slots
-    never borrow; that sum and the unpacking are done per requested slice,
-    so skipped sizes cost nothing and the dense polynomials never all
-    coexist.
+    theta series per weight along _plan's build tree: a shared step serves
+    every member below it, and a member left alone takes its passes ascending,
+    a_r first.  Either way every entry ends framed at c = a_1, and the
+    member's last pass leaves slot s of entry m holding the coefficient of
+    z^(c - s).  Members that nest are one branch of steps from the first
+    member's (q)_inf^r: weights (b, *a) after a give
+    G = (q)_inf G_a / theta_b, a pentagonal step on G_a's entries framed at
+    c = a_1, each q^g term shifted c*g slots into its entry's frame (as in
+    top_windows), then a theta step that reframes at b.  The image's
+    base-2^bits digits are G's coefficients (module docstring): the last
+    pass's right shift by c*(m-1) slots drops exactly the terms below z^-c
+    and leaves z^e in slot c + e, which by the z -> 1/z symmetry holds the
+    coefficient of z^(c - s) at s = c + e.  The entries share one origin,
+    so each slice sums its own pentagonal terms (delta = 1 only) unshifted
+    into separate non-negative pos/neg packed integers, and slots never
+    borrow; that sum and the unpacking are done per requested slice, so
+    skipped sizes cost nothing and the dense polynomials never all coexist.
 
     Slot widths are exact: at z = 1 G is prod (1-q^n)^(-F), F = 2r, so the
     coefficients of a slice's pos part sum to p_F(m) plus its positive
@@ -417,10 +435,10 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     largest total over every requested size, every member's r and every
     member's delta, so it is exact for the widest member and parity and
     wide enough for the others; `_unpack_half` certifies each decoded part
-    against its own r's totals all the same.  Weights (1,)
-    with delta 1 give the raw crank factor, whose q^n coefficient for
-    n >= 2 is the crank polynomial that `partitions.crank_poly` computes
-    from the Andrews-Garvan formula instead.
+    against its own r's totals all the same.  Weights (1,) with delta 1 give
+    the raw crank factor, whose q^n coefficient for n >= 2 is the crank
+    polynomial that `partitions.crank_poly` computes from the Andrews-Garvan
+    formula instead.
     """
     sizes = list(sizes)
     if min(sizes, default=0) < 0:
@@ -440,55 +458,45 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
         totals.update(((rj, d), [_pentagonal_split(colored, m, t) for m in sizes]) for d, t in terms.items())
     bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
     if shared:
-        tree = _plan(0, list(enumerate(weights)))[1]
-    else:  # the first member's passes, ascending, then [i, (0, [(member i + 1's a_1, ...)])] for each i
+        tree = _plan(0, list(enumerate(weights)), order)[2]
+    else:  # the first member's passes, ascending, then [i, (0, order, [(member i + 1's a_1, ...)])] per i
         tree = len(weights) - 1
         for i in range(len(weights) - 2, -1, -1):
-            tree = [i, (0, [(weights[i + 1][0], tree)])]
-        tree = functools.reduce(lambda sub, w: [(w, sub)], weights[0], tree)
+            tree = [i, (0, order, [(weights[i + 1][0], order, tree)])]
+        tree = functools.reduce(lambda sub, w: [(w, order, sub)], weights[0], tree)
     for i, ints in _build(_q_power(r, order), 0, tree, bits):
         a, deltas = members[i]
         yield a, [_slices(ints, a[0], bits, terms[d], sizes, totals[len(a), d]) for d in deltas]
         del ints  # the next member builds without this one's entries
 
 
-def top_windows(a: tuple[int, ...], deltas: Sequence[int], m: int) -> list[list[int]]:
-    """Per delta in deltas, the coefficients of z^(-c*m + c) .. z^(-c*m), c = a_1, of a's q^m slice.
+def top_windows(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], m: int) -> list[list[list[int]]]:
+    """Per member (a, deltas) and delta, the coefficients of z^(-c*m + c) .. z^(-c*m) of a's q^m slice.
 
-    For m >= 1 that window is the last c + 1 entries of the half that
-    iter_ck_slices yields for (a, delta) at m, in the half's order, and costs
-    a small fraction of it.  It is the same theta division, one pass per
-    weight ascending, with every entry kept to its W = c + 1 lowest slots
-    (_theta_pass's window).  Reduction modulo 2^(W*bits) after z -> 2^bits
-    is a ring map, and every step is a left shift or an add on a frame whose
-    slot 0 is z^(-a_j*m), so an entry's low W slots depend only on the low W
-    slots of the entries before it.  A pass
-    before the last needs only its orders up to (W - 1) // (the gap to the
-    next weight): the next reframe shifts every later entry out of the
-    window.  For delta 1, each pentagonal term q^g G[m - g] is shifted c*g
-    slots into entry m's frame (those with c*g >= W miss the window), and the
-    positive and negative terms are summed apart.  Each part is the image of
-    a polynomial whose coefficients are non-negative and below 2^bits, by
-    the totals bound iter_ck_slices sizes its slots by, so its low W
-    base-2^bits digits are its coefficients, exactly.
+    The members share r and c = a_1.  For m >= 1 a window is the last c + 1
+    entries of the half that iter_ck_slices yields for (a, delta) at m, at
+    a small fraction of its cost: the same division along one _plan tree,
+    with every entry kept to its W = c + 1 lowest slots (_theta_pass).
+    Reduction modulo 2^(W*bits) after z -> 2^bits is a ring map, and every
+    step is a left shift or an add on a frame whose slot 0 is z^(-c'*m), so
+    an entry's low W slots depend only on the low W slots of those before
+    it.  For delta 1, each pentagonal term q^g G[m - g] with c*g < W is
+    shifted c*g slots into entry m's frame, positive and negative terms
+    summed apart.  Each part's coefficients are non-negative and below
+    2^bits (iter_ck_slices' totals bound), so its low W digits are exact.
     """
-    c, w = a[0], a[0] + 1
-    orders = [m]  # what each pass must reach, from a_1's back to (q)_inf^r's
-    for gap in map(operator.sub, a, [*a[1:], 0]):
-        orders.append(min(orders[-1], (w - 1) // gap))
-    terms = _pentagonal_terms(m)
-    colored = colored_coeffs(2 * len(a), m)
-    bits = _slot_width(max(max(_pentagonal_split(colored, m, terms if d else [])) for d in deltas))
-    ints = _q_power(len(a), orders[-1])
-    for aj, origin, order in zip(a[::-1], (0, *a[:0:-1]), orders[-2::-1]):  # a_r's pass first
-        ints += [0] * (order + 1 - len(ints))
-        _theta_pass(ints, aj, origin, bits, False, w)
-    slot, near = (1 << bits) - 1, [(g, sgn) for g, sgn in terms if c * g < w]
-    windows = []
-    for d in deltas:
-        pos, neg = _pentagonal_split(ints, m, near if d else [], bits * c)
-        windows.append([(pos >> (bits * s) & slot) - (neg >> (bits * s) & slot) for s in range(c, -1, -1)])
-    return windows
+    (c, *rest), _ = members[0]
+    r, w, terms = len(rest) + 1, c + 1, _pentagonal_terms(m)
+    colored = colored_coeffs(2 * r, m)
+    bits = _slot_width(max(max(_pentagonal_split(colored, m, terms if d else []))
+                           for _, deltas in members for d in deltas))
+    _, reads, tree = _plan(0, [(i, a) for i, (a, _) in enumerate(members)], m, w)
+    slot, near, windows = (1 << bits) - 1, [(g, sgn) for g, sgn in terms if c * g < w], {}
+    for i, ints in _build(_q_power(r, reads), 0, tree, bits, w):
+        parts = [_pentagonal_split(ints, m, near if d else [], bits * c) for d in members[i][1]]
+        windows[i] = [[(pos >> (bits * s) & slot) - (neg >> (bits * s) & slot) for s in range(c, -1, -1)]
+                      for pos, neg in parts]
+    return [windows[i] for i in range(len(members))]
 
 
 def ak_spec(k: int) -> CrankSpec:

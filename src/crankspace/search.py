@@ -6,9 +6,9 @@ product are scanned below a bound, and the minimal m with "unimodal for all
 m < n < n_hi" follows from the last non-unimodal n.  So the search scans each
 parity from n_hi - 1 down and stops at its first non-unimodal slice, and
 first screens every parity by the exact outer window of its top slice, the
-end of that slice's half (qseries.top_windows): a window that proves that
-slice not unimodal settles the parity, and only the undecided ones are
-built.  The family scan, which tallies every defect, builds and scans them
+end of that slice's half (qseries.top_windows, one windowed walk per task):
+a window that proves that slice not unimodal settles the parity, and only
+the undecided ones are built.  The family scan, which tallies every defect, builds and scans them
 all.  Slices need no symmetry check and no polynomial: each is tested on the
 palindrome's half the kernel decodes, by LaurentPoly.unimodal_half, the one
 unimodality test, which verify's slice checks run too.  The claims these
@@ -16,13 +16,14 @@ scans decide (the first-gap criterion, the families' onsets) live in verify.
 
 Work parallelizes over tasks, each built by one kernel call (slice_defects),
 on this process and its forks (_pool_map).  A search's task is the weight
-tuples of one r and one largest weight a_1 (7 for table1, 5 for k 7..8),
-whose build tree runs the widest passes they share once; the family scan's
-is a chain of tuples that nest across r (2 for conj1.4's 8 tuples), each
-built from the one before it.  Results merge in input order, so the
-output is byte-identical for any worker count.  One cost model, scan_work,
-prices a scan's full theta passes in bit operations: it admits every scan
-(refuse_past_bound) and orders slice_defects' tasks, the largest first.
+tuples of one r and one largest weight a_1 (7 for table1, 5 for k 7..8):
+its windowed tree and its build tree run a pass they share once where that
+pays.  The family scan's is a chain of tuples that nest across r (2 for
+conj1.4's 8 tuples), each built from the one before it.  Results merge in
+input order, so the output is byte-identical for any worker count.  One
+cost model, scan_work, prices a scan's full theta passes in bit
+operations: it admits every scan (refuse_past_bound) and orders
+slice_defects' tasks, the largest first.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def crank_space(k: int) -> Iterator[CrankSpec]:
     largest-first — the order the reference tables use.
     """
     r = (k + k % 2) // 2
-    for combo in itertools.combinations(range(1, k + 1), r):
-        yield CrankSpec(k, tuple(reversed(combo)))
+    for combo in itertools.combinations(range(1, k + 1), r):  # valid by construction: _make checks nothing
+        yield CrankSpec._make((k, combo[::-1]))
 
 
 # The task queue is written whole before any worker starts, so writing it must
@@ -252,8 +253,8 @@ def check_scan_work(k_lo: int = 3, k_hi: int = 6, n_hi: int = DEFAULT_SCAN_BOUND
     as if each tuple were built alone, ascending; each weight 1..k is in
     C(k - 1, r - 1) of them.  A group build shares passes only where that
     costs no more frame units and no more passes (qseries._plan), and every
-    tuple is priced, also one that the top-slice screen settles without a
-    build: an upper bound, which the sharing and the screen only loosen.
+    tuple is priced, also one that the screen settles without a full build:
+    an upper bound, which the sharing and the screen only loosen.
     """
     work = 0
     for k in range(max(k_lo, 3), k_hi + 1):
@@ -276,52 +277,45 @@ def results_to_csv(results: Iterable[SearchResult]) -> str:
     return "".join(lines)
 
 
-def _top_screen(a: tuple[int, ...], deltas: tuple[int, ...], top: int) -> tuple[dict, dict]:
-    """Split weights a's parities deltas by the outer window of their q^top slices.
+def _top_screen(members: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], top: int) -> tuple[dict, dict]:
+    """Split the parities of members (a, deltas), of one r and one a_1, by the windows of their q^top slices.
 
-    A window (qseries.top_windows, the end of that slice's half) that rises
-    outward or ends below 0 proves the slice not unimodal: such a parity is
-    returned in the first dict, as {delta: [top]}; every other one in the
-    second, as {delta: its window}.
+    A window (the end of that slice's half, from one qseries.top_windows
+    walk) that rises outward or ends below 0 proves the slice not unimodal:
+    {(a, delta): [top]} in the first dict; the rest {(a, delta): window}.
     """
     decided, undecided = {}, {}
-    for delta, window in zip(deltas, qseries.top_windows(a, deltas, top)):
-        if LaurentPoly.unimodal_half(window):
-            undecided[delta] = window
-        else:
-            decided[delta] = [top]
+    for (a, deltas), found in zip(members, qseries.top_windows(members, top)):
+        for delta, window in zip(deltas, found):
+            if LaurentPoly.unimodal_half(window):
+                undecided[a, delta] = window
+            else:
+                decided[a, delta] = [top]
     return decided, undecided
 
 
 def _defects_task(task: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int, bool]
                   ) -> dict[tuple[tuple[int, ...], int], list[int]]:
-    """{(a, delta): its non-unimodal n below n_hi, ascending} for one task's weight tuples.
+    """{(a, delta): its non-unimodal n below n_hi, ascending} for one of slice_defects' tasks.
 
-    With top_only, a task is the tuples of one r and one a_1, each with its
-    parities; without it, a chain of tuples, each the one before it with one
-    weight more on top (qseries.iter_ck_slices).  Sizes are scanned from the
-    top down; with top_only, each parity stops at its first non-unimodal
-    slice, the only one its caller reads, and the parities whose top slice
-    _top_screen decides are not built.  The rest are built by one kernel
-    call for the whole task (a tuple with none left is not built).  The
-    decoded top half of each screened parity, and of each chain member past
-    the first (the ones the chain's pentagonal passes reach), must end in
-    its window (qseries.top_windows, built alone from (q)_inf^r), or
-    ArithmeticError is raised.  Each slice is tested on the certified half
-    the kernel decodes; none is mirrored.
+    Sizes are scanned from the top down; with top_only, each parity stops at
+    its first non-unimodal slice, the only one its caller reads, and the
+    parities whose top slice _top_screen decides are not built.  The rest
+    are built by one kernel call for the whole task (a tuple with none left
+    is not built).  The decoded top half of each screened parity must end in
+    its window, and that of each chain member past the first (the ones the
+    chain's pentagonal passes reach) in its window built alone
+    (qseries.top_windows), or ArithmeticError is raised.  Each slice is
+    tested on the certified half the kernel decodes; none is mirrored.
     """
     members, n_hi, top_only = task
     top = n_hi - 1
-    defects, windows, kept = {}, {}, {}
-    for i, (a, deltas) in enumerate(members):
-        if top_only:
-            decided, undecided = _top_screen(a, deltas, top)
-        else:
-            decided, undecided = {}, dict(zip(deltas, qseries.top_windows(a, deltas, top) if i else []))
-        defects.update(((a, delta), bad) for delta, bad in decided.items())
-        windows.update(((a, delta), window) for delta, window in undecided.items())
-        if rest := [d for d in deltas if d not in decided]:
-            kept[a] = rest
+    if top_only:
+        defects, windows = _top_screen(members, top)
+    else:
+        defects, windows = {}, {(a, delta): window for a, deltas in members[1:]
+                                for delta, window in zip(deltas, qseries.top_windows([(a, deltas)], top)[0])}
+    kept = {a: rest for a, deltas in members if (rest := [d for d in deltas if (a, d) not in defects])}
     for a, scans in qseries.iter_ck_slices(list(kept.items()), range(top, 0, -1)):
         for delta, scan in zip(kept[a], scans):
             bad, window = [], windows.get((a, delta))
@@ -347,13 +341,11 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     holds at most the largest such n, since the scan runs from n_hi - 1
     down and stops at it: that is all exhaustive_search reads; a spec whose
     top slice its outer window proves not unimodal gets [n_hi - 1] with no
-    build (_defects_task).  Each kernel call builds all of its tuples' specs'
-    parities.  With top_only, a task is the weight tuples of one r and one
-    largest weight a_1, whose widest shared passes run once (a trie across r
-    would cost these scans more).  Without it, the family scan, a task is a
-    chain: tuples taken by r ascending, each joining the chain that ends in
-    its weights after a_1, whose members each cost one pentagonal and one
-    theta pass.  Tasks start largest first by the summed scan_work of their
+    build (_defects_task).  With top_only, a task is the weight tuples of
+    one r and one largest weight a_1 (a trie across r would cost these
+    scans more).  Without it, the family scan, a task is a chain: tuples
+    taken by r ascending, each joining the chain that ends in its weights
+    after a_1.  Tasks start largest first by the summed scan_work of their
     tuples, screened or not, so no large task is left to run alone at the
     end.  Results follow the order of `specs`, whatever the worker count.
     """

@@ -16,6 +16,8 @@ computes both halves of every slice, the audit route for the half-spectrum
 kernel and for the z -> 1/z symmetry it relies on.  shift_add_half packs the
 kernel's geometric stage factor by factor, N^2 shift-adds per weight, the
 audit route for the theta-series division that `qseries.iter_ck_slices` runs.
+count_windowed_pushes counts the terms each windowed theta pass pushes, next
+to those that can reach its window, for the screen's work ledgers.
 phi builds the three cyclotomic divisors as polynomials, and
 schoolbook_quotient divides by any nonzero polynomial by long division: the
 audit route for `cyclotomic.exact_quotient`, which divides by Phi_ell's
@@ -47,7 +49,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Iterator, Sequence
 
-from crankspace import partitions
+from crankspace import partitions, qseries
 from crankspace.cyclotomic import NotDivisible, _check_modulus
 from crankspace.laurent import LaurentPoly
 from crankspace.partitions import BoundExceeded
@@ -507,6 +509,38 @@ def _unpack_slots(x: int, nslots: int, bits: int, total: int) -> list[int]:
     if sum(slots) != total:
         raise SlotOverflow(f"{bits}-bit slots sum to {sum(slots)}, not to {total}")
     return slots
+
+
+def count_windowed_pushes(monkeypatch) -> tuple[list[int], list[int]]:
+    """Per windowed theta pass from now on, the terms it pushed and those whose lowest slot is in its window.
+
+    A pass pushes (j, k) with j + k(k-1)/2 <= its order; the term's lowest slot at frame
+    c = max(a_j, origin) is a_j*(k-1)(k-2)/2 + (c - a_j)*k(k-1)/2 (qseries._theta_pass).  Pushes
+    are counted as the stores of a list subclass, less each entry's reframe (m >= 1) and mask.
+    """
+    pushed, expected = [], []
+    theta_pass = qseries._theta_pass
+
+    class Counted(list):
+        stores = 0
+
+        def __setitem__(self, m, value):
+            self.stores += 1
+            super().__setitem__(m, value)
+
+    def counted_pass(ints, aj, origin, bits, last, window=0):
+        if not window:
+            return theta_pass(ints, aj, origin, bits, last, window)
+        counted, c, order = Counted(ints), max(aj, origin), len(ints) - 1
+        theta_pass(counted, aj, origin, bits, last, window)
+        ints[:] = counted
+        pushed.append(counted.stores - 2 * order - 1)
+        expected.append(sum(1 for j in range(order + 1) for k in range(2, order + 2)
+                            if j + k * (k - 1) // 2 <= order
+                            and aj * (k - 1) * (k - 2) // 2 + (c - aj) * k * (k - 1) // 2 < window))
+
+    monkeypatch.setattr(qseries, "_theta_pass", counted_pass)
+    return pushed, expected
 
 
 def full_spectrum_slices(a: tuple[int, ...], delta: int, order: int) -> list[LaurentPoly]:

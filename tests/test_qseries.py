@@ -33,6 +33,7 @@ from crankspace.verify import FAMILIES
 
 from helpers import (
     colored_coeffs_reference,
+    count_windowed_pushes,
     full_spectrum_slices,
     naive_colored_crank,
     naive_crank_series,
@@ -209,6 +210,22 @@ class TestSeriesAgainstNaiveOracle:
         assert qs._q_power(3, 10) == fresh[3, 10] and qs._q_power(3, 40) == fresh[3, 40]
         assert qs._q_power(1, 10) == fresh[1, 10] and qs._q_power(1, 40) == fresh[1, 40]
         assert built == [40, 10, 40]
+
+    @pytest.mark.parametrize("r,n", [(1, 1), (3, 10), (4, 23)])
+    def test_q_power_meets_each_request_across_the_cached_order(self, monkeypatch, r, n):
+        # order 0 from an empty cache, then one order past the cached one: each request is met
+        # whole, against (1 - q^j)^r multiplied out factor by factor
+        def product(order):
+            series = [1] + [0] * order
+            for j in range(1, order + 1):
+                for _ in range(r):
+                    for m in range(order, j - 1, -1):
+                        series[m] -= series[m - j]
+            return series
+
+        monkeypatch.setattr(crankspace.qseries, "_Q_POWER_CACHE", {})
+        for order in (0, n, n + 1, n):
+            assert crankspace.qseries._q_power(r, order) == product(order), order
 
     def test_every_slice_is_symmetric(self):
         assert all(p.is_symmetric() for p in slices(CrankSpec(5, (5, 3, 2)), 15))
@@ -424,21 +441,33 @@ class TestGroupBuild:
 
     def test_a_branch_is_taken_only_where_it_pays(self):
         # sharing 8 and 7 costs 8 + 8 + 2 * (8 + 8) = 48 frame units; alone, 18 + 19, each member
-        # a chain of one-step nodes, ascending, ending in its index
-        assert crankspace.qseries._plan(0, [(0, (8, 7, 2, 1)), (1, (8, 7, 3, 1))]) == (
-            (37, 8), [(1, [(2, [(7, [(8, 0)])])]), (1, [(3, [(7, [(8, 1)])])])])
+        # a chain of one-step nodes, ascending, ending in its index; every step reaches q^9
+        assert crankspace.qseries._plan(0, [(0, (8, 7, 2, 1)), (1, (8, 7, 3, 1))], 9) == (
+            (37, 8), 9, [(1, 9, [(2, 9, [(7, 9, [(8, 9, 0)])])]), (1, 9, [(3, 9, [(7, 9, [(8, 9, 1)])])])])
         # sharing 6 and 5 costs 6 + 6 + 3 * 6 = 30 against 12 + 13 + 15 alone, in 5 passes, not 9;
         # below 5, at frame 6, sharing nothing more costs no less
         rests = [(5, 1), (5, 2), (5, 4)]
-        assert crankspace.qseries._plan(0, [(i, (6, *rest)) for i, rest in enumerate(rests)]) == (
-            (30, 5), [(6, [(5, [(1, 0), (2, 1), (4, 2)])])])
+        assert crankspace.qseries._plan(0, [(i, (6, *rest)) for i, rest in enumerate(rests)], 9) == (
+            (30, 5), 9, [(6, 9, [(5, 9, [(1, 9, 0), (2, 9, 1), (4, 9, 2)])])])
         # at frame 6 dividing by 2 or 4 first costs as much as last: a tie keeps each chain ascending
-        assert crankspace.qseries._plan(6, [(0, (2, 1)), (1, (4, 3))]) == (
-            (24, 4), [(1, [(2, 0)]), (3, [(4, 1)])])
+        assert crankspace.qseries._plan(6, [(0, (2, 1)), (1, (4, 3))], 9) == (
+            (24, 4), 9, [(1, 9, [(2, 9, 0)]), (3, 9, [(4, 9, 1)])])
+
+    def test_a_windowed_step_is_priced_by_the_order_it_reaches(self):
+        plan = crankspace.qseries._plan
+        # alone, with window 8: 7's pass reaches q^59 and, reframing by 1, reads q^7 of 6's;
+        # 6's, reframing by 5, reads q^1 of 1's, which reads q^1 of (q)_inf^3: 59 + 7 + 1 units
+        assert plan(0, [(0, (7, 6, 1))], 59, 8) == ((67, 3), 1, [(1, 1, [(6, 7, [(7, 59, 0)])])])
+        # below a shared 7, at frame 7, every step reaches q^59: sharing costs 4 * 59 against
+        # 67 + 67 alone; to q^3 it costs 4 * 3 against 2 * (3 + 3 + 1), and its 7 reads q^1
+        members = [(0, (7, 6, 1)), (1, (7, 6, 2))]
+        assert plan(0, members, 59, 8) == (
+            (134, 6), 1, [(1, 1, [(6, 7, [(7, 59, 0)])]), (2, 1, [(6, 7, [(7, 59, 1)])])])
+        assert plan(0, members, 3, 8) == ((12, 4), 1, [(7, 3, [(6, 3, [(1, 3, 0), (2, 3, 1)])])])
 
     def test_one_member_is_one_chain_and_none_builds_nothing(self):
-        assert crankspace.qseries._plan(0, [(4, (3, 2))]) == ((5, 2), [(2, [(3, 4)])])
-        assert crankspace.qseries._plan(0, []) == ((0, 0), [])
+        assert crankspace.qseries._plan(0, [(4, (3, 2))], 9) == ((5, 2), 9, [(2, 9, [(3, 9, 4)])])
+        assert crankspace.qseries._plan(0, [], 9) == ((0, 0), 0, [])
         assert list(iter_ck_slices([], [5])) == []
 
     def test_members_must_share_r(self):
@@ -515,8 +544,8 @@ class TestChainBuild:
     ["verify", "cor3.5-A-k6-ell5", "--n-max", "5"],
 ], ids=["conj1.4", "table1", "cor3.5"])
 def test_every_pass_runs_in_the_build_walk_a_window_or_q_power(monkeypatch, capsys, argv):
-    # one route per build: chains and shared trees alike are walked by _build, and only
-    # top_windows and _q_power run passes of their own
+    # one route per build: chains, shared trees and the screen's windowed trees alike are
+    # walked by _build, and only _q_power runs passes of its own
     qs, callers = crankspace.qseries, []
     for name in ("_theta_pass", "_pentagonal_pass"):
         def spy(*args, run=getattr(qs, name)):
@@ -526,22 +555,52 @@ def test_every_pass_runs_in_the_build_walk_a_window_or_q_power(monkeypatch, caps
         monkeypatch.setattr(qs, name, spy)
     assert cli.main(["--threads", "1", *argv]) == 0
     capsys.readouterr()
-    assert "_build" in callers and set(callers) <= {"_build", "top_windows", "_q_power"}
+    assert "_build" in callers and set(callers) <= {"_build", "_q_power"}
+
+
+@pytest.mark.parametrize("argv,copies", [
+    # two chains, whose lists are a leaf and one step, and six windows, each a chain alone
+    (["verify", "conj1.4", "--n-max", "30"], {False: 0, True: 0}),
+    # 7 tasks: the 13 tuples built include three shared branches into 4, 3 and 2 tuples,
+    # 3 + 2 + 1 copies; the 26 screened go alone, one list per task, one step per tuple
+    (["search", "table1"], {False: 6, True: 19}),
+], ids=["conj1.4", "table1"])
+def test_a_step_copies_its_entries_only_before_the_last_step_of_its_list(monkeypatch, capsys, argv, copies):
+    # the last step of each list in a tree works on the entries in place, each step before it on
+    # a copy: the entry lists the walks step through, less each walk's own, full and windowed
+    qs, stepped, walks = crankspace.qseries, {False: [], True: []}, {False: 0, True: 0}
+    build = qs._build
+
+    def spy(ints, c, tree, bits, window=0):
+        stepped[bool(window)].append(ints)  # held, so that no two of them share an id
+        walks[bool(window)] += c == 0
+        yield from build(ints, c, tree, bits, window)
+
+    monkeypatch.setattr(qs, "_build", spy)
+    assert cli.main(["--threads", "1", *argv]) == 0
+    capsys.readouterr()
+    assert {kind: len({id(ints) for ints in lists}) - walks[kind] for kind, lists in stepped.items()} == copies
 
 
 class TestTopWindows:
     """The search screen's window of a top slice is the end of that slice's built half."""
 
     def test_window_is_the_end_of_the_top_half(self):
-        # every tuple with 3 <= k <= 12 at n_hi 2, 3 and 12, and with k 3..8 at 30, in k's parity
+        # every tuple with 3 <= k <= 12 at n_hi 2, 3 and 12, and with k 3..8 at 30, in k's parity,
+        # windowed alone and with all the tuples of its r and a_1, as one search task
         checked = 0
         for n_hi, k_hi in ((2, 12), (3, 12), (12, 12), (30, 8)):
+            tasks: dict = {}
             for k in range(3, k_hi + 1):
                 for spec in crank_space(k):
                     a, deltas = spec.a, (spec.delta,)
                     [(_, [[(_, half)]])] = iter_ck_slices([(a, deltas)], [n_hi - 1])
-                    assert top_windows(a, deltas, n_hi - 1) == [half[-a[0] - 1 :]], (a, k, n_hi)
+                    assert top_windows([(a, deltas)], n_hi - 1) == [[half[-a[0] - 1 :]]], (a, k, n_hi)
+                    tasks.setdefault((len(a), a[0]), {}).setdefault(a, {})[spec.delta] = half[-a[0] - 1 :]
                     checked += 1
+            for task in tasks.values():
+                members = [(a, tuple(ends)) for a, ends in task.items()]
+                assert top_windows(members, n_hi - 1) == [list(ends.values()) for ends in task.values()]
         assert checked == 5868
 
     def test_windowed_passes_keep_every_entry_inside_the_window(self, monkeypatch):
@@ -554,45 +613,32 @@ class TestTopWindows:
 
         monkeypatch.setattr(crankspace.qseries, "_theta_pass", spy)
         for a in [(3, 2), (5, 3, 1), (7, 6, 4, 2), (12, 11, 10, 9, 8, 7)]:
-            top_windows(a, (0, 1), 59)
+            top_windows([(a, (0, 1))], 59)
         assert len(passes) == 15
 
     def test_a_windowed_build_adds_no_term_past_its_window(self, monkeypatch):
         # a term whose lowest slot is W or above cannot reach the window, so none is added: each
-        # windowed pass pushes exactly the (j, k) with j + k(k-1)/2 <= order and lowest slot
-        # a_j*(k-1)(k-2)/2 < W, and an odd slice shifts in only q^1's term (a_1*g < a_1 + 1)
-        qs, pushed, expected, shifted = crankspace.qseries, [], [], []
-        theta_pass, split = qs._theta_pass, qs._pentagonal_split
-
-        class Counted(list):
-            stores = 0
-
-            def __setitem__(self, m, value):
-                self.stores += 1
-                super().__setitem__(m, value)
-
-        def counted_pass(ints, aj, origin, bits, last, window=0):
-            counted = Counted(ints)
-            theta_pass(counted, aj, origin, bits, last, window)
-            ints[:] = counted
-            order = len(ints) - 1
-            pushed.append(counted.stores - 2 * order - 1)  # less entry m's reframe (m >= 1) and mask
-            expected.append(sum(1 for j in range(order + 1) for k in range(2, order + 2)
-                                if j + k * (k - 1) // 2 <= order and aj * (k - 1) * (k - 2) // 2 < window))
+        # windowed pass pushes exactly the terms whose lowest slot is below W, alone (frame
+        # a_j) and below a shared first step (frame a_1), and an odd slice shifts in only q^1's
+        # term (a_1*g < a_1 + 1)
+        qs, shifted = crankspace.qseries, []
+        split = qs._pentagonal_split
+        pushed, expected = count_windowed_pushes(monkeypatch)
 
         def counted_split(series, m, terms, shift=0):
             if shift:
                 shifted.append([g for g, _ in terms if g <= m])
             return split(series, m, terms, shift)
 
-        monkeypatch.setattr(qs, "_theta_pass", counted_pass)
         monkeypatch.setattr(qs, "_pentagonal_split", counted_split)
-        for a, m in [((1,), 12), ((5, 3, 1), 30), ((7, 6, 5, 4, 3, 2), 59)]:
+        task = [(spec.a, (0, 1)) for spec in crank_space(8) if spec.a[0] == 7]  # 20 tuples
+        for members, m in [([((1,), (0, 1))], 12), ([((5, 3, 1), (0, 1))], 30),
+                           ([((7, 6, 5, 4, 3, 2), (0, 1))], 59), (task, 9)]:
             shifted.clear()
-            top_windows(a, (0, 1), m)
-            assert shifted == [[], [1]], a
+            top_windows(members, m)
+            assert shifted == [[], [1]] * len(members), members
         assert pushed == expected
-        assert sum(pushed) == 262
+        assert len(pushed) == 10 + 35 and sum(pushed[:10]) == 262 and sum(pushed) == 584  # 35: a trie
 
 
 def one_parity_builds(a: tuple[int, ...], sizes: range) -> list[tuple[int, tuple[LaurentPoly, ...]]]:

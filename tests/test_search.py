@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import signal
@@ -26,7 +27,7 @@ from crankspace.search import (
 )
 from crankspace.verify import check_family_unimodality, check_first_gap_criterion, run_plan
 
-from helpers import TABLE1_ROWS, TABLE1_SCAN_BOUND, scan_threshold, spec_slices
+from helpers import TABLE1_ROWS, TABLE1_SCAN_BOUND, count_windowed_pushes, scan_threshold, spec_slices
 
 
 class TestCrankSpace:
@@ -47,6 +48,13 @@ class TestCrankSpace:
             (k, spec.a) for k in (3, 4, 5, 6) for spec in crank_space(k)
         ]
         assert generated == [(k, a) for k, a, _ in TABLE1_ROWS]
+
+    def test_generated_tuples_equal_the_validated_construction(self):
+        for k in range(3, 13):
+            r = (k + k % 2) // 2
+            specs = list(crank_space(k))
+            assert specs == [CrankSpec(k, combo[::-1]) for combo in itertools.combinations(range(1, k + 1), r)]
+            assert all(type(spec) is CrankSpec and type(spec.a) is tuple for spec in specs)
 
     def test_specs_are_inside_search_space(self):
         for k in (3, 4, 5, 6):
@@ -265,8 +273,13 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(qseries, "iter_ck_slices", counted_build)
         monkeypatch.setattr(qseries, "_theta_pass", full_pass)
         monkeypatch.setattr(qseries, "_pentagonal_pass", counted_pentagonal_pass)
-        monkeypatch.setattr(qseries, "top_windows",
-                            lambda a, *args: windows.setdefault(a, top_windows(a, *args)))
+
+        def counted_windows(members, m):
+            found = top_windows(members, m)
+            windows.update((a, window) for (a, _), window in zip(members, found))
+            return found
+
+        monkeypatch.setattr(qseries, "top_windows", counted_windows)
         monkeypatch.setattr(qseries, "_slices", counted_scan)
         monkeypatch.setattr(qseries, "_unpack_half", lambda *args: unpacks.append(args[2]) or unpack(*args))
         scan()
@@ -393,23 +406,42 @@ class TestTopScreen:
                    for t in threads]
         assert {r.eventually_unimodal for r in screened[0]} == {True, False}
 
-        def decide_nothing(a, deltas, top):  # every parity undecided, with its true window
-            return {}, dict(zip(deltas, qseries.top_windows(a, deltas, top)))
+        def decide_nothing(members, top):  # every parity undecided, with its true window
+            found = qseries.top_windows(members, top)
+            return {}, {(a, delta): window for (a, deltas), windows in zip(members, found)
+                        for delta, window in zip(deltas, windows)}
 
         monkeypatch.setattr(search, "_top_screen", decide_nothing)
         for t, results, report in zip(threads, screened, reports):
             assert exhaustive_search(3, 8, n_hi=30, threads=t) == results == screened[0]
             assert run_plan(check_first_gap_criterion(n_hi=30, threads=t))._replace(elapsed_s=0) == report
 
+    @pytest.mark.parametrize("k_lo,k_hi,n_hi,passes,pushes", [
+        # to q^74 and q^59 every tuple goes alone, as each did in a walk of its own: 72 and 280
+        # passes, 3,978 and 9,240 pushes
+        (3, 6, 75, 72, 3978),
+        (7, 8, 60, 280, 9240),
+        # to q^1 and q^9 the tasks' tuples share their steps: alone they took 19,168 and 7,156
+        # passes and pushed 19,168 and 61,282 terms
+        (3, 13, 2, 5775, 5775),
+        (3, 12, 10, 2364, 21347),
+    ], ids=["table1", "k7-8-to-60", "k3-13-to-2", "k3-12-to-10"])
+    def test_the_screens_windowed_walks(self, monkeypatch, k_lo, k_hi, n_hi, passes, pushes):
+        pushed, expected = count_windowed_pushes(monkeypatch)
+        exhaustive_search(k_lo, k_hi, n_hi, threads=1)
+        assert pushed == expected  # no windowed pass adds a term that cannot reach its window
+        assert (len(pushed), sum(pushed)) == (passes, pushes)
+
     def test_a_window_that_differs_from_the_built_half_is_a_fault(self, monkeypatch, capsys):
         top_windows = qseries.top_windows
 
-        def planted(a, deltas, m):
-            windows = top_windows(a, deltas, m)
-            if a == (3, 2):  # undecided in both parities; it stays so with its innermost slot raised
-                windows = [[w[0] + 1] + w[1:] for w in windows]
-                assert all(LaurentPoly.unimodal_half(w) for w in windows)
-            return windows
+        def planted(members, m):
+            found = top_windows(members, m)
+            for (a, _), windows in zip(members, found):
+                if a == (3, 2):  # undecided in both parities; it stays so with its innermost slot raised
+                    windows[:] = [[w[0] + 1] + w[1:] for w in windows]
+                    assert all(LaurentPoly.unimodal_half(w) for w in windows)
+            return found
 
         monkeypatch.setattr(qseries, "top_windows", planted)
         assert cli.main(["search", "table1"]) == 3
@@ -420,11 +452,12 @@ class TestTopScreen:
     def test_a_chain_member_that_differs_from_its_window_is_a_fault(self, monkeypatch, capsys):
         top_windows = qseries.top_windows
 
-        def planted(a, deltas, m):
-            windows = top_windows(a, deltas, m)
-            if a == (5, 4, 3, 2):  # the family scan reaches it by two chain steps from (3, 2)
-                windows = [[w[0] + 1] + w[1:] for w in windows]
-            return windows
+        def planted(members, m):
+            found = top_windows(members, m)
+            for (a, _), windows in zip(members, found):
+                if a == (5, 4, 3, 2):  # the family scan reaches it by two chain steps from (3, 2)
+                    windows[:] = [[w[0] + 1] + w[1:] for w in windows]
+            return found
 
         monkeypatch.setattr(qseries, "top_windows", planted)
         assert cli.main(["--threads", "1", "verify", "conj1.4", "--n-max", "30"]) == 3
