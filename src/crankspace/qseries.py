@@ -39,15 +39,15 @@ words at any slot width; two run-time checks certify every decoded half all
 the same, and a failure raises SlotOverflow.  Every step of the division
 is a left shift or an add, so the same walk with each integer reduced
 modulo 2^(W*bits) yields a slice's W outermost coefficients exactly, at a
-small fraction of the cost (`top_windows`), which the search screens by
-before it builds.  Tests cross-check the kernel against a naive
-LaurentPoly-arithmetic builder, against the factor-by-factor shift-add
-build and against a packed kernel that builds both halves of every slice.
+small fraction of the cost (`top_windows`): the search screens by them
+before it builds, and both scans check every built top slice against them.
+Tests cross-check the kernel against a naive LaurentPoly-arithmetic
+builder, against the factor-by-factor shift-add build and against a packed
+kernel that builds both halves of every slice.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -91,7 +91,6 @@ class CrankSpec(NamedTuple("CrankSpec", [("k", int), ("a", tuple[int, ...])])):
 # -- scalar helpers -----------------------------------------------------------
 
 _COLORED_CACHE: dict[int, list[int]] = {}
-_Q_POWER_CACHE: dict[int, list[int]] = {}
 
 
 def _pentagonal_terms(limit: int) -> list[tuple[int, int]]:
@@ -284,19 +283,12 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
 
 
 def _q_power(r: int, order: int) -> list[int]:
-    """Coefficients 0..order of (q)_inf^r, as a new list: r pentagonal passes, each in place.
-
-    The longest series built for each r is kept, and a shorter request takes
-    its prefix: truncation commutes with the product.
-    """
-    ints = _Q_POWER_CACHE.get(r, [])
-    if len(ints) <= order:
-        ints = [1] + [0] * order
-        pentagonal = _pentagonal_terms(order)
-        for _ in range(r):
-            _pentagonal_pass(ints, pentagonal, 0, 0)
-        _Q_POWER_CACHE[r] = ints
-    return ints[: order + 1]
+    """Coefficients 0..order of (q)_inf^r, as a new list: r pentagonal passes, each in place."""
+    ints = [1] + [0] * order
+    pentagonal = _pentagonal_terms(order)
+    for _ in range(r):
+        _pentagonal_pass(ints, pentagonal, 0, 0)
+    return ints
 
 
 def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], sizes: list[int],
@@ -316,11 +308,12 @@ def _plan(c: int, members: list[tuple[int, tuple[int, ...]]], order: int, window
     """The cheapest build tree to q^order of members (i, weights left, descending) from entries framed at c.
 
     Returns its cost (units, passes), the order its first steps read, and
-    the tree: a leaf is a member index i, a node a list of steps (w, o, sub),
-    each a division by w's theta series to q^o.  Members that share their
-    next weight divide by it once, unless it reframes (w > c) and building
-    each alone, a chain of one-step nodes ascending, costs fewer units, or
-    as many in fewer passes.  A full pass at frame c' counts c' units (its
+    the tree: a leaf is a member's i (a member index, or a subtree that its
+    steps lead into), a node a list of steps (w, o, sub), each a division
+    by w's theta series to q^o.  Members that share their next weight
+    divide by it once, unless it reframes (w > c) and building each alone,
+    a chain of one-step nodes ascending, costs fewer units, or as many in
+    fewer passes.  A full pass at frame c' counts c' units (its
     entries are about 2c'm slots wide), a windowed one (_theta_pass) the
     order it reaches: before a step that reframes by gap, only
     (window - 1) // gap, since every later entry leaves the window.
@@ -459,11 +452,11 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
     if shared:
         tree = _plan(0, list(enumerate(weights)), order)[2]
-    else:  # the first member's passes, ascending, then [i, (0, order, [(member i + 1's a_1, ...)])] per i
+    else:  # the first member alone, its passes leading into [i, (0, order, [(member i + 1's a_1, ...)])] per i
         tree = len(weights) - 1
         for i in range(len(weights) - 2, -1, -1):
             tree = [i, (0, order, [(weights[i + 1][0], order, tree)])]
-        tree = functools.reduce(lambda sub, w: [(w, order, sub)], weights[0], tree)
+        tree = _plan(0, [(tree, weights[0])], order)[2]
     for i, ints in _build(_q_power(r, order), 0, tree, bits):
         a, deltas = members[i]
         yield a, [_slices(ints, a[0], bits, terms[d], sizes, totals[len(a), d]) for d in deltas]
@@ -471,12 +464,13 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
 
 
 def top_windows(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], m: int) -> list[list[list[int]]]:
-    """Per member (a, deltas) and delta, the coefficients of z^(-c*m + c) .. z^(-c*m) of a's q^m slice.
+    """Per member (a, deltas) and delta, the coefficients of z^(c - c*m) .. z^(-c*m), c = a_1, at a's q^m.
 
-    The members share r and c = a_1.  For m >= 1 a window is the last c + 1
-    entries of the half that iter_ck_slices yields for (a, delta) at m, at
-    a small fraction of its cost: the same division along one _plan tree,
-    with every entry kept to its W = c + 1 lowest slots (_theta_pass).
+    For m >= 1 a window is the last c + 1 entries of the half that
+    iter_ck_slices yields for (a, delta) at m, at a small fraction of its
+    cost: the members of each r and a_1 (a search task, or one member of a
+    chain) share one walk of one _plan tree, the build's division with
+    every entry kept to its W = c + 1 lowest slots (_theta_pass).
     Reduction modulo 2^(W*bits) after z -> 2^bits is a ring map, and every
     step is a left shift or an add on a frame whose slot 0 is z^(-c'*m), so
     an entry's low W slots depend only on the low W slots of those before
@@ -485,17 +479,20 @@ def top_windows(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], m: int
     summed apart.  Each part's coefficients are non-negative and below
     2^bits (iter_ck_slices' totals bound), so its low W digits are exact.
     """
-    (c, *rest), _ = members[0]
-    r, w, terms = len(rest) + 1, c + 1, _pentagonal_terms(m)
-    colored = colored_coeffs(2 * r, m)
-    bits = _slot_width(max(max(_pentagonal_split(colored, m, terms if d else []))
-                           for _, deltas in members for d in deltas))
-    _, reads, tree = _plan(0, [(i, a) for i, (a, _) in enumerate(members)], m, w)
-    slot, near, windows = (1 << bits) - 1, [(g, sgn) for g, sgn in terms if c * g < w], {}
-    for i, ints in _build(_q_power(r, reads), 0, tree, bits, w):
-        parts = [_pentagonal_split(ints, m, near if d else [], bits * c) for d in members[i][1]]
-        windows[i] = [[(pos >> (bits * s) & slot) - (neg >> (bits * s) & slot) for s in range(c, -1, -1)]
-                      for pos, neg in parts]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (a, _) in enumerate(members):
+        groups.setdefault((len(a), a[0]), []).append(i)
+    terms, windows = _pentagonal_terms(m), {}
+    for (r, c), group in groups.items():
+        colored, w = colored_coeffs(2 * r, m), c + 1
+        bits = _slot_width(max(max(_pentagonal_split(colored, m, terms if d else []))
+                               for i in group for d in members[i][1]))
+        _, reads, tree = _plan(0, [(i, members[i][0]) for i in group], m, w)
+        slot, near = (1 << bits) - 1, [(g, sgn) for g, sgn in terms if c * g < w]
+        for i, ints in _build(_q_power(r, reads), 0, tree, bits, w):
+            parts = [_pentagonal_split(ints, m, near if d else [], bits * c) for d in members[i][1]]
+            windows[i] = [[(pos >> (bits * s) & slot) - (neg >> (bits * s) & slot) for s in range(c, -1, -1)]
+                          for pos, neg in parts]
     return [windows[i] for i in range(len(members))]
 
 

@@ -4,15 +4,17 @@ The search space for a given color count k is every strictly decreasing
 weight tuple drawn from {1..k}; for each tuple the q^n coefficients of its
 product are scanned below a bound, and the minimal m with "unimodal for all
 m < n < n_hi" follows from the last non-unimodal n.  So the search scans each
-parity from n_hi - 1 down and stops at its first non-unimodal slice, and
-first screens every parity by the exact outer window of its top slice, the
-end of that slice's half (qseries.top_windows, one windowed walk per task):
+parity from n_hi - 1 down and stops at its first non-unimodal slice.  Both
+scans first take every parity's exact outer window of its top slice, the
+end of that slice's half (qseries.top_windows, one call per task), and
+every built top half must end in its window.  The search screens by them:
 a window that proves that slice not unimodal settles the parity, and only
-the undecided ones are built.  The family scan, which tallies every defect, builds and scans them
-all.  Slices need no symmetry check and no polynomial: each is tested on the
-palindrome's half the kernel decodes, by LaurentPoly.unimodal_half, the one
-unimodality test, which verify's slice checks run too.  The claims these
-scans decide (the first-gap criterion, the families' onsets) live in verify.
+the undecided ones are built.  The family scan, which tallies every defect,
+builds and scans them all.  Slices need no symmetry check and no
+polynomial: each is tested on the palindrome's half the kernel decodes, by
+LaurentPoly.unimodal_half, the one unimodality test, which verify's slice
+checks run too.  The claims these scans decide (the first-gap criterion,
+the families' onsets) live in verify.
 
 Work parallelizes over tasks, each built by one kernel call (slice_defects),
 on this process and its forks (_pool_map).  A search's task is the weight
@@ -277,50 +279,36 @@ def results_to_csv(results: Iterable[SearchResult]) -> str:
     return "".join(lines)
 
 
-def _top_screen(members: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], top: int) -> tuple[dict, dict]:
-    """Split the parities of members (a, deltas), of one r and one a_1, by the windows of their q^top slices.
-
-    A window (the end of that slice's half, from one qseries.top_windows
-    walk) that rises outward or ends below 0 proves the slice not unimodal:
-    {(a, delta): [top]} in the first dict; the rest {(a, delta): window}.
-    """
-    decided, undecided = {}, {}
-    for (a, deltas), found in zip(members, qseries.top_windows(members, top)):
-        for delta, window in zip(deltas, found):
-            if LaurentPoly.unimodal_half(window):
-                undecided[a, delta] = window
-            else:
-                decided[a, delta] = [top]
-    return decided, undecided
+def _top_screen(windows: dict, top: int) -> dict:
+    """{(a, delta): [top]} for each parity whose q^top window rises outward or ends below 0: not unimodal."""
+    return {parity: [top] for parity, window in windows.items() if not LaurentPoly.unimodal_half(window)}
 
 
 def _defects_task(task: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int, bool]
                   ) -> dict[tuple[tuple[int, ...], int], list[int]]:
     """{(a, delta): its non-unimodal n below n_hi, ascending} for one of slice_defects' tasks.
 
-    Sizes are scanned from the top down; with top_only, each parity stops at
-    its first non-unimodal slice, the only one its caller reads, and the
-    parities whose top slice _top_screen decides are not built.  The rest
-    are built by one kernel call for the whole task (a tuple with none left
-    is not built).  The decoded top half of each screened parity must end in
-    its window, and that of each chain member past the first (the ones the
-    chain's pentagonal passes reach) in its window built alone
-    (qseries.top_windows), or ArithmeticError is raised.  Each slice is
-    tested on the certified half the kernel decodes; none is mirrored.
+    One qseries.top_windows call gives every parity's q^top window, the
+    end of its top slice's half.  Sizes are scanned from the top down; with
+    top_only, each parity stops at its first non-unimodal slice, the only
+    one its caller reads, and the parities whose window _top_screen decides
+    are not built.  The rest are built by one kernel call for the whole
+    task (a tuple with none left is not built).  The decoded top half of
+    each built parity must end in its window, or ArithmeticError is raised.
+    Each slice is tested on the certified half the kernel decodes; none is
+    mirrored.
     """
     members, n_hi, top_only = task
     top = n_hi - 1
-    if top_only:
-        defects, windows = _top_screen(members, top)
-    else:
-        defects, windows = {}, {(a, delta): window for a, deltas in members[1:]
-                                for delta, window in zip(deltas, qseries.top_windows([(a, deltas)], top)[0])}
+    windows = {(a, delta): window for (a, deltas), found in zip(members, qseries.top_windows(members, top))
+               for delta, window in zip(deltas, found)}
+    defects = _top_screen(windows, top) if top_only else {}
     kept = {a: rest for a, deltas in members if (rest := [d for d in deltas if (a, d) not in defects])}
     for a, scans in qseries.iter_ck_slices(list(kept.items()), range(top, 0, -1)):
         for delta, scan in zip(kept[a], scans):
-            bad, window = [], windows.get((a, delta))
+            bad, window = [], windows[a, delta]
             for n, half in scan:
-                if window and n == top and half[-len(window):] != window:
+                if n == top and half[-len(window):] != window:
                     raise ArithmeticError(f"the q^{top} window of weights {a}, delta {delta}, "
                                           "differs from the end of its built half")
                 if not LaurentPoly.unimodal_half(half):
@@ -345,9 +333,12 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
     one r and one largest weight a_1 (a trie across r would cost these
     scans more).  Without it, the family scan, a task is a chain: tuples
     taken by r ascending, each joining the chain that ends in its weights
-    after a_1.  Tasks start largest first by the summed scan_work of their
-    tuples, screened or not, so no large task is left to run alone at the
-    end.  Results follow the order of `specs`, whatever the worker count.
+    after a_1.  Tasks start largest first by the scan_work of all their
+    tuples' passes, screened or not, at the task's widest r, so no large
+    task is left to run alone at the end: scan_work is linear in passes and
+    weight sum, so one call prices a search task as its tuples summed, and
+    a chain at the slot width it builds at.  Results follow the order of
+    `specs`, whatever the worker count.
     """
     if n_hi < 2:
         raise CrankspaceError(f"n_hi must be >= 2, got {n_hi}")
@@ -361,10 +352,9 @@ def slice_defects(specs: Iterable[CrankSpec], n_hi: int, threads: int | None = N
             groups.setdefault((len(a), a[0]), []).append(a)
         else:
             groups[a] = groups.pop(a[1:], []) + [a]
-    tasks = sorted(((tuple((a, tuple(parities[a])) for a in group), n_hi, top_only)
-                    for group in groups.values()),
-                   key=lambda task: sum(scan_work(len(a), n_hi - 1, len(a), sum(a)) for a, _ in task[0]),
-                   reverse=True)
+    tasks = [(tuple((a, tuple(parities[a])) for a in group), n_hi, top_only)
+             for group in sorted(groups.values(), reverse=True, key=lambda group: scan_work(
+                 max(map(len, group)), n_hi - 1, sum(map(len, group)), sum(map(sum, group))))]
     found = {}
     for defects in _pool_map(_defects_task, tasks, threads):
         found.update(defects)

@@ -195,26 +195,20 @@ class TestSeriesAgainstNaiveOracle:
         with pytest.raises(CrankspaceError, match=message):
             colored_coeffs(k, order)
 
-    def test_q_power_is_built_once_per_r_and_copied_to_each_caller(self, monkeypatch):
-        # a shorter request is a prefix of the longest one built; a caller may change its copy
+    def test_q_power_is_built_once_per_r_and_copied_to_each_caller(self):
+        # each call builds a new list: a caller may change its copy
         qs = crankspace.qseries
-        monkeypatch.setattr(qs, "_Q_POWER_CACHE", {})
         fresh = {(r, order): qs._q_power(r, order) for r in (1, 3) for order in (10, 40)}
-        monkeypatch.setattr(qs, "_Q_POWER_CACHE", {})
-        built = []
-        terms = qs._pentagonal_terms
-        monkeypatch.setattr(qs, "_pentagonal_terms", lambda limit: built.append(limit) or terms(limit))
         long = qs._q_power(3, 40)
         assert long[:11] == [1, -3, 0, 5, 0, 0, -7, 0, 0, 0, 9]  # Jacobi's identity
         long[1] = 0
         assert qs._q_power(3, 10) == fresh[3, 10] and qs._q_power(3, 40) == fresh[3, 40]
         assert qs._q_power(1, 10) == fresh[1, 10] and qs._q_power(1, 40) == fresh[1, 40]
-        assert built == [40, 10, 40]
 
     @pytest.mark.parametrize("r,n", [(1, 1), (3, 10), (4, 23)])
-    def test_q_power_meets_each_request_across_the_cached_order(self, monkeypatch, r, n):
-        # order 0 from an empty cache, then one order past the cached one: each request is met
-        # whole, against (1 - q^j)^r multiplied out factor by factor
+    def test_q_power_meets_each_request_across_the_cached_order(self, r, n):
+        # orders 0, n, n + 1 and n: each request is met whole, against (1 - q^j)^r multiplied
+        # out factor by factor
         def product(order):
             series = [1] + [0] * order
             for j in range(1, order + 1):
@@ -223,7 +217,6 @@ class TestSeriesAgainstNaiveOracle:
                         series[m] -= series[m - j]
             return series
 
-        monkeypatch.setattr(crankspace.qseries, "_Q_POWER_CACHE", {})
         for order in (0, n, n + 1, n):
             assert crankspace.qseries._q_power(r, order) == product(order), order
 
@@ -602,6 +595,12 @@ class TestTopWindows:
                 members = [(a, tuple(ends)) for a, ends in task.items()]
                 assert top_windows(members, n_hi - 1) == [list(ends.values()) for ends in task.values()]
         assert checked == 5868
+        # members of any r and a_1 in one call: the A and B chains, with (4, 2, 1) walked beside
+        # (4, 3, 2), each member's windows in member order, as it gets them alone
+        mixed = [(ak_spec(k).a, (0, 1)) for k in range(3, 13, 2)] + [(bk_spec(k).a, (1,)) for k in (7, 9, 11)]
+        mixed.insert(5, ((4, 2, 1), (0,)))
+        for m in (1, 11, 29):
+            assert top_windows(mixed, m) == [top_windows([member], m)[0] for member in mixed], m
 
     def test_windowed_passes_keep_every_entry_inside_the_window(self, monkeypatch):
         theta_pass, passes = crankspace.qseries._theta_pass, []

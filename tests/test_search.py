@@ -239,8 +239,9 @@ class TestExhaustiveSearch:
         (lambda: exhaustive_search(7, 8, n_hi=60, threads=1), 70, 35, 60, 399, [], 2604, 3609),
         # 13 families, unscreened: the family scan reads every defect.  Its 8 tuples are 2 chains,
         # A (3, 2) .. (7, 6, 5, 4, 3, 2) and B (6, 5, 3, 2) .. (8, 7, 6, 5, 3, 2); each member past
-        # the first costs one pentagonal pass at frame a_2 and one theta pass, and a window audits it
-        (lambda: run_plan(check_family_unimodality(n_hi=60, threads=1)), 6, 8, 12, 58, [3, 4, 5, 6, 6, 7],
+        # the first costs one pentagonal pass at frame a_2 and one theta pass, and a window audits
+        # every member
+        (lambda: run_plan(check_family_unimodality(n_hi=60, threads=1)), 8, 8, 12, 58, [3, 4, 5, 6, 6, 7],
          767, 1239),
     ], ids=["table1-tuples", "k7-8", "families"])
     def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, windowed, tuples, passes,
@@ -261,7 +262,7 @@ class TestExhaustiveSearch:
             theta_pass(ints, aj, origin, bits, last, window)
 
         def counted_pentagonal_pass(ints, terms, c, bits):
-            if c:  # the passes at frame 0 build (q)_inf^r, once per r for the process (_q_power)
+            if c:  # the passes at frame 0 build (q)_inf^r (_q_power)
                 pentagonal_frames.append(c)
             pentagonal_pass(ints, terms, c, bits)
 
@@ -289,8 +290,8 @@ class TestExhaustiveSearch:
         assert sorted(pentagonal_frames) == pentagonal
         assert len(windows) == windowed
         assert len(slices) == decoded and len(unpacks) == unpacked
-        if pentagonal:  # every chain member but the first is audited by its window
-            assert set(windows) == set(built) - {(3, 2), (6, 5, 3, 2)}
+        if pentagonal:  # every chain member is audited by its window
+            assert set(windows) == set(built)
         else:  # built are exactly the tuples with a parity the window left undecided
             assert set(built) == {a for a, found in windows.items()
                                   if any(LaurentPoly.unimodal_half(w) for w in found)}
@@ -406,12 +407,7 @@ class TestTopScreen:
                    for t in threads]
         assert {r.eventually_unimodal for r in screened[0]} == {True, False}
 
-        def decide_nothing(members, top):  # every parity undecided, with its true window
-            found = qseries.top_windows(members, top)
-            return {}, {(a, delta): window for (a, deltas), windows in zip(members, found)
-                        for delta, window in zip(deltas, windows)}
-
-        monkeypatch.setattr(search, "_top_screen", decide_nothing)
+        monkeypatch.setattr(search, "_top_screen", lambda windows, top: {})  # every parity undecided
         for t, results, report in zip(threads, screened, reports):
             assert exhaustive_search(3, 8, n_hi=30, threads=t) == results == screened[0]
             assert run_plan(check_first_gap_criterion(n_hi=30, threads=t))._replace(elapsed_s=0) == report
@@ -449,13 +445,17 @@ class TestTopScreen:
         assert captured.out == ""
         assert "Traceback" in captured.err and "ArithmeticError" in captured.err
 
-    def test_a_chain_member_that_differs_from_its_window_is_a_fault(self, monkeypatch, capsys):
+    # the family scan's chains start at (3, 2) and (6, 5, 3, 2), and reach (5, 4, 3, 2) by two
+    # chain steps from (3, 2)
+    @pytest.mark.parametrize("planted_a", [(3, 2), (6, 5, 3, 2), (5, 4, 3, 2)],
+                             ids=lambda a: "-".join(map(str, a)))
+    def test_a_chain_member_that_differs_from_its_window_is_a_fault(self, monkeypatch, capsys, planted_a):
         top_windows = qseries.top_windows
 
         def planted(members, m):
             found = top_windows(members, m)
             for (a, _), windows in zip(members, found):
-                if a == (5, 4, 3, 2):  # the family scan reaches it by two chain steps from (3, 2)
+                if a == planted_a:
                     windows[:] = [[w[0] + 1] + w[1:] for w in windows]
             return found
 
@@ -463,7 +463,7 @@ class TestTopScreen:
         assert cli.main(["--threads", "1", "verify", "conj1.4", "--n-max", "30"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "ArithmeticError" in captured.err and "weights (5, 4, 3, 2)" in captured.err
+        assert "ArithmeticError" in captured.err and f"weights {planted_a}" in captured.err
 
 
 class TestHalfUnimodality:
