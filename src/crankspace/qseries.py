@@ -18,10 +18,10 @@ The factors of the a = 0 copies cancel against the numerators, so each
 product is a geometric stage G = prod_a prod_n 1/((1-z^a q^n)(1-z^-a q^n)),
 whose coefficients are all non-negative, times prod (1-q^n) for odd k (the
 pentagonal-number expansion).  G depends only on the weights, so one build
-serves both parities.  Every pass runs in one walk, `_build`, of one build
-tree: `_plan`'s for tuples of one r, which divides once by a weight that
-several share where that saves work, or a chain of tuples that nest across
-r, each built from the one before it by one pentagonal and one theta pass.
+serves both parities.  Every pass runs in one walk, `_build`, of one tree:
+r products with (q)_inf from the series 1, then `_plan`'s tree for tuples
+of one r, which shares a division where that pays, or a chain of tuples
+nested across r, each one pentagonal and one theta pass past the last.
 
 G is built by division by theta series, not factor by factor.  By the Jacobi
 triple product, (q)_inf prod_n (1-z^a q^n)(1-z^-a q^n) is the sparse series
@@ -176,8 +176,9 @@ def _pentagonal_split(series: Sequence[int], m: int, terms: list[tuple[int, int]
     return pos, neg
 
 
-def _pentagonal_pass(ints: list[int], terms: list[tuple[int, int]], c: int, bits: int) -> None:
+def _pentagonal_pass(ints: list[int], c: int, bits: int) -> None:
     """Multiply the entries, framed at c, in place by (q)_inf, whose terms reach their order."""
+    terms = _pentagonal_terms(len(ints) - 1)
     for m in range(len(ints) - 1, 0, -1):
         pos, neg = _pentagonal_split(ints, m, terms, bits * c)
         ints[m] = pos - neg
@@ -282,15 +283,6 @@ def _theta_pass(ints: list[int], aj: int, origin: int, bits: int, last: bool,
             ints[j] = t >> (grow * (j - 1)) if j else t << grow
 
 
-def _q_power(r: int, order: int) -> list[int]:
-    """Coefficients 0..order of (q)_inf^r, as a new list: r pentagonal passes, each in place."""
-    ints = [1] + [0] * order
-    pentagonal = _pentagonal_terms(order)
-    for _ in range(r):
-        _pentagonal_pass(ints, pentagonal, 0, 0)
-    return ints
-
-
 def _slices(ints: list[int], c: int, bits: int, terms: list[tuple[int, int]], sizes: list[int],
             totals: list[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:
     """(m, half of the q^m coefficient) for m in sizes: one parity's scan of one packed G."""
@@ -359,10 +351,10 @@ def _build(ints: list[int], c: int, tree: int | list, bits: int, window: int = 0
     A tree is a leaf i, or a list of leaves, each yielded as a halved copy
     so the items after it go on, and steps (w, o, sub): to q^o, a division
     by w's theta series (_plan), which halves in place when sub is a leaf,
-    or for w = 0 a product with (q)_inf at frame c.  With window set, every
-    division keeps each entry to its low window slots (_theta_pass) and
-    halves nothing.  The last step of a list works on ints in place and
-    each other one on a copy, so a yielded G is never touched again.
+    or for w = 0 a product with (q)_inf at frame c (_walk's root steps).
+    With window set, every division keeps each entry to its low window
+    slots (_theta_pass) and halves nothing.  The last step of a list works
+    on ints in place, the others on copies: no yielded G is touched again.
     """
     if isinstance(tree, int):
         yield tree, ints
@@ -378,8 +370,16 @@ def _build(ints: list[int], c: int, tree: int | list, bits: int, window: int = 0
         if w:
             _theta_pass(own, w, c, bits, not window and isinstance(sub, int), window)
         else:
-            _pentagonal_pass(own, _pentagonal_terms(order), c, bits)
+            _pentagonal_pass(own, c, bits)
         yield from _build(own, max(c, w), sub, bits, window)
+
+
+def _walk(members: list, r: int, order: int, bits: int, window: int = 0) -> Iterator[tuple[int, list[int]]]:
+    """_build's walk of members' _plan tree below r root steps that make the series 1 (q)_inf^r."""
+    _, reads, tree = _plan(0, members, order, window)
+    for _ in range(r):
+        tree = [(0, reads, tree)]
+    return _build([1] + [0] * reads, 0, tree, bits, window)
 
 
 def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], sizes: Iterable[int]
@@ -401,8 +401,8 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
     Negative sizes, members that repeat weights, or members that differ in r
     and do not nest raise CrankspaceError.
 
-    G is the scalar (q)_inf^r, built once for all members, divided by one
-    theta series per weight along _plan's build tree: a shared step serves
+    G is the scalar (q)_inf^r, the walk's root steps, divided by one theta
+    series per weight along _plan's build tree (_walk): a shared step serves
     every member below it, and a member left alone takes its passes ascending,
     a_r first.  Either way every entry ends framed at c = a_1, and the
     member's last pass leaves slot s of entry m holding the coefficient of
@@ -450,14 +450,12 @@ def iter_ck_slices(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], siz
         colored = colored_coeffs(2 * rj, order)
         totals.update(((rj, d), [_pentagonal_split(colored, m, t) for m in sizes]) for d, t in terms.items())
     bits = _slot_width(max((t for row in totals.values() for pair in row for t in pair), default=0))
-    if shared:
-        tree = _plan(0, list(enumerate(weights)), order)[2]
-    else:  # the first member alone, its passes leading into [i, (0, order, [(member i + 1's a_1, ...)])] per i
+    if not shared:  # the first member alone, its passes leading into [i, (0, order, [(member i + 1's a_1, ...)])] per i
         tree = len(weights) - 1
         for i in range(len(weights) - 2, -1, -1):
             tree = [i, (0, order, [(weights[i + 1][0], order, tree)])]
-        tree = _plan(0, [(tree, weights[0])], order)[2]
-    for i, ints in _build(_q_power(r, order), 0, tree, bits):
+    leaves = list(enumerate(weights)) if shared else [(tree, weights[0])]
+    for i, ints in _walk(leaves, r, order, bits):
         a, deltas = members[i]
         yield a, [_slices(ints, a[0], bits, terms[d], sizes, totals[len(a), d]) for d in deltas]
         del ints  # the next member builds without this one's entries
@@ -467,10 +465,10 @@ def top_windows(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], m: int
     """Per member (a, deltas) and delta, the coefficients of z^(c - c*m) .. z^(-c*m), c = a_1, at a's q^m.
 
     For m >= 1 a window is the last c + 1 entries of the half that
-    iter_ck_slices yields for (a, delta) at m, at a small fraction of its
-    cost: the members of each r and a_1 (a search task, or one member of a
-    chain) share one walk of one _plan tree, the build's division with
-    every entry kept to its W = c + 1 lowest slots (_theta_pass).
+    iter_ck_slices yields for (a, delta) at m, cheaply: the members of each
+    r and a_1 (a search task, or one member of a chain) share one _walk, the
+    build's division with every entry kept to its W = c + 1 lowest slots
+    (_theta_pass), from (q)_inf^r only as far as the tree's first steps read.
     Reduction modulo 2^(W*bits) after z -> 2^bits is a ring map, and every
     step is a left shift or an add on a frame whose slot 0 is z^(-c'*m), so
     an entry's low W slots depend only on the low W slots of those before
@@ -487,9 +485,8 @@ def top_windows(members: Sequence[tuple[tuple[int, ...], Sequence[int]]], m: int
         colored, w = colored_coeffs(2 * r, m), c + 1
         bits = _slot_width(max(max(_pentagonal_split(colored, m, terms if d else []))
                                for i in group for d in members[i][1]))
-        _, reads, tree = _plan(0, [(i, members[i][0]) for i in group], m, w)
         slot, near = (1 << bits) - 1, [(g, sgn) for g, sgn in terms if c * g < w]
-        for i, ints in _build(_q_power(r, reads), 0, tree, bits, w):
+        for i, ints in _walk([(i, members[i][0]) for i in group], r, m, bits, w):
             parts = [_pentagonal_split(ints, m, near if d else [], bits * c) for d in members[i][1]]
             windows[i] = [[(pos >> (bits * s) & slot) - (neg >> (bits * s) & slot) for s in range(c, -1, -1)]
                           for pos, neg in parts]

@@ -460,6 +460,8 @@ def _family_spec(kind: str, k: int) -> qseries.CrankSpec:
 def _check_family_hypotheses(kind: str, case: CongruenceCase) -> int:
     """Validate the (kind, case) pairing; return the unimodality onset."""
     if kind == "A":
+        if case.k < 3:
+            raise HypothesisViolation(f"kind=A needs k >= 3, got k={case.k}")
         banned = (14, 26) if case.k % 2 else (26,)
         if case.h in banned:
             raise HypothesisViolation(

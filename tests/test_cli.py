@@ -221,6 +221,13 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "does not take n_lo" in err
 
+    @pytest.mark.parametrize("k,ell", [(1, 5), (2, 7)])
+    def test_family_a_below_three_colors_has_no_progression(self, capsys, k, ell):
+        # k = 1 has admissible cases, but family A starts at k = 3: one refusal for both
+        code, out, err = run(capsys, "verify", f"cor3.5-A-k{k}-ell{ell}")
+        assert (code, out) == (2, "")
+        assert err == f"error: no admissible progression for kind=A, k={k}, ell={ell}\n"
+
     def test_unknown_claim_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "bogus-claim")
         assert code == 2 and "unknown claim" in err

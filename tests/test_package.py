@@ -55,6 +55,24 @@ def test_cli_import_loads_every_layer_module():
     assert [name for name in names["PREDICATES"] if not hasattr(LaurentPoly, name)] == []
 
 
+def test_package_needs_only_the_standard_library_and_its_declared_python():
+    # every import names the package or a standard-library module, and pyproject.toml's [project]
+    # table declares no runtime dependency (read as lines: tomllib is not in 3.10's standard
+    # library).  feature_version checks the grammar of requires-python's floor only, not whether
+    # an API called exists there
+    project = (SRC.parents[1] / "pyproject.toml").read_text().split("\n[project]\n")[1].split("\n[")[0]
+    assert {'requires-python = ">=3.10"', "dependencies = []"} <= set(project.splitlines())
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert imported and imported - {"crankspace"} <= sys.stdlib_module_names
+
+
 def test_refusals_share_one_base():
     assert issubclass(CrankspaceError, ValueError)
     for error in (UsageError, BoundExceeded, InvalidEll, InvalidK, InvalidCase, HypothesisViolation):

@@ -195,20 +195,32 @@ class TestSeriesAgainstNaiveOracle:
         with pytest.raises(CrankspaceError, match=message):
             colored_coeffs(k, order)
 
-    def test_q_power_is_built_once_per_r_and_copied_to_each_caller(self):
-        # each call builds a new list: a caller may change its copy
-        qs = crankspace.qseries
-        fresh = {(r, order): qs._q_power(r, order) for r in (1, 3) for order in (10, 40)}
-        long = qs._q_power(3, 40)
-        assert long[:11] == [1, -3, 0, 5, 0, 0, -7, 0, 0, 0, 9]  # Jacobi's identity
-        long[1] = 0
-        assert qs._q_power(3, 10) == fresh[3, 10] and qs._q_power(3, 40) == fresh[3, 40]
-        assert qs._q_power(1, 10) == fresh[1, 10] and qs._q_power(1, 40) == fresh[1, 40]
+    @staticmethod
+    def root_walk(r: int, order: int) -> list[int]:
+        """(q)_inf^r to q^order, as the build walks start: r root steps from the series 1."""
+        tree = 0
+        for _ in range(r):
+            tree = [(0, order, tree)]
+        [(leaf, ints)] = crankspace.qseries._build([1] + [0] * order, 0, tree, 0)
+        assert leaf == 0
+        return ints
+
+    def test_root_steps_build_eulers_and_jacobis_series(self):
+        # one root step is (q)_inf = sum_j (-1)^j q^(j(3j-1)/2) over all integers j, three are
+        # (q)_inf^3 = sum_{j>=0} (-1)^j (2j+1) q^(j(j+1)/2)
+        for order in (0, 10, 40):
+            euler, jacobi = [0] * (order + 1), [0] * (order + 1)
+            for j in range(-order - 1, order + 2):
+                if j * (3 * j - 1) // 2 <= order:
+                    euler[j * (3 * j - 1) // 2] = (-1) ** j
+                if 0 <= j and j * (j + 1) // 2 <= order:
+                    jacobi[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
+            assert self.root_walk(1, order) == euler and self.root_walk(3, order) == jacobi, order
 
     @pytest.mark.parametrize("r,n", [(1, 1), (3, 10), (4, 23)])
-    def test_q_power_meets_each_request_across_the_cached_order(self, r, n):
-        # orders 0, n, n + 1 and n: each request is met whole, against (1 - q^j)^r multiplied
-        # out factor by factor
+    def test_root_steps_build_q_power_to_each_order(self, r, n):
+        # orders 0, n and n + 1: each walk's r root steps give (1 - q^j)^r multiplied out factor
+        # by factor
         def product(order):
             series = [1] + [0] * order
             for j in range(1, order + 1):
@@ -217,8 +229,8 @@ class TestSeriesAgainstNaiveOracle:
                         series[m] -= series[m - j]
             return series
 
-        for order in (0, n, n + 1, n):
-            assert crankspace.qseries._q_power(r, order) == product(order), order
+        for order in (0, n, n + 1):
+            assert self.root_walk(r, order) == product(order), order
 
     def test_every_slice_is_symmetric(self):
         assert all(p.is_symmetric() for p in slices(CrankSpec(5, (5, 3, 2)), 15))
@@ -531,24 +543,31 @@ class TestChainBuild:
                 [list(scan) for scan in scans]
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "conj1.4", "--n-max", "30"],
-    ["search", "table1"],
-    ["verify", "cor3.5-A-k6-ell5", "--n-max", "5"],
-], ids=["conj1.4", "table1", "cor3.5"])
-def test_every_pass_runs_in_the_build_walk_a_window_or_q_power(monkeypatch, capsys, argv):
-    # one route per build: chains, shared trees and the screen's windowed trees alike are
-    # walked by _build, and only _q_power runs passes of its own
-    qs, callers = crankspace.qseries, []
+@pytest.mark.parametrize("argv,roots", [
+    # two chains from r = 2 and 4, and eight windowed walks, one per chain member
+    (["verify", "conj1.4", "--n-max", "30"], 41),
+    # seven (r, a_1) tasks of r = 2 or 3, each walked once windowed and once in full
+    (["search", "table1"], 36),
+    # one lone tuple of r = 3, unscreened
+    (["verify", "cor3.5-A-k6-ell5", "--n-max", "5"], 3),
+    (["verify", "cor3.5-B-k11-ell5", "--n-max", "24"], 6),
+], ids=["conj1.4", "table1", "cor3.5-A", "cor3.5-B"])
+def test_every_pass_runs_in_the_build_walk(monkeypatch, capsys, argv, roots):
+    # one route per build: chains, shared trees, the screen's windowed trees and the root
+    # steps that build (q)_inf^r alike are walked by _build; roots counts those steps, the
+    # pentagonal passes at frame 0
+    qs, callers, root_steps = crankspace.qseries, [], []
     for name in ("_theta_pass", "_pentagonal_pass"):
-        def spy(*args, run=getattr(qs, name)):
+        def spy(*args, name=name, run=getattr(qs, name)):
             callers.append(sys._getframe(1).f_code.co_name)
+            root_steps.append(name == "_pentagonal_pass" and args[1] == 0)  # (ints, c, bits)
             run(*args)
 
         monkeypatch.setattr(qs, name, spy)
     assert cli.main(["--threads", "1", *argv]) == 0
     capsys.readouterr()
-    assert "_build" in callers and set(callers) <= {"_build", "_q_power"}
+    assert set(callers) == {"_build"}
+    assert sum(root_steps) == roots
 
 
 @pytest.mark.parametrize("argv,copies", [
@@ -560,14 +579,15 @@ def test_every_pass_runs_in_the_build_walk_a_window_or_q_power(monkeypatch, caps
 ], ids=["conj1.4", "table1"])
 def test_a_step_copies_its_entries_only_before_the_last_step_of_its_list(monkeypatch, capsys, argv, copies):
     # the last step of each list in a tree works on the entries in place, each step before it on
-    # a copy: the entry lists the walks step through, less each walk's own, full and windowed
+    # a copy: the entry lists the walks step through, less each walk's own, full and windowed.
+    # A walk is a call from outside _build: its root steps recurse at frame 0 too
     qs, stepped, walks = crankspace.qseries, {False: [], True: []}, {False: 0, True: 0}
     build = qs._build
 
     def spy(ints, c, tree, bits, window=0):
         stepped[bool(window)].append(ints)  # held, so that no two of them share an id
-        walks[bool(window)] += c == 0
-        yield from build(ints, c, tree, bits, window)
+        walks[bool(window)] += sys._getframe(1).f_code.co_name != "_build"
+        return build(ints, c, tree, bits, window)
 
     monkeypatch.setattr(qs, "_build", spy)
     assert cli.main(["--threads", "1", *argv]) == 0

@@ -231,22 +231,26 @@ class TestExhaustiveSearch:
             pooled = run_plan(check_family_unimodality(n_hi=30, threads=threads))
             assert serial._replace(elapsed_s=0) == pooled._replace(elapsed_s=0)
 
-    @pytest.mark.parametrize("scan,windowed,tuples,passes,frames,pentagonal,decoded,unpacked", [
+    @pytest.mark.parametrize("scan,windowed,tuples,passes,frames,pentagonal,roots,decoded,unpacked", [
         # 39 specs of 26 tuples, each screened; the 13 the screen leaves undecided are
-        # built in 7 (r, a_1) groups, whose shared passes run once, a_1's and a_2's first
-        (lambda: exhaustive_search(3, 6, n_hi=75, threads=1), 26, 13, 24, 98, [], 1323, 1845),
-        # 105 specs of 70 tuples, likewise, in 5 groups
-        (lambda: exhaustive_search(7, 8, n_hi=60, threads=1), 70, 35, 60, 399, [], 2604, 3609),
+        # built in 7 (r, a_1) groups, whose shared passes run once, a_1's and a_2's first.  Each
+        # group's full and windowed walk start with r root steps, the windowed ones to q^1..q^3
+        (lambda: exhaustive_search(3, 6, n_hi=75, threads=1), 26, 13, 24, 98, [], (18, 18, 58), 1323, 1845),
+        # 105 specs of 70 tuples, likewise, in 5 groups, windowed to q^2..q^4
+        (lambda: exhaustive_search(7, 8, n_hi=60, threads=1), 70, 35, 60, 399, [], (20, 20, 84), 2604, 3609),
         # 13 families, unscreened: the family scan reads every defect.  Its 8 tuples are 2 chains,
         # A (3, 2) .. (7, 6, 5, 4, 3, 2) and B (6, 5, 3, 2) .. (8, 7, 6, 5, 3, 2); each member past
         # the first costs one pentagonal pass at frame a_2 and one theta pass, and a window audits
-        # every member
+        # every member, each in a walk of its own to q^1..q^4
         (lambda: run_plan(check_family_unimodality(n_hi=60, threads=1)), 8, 8, 12, 58, [3, 4, 5, 6, 6, 7],
-         767, 1239),
+         (6, 35, 135), 767, 1239),
     ], ids=["table1-tuples", "k7-8", "families"])
     def test_each_weight_tuple_is_packed_once(self, monkeypatch, scan, windowed, tuples, passes,
-                                              frames, pentagonal, decoded, unpacked):
+                                              frames, pentagonal, roots, decoded, unpacked):
+        # roots: the root steps at frame 0 of the full walks, and of the windowed walks their
+        # number and their orders plus one, summed
         built, theta_frames, pentagonal_frames, windows, slices, unpacks = [], [], [], {}, [], []
+        root_orders, screening = {False: [], True: []}, [False]
         build, theta_pass = qseries.iter_ck_slices, qseries._theta_pass
         pentagonal_pass = qseries._pentagonal_pass
         top_windows, decode, unpack = qseries.top_windows, qseries._slices, qseries._unpack_half
@@ -261,10 +265,12 @@ class TestExhaustiveSearch:
                 theta_frames.append(max(aj, origin))
             theta_pass(ints, aj, origin, bits, last, window)
 
-        def counted_pentagonal_pass(ints, terms, c, bits):
-            if c:  # the passes at frame 0 build (q)_inf^r (_q_power)
+        def counted_pentagonal_pass(ints, c, bits):
+            if c:
                 pentagonal_frames.append(c)
-            pentagonal_pass(ints, terms, c, bits)
+            else:  # a root step, one of the r that build (q)_inf^r
+                root_orders[screening[0]].append(len(ints) - 1)
+            pentagonal_pass(ints, c, bits)
 
         def counted_scan(*args):
             for m, half in decode(*args):
@@ -276,7 +282,9 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(qseries, "_pentagonal_pass", counted_pentagonal_pass)
 
         def counted_windows(members, m):
+            screening[0] = True
             found = top_windows(members, m)
+            screening[0] = False
             windows.update((a, window) for (a, _), window in zip(members, found))
             return found
 
@@ -288,6 +296,7 @@ class TestExhaustiveSearch:
         assert len(theta_frames) == passes
         assert sum(theta_frames) == frames  # a pass counted as its frame's width, as _plan counts it
         assert sorted(pentagonal_frames) == pentagonal
+        assert (len(root_orders[False]), len(root_orders[True]), sum(o + 1 for o in root_orders[True])) == roots
         assert len(windows) == windowed
         assert len(slices) == decoded and len(unpacks) == unpacked
         if pentagonal:  # every chain member is audited by its window
@@ -329,9 +338,9 @@ class TestExhaustiveSearch:
                 passes.append(aj)
             theta_pass(ints, aj, origin, bits, last, window)
 
-        def checked_pentagonal_pass(ints, terms, c, bits):
+        def checked_pentagonal_pass(ints, c, bits):
             check_released()
-            pentagonal_pass(ints, terms, c, bits)
+            pentagonal_pass(ints, c, bits)
 
         monkeypatch.setattr(qseries, "_build", tracked_build)
         monkeypatch.setattr(qseries, "_slices", kept_scan)
